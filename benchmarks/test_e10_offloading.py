@@ -8,11 +8,10 @@ energy « execution energy) while utility does not decrease.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e10_offloading
 
 
-def test_e10_offloading(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e10_offloading, sweep, results_dir, "E10")
+def test_e10_offloading(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E10", sweep, tmp_path)
     for row in table.rows:
         neighbors = row[0]
         local_energy, coal_energy = row[1].mean, row[2].mean

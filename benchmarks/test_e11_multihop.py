@@ -7,11 +7,10 @@ never lowers success/utility, at the price of more protocol messages.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e11_multihop
 
 
-def test_e11_multihop(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e11_multihop, sweep, results_dir, "E11")
+def test_e11_multihop(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E11", sweep, tmp_path)
     candidates = [s.mean for s in table.column("candidates")]
     utilities = [s.mean for s in table.column("utility")]
     messages = [s.mean for s in table.column("messages")]

@@ -9,11 +9,10 @@ especially in the later (post-learning) rounds.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e12_reputation
 
 
-def test_e12_reputation(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e12_reputation, sweep, results_dir, "E12")
+def test_e12_reputation(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E12", sweep, tmp_path)
     rows = {row[0]: row for row in table.rows}
     paper = rows["paper (no memory)"]
     aware = rows["reputation-aware"]

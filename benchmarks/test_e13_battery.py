@@ -7,11 +7,10 @@ fairness and a higher minimum residual battery at the checkpoint.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e13_battery_lifetime
 
 
-def test_e13_battery(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e13_battery_lifetime, sweep, results_dir, "E13")
+def test_e13_battery(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E13", sweep, tmp_path)
     rows = {row[0]: row for row in table.rows}
     paper = rows["paper triple"]
     aware = rows["battery-aware"]

@@ -8,11 +8,10 @@ extended by the restarted stage.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e14_pipeline
 
 
-def test_e14_pipeline(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e14_pipeline, sweep, results_dir, "E14")
+def test_e14_pipeline(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E14", sweep, tmp_path)
     rows = {row[0]: row for row in table.rows}
     clean, failed = rows[0], rows[1]
     assert clean[1].mean == 1.0 and failed[1].mean == 1.0

@@ -12,11 +12,10 @@ the protocol constants, success stays high.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e18_scale_sweep
 
 
-def test_e18_scale_sweep(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e18_scale_sweep, sweep, results_dir, "E18")
+def test_e18_scale_sweep(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E18", sweep, tmp_path)
     nodes = table.column("nodes")
     messages = [s.mean for s in table.column("messages")]
     times = [s.mean for s in table.column("sim time (s)")]

@@ -5,27 +5,13 @@ mobility models with relayed two-hop CFPs. Every simulated second the
 fleet moves and the topology is rebuilt — the workload the numpy
 position arena + epoch-cached routing exist for. The table's metrics are
 deterministic; wall time lives in ``BENCH_E19.json``.
-
-The second test is the acceptance gate for the vectorization itself:
-topology maintenance (rebuild + the CFP's route-cost queries) at 128
-nodes must be at least 5x faster on the vector path than on the legacy
-networkx path, with both paths producing identical answers.
 """
 
-import time
-
-import numpy as np
-
-import repro.network.topology as topology_mod
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e19_mobility_scale
-from repro.network.radio import DiscRadio
-from repro.network.topology import Topology
-from repro.resources.node import Node
 
 
-def test_e19_mobility_scale(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e19_mobility_scale, sweep, results_dir, "E19")
+def test_e19_mobility_scale(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E19", sweep, tmp_path)
     labels = table.column("model × nodes")
     success = [s.mean for s in table.column("success rate")]
     partners = [s.mean for s in table.column("distinct partners")]
@@ -33,67 +19,3 @@ def test_e19_mobility_scale(benchmark, sweep, results_dir):
     assert all(s > 0.0 for s in success), labels
     # ... and mobility must expose more than a lone partner somewhere.
     assert max(partners) > 1.0
-
-
-def _maintenance_workload(topo, rounds=3):
-    """One mobility tick's worth of topology work: a rebuild plus the
-    CFP-style queries the organizer issues against it — the two-hop
-    audience, then the route-cost tie-break per candidate per task.
-
-    Several rounds query the *same* pairs, as the per-task scoring
-    passes and award routing within one epoch do — the vector path
-    answers repeats from the per-epoch cache, the legacy path re-runs
-    networkx Dijkstra every time.
-    """
-    topo.rebuild()
-    audience = topo.khop_neighbors("n0", 2)
-    acc = 0.0
-    for _ in range(rounds):
-        for nid in audience:
-            acc += topo.multihop_cost("n0", nid)
-    return acc
-
-
-def _build(vectorized, n=128, spread=140.0, seed=5):
-    """The E19 ``group-128`` regime: the whole fleet within one group
-    spread of the leader — the dense pairwise-recompute workload the
-    paper's spontaneous-coalition setting implies at scale."""
-    rng = np.random.default_rng(seed)
-    nodes = []
-    for i in range(n):
-        angle = rng.uniform(0, 2 * np.pi)
-        radius = rng.uniform(0, spread)
-        nodes.append(Node(
-            f"n{i}",
-            position=(340.0 + radius * np.cos(angle), 340.0 + radius * np.sin(angle)),
-        ))
-    old = topology_mod.USE_VECTOR_TOPOLOGY
-    topology_mod.USE_VECTOR_TOPOLOGY = vectorized
-    try:
-        topo = Topology(nodes, DiscRadio(range_m=100.0))
-    finally:
-        topology_mod.USE_VECTOR_TOPOLOGY = old
-    return topo
-
-
-def test_topology_maintenance_5x_at_128_nodes():
-    """Acceptance gate: rebuild + multihop routing >= 5x at 128 nodes."""
-    topo_vec = _build(vectorized=True)
-    topo_leg = _build(vectorized=False)
-    # Same answers first — speed means nothing otherwise.
-    assert _maintenance_workload(topo_vec) == _maintenance_workload(topo_leg)
-
-    def best_of(topo, reps=5):
-        best = float("inf")
-        for _ in range(reps):
-            start = time.perf_counter()
-            _maintenance_workload(topo)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    t_vec = best_of(topo_vec)
-    t_leg = best_of(topo_leg)
-    assert t_leg >= 5.0 * t_vec, (
-        f"vectorized topology maintenance only {t_leg / t_vec:.1f}x faster "
-        f"(legacy {t_leg * 1e3:.1f} ms, vector {t_vec * 1e3:.1f} ms)"
-    )

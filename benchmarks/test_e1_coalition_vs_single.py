@@ -7,11 +7,10 @@ their utility grows with neighborhood size.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e1_coalition_vs_single
 
 
-def test_e1_coalition_vs_single(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e1_coalition_vs_single, sweep, results_dir, "E1")
+def test_e1_coalition_vs_single(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E1", sweep, tmp_path)
     singles = [s.mean for s in table.column("single success")]
     coalitions = [s.mean for s in table.column("coalition success")]
     assert max(singles) == 0.0, "a phone must not serve the movie alone"

@@ -9,11 +9,10 @@ qualitative shape the lifecycle model must produce.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e20_streaming_sessions
 
 
-def test_e20_streaming_sessions(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e20_streaming_sessions, sweep, results_dir, "E20")
+def test_e20_streaming_sessions(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E20", sweep, tmp_path)
     labels = table.column("mobility × rate × length")
     success = [s.mean for s in table.column("success rate")]
     sustained = [s.mean for s in table.column("sustained utility")]

@@ -9,13 +9,10 @@ delivery.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e21_realistic_arrivals
 
 
-def test_e21_realistic_arrivals(benchmark, sweep, results_dir):
-    table = run_suite(
-        benchmark, e21_realistic_arrivals, sweep, results_dir, "E21"
-    )
+def test_e21_realistic_arrivals(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E21", sweep, tmp_path)
     labels = table.column("shape × requesters")
     offered = [s.mean for s in table.column("offered sessions")]
     success = [s.mean for s in table.column("success rate")]

@@ -17,14 +17,13 @@ import time
 import numpy as np
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e22_shard_scale
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
 from repro.resources.node import Node
 
 
-def test_e22_shard_scale(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e22_shard_scale, sweep, results_dir, "E22")
+def test_e22_shard_scale(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E22", sweep, tmp_path)
     labels = table.column("nodes × shards")
     offered = [s.mean for s in table.column("offered sessions")]
     success = [s.mean for s in table.column("success rate")]

@@ -12,11 +12,10 @@ collapses even in the harshest regime.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e23_fault_sweep
 
 
-def test_e23_fault_sweep(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e23_fault_sweep, sweep, results_dir, "E23")
+def test_e23_fault_sweep(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E23", sweep, tmp_path)
     labels = table.column("fault regime")
     availability = [s.mean for s in table.column("availability")]
     degraded = [s.mean for s in table.column("degraded sessions")]

@@ -7,11 +7,10 @@ the pool's best proposal at every pool size; random picks trail.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e2_evaluation_quality
 
 
-def test_e2_evaluation_quality(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e2_evaluation_quality, sweep, results_dir, "E2")
+def test_e2_evaluation_quality(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E2", sweep, tmp_path)
     regrets = [s.mean for s in table.column("regret vs best")]
     assert all(abs(r) < 1e-9 for r in regrets), "eq.2 winner must equal pool best"
     winners = [s.mean for s in table.column("eq.2 winner utility")]

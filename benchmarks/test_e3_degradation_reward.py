@@ -7,11 +7,10 @@ with the gap widening as load rises; utility follows the same order.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e3_degradation_reward
 
 
-def test_e3_degradation_reward(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e3_degradation_reward, sweep, results_dir, "E3")
+def test_e3_degradation_reward(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E3", sweep, tmp_path)
     for row in table.rows:
         fraction, paper, random_, rr = row[0], row[1].mean, row[2].mean, row[3].mean
         assert paper >= random_ - 1e-9, f"paper < random at fraction {fraction}"

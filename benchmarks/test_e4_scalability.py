@@ -8,11 +8,10 @@ by the proposal window plus award round-trips, roughly constant.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e4_scalability
 
 
-def test_e4_scalability(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e4_scalability, sweep, results_dir, "E4")
+def test_e4_scalability(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E4", sweep, tmp_path)
     nodes = table.column("nodes")
     messages = [s.mean for s in table.column("messages")]
     times = [s.mean for s in table.column("sim time (s)")]

@@ -9,11 +9,10 @@ partners grow with speed), at the cost of more in-flight message loss.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e5_mobility
 
 
-def test_e5_mobility(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e5_mobility, sweep, results_dir, "E5")
+def test_e5_mobility(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E5", sweep, tmp_path)
     speeds = table.column("speed (m/s)")
     partners = [s.mean for s in table.column("distinct partners")]
     static_partners = partners[speeds.index(0.0)]

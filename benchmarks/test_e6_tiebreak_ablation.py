@@ -8,11 +8,10 @@ triple also keeps the coalition at least as small as comm-cost alone.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e6_tiebreak_ablation
 
 
-def test_e6_tiebreak_ablation(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e6_tiebreak_ablation, sweep, results_dir, "E6")
+def test_e6_tiebreak_ablation(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E6", sweep, tmp_path)
     rows = {row[0]: row for row in table.rows}
     distance_only = rows["distance only"]
     full = rows["full triple (paper)"]

@@ -8,11 +8,10 @@ execution (stronger outliers exist for the coalition to recruit).
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e7_heterogeneity
 
 
-def test_e7_heterogeneity(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e7_heterogeneity, sweep, results_dir, "E7")
+def test_e7_heterogeneity(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E7", sweep, tmp_path)
     spreads = table.column("cpu spread")
     gains = [s.mean for s in table.column("gain")]
     # Coalition never hurts, and heterogeneity widens the gain.

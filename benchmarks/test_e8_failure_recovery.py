@@ -7,11 +7,10 @@ crashes; with it disabled, completion collapses as failures increase.
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e8_failure_recovery
 
 
-def test_e8_failure_recovery(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e8_failure_recovery, sweep, results_dir, "E8")
+def test_e8_failure_recovery(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E8", sweep, tmp_path)
     for row in table.rows:
         failures, with_reconfig, without = row[0], row[1].mean, row[2].mean
         assert with_reconfig >= without - 1e-9

@@ -8,11 +8,10 @@ pick the wrong proposal on ties, i.e. 0%).
 """
 
 from benchmarks.conftest import run_suite
-from repro.experiments.suites import e9_weight_ablation
 
 
-def test_e9_weight_ablation(benchmark, sweep, results_dir):
-    table = run_suite(benchmark, e9_weight_ablation, sweep, results_dir, "E9")
+def test_e9_weight_ablation(benchmark, sweep, tmp_path):
+    table = run_suite(benchmark, "E9", sweep, tmp_path)
     by_scheme = {row[0]: row[1].mean for row in table.rows}
     assert by_scheme["linear (paper)"] == 100.0
     assert by_scheme["geometric"] == 100.0

@@ -41,7 +41,7 @@ from repro.agents.messages import (
 )
 from repro.core.admissibility import is_admissible
 from repro.core.coalition import Coalition, TaskAward
-from repro.core.evaluation import BatchProposalEvaluator, WeightScheme
+from repro.core.evaluation import ProposalEvaluator, WeightScheme
 from repro.core.negotiation import (
     NegotiationOutcome,
     formulate_node_proposals,
@@ -81,9 +81,9 @@ class NegotiationSession:
         self.proposals: Dict[str, List[Proposal]] = {
             t.task_id: [] for t in service.tasks
         }
-        # Batched evaluators compiled per request (keyed by identity;
+        # Evaluators compiled per request (keyed by identity;
         # the service keeps every request alive for the session).
-        self.evaluators: Dict[int, BatchProposalEvaluator] = {}
+        self.evaluators: Dict[int, ProposalEvaluator] = {}
         self.responded: Set[str] = set()
         self.coalition = Coalition(service)
         self.unallocated: List[str] = []

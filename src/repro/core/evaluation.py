@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import DomainError, NegotiationError
+from repro.errors import DomainError, NegotiationError, RequestError
 from repro.core.proposal import Proposal
 from repro.qos.domain import ContinuousDomain, DiscreteDomain
 from repro.qos.levels import build_ladder
@@ -75,145 +75,8 @@ class WeightScheme(enum.Enum):
         return 2.0 ** (-(rank - 1))
 
 
-class ProposalEvaluator:
-    """Scores proposals against a service request (lower = better).
-
-    Args:
-        request: The user's request (supplies preference orders and the
-            preferred values ``Pref_ki``).
-        weights: Rank→weight scheme for both dimensions and attributes.
-        normalize_by: ``"domain"`` or ``"request"`` — the ``Q_k`` set used
-            by eq. 5's denominators (see module docs).
-        signed: Use eq. 5 literally (signed differences) instead of the
-            default absolute magnitude.
-        float_steps: Interval expansion granularity when normalizing by
-            the request's acceptable set on continuous attributes.
-    """
-
-    def __init__(
-        self,
-        request: ServiceRequest,
-        weights: WeightScheme = WeightScheme.LINEAR,
-        normalize_by: str = "domain",
-        signed: bool = False,
-        float_steps: int = 8,
-    ) -> None:
-        if normalize_by not in ("domain", "request"):
-            raise NegotiationError(
-                f"normalize_by must be 'domain' or 'request', got {normalize_by!r}"
-            )
-        self.request = request
-        self.weights = weights
-        self.normalize_by = normalize_by
-        self.signed = signed
-        self.float_steps = float_steps
-        # Request-ladder cache for "request" normalization of discrete
-        # positions and continuous spans.
-        self._ladders: Dict[str, tuple] = {}
-        if normalize_by == "request":
-            for name in request.attribute_names:
-                attr = request.spec.attribute(name)
-                self._ladders[name] = build_ladder(
-                    request.preference_for(name), attr.domain.value_type, float_steps
-                )
-
-    # -- eq. 3 ------------------------------------------------------------
-
-    def dimension_weight(self, dimension: str) -> float:
-        """``w_k`` for a dimension (eq. 3 under the configured scheme)."""
-        n = len(self.request.dimensions)
-        k = self.request.dimension_rank(dimension)
-        return self.weights.weight(k, n)
-
-    def attribute_weight(self, dimension: str, attribute: str) -> float:
-        """``w_i`` for an attribute within its dimension."""
-        count = len(self.request.dimension_preference(dimension).attributes)
-        i = self.request.attribute_rank(dimension, attribute)
-        return self.weights.weight(i, count)
-
-    # -- eq. 5 ------------------------------------------------------------
-
-    def dif(self, attribute: str, proposed: Any) -> float:
-        """``dif(Prop_ki, Pref_ki)`` for one attribute."""
-        pref = self.request.preference_for(attribute).preferred
-        attr = self.request.spec.attribute(attribute)
-        domain = attr.domain
-
-        if isinstance(domain, ContinuousDomain):
-            proposed_v = float(domain.validate(proposed))
-            pref_v = float(pref)
-            span = self._continuous_span(attribute, domain)
-            raw = (proposed_v - pref_v) / span
-        else:
-            assert isinstance(domain, DiscreteDomain)
-            raw = self._discrete_dif(attribute, domain, proposed, pref)
-        return raw if self.signed else abs(raw)
-
-    def _continuous_span(self, attribute: str, domain: ContinuousDomain) -> float:
-        if self.normalize_by == "domain":
-            return domain.span()
-        lo, hi = self.request.preference_for(attribute).bounds()
-        width = hi - lo
-        return width if width > 0 else 1.0
-
-    def _discrete_dif(
-        self, attribute: str, domain: DiscreteDomain, proposed: Any, pref: Any
-    ) -> float:
-        if self.normalize_by == "domain":
-            span = domain.span()
-            return (domain.position(proposed) - domain.position(pref)) / span
-        ladder = self._ladders[attribute]
-        try:
-            pos_prop = ladder.index(proposed)
-        except ValueError:
-            raise DomainError(
-                f"proposed value {proposed!r} not among acceptable values of "
-                f"{attribute!r}"
-            ) from None
-        pos_pref = ladder.index(pref)  # always 0 by construction
-        span = float(max(len(ladder) - 1, 1))
-        return (pos_prop - pos_pref) / span
-
-    # -- eq. 4 ------------------------------------------------------------
-
-    def dimension_distance(self, dimension: str, proposal: Proposal) -> float:
-        """``dist(Q_k)``: weighted attribute differences of one dimension."""
-        total = 0.0
-        for ap in self.request.dimension_preference(dimension).attributes:
-            w_i = self.attribute_weight(dimension, ap.attribute)
-            total += w_i * self.dif(ap.attribute, proposal.value(ap.attribute))
-        return total
-
-    # -- eq. 2 ------------------------------------------------------------
-
-    def distance(self, proposal: Proposal) -> float:
-        """The full eq. 2 evaluation of a proposal (lower is better)."""
-        total = 0.0
-        for dp in self.request.dimensions:
-            w_k = self.dimension_weight(dp.dimension)
-            total += w_k * self.dimension_distance(dp.dimension, proposal)
-        return total
-
-    def max_distance(self) -> float:
-        """Upper bound of :meth:`distance` over in-domain proposals.
-
-        With absolute differences every ``|dif|`` is at most 1, so the
-        bound is ``Σ_k w_k · Σ_i w_i``. Used to normalize distances into
-        [0, 1] for utility reporting.
-        """
-        total = 0.0
-        for dp in self.request.dimensions:
-            w_k = self.dimension_weight(dp.dimension)
-            inner = sum(
-                self.attribute_weight(dp.dimension, ap.attribute)
-                for ap in dp.attributes
-            )
-            total += w_k * inner
-        return total
-
-
 class _CompiledAttribute:
-    """One attribute's precompiled eq. 5 state (see BatchProposalEvaluator).
+    """One attribute's precompiled eq. 5 state (see ProposalEvaluator).
 
     ``dif_cache`` maps ``(value class, value)`` to the finished dif — the
     class is part of the key so an ``int`` and a numerically equal
@@ -245,39 +108,44 @@ class _CompiledAttribute:
         self.dif_cache: Dict[Tuple[type, Any], float] = {}
 
 
-class BatchProposalEvaluator:
-    """Vectorized eq. 2–5 scoring of a whole proposal list (lower = better).
+#: One dimension's compiled state: ``w_k`` and its ``(attribute, w_i)``
+#: pairs in importance order.
+_Dimension = Tuple[float, List[Tuple[_CompiledAttribute, float]]]
 
-    :class:`ProposalEvaluator` re-derives ranks, weights and eq. 5
-    denominators on every ``distance`` call; in the negotiation hot path
-    (one evaluation per proposal per task per service) that per-call
-    recomputation dominates. This evaluator **precompiles the request
-    once** — dimension weights (eq. 3), attribute weights (eq. 4),
-    continuous spans, discrete position tables, and request-ladder
-    indices for ``normalize_by="request"`` — and scores an entire
-    proposal list in one call, with per-attribute dif values cached per
-    distinct offered value and the eq. 4/eq. 2 reductions done as numpy
-    array arithmetic across proposals.
 
-    Bit-exactness contract: for every proposal the reduction performs the
-    same float operations in the same order as the scalar
-    :meth:`ProposalEvaluator.distance` — per dimension, ``w_i · dif``
-    terms accumulate in attribute order; across dimensions, ``w_k ·
-    dist(Q_k)`` terms accumulate in importance order — so
-    ``distances(props)[i] == ProposalEvaluator(...).distance(props[i])``
-    holds exactly (``==``, not approximately; asserted in
-    ``tests/test_batch_evaluation.py``). Error behaviour matches too:
-    out-of-domain or unacceptable values raise the scalar path's
-    :class:`~repro.errors.DomainError`, missing attributes its
-    ``KeyError``.
+class ProposalEvaluator:
+    """Scores proposals against a service request (lower = better).
+
+    The request is **compiled once** at construction — dimension
+    weights (eq. 3), attribute weights (eq. 4), continuous spans,
+    discrete position tables, and request-ladder indices for
+    ``normalize_by="request"`` — because in the negotiation hot path
+    (one evaluation per proposal per task per service) re-deriving them
+    per call would dominate. :meth:`distances` scores a whole proposal
+    list in one call, with per-attribute dif values cached per distinct
+    offered value and the eq. 4/eq. 2 reductions done as numpy array
+    arithmetic across proposals.
+
+    Every entry point performs the same float operations in the same
+    order — per dimension, ``w_i · dif`` terms accumulate in attribute
+    order; across dimensions, ``w_k · dist(Q_k)`` terms accumulate in
+    importance order — so ``distances(props)[i] == distance(props[i])``
+    exactly. ``tests/data/evaluation_golden.json`` records the answers
+    of the original per-call implementation, and
+    ``tests/test_batch_evaluation.py`` pins this one to them bit for
+    bit. Out-of-domain or unacceptable values raise
+    :class:`~repro.errors.DomainError`, missing attributes ``KeyError``.
 
     Args:
-        request: The user's request (same as :class:`ProposalEvaluator`).
-        weights: Rank→weight scheme (eq. 3).
-        normalize_by: ``"domain"`` or ``"request"`` (eq. 5 denominators).
-        signed: Use eq. 5 literally instead of absolute magnitudes.
-        float_steps: Request-ladder expansion granularity for
-            ``normalize_by="request"`` on continuous attributes.
+        request: The user's request (supplies preference orders and the
+            preferred values ``Pref_ki``).
+        weights: Rank→weight scheme for both dimensions and attributes.
+        normalize_by: ``"domain"`` or ``"request"`` — the ``Q_k`` set used
+            by eq. 5's denominators (see module docs).
+        signed: Use eq. 5 literally (signed differences) instead of the
+            default absolute magnitude.
+        float_steps: Interval expansion granularity when normalizing by
+            the request's acceptable set on continuous attributes.
     """
 
     def __init__(
@@ -300,32 +168,19 @@ class BatchProposalEvaluator:
 
         # -- compile: one pass over the request ---------------------------
         n_dims = len(request.dimensions)
-        dims: List[Tuple[float, List[Tuple[_CompiledAttribute, float]]]] = []
-        dim_weights: List[float] = []
-        attr_weights: List[float] = []
-        denominators: List[float] = []
+        self._dims: List[_Dimension] = []
+        self._by_dimension: Dict[str, _Dimension] = {}
+        self._by_attribute: Dict[str, _CompiledAttribute] = {}
         for k, dp in enumerate(request.dimensions, start=1):
-            w_k = weights.weight(k, n_dims)
-            dim_weights.append(w_k)
             count = len(dp.attributes)
             compiled_attrs: List[Tuple[_CompiledAttribute, float]] = []
             for i, ap in enumerate(dp.attributes, start=1):
-                w_i = weights.weight(i, count)
-                attr_weights.append(w_i)
                 entry = self._compile_attribute(ap.attribute)
-                denominators.append(entry.span)
-                compiled_attrs.append((entry, w_i))
-            dims.append((w_k, compiled_attrs))
-        self._dims = dims
-        # Read-only introspection mirrors of the compiled state (the
-        # reduction itself walks ``_dims``); pinned against the scalar
-        # evaluator's weights in tests/test_batch_evaluation.py.
-        #: eq. 3 weights per dimension, importance order.
-        self.dim_weights = np.asarray(dim_weights)
-        #: eq. 4 weights per attribute, dimension-major importance order.
-        self.attr_weights = np.asarray(attr_weights)
-        #: eq. 5 denominators per attribute, dimension-major order.
-        self.denominators = np.asarray(denominators)
+                self._by_attribute[ap.attribute] = entry
+                compiled_attrs.append((entry, weights.weight(i, count)))
+            dim = (weights.weight(k, n_dims), compiled_attrs)
+            self._dims.append(dim)
+            self._by_dimension[dp.dimension] = dim
 
     def _compile_attribute(self, name: str) -> _CompiledAttribute:
         pref = self.request.preference_for(name).preferred
@@ -355,10 +210,36 @@ class BatchProposalEvaluator:
             float(max(len(ladder) - 1, 1)), ladder,
         )
 
-    # -- eq. 5 (compiled) -------------------------------------------------
+    def _dimension(self, dimension: str) -> _Dimension:
+        try:
+            return self._by_dimension[dimension]
+        except KeyError:
+            raise RequestError(f"dimension {dimension!r} not in request") from None
+
+    # -- eq. 3 ------------------------------------------------------------
+
+    def dimension_weight(self, dimension: str) -> float:
+        """``w_k`` for a dimension (eq. 3 under the configured scheme)."""
+        return self._dimension(dimension)[0]
+
+    def attribute_weight(self, dimension: str, attribute: str) -> float:
+        """``w_i`` for an attribute within its dimension."""
+        for entry, w_i in self._dimension(dimension)[1]:
+            if entry.name == attribute:
+                return w_i
+        raise RequestError(
+            f"attribute {attribute!r} not in dimension {dimension!r} preference"
+        )
+
+    # -- eq. 5 ------------------------------------------------------------
 
     def _dif(self, entry: _CompiledAttribute, proposed: Any) -> float:
-        """Scalar-identical ``dif`` from the compiled tables."""
+        """``dif(Prop_ki, Pref_ki)`` from the compiled tables, cached per
+        distinct offered value."""
+        key = (proposed.__class__, proposed)
+        cached = entry.dif_cache.get(key)
+        if cached is not None:
+            return cached
         if entry.continuous:
             raw = (float(entry.domain.validate(proposed)) - entry.pref_value) \
                 / entry.span
@@ -374,15 +255,46 @@ class BatchProposalEvaluator:
                     f"of {entry.name!r}"
                 ) from None
             raw = (pos - entry.pref_position) / entry.span
-        return raw if self.signed else abs(raw)
+        dif = raw if self.signed else abs(raw)
+        entry.dif_cache[key] = dif
+        return dif
 
-    # -- eq. 2 over a batch -------------------------------------------------
+    def dif(self, attribute: str, proposed: Any) -> float:
+        """``dif(Prop_ki, Pref_ki)`` for one attribute."""
+        try:
+            entry = self._by_attribute[attribute]
+        except KeyError:
+            raise RequestError(f"attribute {attribute!r} not in request") from None
+        return self._dif(entry, proposed)
+
+    # -- eq. 4 ------------------------------------------------------------
+
+    def _dimension_sum(
+        self, compiled_attrs: List[Tuple[_CompiledAttribute, float]], proposal: Proposal
+    ) -> float:
+        total = 0.0
+        for entry, w_i in compiled_attrs:
+            total += w_i * self._dif(entry, proposal.value(entry.name))
+        return total
+
+    def dimension_distance(self, dimension: str, proposal: Proposal) -> float:
+        """``dist(Q_k)``: weighted attribute differences of one dimension."""
+        return self._dimension_sum(self._dimension(dimension)[1], proposal)
+
+    # -- eq. 2 ------------------------------------------------------------
+
+    def distance(self, proposal: Proposal) -> float:
+        """The full eq. 2 evaluation of a proposal (lower is better)."""
+        total = 0.0
+        for w_k, compiled_attrs in self._dims:
+            total += w_k * self._dimension_sum(compiled_attrs, proposal)
+        return total
 
     def distances(self, proposals: Sequence[Proposal]) -> np.ndarray:
         """eq. 2 distances of every proposal, in input order.
 
-        Each element equals the scalar evaluator's ``distance`` for that
-        proposal exactly (see the class docs for the op-order argument).
+        Each element equals :meth:`distance` of that proposal exactly
+        (see the class docs for the op-order argument).
         """
         n = len(proposals)
         total = np.zeros(n)
@@ -396,16 +308,27 @@ class BatchProposalEvaluator:
                 name = entry.name
                 for j, proposal in enumerate(proposals):
                     value = proposal.value(name)
-                    key = (value.__class__, value)
-                    dif = cache.get(key)
+                    dif = cache.get((value.__class__, value))
                     if dif is None:
                         dif = self._dif(entry, value)
-                        cache[key] = dif
                     column[j] = dif
                 dim_total += w_i * column
             total += w_k * dim_total
         return total
 
-    def distance(self, proposal: Proposal) -> float:
-        """Single-proposal convenience wrapper around :meth:`distances`."""
-        return float(self.distances((proposal,))[0])
+    def max_distance(self) -> float:
+        """Upper bound of :meth:`distance` over in-domain proposals.
+
+        With absolute differences every ``|dif|`` is at most 1, so the
+        bound is ``Σ_k w_k · Σ_i w_i``. Used to normalize distances into
+        [0, 1] for utility reporting.
+        """
+        total = 0.0
+        for w_k, compiled_attrs in self._dims:
+            total += w_k * sum(w_i for _entry, w_i in compiled_attrs)
+        return total
+
+
+#: Alias for callers that name the batch scorer, such as the perf
+#: benchmark's span table (``benchmarks/perf/spans.py``).
+BatchProposalEvaluator = ProposalEvaluator

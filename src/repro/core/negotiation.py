@@ -33,11 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.admissibility import is_admissible
 from repro.core.coalition import Coalition, TaskAward
-from repro.core.evaluation import (
-    BatchProposalEvaluator,
-    ProposalEvaluator,
-    WeightScheme,
-)
+from repro.core.evaluation import ProposalEvaluator, WeightScheme
 from repro.core.formulation import formulate
 from repro.core.proposal import Proposal
 from repro.core.reputation import ReputationTracker
@@ -58,13 +54,6 @@ from repro.services.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-
-#: Feature switch for the batched step-3 evaluation path. The scalar
-#: per-proposal path is kept so tests can assert both paths produce
-#: bit-identical outcomes (``tests/test_batch_evaluation.py``); leave
-#: this ``True`` outside of those A/B comparisons.
-USE_BATCH_EVALUATION = True
-
 
 @dataclass
 class NegotiationOutcome:
@@ -289,45 +278,30 @@ def score_admissible(
     request,
     admissible: Sequence[Proposal],
     weights: WeightScheme,
-    evaluator_cache: Dict[int, BatchProposalEvaluator],
+    evaluator_cache: Dict[int, ProposalEvaluator],
     comm_cost,
     members: set,
     reputation=None,
     battery=None,
     evaluator_kwargs: Optional[dict] = None,
-    use_batch: Optional[bool] = None,
 ) -> Tuple[ScoredProposal, ...]:
     """Step-3 scoring of one task's admissible proposals (both drivers).
 
-    With :data:`USE_BATCH_EVALUATION` on (the default), distances come
-    from a :class:`BatchProposalEvaluator` compiled once per request —
-    ``evaluator_cache`` is keyed by request identity and owned by the
-    caller (one negotiation run / one organizer session), so tasks
-    sharing a request reuse the compiled arrays. With the switch off the
-    scalar evaluator reproduces the pre-batching path; both paths score
-    bit-identically (``tests/test_batch_evaluation.py``).
-
-    ``use_batch`` lets a caller pin the path for its whole run —
-    :func:`negotiate` snapshots the switch once at entry, so one
-    negotiation never mixes paths even if the global flips mid-run
-    (the construction-time-snapshot semantics of :mod:`repro.features`).
-    ``None`` reads the global per call.
+    Distances come from a :class:`ProposalEvaluator` compiled once per
+    request — ``evaluator_cache`` is keyed by request identity and owned
+    by the caller (one negotiation run / one organizer session), so
+    tasks sharing a request reuse the compiled tables.
     """
-    kwargs = evaluator_kwargs or {}
-    if USE_BATCH_EVALUATION if use_batch is None else use_batch:
-        evaluator = evaluator_cache.get(id(request))
-        if evaluator is None:
-            evaluator = BatchProposalEvaluator(request, weights=weights, **kwargs)
-            evaluator_cache[id(request)] = evaluator
-        return SelectionPolicy.score(
-            admissible, None, comm_cost, members,
-            reputation=reputation, battery=battery,
-            distances=[float(d) for d in evaluator.distances(admissible)],
+    evaluator = evaluator_cache.get(id(request))
+    if evaluator is None:
+        evaluator = ProposalEvaluator(
+            request, weights=weights, **(evaluator_kwargs or {})
         )
-    scalar = ProposalEvaluator(request, weights=weights, **kwargs)
+        evaluator_cache[id(request)] = evaluator
     return SelectionPolicy.score(
-        admissible, scalar.distance, comm_cost, members,
-        reputation=reputation, battery=battery,
+        admissible,
+        [float(d) for d in evaluator.distances(admissible)],
+        comm_cost, members, reputation=reputation, battery=battery,
     )
 
 
@@ -385,9 +359,6 @@ def negotiate(
     selection = selection if selection is not None else SelectionPolicy()
     evaluator_options = dict(evaluator_options or {})
     coalition = Coalition(service, formed_at=now)
-    # Snapshot the feature switch once: one run scores every task down
-    # the same path, even if the global is flipped mid-negotiation.
-    use_batch = USE_BATCH_EVALUATION
     audience = (
         tuple(candidates) if candidates is not None
         else candidate_nodes(service, topology, max_hops)
@@ -435,7 +406,7 @@ def negotiate(
     # Evaluators compile per *request*, not per task: tasks sharing a
     # request (common in generated workloads) reuse one compiled set of
     # weights/denominators and its dif caches.
-    evaluators: Dict[int, BatchProposalEvaluator] = {}
+    evaluators: Dict[int, ProposalEvaluator] = {}
     evaluator_kwargs = {
         k: v for k, v in evaluator_options.items() if k != "float_steps"
     }
@@ -456,7 +427,6 @@ def negotiate(
             reputation=reputation.score if reputation is not None else None,
             battery=battery,
             evaluator_kwargs=evaluator_kwargs,
-            use_batch=use_batch,
         )
         ranked = selection.rank(scored)
         awarded = _try_award(

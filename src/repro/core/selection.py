@@ -141,32 +141,23 @@ class SelectionPolicy:
     @staticmethod
     def score(
         proposals: Iterable[Proposal],
-        distance: Optional[Callable[[Proposal], float]],
+        distances: Sequence[float],
         comm_cost: CommCost,
         members: Set[str],
         reputation: Optional[Callable[[str], float]] = None,
         battery: Optional[Callable[[str], float]] = None,
-        distances: Optional[Sequence[float]] = None,
     ) -> Tuple[ScoredProposal, ...]:
         """Attach scores to raw proposals.
 
         Args:
             proposals: Admissible proposals for one task.
-            distance: eq. 2 evaluator, proposal → distance. May be
-                ``None`` when ``distances`` is given.
+            distances: eq. 2 distances aligned with ``proposals``
+                (:meth:`~repro.core.evaluation.ProposalEvaluator.distances`).
             comm_cost: node id → communication cost to the requester.
             members: Node ids already in the forming coalition.
             reputation: Optional node id → reliability estimate.
             battery: Optional node id → remaining battery fraction.
-            distances: Precomputed eq. 2 distances aligned with
-                ``proposals`` (the batched-evaluation path); overrides
-                ``distance``.
         """
-        if distances is None:
-            if distance is None:
-                raise ValueError("score needs either distance or distances")
-            proposals = tuple(proposals)
-            distances = [distance(p) for p in proposals]
         return tuple(
             ScoredProposal(
                 proposal=p,

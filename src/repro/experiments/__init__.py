@@ -1,12 +1,12 @@
 """Experiment harness: scenarios, replication runner, reporting, suites.
 
-Each experiment suite (E1–E14 in :mod:`repro.experiments.suites`,
-E15–E17 in :mod:`repro.experiments.workload_suites` — see
-``docs/experiments.md`` for the per-suite index) is a
-function registered in :data:`repro.experiments.suites.ALL_SUITES` returning an
-:class:`~repro.experiments.reporting.Table`; the benchmark files under
-``benchmarks/`` call them and print the tables, and EXPERIMENTS.md records
-the measured shapes.
+Each experiment suite (E1–E23; see ``docs/experiments.md`` for the
+per-suite index) is a plan builder registered in
+:data:`repro.experiments.suites.SUITE_PLANS`;
+``run_plan(SUITE_PLANS[name](sweep), sweep)`` runs one into its
+:class:`~repro.experiments.reporting.Table`. The benchmark files under
+``benchmarks/`` run them, print the tables and check them against the
+archived ``benchmarks/results/*.txt``.
 
 Batch infrastructure: each suite decomposes into a
 :class:`~repro.experiments.plan.SuitePlan` of ``(sweep point, seed)``

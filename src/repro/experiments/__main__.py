@@ -7,7 +7,6 @@ Usage::
     python -m repro.experiments --quick --jobs 4 E5  # parallel smoke sweep
     python -m repro.experiments --list               # list available suites
     python -m repro.experiments --list-scenarios     # named contention scenarios
-    python -m repro.experiments --list-features      # feature-switch registry
     python -m repro.experiments --scenario streaming-mix   # one named scenario
 
 Each suite's table prints to stdout (or one JSON report with ``--json``),
@@ -33,13 +32,13 @@ from typing import List, Optional
 from repro.experiments.config import SweepConfig
 from repro.experiments.parallel import run_batch
 from repro.experiments.store import DEFAULT_ROOT, ResultsStore, RunRecord
-from repro.experiments.suites import ALL_SUITES
+from repro.experiments.suites import SUITE_PLANS
 
 
 def _suite_span() -> str:
-    """``"E1–EN"``, computed from :data:`ALL_SUITES` so the CLI's
+    """``"E1–EN"``, computed from :data:`SUITE_PLANS` so the CLI's
     self-description can never drift when suites are added."""
-    ids = list(ALL_SUITES)
+    ids = list(SUITE_PLANS)
     return f"{ids[0]}–{ids[-1]}"
 
 
@@ -47,7 +46,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description=f"Run the {_suite_span()} evaluation suites "
-                    f"({len(ALL_SUITES)} suites).",
+                    f"({len(SUITE_PLANS)} suites).",
     )
     parser.add_argument(
         "suites", nargs="*", metavar="ID",
@@ -90,45 +89,16 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(repro.workloads.registry) and exit",
     )
     parser.add_argument(
-        "--list-features", action="store_true",
-        help="list the feature switches of the repro.features registry "
-             "with their current state and exit",
-    )
-    parser.add_argument(
         "--scenario", metavar="NAME",
         help="run one named contention scenario over the replication "
              "seeds and print its summarized metrics (instead of suites)",
     )
-    parser.add_argument(
-        "--disable-feature", action="append", default=[], metavar="NAME",
-        dest="disable_features",
-        help="disable a feature switch from the repro.features registry "
-             "for this invocation (repeatable; see --list-features) — "
-             "the CI A/B jobs use this to pin that a disabled subsystem "
-             "is bit-identical to an enabled-but-unused one",
-    )
     args = parser.parse_args(argv)
 
-    if args.disable_features:
-        from repro.features import FEATURES, set_enabled
-
-        unknown_features = [
-            n for n in args.disable_features if n not in FEATURES
-        ]
-        if unknown_features:
-            print(
-                f"unknown feature switch(es): {', '.join(unknown_features)}",
-                file=sys.stderr,
-            )
-            print(f"available: {', '.join(FEATURES)}", file=sys.stderr)
-            return 2
-        for name in args.disable_features:
-            set_enabled(name, False)
-
     if args.list:
-        print(f"{len(ALL_SUITES)} suites ({_suite_span()}):")
-        for name, fn in ALL_SUITES.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
+        print(f"{len(SUITE_PLANS)} suites ({_suite_span()}):")
+        for name, builder in SUITE_PLANS.items():
+            doc = (builder.__doc__ or "").strip().splitlines()[0]
             print(f"{name:>4}  {doc}")
         return 0
 
@@ -139,12 +109,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{len(scenarios)} scenarios:")
         for spec in scenarios:
             print(f"{spec.name:>18}  {spec.description}")
-        return 0
-
-    if args.list_features:
-        from repro.features import describe
-
-        print(describe())
         return 0
 
     if args.scenario is not None:
@@ -170,11 +134,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{key:>{width}}  {stat.mean:.3f}±{stat.std:.3f}")
         return 0
 
-    names = args.suites or list(ALL_SUITES)
-    unknown = [n for n in names if n not in ALL_SUITES]
+    names = args.suites or list(SUITE_PLANS)
+    unknown = [n for n in names if n not in SUITE_PLANS]
     if unknown:
         print(f"unknown suite id(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(ALL_SUITES)}", file=sys.stderr)
+        print(f"available: {', '.join(SUITE_PLANS)}", file=sys.stderr)
         return 2
     if args.seeds < 1:
         print("--seeds must be at least 1", file=sys.stderr)

@@ -1,21 +1,25 @@
 """The experiment suites (the paper’s missing evaluation section).
 
 E1–E14 and the E18/E19 scale sweeps live in this module; the
-scenario-generation suites E15–E17
-(:mod:`repro.experiments.workload_suites`, built on
-:mod:`repro.workloads`) are imported and registered at the bottom so
-:data:`SUITE_PLANS` and :data:`ALL_SUITES` stay the single sources of
-truth for "every suite".
+scenario-generation, sharding and fault suites (E15–E17 and E20–E23,
+in :mod:`repro.experiments.workload_suites`,
+:mod:`repro.experiments.shard_suites` and
+:mod:`repro.experiments.fault_suites`) are imported and registered at
+the bottom so :data:`SUITE_PLANS` stays the single source of truth for
+"every suite".
 
 Each suite is written as a *plan builder*: a function taking a
 :class:`~repro.experiments.config.SweepConfig` and returning a
 :class:`~repro.experiments.plan.SuitePlan` — the empty result table plus
 one :class:`~repro.experiments.plan.SweepPoint` per row, each carrying
-its replication callable. Two consumers exist:
+its replication callable. The builder's docstring opens with the claim
+the suite checks (the CLI's ``--list`` prints that line). Two
+consumers exist:
 
-* the public ``Table``-returning callables in :data:`ALL_SUITES`
-  (``e1_coalition_vs_single`` ...), which run the plan point by point —
-  the interface the benchmarks and tests call directly;
+* :func:`~repro.experiments.plan.run_plan`, which runs one plan point
+  by point into its table —
+  ``run_plan(SUITE_PLANS["E1"](sweep), sweep)`` is how the benchmarks
+  and tests run a suite directly;
 * the shared work-queue scheduler
   (:func:`~repro.experiments.parallel.run_batch`), which flattens the
   plans of a whole batch into ``(suite, sweep_point, seed)`` work units
@@ -42,7 +46,7 @@ from repro.core.proposal import Proposal
 from repro.core.reward import local_reward
 from repro.core.selection import SelectionPolicy
 from repro.experiments.config import ClusterConfig, SweepConfig
-from repro.experiments.plan import SuitePlan, SweepPoint, run_plan
+from repro.experiments.plan import SuitePlan, SweepPoint
 from repro.experiments.reporting import Table
 from repro.experiments.scenario import (
     build_agent_system,
@@ -71,24 +75,6 @@ from repro.experiments.workload_suites import (
 from repro.services import workload
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-
-
-def _table_suite(
-    builder: Callable[[SweepConfig], SuitePlan], name: str
-) -> Callable[[SweepConfig], Table]:
-    """The public ``Table``-returning callable for a plan builder.
-
-    Keeps the PR 1 interface (``suite(sweep) -> Table``) working for
-    benchmarks and tests while the scheduler consumes the plans.
-    """
-
-    def suite(sweep: SweepConfig = SweepConfig()) -> Table:
-        return run_plan(builder(sweep), sweep)
-
-    suite.__name__ = name
-    suite.__qualname__ = name
-    suite.__doc__ = builder.__doc__
-    return suite
 
 
 # ==========================================================================
@@ -1099,9 +1085,7 @@ def e19_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     routes, hitting the per-epoch route cache. Metrics are deterministic
     (bit-identical serial vs parallel); wall time lives in
     ``BENCH_E19.json`` and CI gates the quick sweep serial-vs-parallel
-    with ``tools/bench_diff.py --rtol 0`` like E18. The ≥5× topology
-    maintenance gate at 128 nodes is asserted directly by
-    ``benchmarks/test_e19_mobility_scale.py``.
+    with ``tools/bench_diff.py --rtol 0`` like E18.
     """
     combos = (
         [("waypoint", 16), ("waypoint", 32)] if sweep.quick
@@ -1205,56 +1189,4 @@ SUITE_PLANS: Dict[str, Callable[[SweepConfig], SuitePlan]] = {
     "E21": e21_plan,
     "E22": e22_plan,
     "E23": e23_plan,
-}
-
-# The PR 1 public interface: each suite as a Table-returning callable.
-e1_coalition_vs_single = _table_suite(e1_plan, "e1_coalition_vs_single")
-e2_evaluation_quality = _table_suite(e2_plan, "e2_evaluation_quality")
-e3_degradation_reward = _table_suite(e3_plan, "e3_degradation_reward")
-e4_scalability = _table_suite(e4_plan, "e4_scalability")
-e5_mobility = _table_suite(e5_plan, "e5_mobility")
-e6_tiebreak_ablation = _table_suite(e6_plan, "e6_tiebreak_ablation")
-e7_heterogeneity = _table_suite(e7_plan, "e7_heterogeneity")
-e8_failure_recovery = _table_suite(e8_plan, "e8_failure_recovery")
-e9_weight_ablation = _table_suite(e9_plan, "e9_weight_ablation")
-e10_offloading = _table_suite(e10_plan, "e10_offloading")
-e11_multihop = _table_suite(e11_plan, "e11_multihop")
-e12_reputation = _table_suite(e12_plan, "e12_reputation")
-e13_battery_lifetime = _table_suite(e13_plan, "e13_battery_lifetime")
-e14_pipeline = _table_suite(e14_plan, "e14_pipeline")
-e15_contention = _table_suite(e15_plan, "e15_contention")
-e16_saturation = _table_suite(e16_plan, "e16_saturation")
-e17_new_services = _table_suite(e17_plan, "e17_new_services")
-e18_scale_sweep = _table_suite(e18_plan, "e18_scale_sweep")
-e19_mobility_scale = _table_suite(e19_plan, "e19_mobility_scale")
-e20_streaming_sessions = _table_suite(e20_plan, "e20_streaming_sessions")
-e21_realistic_arrivals = _table_suite(e21_plan, "e21_realistic_arrivals")
-e22_shard_scale = _table_suite(e22_plan, "e22_shard_scale")
-e23_fault_sweep = _table_suite(e23_plan, "e23_fault_sweep")
-
-#: All suites, keyed by experiment id (benchmarks and docs iterate this).
-ALL_SUITES = {
-    "E1": e1_coalition_vs_single,
-    "E2": e2_evaluation_quality,
-    "E3": e3_degradation_reward,
-    "E4": e4_scalability,
-    "E5": e5_mobility,
-    "E6": e6_tiebreak_ablation,
-    "E7": e7_heterogeneity,
-    "E8": e8_failure_recovery,
-    "E9": e9_weight_ablation,
-    "E10": e10_offloading,
-    "E11": e11_multihop,
-    "E12": e12_reputation,
-    "E13": e13_battery_lifetime,
-    "E14": e14_pipeline,
-    "E15": e15_contention,
-    "E16": e16_saturation,
-    "E17": e17_new_services,
-    "E18": e18_scale_sweep,
-    "E19": e19_mobility_scale,
-    "E20": e20_streaming_sessions,
-    "E21": e21_realistic_arrivals,
-    "E22": e22_shard_scale,
-    "E23": e23_fault_sweep,
 }

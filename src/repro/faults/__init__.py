@@ -8,7 +8,7 @@ Three pieces:
 * :mod:`repro.faults.injector` — the
   :class:`~repro.faults.injector.FaultInjector` that executes a plan at
   the existing seams (channel wrapper, node liveness, topology
-  overlays, negotiation), behind the ``faults`` feature switch;
+  overlays, negotiation);
 * :mod:`repro.faults.report` — the
   :class:`~repro.faults.report.ResilienceReport` summarizing
   availability, recovery times, retries and the degraded-vs-dropped

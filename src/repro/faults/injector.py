@@ -42,12 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.channel import ChannelModel
     from repro.sessions.driver import SessionDriver
 
-#: Feature switch (see :mod:`repro.features`): when ``False``,
-#: :func:`~repro.workloads.contention.run_contention` ignores its
-#: config's fault plan entirely. Snapshotted once per run.
-USE_FAULTS = True
-
-
 class FaultInjector:
     """Executes one :class:`~repro.faults.plan.FaultPlan` for one run.
 
@@ -365,13 +359,9 @@ def make_injector(
     horizon: float,
     protected: Iterable[str] = (),
 ) -> Optional[FaultInjector]:
-    """The one gate for run wiring: an injector when the ``faults``
-    switch is on and the plan injects anything, else ``None`` (the
-    bit-identical no-op path). Snapshot the switch here, once per run.
-    """
+    """The one gate for run wiring: an injector when the plan injects
+    anything, else ``None`` (the bit-identical no-op path)."""
     if plan is None or plan is EMPTY_PLAN or plan.empty:
-        return None
-    if not USE_FAULTS:
         return None
     return FaultInjector(plan, registry, horizon=horizon, protected=protected)
 
@@ -379,6 +369,5 @@ def make_injector(
 __all__ = [
     "FaultInjector",
     "FaultyChannel",
-    "USE_FAULTS",
     "make_injector",
 ]

@@ -268,7 +268,7 @@ class FaultPlan:
 
     An all-defaults plan is *empty*: it schedules nothing, wraps
     nothing and consumes no RNG draws — running with it is bit-identical
-    to running without the fault subsystem (the A/B gate in CI).
+    to running without the fault subsystem (``tests/test_faults.py``).
     ``retry`` configures the hardened award handshake and is not a
     fault, so it does not make a plan non-empty.
     """

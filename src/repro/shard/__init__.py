@@ -9,8 +9,8 @@ the shared work-queue scheduler — into a sharded simulator:
 * :mod:`repro.shard.cluster` — :class:`ShardedCluster`, per-shard
   topology arenas (independent epochs, delta rebuilds) behind the
   duck-typed ``Topology`` facade, with gateway election and
-  cross-shard routing; gated by the :data:`USE_SHARDING` feature
-  switch (``shard`` in :mod:`repro.features`);
+  cross-shard routing (a 1 × 1 :class:`ShardGrid` is one shard, the
+  unsharded semantics);
 * :mod:`repro.shard.sharedmem` — read-only table publication across
   scheduler workers (``multiprocessing.shared_memory`` with fork-page
   reuse fallback);
@@ -24,7 +24,7 @@ See ``docs/sharding.md`` for the partitioning scheme, the gateway cost
 model and the shared-memory lifecycle.
 """
 
-from repro.shard.cluster import USE_SHARDING, ShardedCluster
+from repro.shard.cluster import ShardedCluster
 from repro.shard.driver import (
     ShardedDriver,
     fleet_from_tables,
@@ -35,7 +35,6 @@ from repro.shard.partition import DEFAULT_SHARD_OCCUPANCY, ShardGrid
 from repro.shard.sharedmem import SharedTables, attach, publish, release
 
 __all__ = [
-    "USE_SHARDING",
     "ShardedCluster",
     "ShardedDriver",
     "ShardGrid",

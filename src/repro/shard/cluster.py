@@ -23,7 +23,7 @@ session driver consume (``node`` / ``neighbors`` / ``khop_neighbors`` /
 
 With a 1 × 1 grid every query delegates to the single shard's arena and
 the facade is bit-identical to the unsharded path — the degenerate case
-:data:`USE_SHARDING` forces and the equivalence tests pin.
+the equivalence tests pin.
 """
 
 from __future__ import annotations
@@ -38,13 +38,6 @@ from repro.network.topology import Topology
 from repro.resources.node import Node
 from repro.shard.partition import ShardGrid
 
-#: Feature switch (see :mod:`repro.features`): when ``False``, every
-#: :class:`ShardedCluster` collapses its grid to 1 × 1 at construction —
-#: one shard holding the whole fleet, i.e. the unsharded semantics.
-#: Snapshotted once per constructed cluster, like ``USE_VECTOR_TOPOLOGY``.
-USE_SHARDING = True
-
-
 class ShardedCluster:
     """A fleet partitioned into per-cell topology shards.
 
@@ -54,7 +47,8 @@ class ShardedCluster:
             neighbor tuples and tie-breaks match the unsharded arena's.
         radio: Radio model shared by every shard.
         grid: The spatial partition (:meth:`ShardGrid.auto` is the usual
-            source). Collapsed to 1 × 1 when :data:`USE_SHARDING` is off.
+            source). A 1 × 1 grid is one shard holding the whole fleet,
+            i.e. the unsharded semantics.
         backhaul_hop_cost: Communication cost per gateway-to-gateway
             backhaul hop. Defaults to the cost of a best-case radio hop
             (``1000 / nominal_bandwidth``) — a provisioned backhaul link
@@ -68,9 +62,6 @@ class ShardedCluster:
         grid: ShardGrid,
         backhaul_hop_cost: Optional[float] = None,
     ) -> None:
-        self.sharded = bool(USE_SHARDING)
-        if not self.sharded:
-            grid = ShardGrid(width=grid.width, height=grid.height, gx=1, gy=1)
         self.grid = grid
         self.radio = radio
         if backhaul_hop_cost is None:

@@ -37,7 +37,6 @@ from repro.shard.cluster import ShardedCluster
 from repro.shard.partition import ShardGrid
 from repro.sim.rng import RngRegistry
 from repro.workloads.contention import (
-    USE_SESSION_DRIVER,
     ContentionConfig,
     ContentionResult,
     _run_admission_only,
@@ -204,7 +203,7 @@ def run_sharded_contention(
         backhaul_hop_cost=backhaul_hop_cost,
     )
     events, family_of = merge_arrival_events(config, registry)
-    if config.sessions.operate and USE_SESSION_DRIVER:
+    if config.sessions.operate:
         return _run_streaming(
             config, registry, cluster, providers, nodes, events, family_of,
             driver_cls=ShardedDriver,

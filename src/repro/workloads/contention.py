@@ -43,9 +43,8 @@ the experiment layer at module scope (the suites import us; see the
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,12 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.faults.plan import FaultPlan
     from repro.faults.report import ResilienceReport
 
-#: Feature switch (see :mod:`repro.features`): when ``False``, configs
-#: with ``sessions.operate=True`` fall back to the admission-only loop.
-#: Snapshotted once per :func:`run_contention` call.
-USE_SESSION_DRIVER = True
-
-
 def requester_id(k: int) -> str:
     """Node id of the ``k``-th requester (``req0``, ``req1``, ...)."""
     return f"req{k}"
@@ -82,10 +75,9 @@ def requester_id(k: int) -> str:
 class ContentionConfig:
     """Declarative configuration of one contention run.
 
-    Collapses what used to be :func:`run_contention`'s keyword sprawl
-    into one frozen, ``replace``-sweepable value shared by
-    :class:`~repro.workloads.registry.ScenarioSpec`, the experiment
-    suites and the CLI.
+    One frozen, ``replace``-sweepable value shared by
+    :func:`run_contention`, :class:`~repro.workloads.registry.ScenarioSpec`,
+    the experiment suites and the CLI.
 
     Attributes:
         n_requesters: K, the number of competing requester devices.
@@ -112,9 +104,9 @@ class ContentionConfig:
             :class:`~repro.faults.plan.FaultPlan` injected into
             streaming runs (burst loss, partitions, crash hazards,
             agent faults — see :mod:`repro.faults`). ``None`` or an
-            empty plan is the exact fault-free path, draw for draw;
-            the ``faults`` feature switch can disable a non-empty plan
-            globally. Ignored in admission-only mode.
+            empty plan is the exact fault-free path, draw for draw.
+            Faults act on the operation phase, so a non-empty plan
+            needs ``sessions.operate=True``.
     """
 
     n_requesters: int = 2
@@ -156,6 +148,11 @@ class ContentionConfig:
             )
         if self.arrival is None:
             object.__setattr__(self, "arrival", PoissonProcess(rate=1.0 / 40.0))
+        if self.faults is not None and not self.faults.empty and not self.sessions.operate:
+            raise ValueError(
+                "a non-empty fault plan needs streaming sessions "
+                "(sessions.operate=True); admission-only runs cannot inject faults"
+            )
 
     def replace(self, **changes) -> "ContentionConfig":
         """A copy with fields changed (sweep helper)."""
@@ -303,25 +300,8 @@ def build_contention_cluster(
     return topology, providers, nodes
 
 
-_LEGACY_KWARGS = (
-    "n_requesters", "families", "arrival", "horizon", "n_nodes",
-    "area", "radio_range", "requester_class", "mix",
-)
-
-
 def run_contention(
-    seed: int,
-    config: Optional[ContentionConfig] = None,
-    *,
-    n_requesters: Optional[int] = None,
-    families: Optional[Sequence[str]] = None,
-    arrival: Optional[ArrivalProcess] = None,
-    horizon: Optional[float] = None,
-    n_nodes: Optional[int] = None,
-    area: Optional[float] = None,
-    radio_range: Optional[float] = None,
-    requester_class: Optional[NodeClass] = None,
-    mix: Optional[str] = None,
+    seed: int, config: Optional[ContentionConfig] = None
 ) -> ContentionResult:
     """Run one contention scenario.
 
@@ -331,44 +311,12 @@ def run_contention(
             (``ContentionConfig()`` if omitted). The embedded
             :class:`~repro.sessions.SessionPolicy` selects
             admission-only vs streaming mode.
-        **legacy keywords**: The pre-config keyword surface
-            (``n_requesters=...``, ``families=...``, …) is still
-            accepted — it builds the equivalent config and emits a
-            :class:`DeprecationWarning`. Mixing ``config`` with legacy
-            keywords raises ``TypeError``.
 
     Returns:
         The :class:`ContentionResult` with per-session outcomes.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("n_requesters", n_requesters),
-            ("families", families),
-            ("arrival", arrival),
-            ("horizon", horizon),
-            ("n_nodes", n_nodes),
-            ("area", area),
-            ("radio_range", radio_range),
-            ("requester_class", requester_class),
-            ("mix", mix),
-        )
-        if value is not None
-    }
-    if config is not None and legacy:
-        raise TypeError(
-            "pass either a ContentionConfig or legacy keyword arguments, "
-            f"not both (got config and {sorted(legacy)})"
-        )
     if config is None:
-        if legacy:
-            warnings.warn(
-                "run_contention(seed, n_requesters=..., ...) is deprecated; "
-                "pass run_contention(seed, ContentionConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        config = ContentionConfig(**legacy)
+        config = ContentionConfig()
 
     # Lazy: keep repro.workloads importable without the experiment layer.
     from repro.experiments.config import FLEET_MIXES, ClusterConfig
@@ -387,9 +335,7 @@ def run_contention(
 
     events, family_of = merge_arrival_events(config, registry)
 
-    # Snapshot the feature switch once: a run is all-driver or
-    # all-legacy, never mixed.
-    if config.sessions.operate and USE_SESSION_DRIVER:
+    if config.sessions.operate:
         return _run_streaming(
             config, registry, topology, providers, nodes, events, family_of
         )
@@ -509,12 +455,11 @@ def _run_streaming(
     from repro.faults.injector import make_injector
     from repro.faults.report import ResilienceReport
 
-    # Fault injection (the one switch-snapshot gate lives inside
-    # make_injector): an absent/empty plan — or the 'faults' switch
-    # being off — yields None, and the run below is bit-identical to
-    # the pre-fault path; an injector wires partitions, crash hazards
-    # and brownouts onto the driver's engine from its own faults:*
-    # streams, so the fleet/arrival/failures draws are never perturbed.
+    # Fault injection: an absent/empty plan yields no injector, and the
+    # run below is bit-identical to the pre-fault path; an injector
+    # wires partitions, crash hazards and brownouts onto the driver's
+    # engine from its own faults:* streams, so the fleet/arrival/
+    # failures draws are never perturbed.
     injector = make_injector(
         config.faults,
         registry,

@@ -1,37 +1,38 @@
-"""The batched-evaluation bit-exactness contract (docs/performance.md).
+"""Eqs. 2–5 scoring against recorded answers, plus the message-count pin.
 
-Three layers of guarantees:
+``tests/data/evaluation_golden.json`` records what the original scalar
+evaluator (one eq. 5 ``dif`` per attribute per call, no compiled
+tables) answered: eq. 2 distances of randomized proposals against the
+request of every service-family task and two catalog requests, for
+each ``normalize_by`` mode and :class:`WeightScheme`; each request's
+eq. 3 weights and ``max_distance``; the signed-mode case; whole
+synchronous negotiations; and the quick E4 (agent path) and E15
+(contention path) tables. The compiled evaluator must reproduce every
+recorded float **exactly** (``==``, not approx) — the fixture is the
+oracle the scalar implementation used to be.
 
-1. ``BatchProposalEvaluator`` equals ``ProposalEvaluator.distance``
-   **exactly** (``==``, not approx) on randomized proposals, for the
-   requests of every service family and both ``normalize_by`` modes;
-2. whole negotiations — synchronous driver and agent-based protocol —
-   produce identical outcomes with ``USE_BATCH_EVALUATION`` on and off;
-3. suite tables (E4's agent path, E15's contention path) are
-   bit-identical before/after the batched rewire, extending the
-   parallel==serial pattern of ``tests/test_scheduler.py``.
-
-Plus the message-count pin: the synchronous driver's ``message_count``
-must equal what the agent-based organizer actually sends.
+The message-count pin: the synchronous driver's ``message_count`` must
+equal what the agent-based organizer actually sends.
 """
 
 from __future__ import annotations
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
-import repro.core.negotiation as negotiation_module
 from repro.agents.system import AgentSystem
-from repro.core.evaluation import (
-    BatchProposalEvaluator,
-    ProposalEvaluator,
-    WeightScheme,
-)
+from repro.core.evaluation import ProposalEvaluator, WeightScheme
 from repro.core.negotiation import negotiate
 from repro.core.proposal import Proposal
 from repro.errors import DomainError, NegotiationError, UnknownNodeError
 from repro.experiments.config import ClusterConfig, SweepConfig
+from repro.experiments.plan import run_plan
+from repro.experiments.reporting import Table
 from repro.experiments.scenario import build_cluster
-from repro.experiments.suites import ALL_SUITES
+from repro.experiments.suites import SUITE_PLANS
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
 from repro.qos import catalog
@@ -42,6 +43,10 @@ from repro.services import workload
 from repro.sim.rng import RngRegistry
 from repro.sim.sequences import reset_all_sequences
 from repro.workloads.services import SERVICE_FAMILIES, build_service
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "evaluation_golden.json").read_text()
+)
 
 
 def _family_requests():
@@ -55,6 +60,12 @@ def _family_requests():
     pairs.append(("catalog:surveillance", catalog.surveillance_request()))
     pairs.append(("catalog:hq-streaming", catalog.high_quality_streaming_request()))
     return pairs
+
+
+def _key(label: str) -> str:
+    """The fixture key: the label minus the process-global task counter
+    (``movie:movie-video-1`` -> ``movie:movie-video``)."""
+    return re.sub(r"-\d+$", "", label)
 
 
 def _random_proposals(request, rng, count=40):
@@ -73,61 +84,61 @@ def _random_proposals(request, rng, count=40):
 @pytest.mark.parametrize("label,request_", _family_requests(),
                          ids=lambda p: p if isinstance(p, str) else "")
 def test_batch_equals_scalar_exactly(label, request_, normalize_by):
-    """Every distance equal with ``==`` — same floats, not close floats."""
-    rng = RngRegistry(20260727).stream(f"batch:{label}:{normalize_by}")
+    """Every distance equal with ``==`` — same floats, not close floats —
+    down both the batch and the single-proposal entry points."""
+    key = _key(label)
+    rng = RngRegistry(20260727).stream(f"batch:{key}:{normalize_by}")
     proposals = _random_proposals(request_, rng)
     for weights in WeightScheme:
-        scalar = ProposalEvaluator(
+        expected = GOLDEN["requests"][key][weights.value]["distances"][normalize_by]
+        evaluator = ProposalEvaluator(
             request_, weights=weights, normalize_by=normalize_by
         )
-        batch = BatchProposalEvaluator(
+        assert evaluator.distances(proposals).tolist() == expected
+        # A fresh evaluator: the single-proposal path fills its own
+        # dif caches instead of reading the batch's.
+        single = ProposalEvaluator(
             request_, weights=weights, normalize_by=normalize_by
         )
-        batched = batch.distances(proposals)
-        for i, proposal in enumerate(proposals):
-            assert batched[i] == scalar.distance(proposal)
-        # The singleton wrapper goes through the same compiled path.
-        assert batch.distance(proposals[0]) == scalar.distance(proposals[0])
+        assert [single.distance(p) for p in proposals] == expected
 
 
 def test_compiled_arrays_mirror_scalar_weights():
-    """The introspection arrays expose exactly the weights/denominators
-    the scalar evaluator derives per call."""
-    request = catalog.surveillance_request()
-    scalar = ProposalEvaluator(request)
-    batch = BatchProposalEvaluator(request)
-    assert list(batch.dim_weights) == [
-        scalar.dimension_weight(dp.dimension) for dp in request.dimensions
-    ]
-    assert list(batch.attr_weights) == [
-        scalar.attribute_weight(dp.dimension, ap.attribute)
-        for dp in request.dimensions for ap in dp.attributes
-    ]
-    assert len(batch.denominators) == len(batch.attr_weights)
-    assert all(d > 0 for d in batch.denominators)
+    """eq. 3 weights and ``max_distance`` equal the recorded ones for
+    every request and weight scheme."""
+    for label, request in _family_requests():
+        for weights in WeightScheme:
+            rec = GOLDEN["requests"][_key(label)][weights.value]
+            evaluator = ProposalEvaluator(request, weights=weights)
+            assert [
+                evaluator.dimension_weight(dp.dimension) for dp in request.dimensions
+            ] == rec["dimension_weights"]
+            assert [
+                [evaluator.attribute_weight(dp.dimension, ap.attribute)
+                 for ap in dp.attributes]
+                for dp in request.dimensions
+            ] == rec["attribute_weights"]
+            assert evaluator.max_distance() == rec["max_distance"]
 
 
 def test_batch_signed_mode_equals_scalar():
     request = catalog.surveillance_request()
     rng = RngRegistry(99).stream("signed")
     proposals = _random_proposals(request, rng, count=25)
-    scalar = ProposalEvaluator(request, signed=True)
-    batch = BatchProposalEvaluator(request, signed=True)
-    batched = batch.distances(proposals)
-    for i, proposal in enumerate(proposals):
-        assert batched[i] == scalar.distance(proposal)
+    evaluator = ProposalEvaluator(request, signed=True)
+    assert evaluator.distances(proposals).tolist() == GOLDEN["signed"]
 
 
 def test_batch_empty_and_error_parity():
     request = catalog.surveillance_request()
-    batch = BatchProposalEvaluator(request)
+    batch = ProposalEvaluator(request)
     assert list(batch.distances([])) == []
     with pytest.raises(NegotiationError):
-        BatchProposalEvaluator(request, normalize_by="bogus")
-    # Missing attribute -> the scalar path's KeyError.
+        ProposalEvaluator(request, normalize_by="bogus")
+    # Missing attribute -> KeyError.
     with pytest.raises(KeyError):
         batch.distances([Proposal(task_id="t", node_id="n", values={})])
-    # Out-of-domain value -> the scalar path's DomainError.
+    # Out-of-domain value -> DomainError.
     good = _random_proposals(request, RngRegistry(1).stream("e"), count=1)[0]
     bad_values = dict(good.values)
     bad_values[request.attribute_names[0]] = object()
@@ -135,13 +146,13 @@ def test_batch_empty_and_error_parity():
         batch.distances([Proposal(task_id="t", node_id="n", values=bad_values)])
 
 
-# -- whole-negotiation A/B: batched vs scalar step 3 ------------------------
+# -- whole negotiations and suite tables against the recorded runs ----------
 
 
 def _run_sync(seed: int) -> dict:
     # Rewind the process-wide id sequences (as the experiment runner
     # does): the selection tie-break hashes (task id, node id), so the
-    # comparison needs identical task ids in both runs.
+    # comparison needs the recorded run's task ids.
     reset_all_sequences()
     topology, providers, _nodes, _registry = build_cluster(
         ClusterConfig(n_nodes=12), seed
@@ -156,7 +167,7 @@ def _run_sync(seed: int) -> dict:
     return {
         "members": sorted(outcome.coalition.members),
         "awards": {
-            stable(tid): (a.node_id, a.distance, a.comm_cost)
+            stable(tid): [a.node_id, a.distance, a.comm_cost]
             for tid, a in outcome.coalition.awards.items()
         },
         "unallocated": [stable(tid) for tid in outcome.unallocated],
@@ -164,22 +175,18 @@ def _run_sync(seed: int) -> dict:
     }
 
 
-def test_negotiate_identical_with_and_without_batching(monkeypatch):
-    batched = [_run_sync(seed) for seed in (1, 2, 3)]
-    monkeypatch.setattr(negotiation_module, "USE_BATCH_EVALUATION", False)
-    scalar = [_run_sync(seed) for seed in (1, 2, 3)]
-    assert batched == scalar
+def test_negotiate_identical_with_and_without_batching():
+    for seed in (1, 2, 3):
+        assert _run_sync(seed) == GOLDEN["negotiations"][str(seed)], seed
 
 
 @pytest.mark.parametrize("suite", ["E4", "E15"])
-def test_suite_tables_bit_identical_with_and_without_batching(suite, monkeypatch):
-    """The rewire acceptance bar: whole suite tables, agent path (E4)
-    and contention path (E15), equal cell for cell."""
+def test_suite_tables_bit_identical_with_and_without_batching(suite):
+    """Whole suite tables, agent path (E4) and contention path (E15),
+    equal the recorded ones cell for cell."""
     sweep = SweepConfig(seeds=(1, 2), quick=True, jobs=1)
-    with_batch = ALL_SUITES[suite](sweep)
-    monkeypatch.setattr(negotiation_module, "USE_BATCH_EVALUATION", False)
-    without_batch = ALL_SUITES[suite](sweep)
-    assert with_batch == without_batch
+    table = run_plan(SUITE_PLANS[suite](sweep), sweep)
+    assert table == Table.from_dict(GOLDEN["tables"][suite])
 
 
 # -- message-count pin: synchronous driver vs agent-based protocol ----------

@@ -174,8 +174,8 @@ def test_score_helper(request_):
     evaluator = ProposalEvaluator(request_)
     proposals = [_proposal(node="x"), _proposal(node="y", **{FRAME_RATE: 5})]
     scored = SelectionPolicy.score(
-        proposals, evaluator.distance, lambda n: 1.0 if n == "x" else 2.0,
-        members={"y"},
+        proposals, evaluator.distances(proposals).tolist(),
+        lambda n: 1.0 if n == "x" else 2.0, members={"y"},
     )
     by_node = {s.proposal.node_id: s for s in scored}
     assert by_node["x"].distance == 0.0

@@ -13,11 +13,16 @@ from repro.experiments.scenario import (
     mixed_fleet,
     uniform_fleet,
 )
-from repro.experiments.suites import ALL_SUITES
+from repro.experiments.plan import run_plan
+from repro.experiments.suites import SUITE_PLANS
 from repro.metrics.stats import Summary
 from repro.sim.rng import RngRegistry
 
 QUICK = SweepConfig(seeds=(1, 2), quick=True)
+
+
+def _run(name: str) -> Table:
+    return run_plan(SUITE_PLANS[name](QUICK), QUICK)
 
 
 # -- reporting ----------------------------------------------------------------
@@ -98,16 +103,16 @@ def test_build_agent_system():
 # -- suites (quick smoke + shape assertions) ---------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(ALL_SUITES))
+@pytest.mark.parametrize("name", sorted(SUITE_PLANS))
 def test_suite_runs_and_returns_table(name):
-    table = ALL_SUITES[name](QUICK)
+    table = _run(name)
     assert isinstance(table, Table)
     assert len(table.rows) >= 2
     assert table.render()  # renders without error
 
 
 def test_e1_shape_coalition_beats_single():
-    table = ALL_SUITES["E1"](QUICK)
+    table = _run("E1")
     singles = [s.mean for s in table.column("single success")]
     coals = [s.mean for s in table.column("coalition success")]
     # The weak requester alone never serves the movie; coalitions do.
@@ -116,13 +121,13 @@ def test_e1_shape_coalition_beats_single():
 
 
 def test_e2_shape_zero_regret():
-    table = ALL_SUITES["E2"](QUICK)
+    table = _run("E2")
     regrets = [s.mean for s in table.column("regret vs best")]
     assert all(r == pytest.approx(0.0) for r in regrets)
 
 
 def test_e3_shape_paper_heuristic_wins():
-    table = ALL_SUITES["E3"](QUICK)
+    table = _run("E3")
     rows = table.rows
     # Under load (fraction < 1) the paper strategy retains >= reward.
     for row in rows[1:]:
@@ -131,7 +136,7 @@ def test_e3_shape_paper_heuristic_wins():
 
 
 def test_e9_shape_positional_weights_protect_top_dim():
-    table = ALL_SUITES["E9"](QUICK)
+    table = _run("E9")
     by_scheme = {row[0]: row[1].mean for row in table.rows}
     assert by_scheme["linear (paper)"] == pytest.approx(100.0)
     assert by_scheme["geometric"] == pytest.approx(100.0)

@@ -45,6 +45,7 @@ from repro.resources.provider import QoSProvider
 from repro.services import workload
 from repro.sessions import SessionDriver, SessionPolicy, SessionState
 from repro.sim.rng import RngRegistry
+from repro.workloads.contention import ContentionConfig, run_contention
 from repro.workloads.rates import ConstantRate
 
 
@@ -216,7 +217,7 @@ def test_crash_schedule_is_replay_exact():
 
 
 def test_reliable_channel_consumes_zero_draws():
-    """The pin behind the empty-plan A/B gate: ``reliable=True`` (and
+    """The pin behind the empty-plan contract: ``reliable=True`` (and
     zero-loss links with zero jitter) never touch the RNG, so wrapping
     or unwrapping a fault-free channel cannot shift any stream."""
     from repro.network.channel import ChannelModel
@@ -268,12 +269,38 @@ def test_empty_plan_injector_gate():
     assert isinstance(injector, FaultInjector)
 
 
-def test_feature_switch_disables_non_empty_plans(monkeypatch):
-    import repro.faults.injector as inj
+def test_empty_plans_are_bit_identical_to_no_plan():
+    """The empty-plan contract on whole streaming runs: no plan, the
+    canonical empty plan and a plan whose agent faults are all zero
+    admit, drop and recover identically, draw for draw."""
+    config = ContentionConfig(
+        n_requesters=2, horizon=120.0,
+        sessions=SessionPolicy(operate=True, failure_rate=1.0 / 60.0, drain=30.0),
+    )
+    for seed in (1, 2):
+        runs = [
+            run_contention(seed, config),
+            run_contention(seed, config.replace(faults=EMPTY_PLAN)),
+            run_contention(seed, config.replace(faults=FaultPlan(agents=AgentFaults()))),
+        ]
+        assert runs[0].sessions
+        for run in runs[1:]:
+            assert run.sessions == runs[0].sessions
+            assert run.resilience.metrics() == runs[0].resilience.metrics()
 
-    monkeypatch.setattr(inj, "USE_FAULTS", False)
+
+def test_admission_only_runs_reject_non_empty_plans():
+    """Faults act on the operation phase; admission-only runs have none,
+    so a plan there would be silently ignored — refuse it instead."""
     plan = FaultPlan(link=GilbertElliott())
-    assert inj.make_injector(plan, RngRegistry(0), 10.0) is None
+    with pytest.raises(ValueError, match="operate=True"):
+        ContentionConfig(faults=plan)
+    with pytest.raises(ValueError, match="operate=True"):
+        ContentionConfig(sessions=SessionPolicy(operate=True), faults=plan).replace(
+            sessions=SessionPolicy()
+        )
+    assert ContentionConfig(faults=EMPTY_PLAN).faults is EMPTY_PLAN
+    assert ContentionConfig(sessions=SessionPolicy(operate=True), faults=plan).faults is plan
 
 
 # -- injector seams ---------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.experiments.parallel import (
 from repro.experiments.reporting import Table
 from repro.experiments.runner import replicate
 from repro.experiments.store import ResultsStore, RunRecord, new_run_record
-from repro.experiments.suites import ALL_SUITES
+from repro.experiments.suites import SUITE_PLANS
 from repro.metrics.stats import Summary
 from repro.sim.rng import RngRegistry
 
@@ -225,10 +225,10 @@ def test_cli_no_save_leaves_no_artifacts(tmp_path, capsys):
 
 
 def test_cli_list_matches_all_suites(capsys):
-    """The --list output agrees with ALL_SUITES, whatever its size."""
+    """The --list output agrees with SUITE_PLANS, whatever its size."""
     assert cli_main(["--list"]) == 0
     header, *body = capsys.readouterr().out.strip().splitlines()
-    ids = list(ALL_SUITES)
+    ids = list(SUITE_PLANS)
     assert header == f"{len(ids)} suites ({ids[0]}–{ids[-1]}):"
     listed = [line.split()[0] for line in body]
     assert listed == ids

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import repro.network.topology as topology_mod
-from repro import features
 from repro.errors import NotConnectedError, UnknownNodeError
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
@@ -138,31 +137,21 @@ def test_sharded_run_with_tables_bit_identical():
 
 
 # ==========================================================================
-# Feature switch
+# Single-cell grid
 # ==========================================================================
 
 
-class TestFeatureSwitch:
-    def test_registered_and_described(self):
-        assert "shard" in features.FEATURES
-        assert features.is_enabled("shard")
-        assert "shard" in features.describe()
-        assert "shard" in features.snapshot()
-
-    def test_off_collapses_to_one_shard(self):
+class TestSingleCellGrid:
+    def test_1x1_grid_is_one_shard(self):
         nodes = [
             Node(f"n{i}", position=(25.0 + 50.0 * i, 50.0)) for i in range(4)
         ]
-        grid = ShardGrid(width=200.0, height=100.0, gx=2, gy=1)
-        with features.override("shard", False):
-            cluster = ShardedCluster(nodes, DiscRadio(range_m=100.0), grid)
+        one = ShardGrid(width=200.0, height=100.0, gx=1, gy=1)
+        cluster = ShardedCluster(nodes, DiscRadio(range_m=100.0), one)
         assert cluster.n_shards == 1
-        assert not cluster.sharded
         assert {cluster.home_shard(n.node_id) for n in nodes} == {0}
-        # Snapshot semantics: flipping back on does not re-shard it.
-        assert cluster.n_shards == 1
-        on = ShardedCluster(nodes, DiscRadio(range_m=100.0), grid)
-        assert on.n_shards == 2
+        two = ShardGrid(width=200.0, height=100.0, gx=2, gy=1)
+        assert ShardedCluster(nodes, DiscRadio(range_m=100.0), two).n_shards == 2
 
 
 # ==========================================================================

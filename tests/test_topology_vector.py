@@ -6,11 +6,12 @@ Three families of guarantees are pinned here:
   *elementwise, bit for bit* with the scalar curves on random placements
   (both the broadcasting `DiscRadio` overrides and the generic
   scalar-fallback base implementations);
-* **A/B equivalence** — a vector-mode :class:`Topology` and a legacy
-  networkx-mode one (``USE_VECTOR_TOPOLOGY = False``) answer every query
-  identically on random placements: neighbor order, link qualities,
-  shortest routes (including tie-rich dense clusters), k-hop orders,
-  analysis helpers and the materialized graph;
+* **recorded answers** — :class:`Topology` answers every query exactly
+  as ``tests/data/topology_golden.json`` recorded from the original
+  graph-library implementation on random placements, mobility rebuilds,
+  dead nodes and E19's 128-node group placement: neighbor order, link
+  qualities, shortest routes (including tie-rich dense clusters), route
+  costs, k-hop orders and the analysis helpers;
 * **epochs** — neighbor/route caches refresh after ``add_node``,
   ``remove_node``, node death and ``rebuild()``, and the epoch counter
   observes liveness flips the moment they happen.
@@ -22,17 +23,23 @@ reference replays of the original scalar walks, and the engine's O(1)
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-import repro.network.topology as topology_mod
-from repro.errors import UnknownNodeError
+from repro.errors import NotConnectedError, UnknownNodeError
 from repro.network.geometry import clamp_to_area, distance, lerp, pairwise_distances
 from repro.network.mobility import GroupMobility, RandomWaypoint
 from repro.network.radio import DiscRadio, RadioModel
 from repro.network.topology import Topology
 from repro.resources.node import Node
 from repro.sim.engine import Engine
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "topology_golden.json").read_text()
+)
 
 
 def _random_nodes(n, area, rng, prefix="n"):
@@ -42,25 +49,11 @@ def _random_nodes(n, area, rng, prefix="n"):
     ]
 
 
-def _build_pair(n, area, seed, range_m=100.0, radio=None):
-    """Identical fleets under a vector-mode and a legacy-mode topology."""
-    mk_radio = (lambda: radio) if radio is not None else (
-        lambda: DiscRadio(range_m=range_m)
-    )
+def _fleet(n, area, seed):
+    """The fixture's fleets: ``n`` nodes placed uniformly by ``seed``."""
     rng = np.random.default_rng(seed)
     placements = [(rng.uniform(0, area), rng.uniform(0, area)) for _ in range(n)]
-    fleets = []
-    topos = []
-    for vectorized in (True, False):
-        nodes = [Node(f"n{i}", position=p) for i, p in enumerate(placements)]
-        old = topology_mod.USE_VECTOR_TOPOLOGY
-        topology_mod.USE_VECTOR_TOPOLOGY = vectorized
-        try:
-            topos.append(Topology(nodes, mk_radio()))
-        finally:
-            topology_mod.USE_VECTOR_TOPOLOGY = old
-        fleets.append(nodes)
-    return topos[0], topos[1], fleets[0], fleets[1]
+    return [Node(f"n{i}", position=p) for i, p in enumerate(placements)]
 
 
 # -- radio matrices (property: vectorized == scalar, elementwise) -----------
@@ -135,7 +128,47 @@ def test_pairwise_distances_exact_within_threshold():
                 assert dist[i, j] == expected
 
 
-# -- A/B equivalence: vector arena vs legacy networkx ------------------------
+# -- recorded answers: tests/data/topology_golden.json -----------------------
+
+
+def _check_against_golden(topo, ids, rec):
+    """Every query the fixture recorded, answered identically.
+
+    Nodes are indices into ``ids``. ``khop6`` is each node's 6-hop order
+    and ``khop_prefix`` the lengths of its 1-, 2- and 3-hop prefixes;
+    ``bandwidth``/``loss`` hold one value per neighbor with a larger
+    index, since links are undirected. Mobility snapshots record
+    neighbors and routes only.
+    """
+    def names(seq):
+        return tuple(ids[j] for j in seq)
+
+    for i, a in enumerate(ids):
+        assert topo.neighbors(a) == names(rec["neighbors"][i]), a
+        if "khop6" in rec:
+            order = names(rec["khop6"][i])
+            assert topo.khop_neighbors(a, 6) == order
+            for k, length in zip((1, 2, 3), rec["khop_prefix"][i]):
+                assert topo.khop_neighbors(a, k) == order[:length]
+            assert topo.reachable_set(a) == frozenset(names(rec["reachable"][i]))
+            ups = [b for b in topo.neighbors(a) if ids.index(b) > i]
+            for b, bw, loss in zip(ups, rec["bandwidth"][i], rec["loss"][i], strict=True):
+                for u, v in ((a, b), (b, a)):
+                    assert topo.link_bandwidth(u, v) == bw
+                    assert topo.link_loss(u, v) == loss
+                    assert topo.edge_quality(u, v) == (bw, loss)
+        for j, b in enumerate(ids):
+            route = rec["routes"][i][j]
+            assert topo.shortest_route(a, b) == (None if route is None else names(route))
+            if "costs" in rec:
+                assert topo.multihop_cost(a, b) == rec["costs"][i][j]
+            if b not in topo.neighbors(a):
+                assert not topo.connected(a, b)
+                assert topo.edge_quality(a, b) is None
+                with pytest.raises(NotConnectedError):
+                    topo.link_bandwidth(a, b)
+    assert topo.component_count() == rec["component_count"]
+    assert topo.average_degree() == rec["average_degree"]
 
 
 @pytest.mark.parametrize("area,seed", [
@@ -145,71 +178,62 @@ def test_pairwise_distances_exact_within_threshold():
     (800.0, 4),   # mostly disconnected
 ])
 def test_vector_matches_legacy_on_random_placements(area, seed):
-    vec, leg, _, _ = _build_pair(32, area, seed)
-    ids = [f"n{i}" for i in range(32)]
-    for a in ids:
-        assert vec.neighbors(a) == leg.neighbors(a)
-        assert vec.reachable_set(a) == leg.reachable_set(a)
-        for k in (1, 2, 3, 6):
-            assert vec.khop_neighbors(a, k) == leg.khop_neighbors(a, k)
-    for a in ids:
-        for b in ids:
-            assert vec.connected(a, b) == leg.connected(a, b)
-            if vec.connected(a, b):
-                assert vec.link_bandwidth(a, b) == leg.link_bandwidth(a, b)
-                assert vec.link_loss(a, b) == leg.link_loss(a, b)
-                assert vec.edge_quality(a, b) == leg.edge_quality(a, b)
-                assert vec.communication_cost(a, b) == leg.communication_cost(a, b)
-            else:
-                assert vec.edge_quality(a, b) is None
-            assert vec.shortest_route(a, b) == leg.shortest_route(a, b)
-            cv, cl = vec.multihop_cost(a, b), leg.multihop_cost(a, b)
-            assert cv == cl or (cv == float("inf") and cl == float("inf"))
-    assert vec.component_count() == leg.component_count()
-    assert vec.average_degree() == leg.average_degree()
-
-
-def test_materialized_graph_matches_legacy():
-    vec, leg, _, _ = _build_pair(24, 260.0, 11)
-    g_vec, g_leg = vec.graph, leg.graph
-    assert list(g_vec.nodes) == list(g_leg.nodes)
-    assert list(g_vec.edges) == list(g_leg.edges)
-    for u, v in g_leg.edges:
-        for attr in ("bandwidth", "loss", "distance"):
-            assert g_vec.edges[u, v][attr] == g_leg.edges[u, v][attr]
+    (rec,) = [
+        r for r in GOLDEN["placements"] if (r["area"], r["seed"]) == (area, seed)
+    ]
+    nodes = _fleet(rec["n"], area, seed)
+    topo = Topology(nodes, DiscRadio(range_m=GOLDEN["radio_range"]))
+    _check_against_golden(topo, [n.node_id for n in nodes], rec)
 
 
 def test_vector_matches_legacy_after_mobility_rebuilds():
-    vec, leg, fleet_v, fleet_l = _build_pair(20, 300.0, 7)
-    move_rng = np.random.default_rng(21)
-    for _ in range(5):
-        for nv, nl in zip(fleet_v, fleet_l):
-            x, y = move_rng.uniform(0, 300), move_rng.uniform(0, 300)
-            nv.move_to(x, y)
-            nl.move_to(x, y)
-        vec.rebuild()
-        leg.rebuild()
-        for i in range(20):
-            a = f"n{i}"
-            assert vec.neighbors(a) == leg.neighbors(a)
-            for j in range(20):
-                b = f"n{j}"
-                assert vec.shortest_route(a, b) == leg.shortest_route(a, b)
+    spec = GOLDEN["mobility"]
+    nodes = _fleet(spec["n"], spec["area"], spec["seed"])
+    topo = Topology(nodes, DiscRadio(range_m=GOLDEN["radio_range"]))
+    move_rng = np.random.default_rng(spec["move_seed"])
+    for rec in spec["rebuilds"]:
+        for node in nodes:
+            node.move_to(move_rng.uniform(0, spec["area"]), move_rng.uniform(0, spec["area"]))
+        topo.rebuild()
+        _check_against_golden(topo, [n.node_id for n in nodes], rec)
 
 
 def test_vector_matches_legacy_with_dead_nodes():
-    vec, leg, fleet_v, fleet_l = _build_pair(16, 220.0, 13)
-    for idx in (2, 9):
-        fleet_v[idx].fail()
-        fleet_l[idx].fail()
-    vec.rebuild()
-    leg.rebuild()
-    for i in range(16):
-        a = f"n{i}"
-        assert vec.neighbors(a) == leg.neighbors(a)
-        for j in range(16):
-            assert vec.shortest_route(a, f"n{j}") == leg.shortest_route(a, f"n{j}")
-    assert vec.component_count() == leg.component_count()
+    rec = GOLDEN["dead_nodes"]
+    nodes = _fleet(rec["n"], rec["area"], rec["seed"])
+    topo = Topology(nodes, DiscRadio(range_m=GOLDEN["radio_range"]))
+    for idx in rec["dead"]:
+        nodes[idx].fail()
+    topo.rebuild()
+    _check_against_golden(topo, [n.node_id for n in nodes], rec)
+
+
+def test_group_128_maintenance_matches_legacy():
+    """E19's ``group-128`` placement: one mobility tick's topology work
+    (a rebuild, the two-hop audience of ``n0``, three rounds of route
+    costs to it) sums to the recorded value bit for bit."""
+    rec = GOLDEN["group_128"]
+    rng = np.random.default_rng(rec["seed"])
+    nodes = []
+    for i in range(rec["n"]):
+        angle = rng.uniform(0, 2 * np.pi)
+        radius = rng.uniform(0, rec["spread"])
+        nodes.append(Node(
+            f"n{i}",
+            position=(340.0 + radius * np.cos(angle), 340.0 + radius * np.sin(angle)),
+        ))
+    topo = Topology(nodes, DiscRadio(range_m=GOLDEN["radio_range"]))
+    topo.rebuild()
+    audience = topo.khop_neighbors("n0", 2)
+    assert audience == tuple(f"n{j}" for j in rec["audience"])
+    assert [topo.multihop_cost("n0", nid) for nid in audience] == rec["costs"]
+    acc = 0.0
+    for _ in range(3):
+        for nid in audience:
+            acc += topo.multihop_cost("n0", nid)
+    assert acc == rec["maintenance_sum"]
+    assert topo.component_count() == rec["component_count"]
+    assert topo.average_degree() == rec["average_degree"]
 
 
 # -- epochs and cache invalidation -------------------------------------------
@@ -272,7 +296,7 @@ def test_caches_refresh_after_remove_node_without_rebuild():
     topo, _ = _line_topology()
     assert topo.shortest_route("a", "c") == ("a", "b", "c")
     assert topo.khop_neighbors("a", 2) == ("b", "c")
-    topo.remove_node("b")          # networkx semantics: edges vanish now
+    topo.remove_node("b")          # edges vanish with the node, no rebuild
     assert topo.neighbors("a") == ()
     assert topo.shortest_route("a", "c") is None
     assert topo.khop_neighbors("a", 2) == ()
@@ -287,7 +311,7 @@ def test_caches_refresh_after_node_death():
     assert topo.shortest_route("a", "c") == ("a", "b", "c")
     nodes[1].fail()
     # Pre-rebuild the radio links persist (crashing software does not
-    # remove a link budget) — identical to the legacy graph semantics.
+    # remove a link budget).
     assert topo.connected("a", "b")
     topo.rebuild()
     assert topo.neighbors("a") == ()
@@ -304,20 +328,6 @@ def test_death_and_recovery_roundtrip_routes():
     nodes[1].recover()
     topo.rebuild()
     assert topo.shortest_route("a", "c") == route
-
-
-def test_legacy_mode_flag_roundtrip():
-    old = topology_mod.USE_VECTOR_TOPOLOGY
-    try:
-        topology_mod.USE_VECTOR_TOPOLOGY = False
-        topo, nodes = _line_topology()
-        assert not topo._vectorized
-        assert topo.neighbors("b") == ("a", "c")
-        assert topo.multihop_cost("a", "c") == pytest.approx(
-            topo.communication_cost("a", "b") + topo.communication_cost("b", "c")
-        )
-    finally:
-        topology_mod.USE_VECTOR_TOPOLOGY = old
 
 
 def test_liveness_watcher_detached_on_remove():

@@ -10,12 +10,14 @@ from repro.experiments.__main__ import main as cli_main
 from repro.experiments.config import SweepConfig
 from repro.experiments.parallel import run_batch
 from repro.experiments.store import ResultsStore
-from repro.experiments.suites import ALL_SUITES, SUITE_PLANS
+from repro.experiments.plan import run_plan
+from repro.experiments.suites import SUITE_PLANS
 from repro.resources.kinds import ResourceKind
 from repro.resources.node import NODE_CLASS_PROFILES, NodeClass
 from repro.sim.rng import RngRegistry
 from repro.workloads import (
     BurstyProcess,
+    ContentionConfig,
     FixedIntervalProcess,
     PoissonProcess,
     ScenarioSpec,
@@ -132,10 +134,10 @@ def test_contention_is_pure_function_of_seed():
 
 
 def test_contention_requesters_and_families_cycle():
-    result = run_contention(
-        seed=5, n_requesters=3, families=("movie", "speech"),
+    result = run_contention(5, ContentionConfig(
+        n_requesters=3, families=("movie", "speech"),
         arrival=FixedIntervalProcess(interval=40.0), horizon=120.0,
-    )
+    ))
     assert result.n_requesters == 3
     assert {s.requester for s in result.sessions} == {0, 1, 2}
     by_requester = {s.requester: s.family for s in result.sessions}
@@ -155,35 +157,35 @@ def test_contention_releases_all_reservations(monkeypatch):
         return out
 
     monkeypatch.setattr(C, "build_contention_cluster", capture)
-    run_contention(seed=2, n_requesters=2, horizon=120.0)
+    run_contention(2, ContentionConfig(n_requesters=2, horizon=120.0))
     for provider in captured["providers"].values():
         assert provider.headroom() == provider.node.capacity
 
 
 def test_contention_metrics_keys_are_stable():
-    quiet = run_contention(
-        seed=1, n_requesters=1,
+    quiet = run_contention(1, ContentionConfig(
+        n_requesters=1,
         arrival=FixedIntervalProcess(interval=1000.0, offset=500.0),
         horizon=120.0,
-    )
-    busy = run_contention(seed=1, n_requesters=2, horizon=120.0)
+    ))
+    busy = run_contention(1, ContentionConfig(n_requesters=2, horizon=120.0))
     assert quiet.offered() == 0
     assert set(quiet.metrics()) == set(busy.metrics())
 
 
 def test_contention_validation():
     with pytest.raises(ValueError):
-        run_contention(seed=1, n_requesters=0)
+        ContentionConfig(n_requesters=0)
     with pytest.raises(ValueError):
-        run_contention(seed=1, n_requesters=9, n_nodes=8)
+        ContentionConfig(n_requesters=9, n_nodes=8)
     with pytest.raises(KeyError, match="unknown service family"):
-        run_contention(seed=1, families=("tetris",))
+        ContentionConfig(families=("tetris",))
     with pytest.raises(KeyError, match="unknown fleet mix"):
-        run_contention(seed=1, mix="all-mainframes")
+        ContentionConfig(mix="all-mainframes")
 
 
 def test_fairness_bounds():
-    result = run_contention(seed=4, n_requesters=2, horizon=120.0)
+    result = run_contention(4, ContentionConfig(n_requesters=2, horizon=120.0))
     k = result.n_requesters
     assert 1.0 / k <= result.fairness() <= 1.0
 
@@ -256,13 +258,12 @@ def test_scenario_replace_sweeps_fields():
 def test_new_suites_registered_everywhere():
     for suite in ("E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23"):
         assert suite in SUITE_PLANS
-        assert suite in ALL_SUITES
-    assert list(ALL_SUITES)[-1] == "E23"
+    assert list(SUITE_PLANS)[-1] == "E23"
 
 
 def test_e17_new_families_need_coalitions():
     sweep = SweepConfig(seeds=(1, 2), quick=True)
-    table = ALL_SUITES["E17"](sweep)
+    table = run_plan(SUITE_PLANS["E17"](sweep), sweep)
     assert [row[0] for row in table.rows] == list(NEW_SERVICE_FAMILIES)
     for row in table.rows:
         single_success, coal_success = row[1], row[3]
@@ -303,7 +304,7 @@ def test_e16_plan_labels_are_rates():
 def test_cli_list_includes_new_suites_and_computed_span(capsys):
     assert cli_main(["--list"]) == 0
     out = capsys.readouterr().out
-    assert f"{len(ALL_SUITES)} suites (E1–E23):" in out
+    assert f"{len(SUITE_PLANS)} suites (E1–E23):" in out
     for suite in ("E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23"):
         assert suite in out
 

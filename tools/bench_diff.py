@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff two ``BENCH_<suite>.json`` reports (perf-trajectory CI gate).
+r"""Diff two ``BENCH_<suite>.json`` reports (perf-trajectory CI gate).
 
 Compares an *old* (baseline) and a *new* bench report of the same suite
 and reports, per ``(sweep point, metric)`` cell, how far the new mean
