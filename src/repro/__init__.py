@@ -23,7 +23,7 @@ coalition-formation system for wireless ad-hoc networks:
 * **Workloads** (:mod:`repro.workloads`): service families, arrival
   processes and the multi-requester contention runner
   (:func:`~repro.workloads.run_contention`);
-* **Experiments** (:mod:`repro.experiments`): the E1–E20 evaluation
+* **Experiments** (:mod:`repro.experiments`): the E1–E23 evaluation
   suite.
 
 Determinism contract: every run is a pure function of its seed — all

@@ -11,24 +11,20 @@ archived ``benchmarks/results/*.txt``.
 Batch infrastructure: each suite decomposes into a
 :class:`~repro.experiments.plan.SuitePlan` of ``(sweep point, seed)``
 work units; :func:`~repro.experiments.parallel.run_batch` feeds the
-units of all requested suites to one shared fork-based
-:class:`~repro.experiments.parallel.Scheduler` (bit-identical to
-serial), and :class:`~repro.experiments.store.ResultsStore` persists
-each run's config, seeds, wall time, and metric summaries as JSON under
-``benchmarks/results/`` — including the ``BENCH_<suite>.json`` reports CI
-uploads. The full pipeline is documented in ``docs/architecture.md``.
+units of all requested suites to one
+:func:`~repro.experiments.parallel.run_units` call (serial or one
+process pool, bit-identical either way), and
+:class:`~repro.experiments.store.ResultsStore` writes each run's config,
+seeds, wall time, and metric summaries as the ``BENCH_<suite>.json``
+reports CI uploads. The full pipeline is documented in
+``docs/architecture.md``.
 """
 
 from repro.experiments.config import ClusterConfig, SweepConfig
 from repro.experiments.scenario import build_cluster, build_agent_system, mixed_fleet
 from repro.experiments.runner import replicate
 from repro.experiments.plan import SuitePlan, SweepPoint, WorkUnit
-from repro.experiments.parallel import (
-    Scheduler,
-    replicate_parallel,
-    run_batch,
-    run_suite,
-)
+from repro.experiments.parallel import run_batch, run_units
 from repro.experiments.reporting import Table
 from repro.experiments.store import Comparison, ResultsStore, RunRecord
 from repro.experiments import suites
@@ -43,10 +39,8 @@ __all__ = [
     "SuitePlan",
     "SweepPoint",
     "WorkUnit",
-    "Scheduler",
-    "replicate_parallel",
     "run_batch",
-    "run_suite",
+    "run_units",
     "Table",
     "Comparison",
     "ResultsStore",

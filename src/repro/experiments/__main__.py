@@ -10,15 +10,14 @@ Usage::
     python -m repro.experiments --scenario streaming-mix   # one named scenario
 
 Each suite's table prints to stdout (or one JSON report with ``--json``),
-and every invocation persists a run record plus a machine-readable
-``BENCH_<suite>.json`` report under ``--out`` (default
-``benchmarks/results/``, disable with ``--no-save``); exit code 0 on
-success.
+and every invocation writes a machine-readable ``BENCH_<suite>.json``
+report under ``--out`` (default ``benchmarks/results/``, disable with
+``--no-save``); exit code 0 on success.
 
 ``--jobs N`` feeds every ``(suite, sweep point, seed)`` work unit of the
-whole invocation to one shared fork-based pool
-(:class:`~repro.experiments.parallel.Scheduler`), so workers stay busy
-across sweep points and suites — and results stay bit-identical to
+whole invocation — or every seed of a ``--scenario`` — to one process
+pool (:func:`~repro.experiments.parallel.run_units`), so workers stay
+busy across sweep points and suites — and results stay bit-identical to
 ``--jobs 1``. The full flag reference lives in ``docs/cli.md``.
 """
 
@@ -63,14 +62,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the shared (suite, sweep point, seed) "
-             "work-unit pool (1 = serial, 0 or less = all cores, clamped "
-             "to the pending unit count); results are bit-identical to "
-             "serial",
+             "work-unit pool, or for the seeds of --scenario (1 = serial, "
+             "0 or less = all cores, clamped to the pending unit count); "
+             "results are bit-identical to serial",
     )
     parser.add_argument(
         "--out", default=str(DEFAULT_ROOT), metavar="DIR",
-        help=f"results directory for run records and BENCH_<suite>.json "
-             f"reports (default {DEFAULT_ROOT})",
+        help=f"results directory for the BENCH_<suite>.json reports "
+             f"(default {DEFAULT_ROOT})",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -78,7 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--no-save", action="store_true",
-        help="do not persist run records or bench reports",
+        help="do not write bench reports",
     )
     parser.add_argument(
         "--list", action="store_true", help="list available suite ids and exit"
@@ -112,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.scenario is not None:
-        from repro.experiments.runner import summarize_replications
+        from repro.experiments.runner import replicate
         from repro.workloads.registry import get_scenario
 
         if args.seeds < 1:
@@ -124,9 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(exc.args[0], file=sys.stderr)
             return 2
         seeds = tuple(range(1, args.seeds + 1))
-        summary = summarize_replications(
-            (spec.metrics_run(seed) for seed in seeds), seeds
-        )
+        summary = replicate(spec.metrics_run, seeds, jobs=args.jobs)
         print(f"{spec.name}: {spec.description}")
         print(f"({len(seeds)} seeds)")
         width = max(len(k) for k in summary)

@@ -64,11 +64,10 @@ class SweepConfig:
         seeds: Seeds to replicate each configuration over.
         quick: Shrinks sweeps for smoke tests (used by the test suite).
         jobs: Worker processes. ``1`` runs serially; ``0`` uses every
-            core. In a batch run the value sizes the *shared* work-unit
-            pool spanning all sweep points and suites; in a direct suite
-            call it fans out the seeds of each point. Either way,
-            parallel runs are bit-identical to serial ones (see
-            :mod:`repro.experiments.parallel`).
+            core. The value sizes the one pool that runs every work
+            unit of the call — all sweep points of a suite, and all
+            suites of a batch. Parallel runs are bit-identical to serial
+            ones (see :mod:`repro.experiments.parallel`).
     """
 
     seeds: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)

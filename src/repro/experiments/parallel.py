@@ -1,52 +1,44 @@
-"""The shared work-queue scheduler and the suite-level batch runner.
+"""The experiment executor and the suite-level batch runner.
 
-PR 1 parallelised seeds *within one sweep point*: every ``replicate``
-call opened its own pool, so a batch with ``seeds < jobs`` left workers
-idle at each point and ran suites strictly one after another. This
-module replaces that per-``replicate`` pool with a single fork-based
-:class:`Scheduler` that consumes ``(suite, sweep_point, seed)``
-:class:`~repro.experiments.plan.WorkUnit` triples across an entire
-batch: workers pull units from one shared queue, so ``E1 --jobs 16`` and
-full E1–E17 runs saturate every worker regardless of per-point seed
-counts.
+Every row of every E-suite is a pure function of its seeds, so running
+an experiment is a map over ``(suite, sweep point, seed)``
+:class:`~repro.experiments.plan.WorkUnit` triples followed by an
+in-order reduce. :func:`run_units` is that map — serially, or on a
+``concurrent.futures`` process pool — and :func:`run_batch` is the
+reduce for a list of suites.
 
 Determinism contract
 --------------------
 Parallel results are **bit-identical** to serial results for the same
 seeds. Every replication callable derives *all* of its randomness from
 its own seed (via :class:`~repro.sim.rng.RngRegistry`) and starts from
-rewound id sequences (:func:`~repro.sim.sequences.reset_all_sequences`,
-applied per unit by :func:`~repro.experiments.runner.run_replication`),
+rewound id sequences (:func:`~repro.experiments.runner.run_replication`),
 so a unit computes the same floats no matter which worker runs it or
-when. The scheduler only changes *where* and *in what order* units
-execute, never *what* they compute: results are keyed by the unit's
-deterministic index and re-assembled in (sweep point, seed) order at
-reduce time, so out-of-order completion is invisible in the tables.
-Workers share no mutable state and communicate results back over a
-queue.
+when. :func:`run_units` returns results in unit order whatever order
+they complete in, and :meth:`~repro.experiments.plan.SuitePlan.reduce`
+consumes them in that order.
 
-The pool uses the ``fork`` start method so the closure-style ``run``
-callables the suites build (capturing sweep-point parameters as default
-arguments) need not be picklable — only unit *indices* travel through
-the task queue. On platforms without ``fork`` the scheduler degrades to
-serial execution, preserving results exactly.
+The pool uses the ``fork`` start method and its initializer installs
+the unit list in each worker, so the closure-style ``run`` callables the
+suites build (capturing sweep-point parameters as default arguments)
+are inherited, never pickled — only unit indices travel to the workers.
+On platforms without ``fork`` the units run serially, with identical
+results.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
-import queue as queue_module
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.experiments.config import SweepConfig
-from repro.experiments.plan import RunFn, SuitePlan, WorkUnit
+from repro.experiments.plan import WorkUnit
+from repro.experiments.runner import run_replication
 from repro.experiments.store import ResultsStore, RunRecord, new_run_record
 from repro.experiments.suites import SUITE_PLANS
-from repro.metrics.stats import Summary
 
 
 def available_jobs() -> int:
@@ -70,302 +62,124 @@ def resolve_jobs(jobs: Optional[int], pending: Optional[int] = None) -> int:
     return resolved
 
 
-def _fork_context() -> Optional[mp.context.BaseContext]:
-    """The ``fork`` multiprocessing context, or ``None`` if unsupported."""
-    if "fork" in mp.get_all_start_methods():
-        return mp.get_context("fork")
-    return None
+class UnitResult(NamedTuple):
+    """What one work unit reports: its metric row, when it ran
+    (``time.perf_counter()`` in the executing process — system-wide
+    monotonic on every fork platform, so comparable with the parent's)
+    and the id of that process."""
+
+    row: Dict[str, float]
+    started: float
+    completed: float
+    pid: int
 
 
-def _unit_worker(
-    units: Sequence[WorkUnit],
-    worker_id: int,
-    tasks: "mp.Queue",
-    results: "mp.Queue",
-) -> None:
-    """Pull unit indices off the shared queue until the stop sentinel.
+def _run_unit(unit: WorkUnit) -> UnitResult:
+    started = time.perf_counter()
+    row = run_replication(unit.run, unit.seed)
+    return UnitResult(row, started, time.perf_counter(), os.getpid())
 
-    ``units`` is inherited through ``fork`` (closures need no pickling);
-    the queue only carries integer indices. Every outcome — row or
-    exception — is reported back tagged with the worker id, so the
-    parent can re-raise failures deterministically and tests can assert
-    that units from different sweep points actually spread over workers.
+
+#: The unit list of the pool this worker process belongs to.
+_UNITS: Sequence[WorkUnit] = ()
+
+
+def _install_units(units: Sequence[WorkUnit]) -> None:
+    """Pool initializer: runs in each forked worker, which inherits
+    ``units`` (closures included) from the parent without pickling."""
+    global _UNITS
+    _UNITS = units
+
+
+def _run_installed(index: int) -> UnitResult:
+    """Pool task: run unit ``index`` of the installed list.
+
+    A failure travels back to the parent pickled. Some exceptions pickle
+    but fail to *unpickle* (custom ``__init__`` signatures), which would
+    break the pool with an unrelated error; those are re-raised as a
+    ``RuntimeError`` carrying the original traceback. The absorbed types
+    are exactly how a failed round-trip presents: ``PickleError`` from
+    the protocol itself, ``TypeError``/``AttributeError``/``ValueError``
+    from ``__reduce__`` or re-construction of exotic signatures.
     """
-    from repro.experiments.runner import run_replication
-
-    while True:
-        index = tasks.get()
-        if index is None:  # stop sentinel, one per worker
-            break
-        unit = units[index]
-        # perf_counter is system-wide monotonic on every fork platform,
-        # so worker-side timestamps are comparable with the parent's.
-        started = time.perf_counter()
+    unit = _UNITS[index]
+    try:
+        return _run_unit(unit)
+    except BaseException as exc:  # noqa: BLE001 - re-raised, maybe wrapped
         try:
-            row = run_replication(unit.run, unit.seed)
-            results.put((index, worker_id, True, row,
-                         started, time.perf_counter()))
-        except BaseException as exc:  # noqa: BLE001 - relayed to parent
-            try:
-                # Round-trip: some exceptions pickle but fail to
-                # *unpickle* (custom __init__ signatures), which would
-                # crash the parent's queue read with an unrelated error.
-                # The absorbed types are exactly how a failed round-trip
-                # presents: PickleError from the protocol itself,
-                # TypeError/AttributeError/ValueError from __reduce__ /
-                # re-construction of exotic exception signatures.
-                pickle.loads(pickle.dumps(exc))
-            except (pickle.PickleError, TypeError, AttributeError, ValueError):
-                exc = RuntimeError(
-                    f"unit {unit.suite}[point {unit.point_index}] with seed "
-                    f"{unit.seed} failed with an unpicklable "
-                    f"{type(exc).__name__}:\n" + traceback.format_exc()
-                )
-            results.put((index, worker_id, False, exc,
-                         started, time.perf_counter()))
+            pickle.loads(pickle.dumps(exc))
+        except (pickle.PickleError, TypeError, AttributeError, ValueError):
+            raise RuntimeError(
+                f"unit {unit.suite}[point {unit.point_index}] with seed "
+                f"{unit.seed} failed with an unpicklable "
+                f"{type(exc).__name__}:\n" + traceback.format_exc()
+            ) from None
+        raise
 
 
-class Scheduler:
-    """A shared fork-based pool over an arbitrary list of work units.
-
-    Workers pull unit indices from one queue, so whenever a sweep point
-    has fewer seeds than there are workers, the idle workers immediately
-    start on the next point (or the next suite) instead of waiting —
-    the batch stays saturated until the global queue drains.
-
-    After :meth:`run` returns, three observability maps are populated:
-
-    * ``worker_of`` — unit index → worker id that executed it (all
-      ``0`` on the serial fallback), used by tests to assert that units
-      of different sweep points really spread across workers;
-    * ``started_at`` / ``completed_at`` — unit index →
-      ``time.perf_counter()`` when its execution began / ended (as
-      measured by the executing worker), used by the batch runner to
-      stamp per-suite wall times.
+def run_units(
+    units: Sequence[WorkUnit],
+    jobs: Optional[int] = 1,
+    on_result: Optional[Callable[[int, UnitResult], None]] = None,
+) -> List[UnitResult]:
+    """Run every unit and return the results in ``units`` order.
 
     Args:
-        units: Work units; ``WorkUnit.index`` must equal the unit's
-            position in this list (the deterministic reduce order).
-        jobs: Worker processes. ``None``/``0`` use every core; the value
-            is clamped to ``len(units)``. ``1`` (or platforms without
-            ``fork``) runs serially with identical results.
+        units: The work units.
+        jobs: Worker processes. ``1`` (or a platform without ``fork``)
+            runs the units serially in this process; ``None``/``0`` use
+            every core. The pool is never larger than ``len(units)``.
+        on_result: Called in this process with ``(position, result)`` as
+            each unit succeeds, in completion order. Lets
+            :func:`run_batch` emit a suite as soon as its last unit
+            lands.
+
+    Fail-fast: the first failure cancels the units not yet started,
+    units already running finish, and the failure of the earliest unit
+    in list order is raised — for a single failing unit, exactly the
+    error a serial run raises. A worker process that dies makes the
+    pool raise ``BrokenProcessPool`` (a ``RuntimeError``).
     """
+    results: List[Optional[UnitResult]] = [None] * len(units)
 
-    def __init__(self, units: Sequence[WorkUnit], jobs: Optional[int] = None) -> None:
-        self.units = list(units)
-        for position, unit in enumerate(self.units):
-            if unit.index != position:
-                raise ValueError(
-                    f"unit at position {position} has index {unit.index}; "
-                    "indices must match positions for deterministic reduce"
-                )
-        self.jobs = resolve_jobs(jobs, pending=len(self.units))
-        self.worker_of: Dict[int, int] = {}
-        self.started_at: Dict[int, float] = {}
-        self.completed_at: Dict[int, float] = {}
+    def land(index: int, result: UnitResult) -> None:
+        results[index] = result
+        if on_result is not None:
+            on_result(index, result)
 
-    def run(
-        self,
-        on_result: Optional[Callable[[WorkUnit, Dict[str, float]], None]] = None,
-    ) -> List[Dict[str, float]]:
-        """Execute every unit and return rows in unit-index order.
+    jobs = resolve_jobs(jobs, pending=len(units))
+    if jobs > 1:
+        import multiprocessing
 
-        Args:
-            on_result: Called in the parent with ``(unit, row)`` as each
-                unit's result arrives (completion order, successes
-                only). Lets the batch runner persist and print a suite
-                as soon as its last unit lands, instead of holding
-                everything until the whole batch drains.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            jobs = 1
+    if jobs <= 1:
+        for index, unit in enumerate(units):
+            land(index, _run_unit(unit))
+        return results  # type: ignore[return-value]
 
-        Worker exceptions are re-raised in the parent. The pool fails
-        fast: the first failure cancels every not-yet-dispatched unit,
-        in-flight units finish and report, and the earliest-index
-        failure observed is raised — for a single failing unit that is
-        exactly the error the serial loop would have raised, without
-        burning the rest of the batch first.
-        """
-        if not self.units:
-            return []
-        ctx = _fork_context()
-        if self.jobs <= 1 or len(self.units) <= 1 or ctx is None:
-            return self._run_serial(on_result)
-        return self._run_pool(ctx, on_result)
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    # -- serial fallback ----------------------------------------------------
-
-    def _run_serial(
-        self,
-        on_result: Optional[Callable[[WorkUnit, Dict[str, float]], None]],
-    ) -> List[Dict[str, float]]:
-        from repro.experiments.runner import run_replication
-
-        rows: List[Dict[str, float]] = []
-        for unit in self.units:
-            self.started_at[unit.index] = time.perf_counter()
-            row = run_replication(unit.run, unit.seed)
-            self.worker_of[unit.index] = 0
-            self.completed_at[unit.index] = time.perf_counter()
-            rows.append(row)
-            if on_result is not None:
-                on_result(unit, row)
-        return rows
-
-    # -- fork pool ----------------------------------------------------------
-
-    def _run_pool(
-        self,
-        ctx: "mp.context.BaseContext",
-        on_result: Optional[Callable[[WorkUnit, Dict[str, float]], None]],
-    ) -> List[Dict[str, float]]:
-        tasks: "mp.Queue" = ctx.Queue()
-        results: "mp.Queue" = ctx.Queue()
-        for unit in self.units:
-            tasks.put(unit.index)
-        for _ in range(self.jobs):
-            tasks.put(None)  # one stop sentinel per worker
-
-        workers = [
-            ctx.Process(
-                target=_unit_worker,
-                args=(self.units, worker_id, tasks, results),
-                daemon=True,
-            )
-            for worker_id in range(self.jobs)
-        ]
-        outcomes: Dict[int, Tuple[bool, object]] = {}
-
-        def record(
-            index: int, worker_id: int, ok: bool, payload: object,
-            started: float, completed: float,
-        ) -> None:
-            outcomes[index] = (ok, payload)
-            self.worker_of[index] = worker_id
-            self.started_at[index] = started
-            self.completed_at[index] = completed
-            if ok and on_result is not None:
-                on_result(self.units[index], payload)  # type: ignore[arg-type]
-
-        try:
-            for proc in workers:
-                proc.start()
-            while len(outcomes) < len(self.units):
-                try:
-                    arrival = results.get(timeout=1.0)
-                except queue_module.Empty:
-                    if all(not p.is_alive() for p in workers):
-                        # Workers may have finished between the timeout and
-                        # the liveness check; drain what they already flushed
-                        # into the pipe before declaring results lost.
-                        try:
-                            while len(outcomes) < len(self.units):
-                                record(*results.get(timeout=0.2))
-                        except queue_module.Empty:
-                            # Prefer a recorded unit failure over the
-                            # generic lost-worker error: it is the
-                            # diagnostic that explains the batch death.
-                            for index in sorted(outcomes):
-                                ok, payload = outcomes[index]
-                                if not ok:
-                                    raise payload
-                            missing = len(self.units) - len(outcomes)
-                            raise RuntimeError(
-                                f"{missing} work unit(s) lost: a worker "
-                                "process died without reporting a result"
-                            ) from None
-                    continue
-                record(*arrival)
-                if not arrival[2]:  # fail fast: stop feeding the pool
-                    self._cancel_pending(tasks)
-                    self._drain_in_flight(workers, results, record)
-                    break
-            for proc in workers:
-                proc.join()
-        finally:
-            for proc in workers:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join()
-
-        for index in sorted(outcomes):
-            ok, payload = outcomes[index]
-            if not ok:
-                raise payload  # earliest failed unit, as serial would
-        return [outcomes[index][1] for index in range(len(self.units))]  # type: ignore[misc]
-
-    def _cancel_pending(self, tasks: "mp.Queue") -> None:
-        """Eat every undispatched unit index, then restock stop sentinels.
-
-        Workers that already pulled a unit finish it; everyone else hits
-        a sentinel next and exits. Draining may also consume original
-        sentinels, so a full set is re-added (extras are harmless).
-        """
-        try:
-            while True:
-                tasks.get_nowait()
-        except queue_module.Empty:
-            pass
-        for _ in range(self.jobs):
-            tasks.put(None)
-
-    @staticmethod
-    def _drain_in_flight(
-        workers: List["mp.process.BaseProcess"],
-        results: "mp.Queue",
-        record: Callable[..., None],
-    ) -> None:
-        """Collect results of in-flight units until every worker exits."""
-        while any(p.is_alive() for p in workers):
-            try:
-                record(*results.get(timeout=0.2))
-            except queue_module.Empty:
-                continue
-        try:
-            while True:
-                record(*results.get_nowait())
-        except queue_module.Empty:
-            pass
-
-
-# --------------------------------------------------------------------------
-# Seed-level replication on top of the scheduler (PR 1 interface)
-# --------------------------------------------------------------------------
-
-
-def replicate_rows(
-    run: RunFn,
-    seeds: Sequence[int],
-    jobs: Optional[int] = None,
-) -> List[Dict[str, float]]:
-    """Run ``run(seed)`` for every seed, fanning out over ``jobs`` workers.
-
-    A thin wrapper turning one replication callable into ad-hoc work
-    units for the :class:`Scheduler`. Returns the raw metric rows **in
-    seed order**, regardless of which worker finished first; worker
-    exceptions re-raise in the parent, earliest seed first, matching the
-    serial failure order.
-    """
-    units = [
-        WorkUnit(index=i, suite="<adhoc>", point_index=0,
-                 seed_index=i, seed=seed, run=run)
-        for i, seed in enumerate(seeds)
-    ]
-    return Scheduler(units, jobs=jobs).run()
-
-
-def replicate_parallel(
-    run: RunFn,
-    seeds: Sequence[int],
-    jobs: Optional[int] = None,
-) -> Dict[str, Summary]:
-    """Parallel :func:`~repro.experiments.runner.replicate`.
-
-    Fans the seeds over ``jobs`` forked workers and summarizes each
-    metric column. **Determinism contract:** summaries are bit-identical
-    to the serial path for the same seeds — see the module docstring.
-    """
-    from repro.experiments.runner import summarize_replications
-
-    return summarize_replications(replicate_rows(run, seeds, jobs=jobs), seeds)
+    pool = ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_units,
+        initargs=(list(units),),
+    )
+    try:
+        futures = [pool.submit(_run_installed, index) for index in range(len(units))]
+        position = {future: index for index, future in enumerate(futures)}
+        for future in as_completed(futures):
+            if future.exception() is not None:
+                break
+            land(position[future], future.result())
+    finally:
+        # Cancels what has not started and waits for what has.
+        pool.shutdown(cancel_futures=True)
+    for index, future in enumerate(futures):
+        if results[index] is None and not future.cancelled():
+            land(index, future.result())  # raises the earliest failure
+    return results  # type: ignore[return-value]
 
 
 # --------------------------------------------------------------------------
@@ -381,38 +195,23 @@ def _check_names(names: Sequence[str]) -> None:
         )
 
 
-def run_suite(name: str, sweep: SweepConfig = SweepConfig()) -> RunRecord:
-    """Run one E-suite under the sweep settings and time it.
-
-    The suite's ``(sweep_point, seed)`` work units go through the shared
-    :class:`Scheduler`, so with ``sweep.jobs > 1`` all of its sweep
-    points replicate concurrently — not just the seeds within one point.
-    The wall time in the returned record is the end-to-end suite
-    duration, and the record is bit-identical to a ``jobs=1`` run.
-    """
-    return run_batch([name], sweep)[0]
-
-
 def run_batch(
     names: Sequence[str],
     sweep: SweepConfig = SweepConfig(),
     store: Optional[ResultsStore] = None,
     echo: Optional[Callable[[RunRecord], None]] = None,
 ) -> List[RunRecord]:
-    """Run several suites through one shared work-unit pool.
+    """Run several suites through one :func:`run_units` call.
 
-    Every ``(suite, sweep_point, seed)`` triple of the whole batch is
-    enumerated up front and fed to a single :class:`Scheduler`, so
-    workers stay busy across sweep-point and suite boundaries (the
-    ROADMAP's "sweep-point-level parallelism"). Results are reduced per
-    suite in deterministic (point, seed) order, making each record
-    bit-identical to a serial run.
+    The work units of every requested suite go to one pool of
+    ``sweep.jobs`` workers, so workers stay busy across sweep-point and
+    suite boundaries. Each suite's table is reduced in unit order, which
+    makes every record bit-identical to a serial run.
 
     Suites are persisted and echoed in ``names`` order as they finish:
     the moment a suite's last unit (and every earlier suite) has
-    completed, it reduces, saves, and echoes — a mid-batch failure or
-    interrupt therefore keeps the records of the suites already
-    emitted, as the PR 1 suite-at-a-time loop did.
+    completed, it reduces, saves and echoes — a mid-batch failure or
+    interrupt therefore keeps the reports of the suites already emitted.
 
     Each record's ``wall_time_s`` spans the suite's first unit starting
     → its last unit completing. Under ``jobs = 1`` units run
@@ -423,8 +222,8 @@ def run_batch(
     Args:
         names: Suite ids (keys of ``SUITE_PLANS``) to run, in order.
         sweep: Shared sweep settings (seeds, quick mode, jobs).
-        store: Destination for run records and ``BENCH_<suite>.json``
-            reports; ``None`` skips persistence.
+        store: Destination for the ``BENCH_<suite>.json`` reports;
+            ``None`` skips persistence.
         echo: Per-record progress callback (e.g. table printing).
 
     Returns:
@@ -435,45 +234,34 @@ def run_batch(
         KeyError: If any name is not a known suite id.
     """
     _check_names(names)
-    plans: List[SuitePlan] = []
-    plan_units: List[List[WorkUnit]] = []
-    units: List[WorkUnit] = []
-    owner: List[int] = []  # unit index → position of its plan in `names`
     seeds = sweep.effective_seeds
-    for position, name in enumerate(names):
-        plan = SUITE_PLANS[name](sweep)
-        plans.append(plan)
-        # Track each plan's own unit slice (not a filter by suite id) so
-        # requesting the same suite twice keeps the runs separate.
-        plan_units.append(plan.work_units(seeds, start=len(units)))
-        units.extend(plan_units[-1])
-        owner.extend([position] * len(plan_units[-1]))
-
-    scheduler = Scheduler(units, jobs=sweep.jobs)
-    rows_by_unit: Dict[int, Dict[str, float]] = {}
-    remaining = [len(plan_unit) for plan_unit in plan_units]
+    plans = [SUITE_PLANS[name](sweep) for name in names]
+    units: List[WorkUnit] = []
+    spans = []  # each plan's own [start, stop) slice of `units`
+    for plan in plans:
+        start = len(units)
+        units.extend(plan.work_units(seeds))
+        spans.append((start, len(units)))
+    results: List[Optional[UnitResult]] = [None] * len(units)
     records: List[RunRecord] = []
 
-    def finalize(position: int) -> None:
-        """Reduce, persist, and echo one completed suite."""
-        plan, suite_units = plans[position], plan_units[position]
-        table = plan.reduce(rows_by_unit, suite_units, seeds)
-        span_start = min(scheduler.started_at[u.index] for u in suite_units)
-        span_end = max(scheduler.completed_at[u.index] for u in suite_units)
-        record = new_run_record(plan.suite, table, sweep, span_end - span_start)
-        if store is not None:
-            store.save(record)
-            store.write_bench(record)
-        if echo is not None:
-            echo(record)
-        records.append(record)
-
-    def on_result(unit: WorkUnit, row: Dict[str, float]) -> None:
-        rows_by_unit[unit.index] = row
-        remaining[owner[unit.index]] -= 1
+    def on_result(index: int, result: UnitResult) -> None:
+        results[index] = result
         # Emit finished suites in `names` order, as soon as possible.
-        while len(records) < len(plans) and remaining[len(records)] == 0:
-            finalize(len(records))
+        while len(records) < len(plans):
+            start, stop = spans[len(records)]
+            done = results[start:stop]
+            if None in done:
+                return
+            plan = plans[len(records)]
+            table = plan.reduce([r.row for r in done], seeds)
+            wall = max(r.completed for r in done) - min(r.started for r in done)
+            record = new_run_record(plan.suite, table, sweep, wall)
+            if store is not None:
+                store.write_bench(record)
+            if echo is not None:
+                echo(record)
+            records.append(record)
 
-    scheduler.run(on_result=on_result)
+    run_units(units, sweep.jobs, on_result=on_result)
     return records

@@ -1,25 +1,20 @@
-"""Suite plans and work units — the scheduler's unit of parallelism.
+"""Suite plans and work units — the executor's unit of parallelism.
 
-PR 1 parallelised *seeds within one sweep point*: each suite looped over
-its sweep points and fanned the seeds of the current point over a pool.
-With ``seeds < jobs`` that leaves workers idle at every point, and a
-multi-suite batch runs its suites strictly one after another.
-
-This module makes the finer structure explicit. A suite is described by
-a :class:`SuitePlan`: the (still empty) result :class:`Table` plus an
-ordered list of :class:`SweepPoint` entries, one per table row. Each
-sweep point carries its replication callable, so the whole batch can be
-flattened into ``(suite, sweep_point, seed)`` :class:`WorkUnit` triples
-and fed to one shared pool (:class:`repro.experiments.parallel.Scheduler`)
-that keeps every worker busy across point and suite boundaries.
+A suite is described by a :class:`SuitePlan`: the (still empty) result
+:class:`Table` plus an ordered list of :class:`SweepPoint` entries, one
+per table row. Each sweep point carries its replication callable, so a
+plan flattens into ``(suite, sweep_point, seed)`` :class:`WorkUnit`
+triples that :func:`repro.experiments.parallel.run_units` runs —
+serially or on one shared pool that keeps every worker busy across
+point and suite boundaries.
 
 Determinism contract
 --------------------
-Work units only move *where* a replication executes. Reduction happens
-in the parent in deterministic order — for every sweep point, rows are
-re-assembled in seed order before :func:`summarize_replications` — so
-tables built from out-of-order unit results are bit-identical to the
-serial loop's.
+Work units only move *where* a replication executes.
+:func:`~repro.experiments.parallel.run_units` returns the rows in unit
+order (point-major, seed-minor) no matter which worker finished first,
+and :meth:`SuitePlan.reduce` summarizes each point's rows in seed order,
+so a table is bit-identical to the serial loop's.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.experiments.reporting import Table
-from repro.metrics.stats import Summary
 
 #: A replication callable: all randomness must derive from the seed.
 #: Canonical home of the alias — runner.py and parallel.py import it.
@@ -57,18 +51,10 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One ``(suite, sweep_point, seed)`` replication for the scheduler.
+    """One ``(suite, sweep_point, seed)`` replication for the executor."""
 
-    ``index`` is the unit's position in the deterministic batch
-    enumeration (suite order, then point order, then seed order); the
-    scheduler reduces results by this index, which is what makes
-    out-of-order completion invisible in the output.
-    """
-
-    index: int
     suite: str
     point_index: int
-    seed_index: int
     seed: int
     run: RunFn
 
@@ -80,7 +66,7 @@ class SuitePlan:
         suite: Suite id (a :data:`repro.experiments.suites.SUITE_PLANS`
             key, ``"E1"``, ``"E15"``, ...).
         table: The result table, with title/columns/caption set and no
-            rows; :meth:`add_point_row` fills it point by point.
+            rows; :meth:`reduce` fills it.
         points: The sweep points, in table-row order.
     """
 
@@ -89,97 +75,54 @@ class SuitePlan:
         self.table = table
         self.points: List[SweepPoint] = list(points)
 
-    def work_units(self, seeds: Sequence[int], start: int = 0) -> List[WorkUnit]:
-        """Flatten the plan into work units, numbered from ``start``.
+    def work_units(self, seeds: Sequence[int]) -> List[WorkUnit]:
+        """Flatten the plan into work units, point-major and seed-minor —
+        the exact order the serial loop executes them and the order
+        :meth:`reduce` expects their rows in. Raises on a plan already
+        reduced, so a reused plan fails before any of its units runs."""
+        self._check_unreduced()
+        return [
+            WorkUnit(suite=self.suite, point_index=point_index, seed=seed,
+                     run=point.run)
+            for point_index, point in enumerate(self.points)
+            for seed in seeds
+        ]
 
-        Units are enumerated point-major, seed-minor — the exact order
-        the serial loop would execute them — so unit indices double as
-        the deterministic reduce order.
-        """
-        units: List[WorkUnit] = []
-        index = start
-        for point_index, point in enumerate(self.points):
-            for seed_index, seed in enumerate(seeds):
-                units.append(
-                    WorkUnit(
-                        index=index,
-                        suite=self.suite,
-                        point_index=point_index,
-                        seed_index=seed_index,
-                        seed=seed,
-                        run=point.run,
-                    )
-                )
-                index += 1
-        return units
+    def reduce(self, rows: Sequence[Dict[str, float]], seeds: Sequence[int]) -> Table:
+        """Fill the table from the rows of :meth:`work_units`, in that order.
 
-    def add_point_row(self, point_index: int, summaries: Dict[str, Summary]) -> None:
-        """Append the row for one sweep point from its metric summaries."""
-        point = self.points[point_index]
-        self.table.add_row(point.label, *(summaries[k] for k in point.keys))
-
-    def reduce(
-        self,
-        rows_by_unit: Dict[int, Dict[str, float]],
-        units: Sequence[WorkUnit],
-        seeds: Sequence[int],
-    ) -> Table:
-        """Assemble the table from (possibly out-of-order) unit results.
-
-        Args:
-            rows_by_unit: Raw metric rows keyed by ``WorkUnit.index``.
-            units: Exactly this plan's own units (the slice returned by
-                its :meth:`work_units` call), in any order. Do not pass
-                another plan's units — suite ids are not unique when a
-                batch requests the same suite twice.
-            seeds: The seed sweep, for the key-consistency check.
-
-        Rows are re-ordered by ``(point_index, seed_index)`` before
-        summarizing, so the summaries are bit-identical to a serial run.
-        A plan reduces once: reducing again (or after :func:`run_plan`)
-        raises instead of appending duplicate rows to the table.
+        Each point's rows are key-checked and summarized in seed order
+        (:func:`~repro.experiments.runner.summarize_replications`). A
+        plan reduces once: reducing again raises instead of appending
+        duplicate rows to the table.
         """
         from repro.experiments.runner import summarize_replications
 
+        self._check_unreduced()
+        for point_index, point in enumerate(self.points):
+            start = point_index * len(seeds)
+            summaries = summarize_replications(rows[start:start + len(seeds)], seeds)
+            self.table.add_row(point.label, *(summaries[k] for k in point.keys))
+        return self.table
+
+    def _check_unreduced(self) -> None:
         if self.table.rows:
             raise RuntimeError(
                 f"plan {self.suite} already reduced: its table has rows"
             )
-        by_point: Dict[int, List[Tuple[int, Dict[str, float]]]] = {}
-        for unit in units:
-            by_point.setdefault(unit.point_index, []).append(
-                (unit.seed_index, rows_by_unit[unit.index])
-            )
-        for point_index in range(len(self.points)):
-            ordered = [
-                row for _, row in
-                sorted(by_point[point_index], key=lambda pair: pair[0])
-            ]
-            self.add_point_row(
-                point_index, summarize_replications(ordered, seeds)
-            )
-        return self.table
 
 
 def run_plan(plan: SuitePlan, sweep) -> Table:
-    """Execute a plan point by point (PR 1 semantics) and fill its table.
+    """Run a plan's units on ``sweep.jobs`` workers and fill its table.
 
-    This is the path behind the public ``Table``-returning suite
-    callables in :mod:`repro.experiments.suites`: each point's seeds are
-    replicated via :func:`repro.experiments.runner.replicate` (serial or
-    seed-parallel per ``sweep.jobs``). Batch-level scheduling across
-    points and suites lives in :func:`repro.experiments.parallel.run_batch`.
-
-    Plans are single-use (rows append to the plan's own table); build a
-    fresh plan per run rather than re-running one.
+    This is how the benchmarks and tests run one suite directly;
+    :func:`repro.experiments.parallel.run_batch` does the same for a list
+    of suites on one shared pool. Plans are single-use (rows append to
+    the plan's own table): running a reduced plan again raises before
+    any unit runs, so build a fresh plan per run.
     """
-    from repro.experiments.runner import replicate
+    from repro.experiments.parallel import run_units
 
-    if plan.table.rows:
-        raise RuntimeError(
-            f"plan {plan.suite} already executed: its table has rows"
-        )
-    for point_index, point in enumerate(plan.points):
-        summary = replicate(point.run, sweep.effective_seeds, jobs=sweep.jobs)
-        plan.add_point_row(point_index, summary)
-    return plan.table
+    seeds = sweep.effective_seeds
+    results = run_units(plan.work_units(seeds), sweep.jobs)
+    return plan.reduce([result.row for result in results], seeds)

@@ -1,25 +1,24 @@
-"""Seeded replication driver (serial and parallel).
-
-:func:`replicate` is the single entry point the suites use: with
-``jobs=1`` it runs the seeds in-process; with ``jobs != 1`` it delegates
-to the fork-based scheduler in :mod:`repro.experiments.parallel`.
+"""Seeded replications: one run, the seed-order summary, and
+:func:`replicate`, which runs one callable over a seed list through
+:func:`repro.experiments.parallel.run_units`.
 
 Determinism contract
 --------------------
-Both paths produce bit-identical summaries because every replication is
-a pure function of its seed: all randomness comes from the seed's own
-:class:`~repro.sim.rng.RngRegistry`, :func:`run_replication` rewinds the
-process-wide id sequences before each run, and rows are always consumed
-in seed order by :func:`summarize_replications` no matter which worker
-produced them first. See ``docs/architecture.md`` for the full data
-flow of a replication.
+Serial and parallel runs produce bit-identical summaries because every
+replication is a pure function of its seed: all randomness comes from
+the seed's own :class:`~repro.sim.rng.RngRegistry`,
+:func:`run_replication` rewinds the process-wide id sequences before
+each run, and rows are always consumed in seed order by
+:func:`summarize_replications` no matter which worker produced them
+first. See ``docs/architecture.md`` for the full data flow of a
+replication.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.experiments.plan import RunFn
+from repro.experiments.plan import RunFn, WorkUnit
 from repro.metrics.stats import Summary, describe
 from repro.sim.sequences import reset_all_sequences
 
@@ -94,10 +93,10 @@ def replicate(
     ``jobs`` value yields bit-identical summaries — parallelism changes
     wall time only, never results.
     """
-    if jobs == 1 or len(seeds) <= 1:
-        return summarize_replications(
-            (run_replication(run, seed) for seed in seeds), seeds
-        )
-    from repro.experiments.parallel import replicate_rows
+    from repro.experiments.parallel import run_units
 
-    return summarize_replications(replicate_rows(run, seeds, jobs=jobs), seeds)
+    units = [WorkUnit(suite="replicate", point_index=0, seed=seed, run=run)
+             for seed in seeds]
+    return summarize_replications(
+        [result.row for result in run_units(units, jobs)], seeds
+    )

@@ -10,11 +10,9 @@ Each sweep point is one cluster size. The cluster is partitioned by
 4 × 4 at 4096 under the default occupancy target), negotiation stays
 shard-local on the per-shard vectorized arenas, mobility ticks take the
 delta-rebuild path, and crash churn rebuilds only the victim's shard.
-Fleet tables (per-node class + placed position, a pure function of the
-seed) are published once per sweep point via
-:mod:`repro.shard.sharedmem`, so scheduler workers attach read-only
-views instead of re-deriving the fleet — the fork-page/shared-memory
-plumbing the ROADMAP's millions-of-users direction needs.
+Each replication derives its fleet tables (per-node class + placed
+position, a pure function of the seed) before its timer starts, so the
+wall column times the simulation alone.
 
 Every metric column except the last is a pure function of the seed —
 the bit-identical parallel==serial guarantee holds for them and CI
@@ -29,7 +27,7 @@ bands, like the suite's wall time).
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -38,9 +36,6 @@ from repro.experiments.plan import SuitePlan, SweepPoint
 from repro.experiments.reporting import Table
 from repro.sessions.policy import SessionPolicy
 from repro.workloads.contention import ContentionConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.shard.sharedmem import SharedTables
 
 # repro.shard is imported lazily inside the functions below: the package
 # facade (repro/__init__) imports repro.shard, whose runner imports
@@ -70,24 +65,6 @@ def _e22_config(n_nodes: int, horizon: float) -> ContentionConfig:
     )
 
 
-def _tables_name(n_nodes: int, seed: int) -> str:
-    return f"e22-{n_nodes}n-s{seed}"
-
-
-def _attach_tables(n_nodes: int, seed: int) -> Optional["SharedTables"]:
-    """The published fleet tables for one replication, or ``None`` when
-    they are not reachable (e.g. a spawn-context worker without the
-    segment): the runner then re-derives the fleet from the same RNG
-    streams, bit-identically — the tables change who pays, never the
-    result."""
-    from repro.shard.sharedmem import attach
-
-    try:
-        return attach(_tables_name(n_nodes, seed))
-    except (KeyError, OSError, ValueError):
-        return None
-
-
 def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     """Tentpole (ROADMAP: spatial sharding): the E15/E20 streaming
     contention workload at 512–4096 nodes on :mod:`repro.shard`.
@@ -103,7 +80,7 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     delta-rebuild gate is asserted directly by
     ``benchmarks/test_e22_shard.py``).
     """
-    from repro.shard import ShardGrid, fleet_tables, publish
+    from repro.shard import ShardGrid
 
     sizes = (512, 1024) if sweep.quick else (512, 1024, 2048, 4096)
     horizon = 120.0 if sweep.quick else 240.0
@@ -118,8 +95,7 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
                 "(hazard 1/200 s), 30 J/s drain and random-waypoint "
                 "mobility on the per-shard delta-rebuild path. Area "
                 "grows with sqrt(nodes) so density stays constant. "
-                "Fleet tables ride repro.shard.sharedmem; workers "
-                "attach read-only views. sessions/s (wall) is "
+                "sessions/s (wall) is "
                 "wall-clock throughput — machine-dependent by nature, "
                 "reported but exempt from the exact CI gates "
                 "(bench_diff --wall-columns).",
@@ -128,16 +104,11 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     for n_nodes in sizes:
         config = _e22_config(n_nodes, horizon)
         grid = ShardGrid.auto(config.area, config.radio_range, config.n_nodes)
-        # Publish each replication's fleet tables once, in the parent:
-        # forked workers inherit the registry (fork-page reuse), spawned
-        # ones attach the named shared-memory segment.
-        for seed in sweep.effective_seeds:
-            publish(_tables_name(n_nodes, seed), fleet_tables(seed, config))
 
-        def run(seed: int, config=config, n_nodes=n_nodes) -> Dict[str, float]:
-            from repro.shard import run_sharded_contention
+        def run(seed: int, config=config) -> Dict[str, float]:
+            from repro.shard import fleet_tables, run_sharded_contention
 
-            tables = _attach_tables(n_nodes, seed)
+            tables = fleet_tables(seed, config)
             start = time.perf_counter()
             result = run_sharded_contention(seed, config, tables=tables)
             wall = time.perf_counter() - start

@@ -1,27 +1,20 @@
-"""Persistent JSON results store for experiment runs.
+"""JSON bench reports for experiment runs.
 
 Every suite invocation produces a :class:`RunRecord` — the sweep config,
 seeds, wall time, and the full result table with per-metric summaries —
-which :class:`ResultsStore` persists under a results directory:
+which :class:`ResultsStore` writes as ``<root>/BENCH_<suite>.json``: the
+latest machine-readable report per suite, the artifact CI uploads and
+``tools/bench_diff.py`` diffs.
 
-* ``<root>/runs/<suite>/<run_id>.json`` — the append-only run archive;
-* ``<root>/BENCH_<suite>.json`` — the latest machine-readable bench
-  report per suite, the artifact CI uploads and perf tracking diffs.
-
-Records round-trip losslessly (``save`` → ``load`` → ``compare`` reports
-*identical*), which is how the determinism guarantee of the parallel
-runner is checked: run a suite serially and in parallel, then compare
-the two records cell by cell.
-
-Under the shared work-queue scheduler
-(:mod:`repro.experiments.parallel`), a record's table is assembled from
-work-unit results that may have completed out of order on any worker;
-the reduce step re-orders them by (sweep point, seed) first, so the
-persisted tables — and therefore ``compare`` — never see scheduling
-effects. Only ``wall_time_s`` reflects scheduling: it spans the suite's
-first unit starting → its last unit completing, and since suites in a
-``jobs > 1`` batch share the pool and interleave, those spans overlap
-rather than add up.
+Records round-trip losslessly (``write_bench`` → ``load_bench`` →
+``compare`` reports *identical*), which is how the determinism
+guarantee of the parallel runner is checked: run a suite serially and
+in parallel, then compare the two records cell by cell. Tables are
+reduced in unit order whatever order the units completed in, so only
+``wall_time_s`` reflects scheduling: it spans the suite's first unit
+starting → its last unit completing, and since suites in a ``jobs > 1``
+batch share the pool and interleave, those spans overlap rather than
+add up.
 """
 
 from __future__ import annotations
@@ -30,18 +23,17 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.experiments.config import SweepConfig
 from repro.experiments.reporting import Table
-from repro.metrics.stats import Summary
 
 #: Default results root, relative to the *current working directory*
 #: (run the CLI from the repo root — or pass ``--out`` — so artifacts
 #: land in the checkout's ``benchmarks/results/``).
 DEFAULT_ROOT = Path("benchmarks") / "results"
 
-#: Schema version stamped into every persisted record. Version 2 added
+#: Schema version stamped into every bench report. Version 2 added
 #: per-seed ``samples`` and the percentile-bootstrap ``boot_lo`` /
 #: ``boot_hi`` fields to every summary cell (see
 #: :mod:`repro.metrics.bootstrap`); version-1 records still load, their
@@ -96,23 +88,6 @@ class RunRecord:
             table=Table.from_dict(data["table"]),
         )
 
-    def summaries(self) -> Dict[str, Dict[str, Summary]]:
-        """Per-row metric summaries, keyed by the first cell of each row.
-
-        The first column of every E-suite table is the sweep point
-        (size, speed, policy name, ...), so this is "sweep point →
-        metric column → summary".
-        """
-        out: Dict[str, Dict[str, Summary]] = {}
-        for row in self.table.rows:
-            point = str(row[0])
-            out[point] = {
-                column: cell
-                for column, cell in zip(self.table.columns[1:], row[1:])
-                if isinstance(cell, Summary)
-            }
-        return out
-
 
 def new_run_record(
     suite: str,
@@ -143,7 +118,7 @@ class Comparison:
 
 
 class ResultsStore:
-    """Directory-backed store of experiment run records.
+    """Directory of ``BENCH_<suite>.json`` reports.
 
     The store is the determinism contract's referee: ``BENCH_<suite>.json``
     written by a ``--jobs N`` run must load back equal (per
@@ -157,35 +132,6 @@ class ResultsStore:
 
     def __init__(self, root: Union[Path, str] = DEFAULT_ROOT) -> None:
         self.root = Path(root)
-
-    @property
-    def runs_dir(self) -> Path:
-        return self.root / "runs"
-
-    # -- persistence --------------------------------------------------------
-
-    def save(self, record: RunRecord) -> Path:
-        """Archive a record under ``runs/<suite>/<run_id>.json``."""
-        path = self.runs_dir / record.suite / f"{record.run_id}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(record.to_dict(), indent=2) + "\n")
-        return path
-
-    def load(self, path: Union[Path, str]) -> RunRecord:
-        """Load a record previously written by :meth:`save`."""
-        return RunRecord.from_dict(json.loads(Path(path).read_text()))
-
-    def list_runs(self, suite: Optional[str] = None) -> List[Path]:
-        """Archived record paths, oldest first (run ids sort by time)."""
-        if not self.runs_dir.is_dir():
-            return []
-        pattern = f"{suite}/*.json" if suite else "*/*.json"
-        return sorted(self.runs_dir.glob(pattern))
-
-    def latest(self, suite: str) -> Optional[RunRecord]:
-        """The most recent archived record for a suite, if any."""
-        paths = self.list_runs(suite)
-        return self.load(paths[-1]) if paths else None
 
     # -- bench reports ------------------------------------------------------
 
@@ -201,7 +147,7 @@ class ResultsStore:
 
     def load_bench(self, suite: str) -> RunRecord:
         """Load the suite's latest bench report."""
-        return self.load(self.bench_path(suite))
+        return RunRecord.from_dict(json.loads(self.bench_path(suite).read_text()))
 
     # -- comparison ---------------------------------------------------------
 

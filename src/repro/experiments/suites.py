@@ -16,17 +16,16 @@ its replication callable. The builder's docstring opens with the claim
 the suite checks (the CLI's ``--list`` prints that line). Two
 consumers exist:
 
-* :func:`~repro.experiments.plan.run_plan`, which runs one plan point
-  by point into its table —
-  ``run_plan(SUITE_PLANS["E1"](sweep), sweep)`` is how the benchmarks
-  and tests run a suite directly;
-* the shared work-queue scheduler
-  (:func:`~repro.experiments.parallel.run_batch`), which flattens the
+* :func:`~repro.experiments.plan.run_plan`, which runs one plan into
+  its table — ``run_plan(SUITE_PLANS["E1"](sweep), sweep)`` is how the
+  benchmarks and tests run a suite directly;
+* :func:`~repro.experiments.parallel.run_batch`, which flattens the
   plans of a whole batch into ``(suite, sweep_point, seed)`` work units
   and fans them over one pool, filling idle workers across sweep points
   and suites.
 
-Both paths produce bit-identical tables. Benchmarks print the tables,
+Both go through :func:`~repro.experiments.parallel.run_units` and
+produce bit-identical tables. Benchmarks print the tables,
 and ``docs/experiments.md`` documents what each suite measures, its
 sweep axis, and the paper claim it checks.
 """
@@ -1163,8 +1162,8 @@ def e19_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     return SuitePlan("E19", table, points)
 
 
-#: Plan builders, keyed by experiment id — what the shared work-queue
-#: scheduler (:func:`repro.experiments.parallel.run_batch`) consumes.
+#: Plan builders, keyed by experiment id — what
+#: :func:`repro.experiments.parallel.run_batch` consumes.
 SUITE_PLANS: Dict[str, Callable[[SweepConfig], SuitePlan]] = {
     "E1": e1_plan,
     "E2": e2_plan,

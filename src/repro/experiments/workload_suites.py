@@ -28,8 +28,8 @@ hand-building clusters and loops:
 
 Each plan builder returns a :class:`~repro.experiments.plan.SuitePlan`
 and is registered in :data:`repro.experiments.suites.SUITE_PLANS`
-next to E1–E14, so the suites ride the shared work-queue
-scheduler with the bit-identical parallel==serial guarantee intact
+next to E1–E14, so the suites run on the shared process pool
+with the bit-identical parallel==serial guarantee intact
 (every replication is a pure function of its seed; see
 :mod:`repro.workloads.contention`).
 """

@@ -18,10 +18,9 @@ driver's post-crash ``rebuild()`` touches only the dirty shard.
 ``mobility`` consumption order — which is what makes a 1 × 1 grid run
 bit-identical to the unsharded path (pinned in ``tests/test_shard.py``).
 The fleet/placement draws can alternatively come from precomputed
-read-only tables (:func:`fleet_tables`, published once per sweep point
-via :mod:`repro.shard.sharedmem` and attached by every scheduler
-worker): the tables are a pure function of the same streams, so either
-source yields the same cluster.
+tables (:func:`fleet_tables`, which E22 derives before it starts its
+wall-clock timer): the tables are a pure function of the same streams,
+so either source yields the same cluster.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ class ShardedDriver(SessionDriver):
         self.engine.schedule(dt, _tick)
 
 
-# -- fleet tables (shared-memory publication unit) --------------------------
+# -- fleet tables ------------------------------------------------------------
 
 
 def _cluster_config(config: ContentionConfig):
@@ -108,7 +107,7 @@ def _seeded_fleet(
 
 
 def fleet_tables(seed: int, config: ContentionConfig) -> Dict[str, np.ndarray]:
-    """The read-only tables describing one seed's fleet: per-node class
+    """The tables describing one seed's fleet: per-node class
     indices (into :data:`NODE_CLASSES`) and placed positions, in fleet
     order. A pure function of the seed's ``fleet``/``placement`` streams
     — rebuilding nodes from these tables yields the same cluster as
@@ -126,7 +125,7 @@ def fleet_from_tables(
     classes: np.ndarray,
     positions: np.ndarray,
 ) -> List[Node]:
-    """Rebuild the (cheap, mutable) node fleet from published tables.
+    """Rebuild the (cheap, mutable) node fleet from :func:`fleet_tables`.
 
     Node ids follow the fleet rule — ``req0..req{K-1}`` then ``n0...`` —
     and each node gets its class profile's fresh capacity/energy state;

@@ -29,7 +29,7 @@ draws come from its own ``failures`` and ``mobility`` streams, which
 are independently derived — so flipping the mode never perturbs the
 cluster or the arrival sequence. Everything derives from the
 replication seed, so a scenario is a pure function of its seed — the
-precondition for riding the shared work-queue scheduler with the
+precondition for running on the shared process pool with the
 bit-identical parallel==serial guarantee.
 
 The helpers borrowed from :mod:`repro.experiments.scenario` are

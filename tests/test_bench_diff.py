@@ -159,6 +159,19 @@ def test_bootstrap_band_rejects_real_regression(tmp_path, capsys):
     assert "excludes zero" in err
 
 
+def test_exact_gates_fail_a_tiny_consistent_drift(tmp_path, capsys):
+    """Both exact gates are exact: a cell whose mean and every per-seed
+    sample moved by 5e-10 regresses under --rtol 0 --no-ci-slack and
+    under the bootstrap band (degenerate interval [5e-10, 5e-10])."""
+    old = write_bench_samples(tmp_path / "a", [1.0, 2.0, 3.0])
+    new = write_bench_samples(tmp_path / "b", [1.0 + 5e-10, 2.0 + 5e-10, 3.0 + 5e-10])
+    assert bench_diff.main(
+        [str(old), str(new), "--rtol", "0", "--no-ci-slack"]
+    ) == 1
+    assert bench_diff.main([str(old), str(new), "--band", "bootstrap"]) == 1
+    assert "excludes zero" in capsys.readouterr().err
+
+
 def test_bootstrap_band_exact_on_identical_samples(tmp_path, capsys):
     """Bit-identical cells pass exactly — deterministic metrics keep
     their exact gate under the bootstrap band."""

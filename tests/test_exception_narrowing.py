@@ -15,14 +15,13 @@ The propagated case doubles as a vacuity guard: it proves the patched
 from __future__ import annotations
 
 import pickle
-import queue
 
 import pytest
 
 from repro.core.negotiation import negotiate
 from repro.core.operation import run_operation_phase
 from repro.errors import UnknownReservationError
-from repro.experiments.parallel import _unit_worker
+from repro.experiments import parallel
 from repro.experiments.plan import WorkUnit
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
@@ -271,32 +270,34 @@ def _failing_run(exc):
 
 
 def _run_one_unit(run_fn):
-    unit = WorkUnit(index=0, suite="T", point_index=0, seed_index=0,
-                    seed=123, run=run_fn)
-    tasks: queue.Queue = queue.Queue()
-    results: queue.Queue = queue.Queue()
-    tasks.put(0)
-    tasks.put(None)  # stop sentinel
-    _unit_worker([unit], 7, tasks, results)
-    index, worker_id, ok, payload, started, finished = results.get_nowait()
-    assert (index, worker_id) == (0, 7) and finished >= started
-    return ok, payload
+    """Run one unit the way a pool worker does; return what it raised."""
+    unit = WorkUnit(suite="T", point_index=0, seed=123, run=run_fn)
+    parallel._install_units([unit])
+    try:
+        parallel._run_installed(0)
+    except Exception as exc:  # noqa: BLE001 - the relayed error
+        return exc
+    finally:
+        parallel._install_units(())
+    raise AssertionError("the unit did not fail")
 
 
 def test_worker_wraps_unpicklable_exceptions():
     boom = _UnpicklableBoom("stage", 3)
     with pytest.raises(TypeError):
         pickle.loads(pickle.dumps(boom))  # the premise of the guard
-    ok, relayed = _run_one_unit(_failing_run(boom))
-    assert not ok
+    relayed = _run_one_unit(_failing_run(boom))
     assert isinstance(relayed, RuntimeError)
     assert "_UnpicklableBoom" in str(relayed) and "seed 123" in str(relayed)
-    # The wrapper itself must survive the queue's pickling round-trip.
+    # The wrapper itself must survive the pool's pickling round-trip.
     assert isinstance(pickle.loads(pickle.dumps(relayed)), RuntimeError)
+    units = [WorkUnit(suite="T", point_index=0, seed=seed, run=_failing_run(boom))
+             for seed in (1, 2)]
+    with pytest.raises(RuntimeError, match="unpicklable _UnpicklableBoom"):
+        parallel.run_units(units, jobs=2)
 
 
 def test_worker_relays_picklable_exceptions_untouched():
-    ok, relayed = _run_one_unit(_failing_run(ValueError("bad point")))
-    assert not ok
+    relayed = _run_one_unit(_failing_run(ValueError("bad point")))
     assert isinstance(relayed, ValueError)
     assert str(relayed) == "bad point"

@@ -1,5 +1,6 @@
-"""Repository hygiene: declared dependencies match the imports, and every
-tracked Python file compiles with warnings as errors.
+"""Repository hygiene: declared dependencies match the imports, every
+tracked Python file compiles with warnings as errors, and ``import repro``
+stays free of process-pool code.
 
 ``pyproject.toml`` is parsed by hand — Python 3.10 has no ``tomllib``.
 """
@@ -7,6 +8,7 @@ tracked Python file compiles with warnings as errors.
 from __future__ import annotations
 
 import ast
+import os
 import re
 import subprocess
 import sys
@@ -89,3 +91,23 @@ def test_tracked_files_compile_with_warnings_as_errors():
             except SyntaxError as exc:
                 failures.append(f"{path.relative_to(ROOT)}: {exc}")
     assert not failures, "\n".join(failures)
+
+
+def test_import_repro_loads_no_process_pool_code():
+    """The experiment executor imports its pool only when a run asks for
+    workers, so ``import repro`` — what every program using the library
+    pays at start-up — loads no ``multiprocessing`` or
+    ``concurrent.futures``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    report = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import repro"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stderr
+    modules = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in report.splitlines() if line.startswith("import time:")
+    ]
+    assert "repro" in modules
+    pool = [m for m in modules if m.split(".")[0] in ("multiprocessing", "concurrent")]
+    assert not pool, f"import repro loads {pool}"

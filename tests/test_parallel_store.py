@@ -1,4 +1,4 @@
-"""Tests for the parallel experiment runner and the JSON results store."""
+"""Tests for the parallel experiment runner, the bench reports and the CLI."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ import pytest
 
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.config import SweepConfig
-from repro.experiments.parallel import (
-    available_jobs,
-    replicate_parallel,
-    replicate_rows,
-    resolve_jobs,
-    run_batch,
-    run_suite,
-)
+from repro.experiments.parallel import available_jobs, resolve_jobs, run_batch
 from repro.experiments.reporting import Table
 from repro.experiments.runner import replicate
 from repro.experiments.store import ResultsStore, RunRecord, new_run_record
@@ -34,20 +27,17 @@ def _seeded_run(seed: int) -> dict:
 
 
 def test_parallel_matches_serial_bit_identical():
-    seeds = (1, 2, 3, 4, 5)
+    seeds = (5, 1, 3, 4, 2)
     serial = replicate(_seeded_run, seeds, jobs=1)
-    parallel = replicate_parallel(_seeded_run, seeds, jobs=3)
+    parallel = replicate(_seeded_run, seeds, jobs=3)
     assert serial == parallel  # Summary dataclass equality is exact
+    # Samples stay in seed-list order, whichever worker finished first.
+    assert parallel["seed"].samples == (5.0, 1.0, 3.0, 4.0, 2.0)
 
 
 def test_replicate_jobs_flag_routes_to_parallel():
     seeds = (1, 2, 3)
     assert replicate(_seeded_run, seeds, jobs=2) == replicate(_seeded_run, seeds)
-
-
-def test_parallel_rows_preserve_seed_order():
-    rows = replicate_rows(_seeded_run, (5, 1, 3), jobs=3)
-    assert [r["seed"] for r in rows] == [5.0, 1.0, 3.0]
 
 
 def test_parallel_preserves_key_mismatch_error():
@@ -67,7 +57,7 @@ def test_parallel_propagates_worker_exception():
         return {"x": float(seed)}
 
     with pytest.raises(RuntimeError, match="seed 2 exploded"):
-        replicate_parallel(boom, (1, 2, 3), jobs=3)
+        replicate(boom, (1, 2, 3), jobs=3)
 
 
 def test_parallel_closure_capture():
@@ -77,7 +67,7 @@ def test_parallel_closure_capture():
     def run(seed: int, offset=offset) -> dict:
         return {"x": offset + seed}
 
-    summary = replicate_parallel(run, (1, 2), jobs=2)
+    summary = replicate(run, (1, 2), jobs=2)
     assert summary["x"].mean == pytest.approx(11.5)
 
 
@@ -97,7 +87,7 @@ def test_replications_are_history_independent():
     Task.fresh_id()
     second = replicate(run, (1, 2))
     assert first == second
-    assert replicate_parallel(run, (1, 2), jobs=2) == first
+    assert replicate(run, (1, 2), jobs=2) == first
     reset_all_sequences()
     assert Task.fresh_id() == "task-1"
 
@@ -112,18 +102,18 @@ def test_resolve_jobs():
 
 def test_suite_parallel_matches_serial():
     """A real E-suite produces identical tables under jobs=1 and jobs=2."""
-    serial = run_suite("E2", SweepConfig(seeds=(1, 2), quick=True, jobs=1))
-    parallel = run_suite("E2", SweepConfig(seeds=(1, 2), quick=True, jobs=2))
+    [serial] = run_batch(["E2"], SweepConfig(seeds=(1, 2), quick=True, jobs=1))
+    [parallel] = run_batch(["E2"], SweepConfig(seeds=(1, 2), quick=True, jobs=2))
     comparison = ResultsStore.compare(serial, parallel)
     assert comparison.identical, comparison.differences
 
 
 def test_run_suite_unknown_id():
     with pytest.raises(KeyError, match="unknown suite"):
-        run_suite("E99")
+        run_batch(["E99"])
 
 
-# -- results store -------------------------------------------------------------
+# -- bench reports -------------------------------------------------------------
 
 
 def _record() -> RunRecord:
@@ -138,9 +128,8 @@ def _record() -> RunRecord:
 def test_store_round_trip(tmp_path):
     store = ResultsStore(tmp_path)
     record = _record()
-    path = store.save(record)
-    assert path.parent == tmp_path / "runs" / "EX"
-    loaded = store.load(path)
+    assert store.write_bench(record) == tmp_path / "BENCH_EX.json"
+    loaded = store.load_bench("EX")
     assert loaded == record
     comparison = ResultsStore.compare(record, loaded)
     assert comparison.identical and comparison.differences == ()
@@ -167,22 +156,19 @@ def test_store_compare_reports_differences():
 
 
 def test_store_latest_and_bench(tmp_path):
-    store = ResultsStore(tmp_path)
-    record = _record()
-    store.save(record)
-    bench = store.write_bench(record)
-    assert bench == tmp_path / "BENCH_EX.json"
-    assert store.load_bench("EX") == record
-    assert store.latest("EX") == record
-    assert store.latest("E404") is None
-    assert store.list_runs("EX")
-    assert ResultsStore(tmp_path / "empty").list_runs() == []
-
-
-def test_record_summaries_keyed_by_sweep_point():
-    summaries = _record().summaries()
-    assert set(summaries) == {"a", "b"}
-    assert summaries["a"]["metric"].mean == pytest.approx(1.0)
+    """A suite's report is its latest run: writing again replaces it,
+    and the store writes nothing else."""
+    store = ResultsStore(tmp_path / "results")
+    first = _record()
+    store.write_bench(first)
+    second = new_run_record(
+        "EX", first.table, SweepConfig(seeds=(1, 2), quick=True, jobs=1), 2.5
+    )
+    store.write_bench(second)
+    assert store.load_bench("EX") == second
+    assert [p.name for p in (tmp_path / "results").iterdir()] == ["BENCH_EX.json"]
+    with pytest.raises(FileNotFoundError):
+        store.load_bench("E404")
 
 
 def test_run_batch_persists_and_echoes(tmp_path):
@@ -193,8 +179,7 @@ def test_run_batch_persists_and_echoes(tmp_path):
         echo=seen.append,
     )
     assert len(records) == len(seen) == 1
-    assert store.bench_path("E2").exists()
-    assert store.latest("E2") is not None
+    assert store.load_bench("E2") == records[0]
     assert records[0].wall_time_s > 0.0
 
 
@@ -211,8 +196,7 @@ def test_cli_writes_bench_json(tmp_path, capsys):
     assert report[0]["suite"] == "E2"
     assert report[0]["jobs"] == 2
     assert report[0]["wall_time_s"] > 0.0
-    assert (tmp_path / "BENCH_E2.json").exists()
-    assert list((tmp_path / "runs" / "E2").glob("*.json"))
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_E2.json"]
 
 
 def test_cli_no_save_leaves_no_artifacts(tmp_path, capsys):
@@ -222,6 +206,23 @@ def test_cli_no_save_leaves_no_artifacts(tmp_path, capsys):
     assert rc == 0
     assert "E2 — evaluator selection quality" in capsys.readouterr().out
     assert not (tmp_path / "BENCH_E2.json").exists()
+
+
+def test_cli_scenario_prints_the_replicate_summary(capsys):
+    """--scenario summarizes exactly what replicate does: every seed
+    starts from rewound id sequences, so a seed's row cannot depend on
+    the seeds run before it, and --jobs only changes where seeds run."""
+    from repro.workloads.registry import get_scenario
+
+    rc = cli_main(["--scenario", "streaming-mix", "--seeds", "2", "--jobs", "2"])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()[2:]
+    summary = replicate(get_scenario("streaming-mix").metrics_run, (1, 2))
+    width = max(len(key) for key in summary)
+    assert printed == [
+        f"{key:>{width}}  {stat.mean:.3f}±{stat.std:.3f}"
+        for key, stat in summary.items()
+    ]
 
 
 def test_cli_list_matches_all_suites(capsys):

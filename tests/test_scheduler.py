@@ -1,26 +1,26 @@
-"""Tests for the shared work-queue scheduler (sweep-point parallelism)."""
+"""Tests for the experiment executor (sweep-point parallelism)."""
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import time
 
 import pytest
 
-#: Pool-behavior tests need real workers; without ``fork`` the scheduler
+#: Pool-behavior tests need real workers; without ``fork`` the executor
 #: deliberately degrades to serial execution (same results, one worker).
 requires_fork = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
-    reason="platform has no fork start method; scheduler runs serially",
+    reason="platform has no fork start method; units run serially",
 )
 
 from repro.experiments.config import SweepConfig
 from repro.experiments.parallel import (
-    Scheduler,
     available_jobs,
     resolve_jobs,
     run_batch,
-    run_suite,
+    run_units,
 )
 from repro.experiments.plan import SuitePlan, SweepPoint, run_plan
 from repro.experiments.reporting import Table
@@ -50,26 +50,15 @@ def _toy_plan(n_points: int = 3, delay: float = 0.0) -> SuitePlan:
     return SuitePlan("TOY", table, points)
 
 
-def _units(plan: SuitePlan, seeds) -> list:
-    return plan.work_units(seeds)
-
-
 # -- work-unit enumeration -----------------------------------------------------
 
 
 def test_work_units_enumerate_point_major_seed_minor():
-    units = _units(_toy_plan(2), (7, 9))
-    assert [(u.index, u.point_index, u.seed_index, u.seed) for u in units] == [
-        (0, 0, 0, 7), (1, 0, 1, 9), (2, 1, 0, 7), (3, 1, 1, 9),
+    units = _toy_plan(2).work_units((7, 9))
+    assert [(u.point_index, u.seed) for u in units] == [
+        (0, 7), (0, 9), (1, 7), (1, 9),
     ]
     assert all(u.suite == "TOY" for u in units)
-
-
-def test_scheduler_rejects_misnumbered_units():
-    units = _units(_toy_plan(1), (1, 2))
-    bad = [units[1], units[0]]  # positions no longer match indices
-    with pytest.raises(ValueError, match="indices must match positions"):
-        Scheduler(bad)
 
 
 # -- out-of-order completion ---------------------------------------------------
@@ -94,25 +83,26 @@ def test_out_of_order_completion_is_bit_identical_to_serial():
         return SuitePlan("TOY", table, points)
 
     serial_plan = build(delayed=False)
-    serial_rows = Scheduler(_units(serial_plan, seeds), jobs=1).run()
-    serial_table = serial_plan.reduce(
-        dict(enumerate(serial_rows)), _units(serial_plan, seeds), seeds
-    )
+    serial_rows = [r.row for r in run_units(serial_plan.work_units(seeds), jobs=1)]
+    serial_table = serial_plan.reduce(serial_rows, seeds)
 
     pool_plan = build(delayed=True)
-    units = _units(pool_plan, seeds)
-    scheduler = Scheduler(units, jobs=4)
-    rows = scheduler.run()
-    pool_table = pool_plan.reduce(dict(enumerate(rows)), units, seeds)
+    completion_order = []
+    results = run_units(
+        pool_plan.work_units(seeds), jobs=4,
+        on_result=lambda index, result: completion_order.append(index),
+    )
+    pool_table = pool_plan.reduce([r.row for r in results], seeds)
 
     # Sleeps only slow execution down; they never change the values, so
     # the delayed pool table must equal the undelayed serial table.
     assert pool_table == serial_table
     # The pool really did complete units out of submission order (the
-    # reduce step is what restores determinism, not lucky scheduling):
-    # completion times are not monotone in unit index.
-    finished = scheduler.completed_at
-    by_completion = sorted(range(len(units)), key=finished.__getitem__)
+    # in-order results are what restore determinism, not lucky
+    # scheduling): completion order is not the unit order.
+    assert sorted(completion_order) == list(range(len(results)))
+    assert completion_order != sorted(completion_order)
+    by_completion = sorted(range(len(results)), key=lambda i: results[i].completed)
     assert by_completion != sorted(by_completion)
 
 
@@ -122,16 +112,13 @@ def test_scheduler_spreads_points_across_workers():
     sweep points concurrently — the PR 1 pool could never do this."""
     seeds = (1, 2)  # 2 seeds per point
     plan = _toy_plan(n_points=4, delay=0.2)
-    units = _units(plan, seeds)
-    scheduler = Scheduler(units, jobs=8)  # 8 units → 8 workers
-    scheduler.run()
+    units = plan.work_units(seeds)
+    results = run_units(units, jobs=8)  # 8 units → 8 workers
 
-    workers_used = set(scheduler.worker_of.values())
+    workers_used = {r.pid for r in results}
     # More workers active than one point has seeds → points ran concurrently.
     assert len(workers_used) > len(seeds)
-    points_by_worker_wave = {
-        scheduler.worker_of[u.index]: u.point_index for u in units
-    }
+    points_by_worker_wave = {r.pid: u.point_index for r, u in zip(results, units)}
     assert len(set(points_by_worker_wave.values())) > 1
 
 
@@ -146,14 +133,18 @@ def test_scheduler_propagates_earliest_unit_failure():
 
     plan = SuitePlan("TOY", table, [SweepPoint(0, boom, ("x",))])
     with pytest.raises(RuntimeError, match="seed 2 exploded"):
-        Scheduler(_units(plan, seeds), jobs=3).run()
+        run_units(plan.work_units(seeds), jobs=3)
 
 
 @requires_fork
-def test_scheduler_fails_fast_cancelling_pending_units():
+def test_scheduler_fails_fast_cancelling_pending_units(tmp_path):
     """After the first failure the pool stops dispatching: most of the
-    queue never executes, instead of burning the whole batch."""
+    queue never executes, instead of burning the whole batch. Every unit
+    that starts leaves a marker file (forked workers share the disk, not
+    the parent's memory), so units that ran but never reached
+    ``on_result`` are counted too."""
     def boom(seed: int) -> dict:
+        (tmp_path / f"ran-{seed}").touch()
         if seed == 1:
             raise RuntimeError("early boom")
         # Long enough that 4 workers cannot drain the whole queue before
@@ -164,14 +155,50 @@ def test_scheduler_fails_fast_cancelling_pending_units():
 
     table = Table("toy", ["point", "x"])
     plan = SuitePlan("TOY", table, [SweepPoint(0, boom, ("x",))])
-    scheduler = Scheduler(plan.work_units(range(1, 41)), jobs=4)
     with pytest.raises(RuntimeError, match="early boom"):
-        scheduler.run()
-    assert len(scheduler.completed_at) < 40
+        run_units(plan.work_units(range(1, 41)), jobs=4)
+    # run_units waits for the units already running, so the count is final.
+    ran = len(list(tmp_path.glob("ran-*")))
+    assert 1 <= ran < 39
+
+
+@requires_fork
+def test_a_dying_worker_fails_the_run():
+    """A worker process that exits without reporting (a crash, an OOM
+    kill) makes the run raise instead of waiting for its unit forever."""
+    def die(seed: int) -> dict:
+        if seed == 2:
+            os._exit(3)
+        return {"x": float(seed)}
+
+    plan = SuitePlan("TOY", Table("toy", ["point", "x"]),
+                     [SweepPoint(0, die, ("x",))])
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError):
+        run_units(plan.work_units((1, 2, 3)), jobs=2)
+    assert time.perf_counter() - started < 30.0
+
+
+def test_reused_plan_raises_before_running_a_unit():
+    calls = []
+
+    def run(seed: int) -> dict:
+        calls.append(seed)
+        return {"x": float(seed)}
+
+    plan = SuitePlan("TOY", Table("toy", ["point", "x"]),
+                     [SweepPoint(0, run, ("x",))])
+    sweep = SweepConfig(seeds=(1, 2), jobs=1)
+    run_plan(plan, sweep)
+    assert calls == [1, 2]
+    with pytest.raises(RuntimeError, match="already reduced"):
+        run_plan(plan, sweep)
+    assert calls == [1, 2]
+    assert len(plan.table.rows) == 1
 
 
 def test_scheduler_empty_units():
-    assert Scheduler([], jobs=4).run() == []
+    assert run_units([], jobs=4) == []
 
 
 # -- resolve_jobs clamping -----------------------------------------------------
@@ -188,13 +215,15 @@ def test_resolve_jobs_clamps_to_pending_units():
     assert resolve_jobs(4) == 4
 
 
+@requires_fork
 def test_quick_run_does_not_fork_idle_workers():
-    """A tiny --quick batch resolves fewer workers than requested."""
+    """A tiny --quick batch forks fewer workers than requested."""
     sweep = SweepConfig(seeds=(1,), quick=True, jobs=16)
-    plan = SUITE_PLANS["E2"](sweep)
-    units = plan.work_units(sweep.effective_seeds)
-    scheduler = Scheduler(units, jobs=16)
-    assert scheduler.jobs == len(units) < 16
+    units = SUITE_PLANS["E2"](sweep).work_units(sweep.effective_seeds)
+    alive = []
+    run_units(units, jobs=16,
+              on_result=lambda index, result: alive.append(len(mp.active_children())))
+    assert 1 < max(alive) <= len(units) < 16
 
 
 # -- full-batch determinism ----------------------------------------------------
@@ -230,11 +259,12 @@ def test_batch_bench_files_bit_identical_serial_vs_parallel(tmp_path):
 
 
 def test_run_suite_routes_through_shared_scheduler():
-    record = run_suite("E2", SweepConfig(seeds=(1, 2), quick=True, jobs=4))
+    """One suite is a batch of one: run_batch([name])[0]."""
+    [record] = run_batch(["E2"], SweepConfig(seeds=(1, 2), quick=True, jobs=4))
     assert record.suite == "E2"
     assert record.jobs == 4
     assert record.wall_time_s > 0.0
-    serial = run_suite("E2", SweepConfig(seeds=(1, 2), quick=True, jobs=1))
+    [serial] = run_batch(["E2"], SweepConfig(seeds=(1, 2), quick=True, jobs=1))
     assert ResultsStore.compare(record, serial).identical
 
 
@@ -277,11 +307,13 @@ def test_mid_batch_failure_keeps_already_finished_suites(tmp_path, monkeypatch):
 
 def test_plans_and_table_callables_agree():
     """Every suite id E1–E23 has a plan builder, and running a plan
-    directly produces the same table as the scheduler's run_suite."""
+    directly produces the same table as a batch, serial or pooled."""
     assert list(SUITE_PLANS) == [f"E{i}" for i in range(1, 24)]
     sweep = SweepConfig(seeds=(1, 2), quick=True, jobs=1)
     direct = run_plan(SUITE_PLANS["E2"](sweep), sweep)
-    assert run_suite("E2", sweep).table == direct
+    assert run_batch(["E2"], sweep)[0].table == direct
+    pooled = SweepConfig(seeds=(1, 2), quick=True, jobs=2)
+    assert run_plan(SUITE_PLANS["E2"](pooled), pooled) == direct
 
 
 def test_suite_callables_keep_docstrings():

@@ -1,5 +1,5 @@
 """The repro.shard subsystem: partitioning, gateways, delta rebuilds,
-shared tables, and the shard-vs-unsharded bit-identity pin.
+fleet tables, and the shard-vs-unsharded bit-identity pin.
 
 The headline contract: on a 1 × 1 grid (which :meth:`ShardGrid.auto`
 produces for every historical scenario scale) the sharded runner is
@@ -7,8 +7,8 @@ produces for every historical scenario scale) the sharded runner is
 sessions, same metrics, in both admission-only (E15) and streaming
 (E20) modes. Everything else here exercises what sharding adds: gateway
 election and cross-shard routing, cell migration under mobility, the
-delta-rebuild fast path, the per-epoch cache caps, and the
-shared-memory fleet tables.
+delta-rebuild fast path, the per-epoch cache caps, and the fleet
+tables.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.shard import (
     fleet_tables,
     run_sharded_contention,
 )
-from repro.shard import sharedmem
 from repro.shard.driver import _seeded_fleet
 from repro.sim.rng import RngRegistry
 from repro.sim.sequences import reset_all_sequences
@@ -387,50 +386,8 @@ class TestCacheCaps:
 
 
 # ==========================================================================
-# Shared tables
+# Fleet tables
 # ==========================================================================
-
-
-class TestSharedMem:
-    def _tables(self):
-        return {
-            "classes": np.arange(8, dtype=np.int8),
-            "positions": np.arange(16, dtype=np.float64).reshape(8, 2),
-        }
-
-    @pytest.mark.parametrize("backend", ["shm", "fork"])
-    def test_publish_attach_round_trip(self, backend):
-        name = f"test-roundtrip-{backend}"
-        try:
-            if backend == "shm" and sharedmem._shm is None:
-                pytest.skip("no shared_memory support")
-            bundle = sharedmem.publish(name, self._tables(), backend=backend)
-            assert bundle.backend == backend
-            attached = sharedmem.attach(name)
-            assert attached.keys() == ("classes", "positions")
-            for key, original in self._tables().items():
-                np.testing.assert_array_equal(attached[key], original)
-                with pytest.raises(ValueError):
-                    attached[key][0] = 0  # read-only views
-            assert name in sharedmem.published()
-        finally:
-            sharedmem.release(name)
-        assert name not in sharedmem.published()
-        with pytest.raises(KeyError):
-            sharedmem.attach(name)
-
-    def test_republish_replaces(self):
-        name = "test-republish"
-        try:
-            sharedmem.publish(name, {"x": np.zeros(4)})
-            sharedmem.publish(name, {"x": np.ones(4)})
-            np.testing.assert_array_equal(sharedmem.attach(name)["x"], np.ones(4))
-        finally:
-            sharedmem.release(name)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            sharedmem.publish("test-bad", {}, backend="magic")
 
 
 class TestFleetTables:

@@ -13,7 +13,7 @@ Two noise bands decide what counts as a **regression**:
 
 * ``--band rtol`` (the default; stdlib only) — the historical rule::
 
-      |new.mean - old.mean| > rtol * |old.mean| + atol + ci_slack
+      |new.mean - old.mean| > rtol * |old.mean| + ci_slack
 
   where ``ci_slack`` (on by default, disable with ``--no-ci-slack``) is
   the sum of the two cells' 95% normal-approximation CI half-widths.
@@ -25,10 +25,9 @@ Two noise bands decide what counts as a **regression**:
   paired. The gate resamples those paired differences (``--resamples``
   resamples, fixed ``--boot-seed``) into a two-sided ``1 - alpha``
   percentile interval — the cell's own noise band. A cell regresses
-  when the band excludes zero (beyond ``--atol``): deterministic
-  ("exact") metrics have identical samples and pass trivially, any
-  consistent drift in them yields the degenerate band ``[c, c]`` and
-  fails, and noisy (timing-like) cells pass exactly when their drift is
+  when the band excludes zero: deterministic ("exact") metrics have
+  identical samples and pass trivially, any consistent drift in them
+  yields the degenerate band ``[c, c]`` and fails, and noisy (timing-like) cells pass exactly when their drift is
   statistically indistinguishable from replication noise — no
   hand-picked tolerance anywhere. Cells missing samples (schema-v1
   reports) fall back to the rtol rule and are flagged.
@@ -150,7 +149,6 @@ def diff_metrics(
     old: Dict[str, Any],
     new: Dict[str, Any],
     rtol: float,
-    atol: float,
     ci_slack: bool,
     wall_columns: Optional[Pattern[str]] = None,
 ) -> Tuple[List[str], List[str]]:
@@ -171,7 +169,7 @@ def diff_metrics(
                 f"(drift {drift:.3g}; wall column, not gated)"
             )
             continue
-        allowed = rtol * abs(a["mean"]) + atol
+        allowed = rtol * abs(a["mean"])
         if ci_slack:
             allowed += a["ci_half_width"] + b["ci_half_width"]
         line = (
@@ -188,7 +186,6 @@ def diff_metrics_bootstrap(
     old: Dict[str, Any],
     new: Dict[str, Any],
     rtol: float,
-    atol: float,
     ci_slack: bool,
     alpha: float,
     resamples: int,
@@ -224,7 +221,7 @@ def diff_metrics_bootstrap(
             drift = abs(b["mean"] - a["mean"])
             if drift == 0.0:
                 continue
-            allowed = rtol * abs(a["mean"]) + atol
+            allowed = rtol * abs(a["mean"])
             if ci_slack:
                 allowed += a["ci_half_width"] + b["ci_half_width"]
             line = (
@@ -248,7 +245,7 @@ def diff_metrics_bootstrap(
             f"[{ci.lo:.3g}, {ci.hi:.3g}])"
         )
         lines.append(line)
-        if ci.lo > atol or ci.hi < -atol:
+        if ci.lo > 0.0 or ci.hi < 0.0:
             regressions.append(line + " excludes zero")
     return lines, regressions
 
@@ -285,10 +282,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--rtol", type=float, default=0.05, metavar="FRAC",
         help="relative mean-drift tolerance per metric under --band rtol "
              "(and the fallback for sample-less cells; default 0.05)",
-    )
-    parser.add_argument(
-        "--atol", type=float, default=1e-9, metavar="ABS",
-        help="absolute mean-drift tolerance per metric (default 1e-9)",
     )
     parser.add_argument(
         "--no-ci-slack", action="store_true",
@@ -341,14 +334,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.band == "bootstrap":
         lines, regressions = diff_metrics_bootstrap(
-            old, new, rtol=args.rtol, atol=args.atol,
+            old, new, rtol=args.rtol,
             ci_slack=not args.no_ci_slack, alpha=args.alpha,
             resamples=args.resamples, boot_seed=args.boot_seed,
             wall_columns=wall_columns,
         )
     else:
         lines, regressions = diff_metrics(
-            old, new, rtol=args.rtol, atol=args.atol,
+            old, new, rtol=args.rtol,
             ci_slack=not args.no_ci_slack, wall_columns=wall_columns,
         )
     wall_line, wall_regression = diff_wall_time(old, new, args.wall_rtol)
