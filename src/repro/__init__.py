@@ -21,10 +21,14 @@ coalition-formation system for wireless ad-hoc networks:
   CLOSED/DROPPED) and the :class:`~repro.sessions.SessionDriver` that
   runs admitted coalitions' operation phases *inside* contention;
 * **Workloads** (:mod:`repro.workloads`): service families, arrival
-  processes and the multi-requester contention runner
+  processes, fleets and the multi-requester contention runner
   (:func:`~repro.workloads.run_contention`);
+* **Shard** (:mod:`repro.shard`): the same contention pipeline on a
+  spatially sharded cluster
+  (:func:`~repro.shard.run_sharded_contention`);
 * **Experiments** (:mod:`repro.experiments`): the E1–E23 evaluation
-  suite.
+  suite. Nothing above imports it, so ``import repro`` — and any
+  contention run — leaves the experiment layer unloaded.
 
 Determinism contract: every run is a pure function of its seed — all
 randomness flows through named :class:`~repro.sim.rng.RngRegistry`
@@ -92,12 +96,7 @@ from repro.agents import AgentSystem, OrganizerAgent, ProviderAgent
 from repro.core.operation import OperationReport
 from repro.metrics import outcome_utility
 from repro.sessions import Session, SessionDriver, SessionPolicy, SessionState
-from repro.shard import (
-    ShardedCluster,
-    ShardedDriver,
-    ShardGrid,
-    run_sharded_contention,
-)
+from repro.shard import ShardedCluster, ShardGrid, run_sharded_contention
 from repro.sim import Engine
 from repro.workloads import ContentionConfig, ContentionResult, run_contention
 
@@ -165,7 +164,6 @@ __all__ = [
     # shard
     "ShardGrid",
     "ShardedCluster",
-    "ShardedDriver",
     "run_sharded_contention",
     # metrics / sim
     "outcome_utility",

@@ -159,8 +159,7 @@ class AgentSystem:
 
         The rebuild advances the topology's cache epoch, so any cached
         neighborhoods/routes from before the move are dropped."""
-        self.mobility.advance(self._node_list, dt)
-        self.topology.rebuild()
+        self.topology.advance_mobility(self.mobility, self._node_list, dt)
 
     def start_mobility_process(self, tick: float = 1.0, until: float = float("inf")) -> None:
         """Schedule periodic mobility advancement on the engine."""

@@ -6,32 +6,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Tuple
 
 from repro.resources.node import NodeClass
-
-#: Default device mix of a heterogeneous neighborhood: mostly handhelds,
-#: some laptops — the paper's "telephones, PDAs, laptops" population.
-DEFAULT_MIX: Mapping[NodeClass, float] = {
-    NodeClass.PHONE: 0.3,
-    NodeClass.PDA: 0.4,
-    NodeClass.LAPTOP: 0.3,
-}
-
-#: A laptop-heavier mix for multi-requester contention scenarios: with
-#: several phone-class requesters competing, an all-handheld helper pool
-#: would make every high-K point fail outright instead of exhibiting the
-#: graceful degradation the contention suites measure.
-CONTENTION_MIX: Mapping[NodeClass, float] = {
-    NodeClass.PHONE: 0.2,
-    NodeClass.PDA: 0.35,
-    NodeClass.LAPTOP: 0.45,
-}
-
-#: Named fleet mixes, so declarative scenario specs
-#: (:class:`repro.workloads.registry.ScenarioSpec`) can stay primitive
-#: and reference a mix by name instead of carrying an unhashable dict.
-FLEET_MIXES: Mapping[str, Mapping[NodeClass, float]] = {
-    "default": DEFAULT_MIX,
-    "contention": CONTENTION_MIX,
-}
+from repro.workloads.fleet import DEFAULT_MIX
 
 
 @dataclass(frozen=True)

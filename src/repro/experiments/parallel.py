@@ -20,8 +20,8 @@ consumes them in that order.
 
 The pool uses the ``fork`` start method and its initializer installs
 the unit list in each worker, so the closure-style ``run`` callables the
-suites build (capturing sweep-point parameters as default arguments)
-are inherited, never pickled — only unit indices travel to the workers.
+suites build (capturing sweep-point parameters as default arguments or
+closure variables) are inherited, never pickled — only unit indices travel to the workers.
 On platforms without ``fork`` the units run serially, with identical
 results.
 """

@@ -15,23 +15,7 @@ from repro.resources.kinds import ResourceKind
 from repro.resources.node import NODE_CLASS_PROFILES, Node, NodeClass
 from repro.resources.provider import QoSProvider
 from repro.sim.rng import RngRegistry
-
-
-def _append_mixed_helpers(
-    nodes: List[Node], config: ClusterConfig, rng: np.random.Generator
-) -> List[Node]:
-    """Fill ``nodes`` up to ``config.n_nodes`` with class-mix draws.
-
-    The single home of the weighted class draw, so the per-draw rng
-    consumption of every fleet builder is identical by construction.
-    """
-    classes = list(config.mix)  # insertion order == FLEET_MIXES declaration order
-    weights = np.asarray([config.mix[c] for c in classes], dtype=float)
-    weights = weights / weights.sum()
-    for i in range(config.n_nodes - len(nodes)):
-        cls = classes[int(rng.choice(len(classes), p=weights))]
-        nodes.append(Node(f"n{i}", node_class=cls))
-    return nodes
+from repro.workloads.fleet import draw_helpers
 
 
 def mixed_fleet(
@@ -42,57 +26,16 @@ def mixed_fleet(
     """Build a heterogeneous node fleet per the cluster config.
 
     The first node is the requester (its device class fixed by the
-    config); the rest are drawn from the class mix.
+    config); the rest are drawn from the class mix by
+    :func:`~repro.workloads.fleet.draw_helpers`, the draw every fleet
+    shares.
     """
     if config.n_nodes < 1:
         raise ValueError("need at least one node")
-    return _append_mixed_helpers(
-        [Node(requester_id, node_class=config.requester_class)], config, rng
+    return draw_helpers(
+        [Node(requester_id, node_class=config.requester_class)],
+        config.n_nodes, config.mix, rng,
     )
-
-
-def multi_requester_fleet(
-    config: ClusterConfig,
-    rng: np.random.Generator,
-    n_requesters: int,
-    requester_prefix: str = "req",
-) -> List[Node]:
-    """:func:`mixed_fleet` generalized to several requester nodes.
-
-    The first ``n_requesters`` nodes are requesters (``req0`` ...,
-    all of the config's requester class); the rest are drawn from the
-    class mix exactly as :func:`mixed_fleet` draws them (both delegate
-    to the same helper loop). Used by the contention scenarios
-    (:mod:`repro.workloads.contention`).
-    """
-    if not (1 <= n_requesters <= config.n_nodes):
-        raise ValueError(
-            f"n_requesters must be in [1, {config.n_nodes}], got {n_requesters}"
-        )
-    requesters = [
-        Node(f"{requester_prefix}{k}", node_class=config.requester_class)
-        for k in range(n_requesters)
-    ]
-    return _append_mixed_helpers(requesters, config, rng)
-
-
-def assemble_cluster(
-    nodes: List[Node],
-    config: ClusterConfig,
-    registry: RngRegistry,
-) -> Tuple[Topology, Dict[str, QoSProvider]]:
-    """Place a fleet and wrap it in a topology plus per-node providers.
-
-    The shared back half of :func:`build_cluster` and the contention
-    builder (:func:`repro.workloads.contention.build_contention_cluster`):
-    placement draws from the registry's ``placement`` stream, radios use
-    the config's disc range.
-    """
-    placement = StaticPlacement(config.area, config.area, registry.stream("placement"))
-    placement.place(nodes)
-    topology = Topology(nodes, DiscRadio(range_m=config.radio_range))
-    providers = {n.node_id: QoSProvider(n) for n in nodes}
-    return topology, providers
 
 
 def build_cluster(
@@ -103,11 +46,14 @@ def build_cluster(
     """A static one-hop-ish neighborhood for synchronous experiments.
 
     Returns the topology, a provider per node, the node list (requester
-    first), and the RNG registry for further draws.
+    first, placed by the ``placement`` stream), and the RNG registry for
+    further draws.
     """
     registry = RngRegistry(seed)
     nodes = mixed_fleet(config, registry.stream("fleet"), requester_id)
-    topology, providers = assemble_cluster(nodes, config, registry)
+    StaticPlacement(config.area, config.area, registry.stream("placement")).place(nodes)
+    topology = Topology(nodes, DiscRadio(range_m=config.radio_range))
+    providers = {n.node_id: QoSProvider(n) for n in nodes}
     return topology, providers, nodes, registry
 
 

@@ -35,12 +35,8 @@ from repro.experiments.config import SweepConfig
 from repro.experiments.plan import SuitePlan, SweepPoint
 from repro.experiments.reporting import Table
 from repro.sessions.policy import SessionPolicy
+from repro.shard import ShardGrid, fleet_tables, run_sharded_contention
 from repro.workloads.contention import ContentionConfig
-
-# repro.shard is imported lazily inside the functions below: the package
-# facade (repro/__init__) imports repro.shard, whose runner imports
-# repro.workloads, whose registry imports this experiment layer — a
-# module-scope import here would close that cycle mid-initialization.
 
 
 def _e22_config(n_nodes: int, horizon: float) -> ContentionConfig:
@@ -80,8 +76,6 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     delta-rebuild gate is asserted directly by
     ``benchmarks/test_e22_shard.py``).
     """
-    from repro.shard import ShardGrid
-
     sizes = (512, 1024) if sweep.quick else (512, 1024, 2048, 4096)
     horizon = 120.0 if sweep.quick else 240.0
     table = Table(
@@ -106,8 +100,6 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
         grid = ShardGrid.auto(config.area, config.radio_range, config.n_nodes)
 
         def run(seed: int, config=config) -> Dict[str, float]:
-            from repro.shard import fleet_tables, run_sharded_contention
-
             tables = fleet_tables(seed, config)
             start = time.perf_counter()
             result = run_sharded_contention(seed, config, tables=tables)

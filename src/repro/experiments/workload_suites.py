@@ -1,8 +1,9 @@
 """The E15–E17 and E20 suites: scenario workloads under contention.
 
 Built entirely on :mod:`repro.workloads` — suites *name* scenarios from
-the declarative registry and sweep one field via
-:meth:`~repro.workloads.registry.ScenarioSpec.replace`, instead of
+the registry and sweep one field of the scenario's
+:class:`~repro.workloads.contention.ContentionConfig` via
+:meth:`~repro.workloads.contention.ContentionConfig.replace`, instead of
 hand-building clusters and loops:
 
 * **E15** — contention sweep: the ``contention-mix`` scenario with the
@@ -45,9 +46,19 @@ from repro.experiments.plan import SuitePlan, SweepPoint
 from repro.experiments.reporting import Table
 from repro.experiments.scenario import build_cluster
 from repro.metrics.utility import outcome_utility
-from repro.workloads.rates import DiurnalRate
+from repro.workloads.arrivals import PoissonProcess
+from repro.workloads.contention import ContentionConfig, run_contention
 from repro.workloads.registry import get_scenario
 from repro.workloads.services import NEW_SERVICE_FAMILIES, build_service
+
+
+def _contention_point(label, config: ContentionConfig, keys) -> SweepPoint:
+    """A sweep point replicating ``run_contention(seed, config)``."""
+
+    def run(seed: int) -> Dict[str, float]:
+        return run_contention(seed, config).metrics()
+
+    return SweepPoint(label=label, run=run, keys=keys)
 
 
 # ==========================================================================
@@ -70,7 +81,7 @@ def e15_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     """
     counts = (1, 2, 4) if sweep.quick else (1, 2, 4, 8)
     horizon = 120.0 if sweep.quick else 240.0
-    base = get_scenario("contention-mix").replace(horizon=horizon)
+    base = get_scenario("contention-mix").config.replace(horizon=horizon)
     table = Table(
         "E15 — multi-requester contention (contention-mix scenario, "
         f"{base.n_nodes} nodes)",
@@ -81,18 +92,10 @@ def e15_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
                 "sessions hold real reservations for their duration. "
                 "Fairness = Jain index over per-requester success rates.",
     )
-    points = []
-    for k in counts:
-        spec = base.replace(n_requesters=k)
-
-        def run(seed: int, spec=spec) -> Dict[str, float]:
-            return spec.metrics_run(seed)
-
-        points.append(SweepPoint(
-            label=k, run=run,
-            keys=("offered", "success_rate", "utility", "fairness",
-                  "mean_concurrent"),
-        ))
+    keys = ("offered", "success_rate", "utility", "fairness", "mean_concurrent")
+    points = [
+        _contention_point(k, base.replace(n_requesters=k), keys) for k in counts
+    ]
     return SuitePlan("E15", table, points)
 
 
@@ -114,7 +117,7 @@ def e16_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     """
     rates = (0.01, 0.04) if sweep.quick else (0.005, 0.01, 0.02, 0.04, 0.08)
     horizon = 120.0 if sweep.quick else 240.0
-    base = get_scenario("saturation-trio").replace(horizon=horizon)
+    base = get_scenario("saturation-trio").config.replace(horizon=horizon)
     table = Table(
         "E16 — arrival-rate saturation (saturation-trio scenario, "
         f"{base.n_nodes} nodes)",
@@ -124,18 +127,12 @@ def e16_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
                 "requester, so offered load ≈ 3·rate·horizon sessions. "
                 "Sessions hold reservations for 20–30 s each.",
     )
-    points = []
-    for rate in rates:
-        spec = base.replace(arrival_params=(("rate", rate),))
-
-        def run(seed: int, spec=spec) -> Dict[str, float]:
-            return spec.metrics_run(seed)
-
-        points.append(SweepPoint(
-            label=rate, run=run,
-            keys=("offered", "success_rate", "utility", "mean_concurrent",
-                  "peak_concurrent"),
-        ))
+    keys = ("offered", "success_rate", "utility", "mean_concurrent",
+            "peak_concurrent")
+    points = [
+        _contention_point(rate, base.replace(arrival=PoissonProcess(rate)), keys)
+        for rate in rates
+    ]
     return SuitePlan("E16", table, points)
 
 
@@ -215,7 +212,7 @@ def e20_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     rates = (1.0 / 60.0,) if sweep.quick else (1.0 / 60.0, 1.0 / 30.0)
     scales = (1.0,) if sweep.quick else (1.0, 2.0)
     horizon = 120.0 if sweep.quick else 240.0
-    base = get_scenario("streaming-mix").replace(horizon=horizon)
+    base = get_scenario("streaming-mix").config.replace(horizon=horizon)
     table = Table(
         "E20 — streaming sessions under churn (streaming-mix scenario, "
         f"{base.n_nodes} nodes)",
@@ -231,12 +228,14 @@ def e20_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
                 "admitted session; drop rate counts admitted sessions torn "
                 "down mid-stream.",
     )
+    keys = ("offered", "success_rate", "sustained_utility",
+            "renegotiation_rate", "drop_rate")
     points = []
     for mobility in mobilities:
         for rate in rates:
             for scale in scales:
-                spec = base.replace(
-                    arrival_params=(("rate", rate),),
+                config = base.replace(
+                    arrival=PoissonProcess(rate),
                     sessions=base.sessions.replace(
                         mobility=mobility,
                         mobility_speed=4.0,
@@ -244,15 +243,7 @@ def e20_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
                     ),
                 )
                 label = f"{mobility}-{int(round(1.0 / rate))}s-x{scale:g}"
-
-                def run(seed: int, spec=spec) -> Dict[str, float]:
-                    return spec.metrics_run(seed)
-
-                points.append(SweepPoint(
-                    label=label, run=run,
-                    keys=("offered", "success_rate", "sustained_utility",
-                          "renegotiation_rate", "drop_rate"),
-                ))
+                points.append(_contention_point(label, config, keys))
     return SuitePlan("E20", table, points)
 
 
@@ -286,17 +277,12 @@ def e21_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     """
     counts = (2,) if sweep.quick else (2, 4)
     horizon = 120.0 if sweep.quick else 240.0
-    diurnal = get_scenario("diurnal-mix").replace(horizon=horizon)
-    flash = get_scenario("flash-crowd").replace(horizon=horizon)
+    diurnal = get_scenario("diurnal-mix").config.replace(horizon=horizon)
+    flash = get_scenario("flash-crowd").config.replace(horizon=horizon)
     # Rate-matched homogeneous control: equal expected arrivals per
     # requester over the horizon, Λ_diurnal(H) / H.
-    dp = dict(diurnal.arrival_params)
-    matched = DiurnalRate(
-        dp["base_rate"], dp["peak_rate"], dp["period"], dp.get("phase", 0.0)
-    ).mean_rate(horizon)
-    poisson = diurnal.replace(
-        arrival="poisson", arrival_params=(("rate", matched),)
-    )
+    matched = diurnal.arrival.shape.mean_rate(horizon)
+    poisson = diurnal.replace(arrival=PoissonProcess(matched))
     table = Table(
         "E21 — realistic arrival streams (diurnal / flash crowd vs "
         f"rate-matched Poisson, {diurnal.n_nodes} nodes)",
@@ -310,20 +296,13 @@ def e21_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
                 "arrival clustering. Flash-crowd arrivals concentrate in "
                 "one burst at t = 80 s.",
     )
-    points = []
-    for shape_name, base in (
-        ("poisson", poisson), ("diurnal", diurnal), ("flash-crowd", flash)
-    ):
-        for k in counts:
-            spec = base.replace(n_requesters=k)
-            label = f"{shape_name}-{k}req"
-
-            def run(seed: int, spec=spec) -> Dict[str, float]:
-                return spec.metrics_run(seed)
-
-            points.append(SweepPoint(
-                label=label, run=run,
-                keys=("offered", "success_rate", "sustained_utility",
-                      "renegotiation_rate", "drop_rate"),
-            ))
+    keys = ("offered", "success_rate", "sustained_utility",
+            "renegotiation_rate", "drop_rate")
+    points = [
+        _contention_point(f"{shape_name}-{k}req", base.replace(n_requesters=k), keys)
+        for shape_name, base in (
+            ("poisson", poisson), ("diurnal", diurnal), ("flash-crowd", flash)
+        )
+        for k in counts
+    ]
     return SuitePlan("E21", table, points)

@@ -7,8 +7,7 @@ Three pieces:
   plus the hardened retry policy);
 * :mod:`repro.faults.injector` — the
   :class:`~repro.faults.injector.FaultInjector` that executes a plan at
-  the existing seams (channel wrapper, node liveness, topology
-  overlays, negotiation);
+  the existing seams (node liveness, topology overlays, negotiation);
 * :mod:`repro.faults.report` — the
   :class:`~repro.faults.report.ResilienceReport` summarizing
   availability, recovery times, retries and the degraded-vs-dropped
@@ -18,17 +17,12 @@ See ``docs/faults.md`` for the fault model catalog and the determinism
 contract.
 """
 
-from repro.faults.injector import (
-    FaultInjector,
-    FaultyChannel,
-    make_injector,
-)
+from repro.faults.injector import FaultInjector, make_injector
 from repro.faults.plan import (
     EMPTY_PLAN,
     AgentFaults,
     Brownout,
     CrashHazard,
-    DelaySpike,
     FaultPlan,
     GilbertElliott,
     Partition,
@@ -40,11 +34,9 @@ __all__ = [
     "AgentFaults",
     "Brownout",
     "CrashHazard",
-    "DelaySpike",
     "EMPTY_PLAN",
     "FaultInjector",
     "FaultPlan",
-    "FaultyChannel",
     "GilbertElliott",
     "Partition",
     "ResilienceReport",

@@ -3,10 +3,6 @@
 :class:`FaultInjector` executes one plan against one run, at the
 existing seams only:
 
-* **channel** — :meth:`FaultInjector.wrap_channel` returns a
-  :class:`FaultyChannel` that applies Gilbert–Elliott burst loss and
-  delay spikes on top of a
-  :class:`~repro.network.channel.ChannelModel`'s own latency/loss;
 * **node liveness** — :meth:`FaultInjector.install` schedules crash /
   recover / brownout events on the driver's engine, driving
   :meth:`~repro.resources.node.Node.fail` and friends exactly like the
@@ -16,7 +12,8 @@ existing seams only:
 * **negotiation** — the injector doubles as the ``faults`` argument of
   :func:`~repro.core.negotiation.negotiate`: dropped/stale PROPOSE
   filtering, and the award handshake with bounded deterministic
-  exponential backoff.
+  exponential backoff; both run every message they model through the
+  Gilbert–Elliott burst-loss chains (:meth:`FaultInjector.link_survives`).
 
 Determinism contract: all randomness comes from three named child
 streams of the run's registry — ``faults:link`` (burst-loss chains),
@@ -39,7 +36,6 @@ from repro.workloads.arrivals import InhomogeneousPoissonProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.proposal import Proposal
-    from repro.network.channel import ChannelModel
     from repro.sessions.driver import SessionDriver
 
 class FaultInjector:
@@ -101,21 +97,6 @@ class FaultInjector:
         self._chains[key] = bad
         loss = ge.loss_bad if bad else ge.loss_good
         return not (float(rng.random()) < loss)
-
-    def spike_delay(self, now: float) -> float:
-        """Extra latency from every delay spike active at ``now``
-        (deterministic — no draws)."""
-        return sum(
-            spike.extra_delay
-            for spike in self.plan.delay_spikes
-            if spike.active_at(now)
-        )
-
-    def wrap_channel(self, channel: "ChannelModel", clock) -> "FaultyChannel":
-        """A transmit-compatible wrapper applying link faults on top of
-        ``channel``. ``clock`` is a zero-argument callable returning the
-        current simulated time (usually ``lambda: engine.now``)."""
-        return FaultyChannel(channel, self, clock)
 
     # -- agent faults (the ``faults`` argument of negotiate()) -------------
 
@@ -325,34 +306,6 @@ class FaultInjector:
             engine.schedule_at(brownout.time, _brownout)
 
 
-class FaultyChannel:
-    """A :class:`~repro.network.channel.ChannelModel` wrapper applying
-    link faults per transmitted message.
-
-    The inner channel decides its own latency/loss first (its draws are
-    untouched, keeping fault-free streams stable); a surviving message
-    then runs the injector's burst-loss chain and pays any active delay
-    spike. Unknown attributes delegate to the inner channel, so the
-    wrapper is drop-in wherever a channel is expected.
-    """
-
-    def __init__(self, inner: "ChannelModel", injector: FaultInjector, clock) -> None:
-        self.inner = inner
-        self.injector = injector
-        self.clock = clock
-
-    def transmit(self, src: str, dst: str, size_kb: float) -> Optional[float]:
-        latency = self.inner.transmit(src, dst, size_kb)
-        if latency is None or src == dst:  # local delivery never faults
-            return latency
-        if not self.injector.link_survives(src, dst):
-            return None
-        return latency + self.injector.spike_delay(float(self.clock()))
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-
 def make_injector(
     plan: Optional[FaultPlan],
     registry: RngRegistry,
@@ -368,6 +321,5 @@ def make_injector(
 
 __all__ = [
     "FaultInjector",
-    "FaultyChannel",
     "make_injector",
 ]

@@ -1,9 +1,9 @@
 """Declarative fault plans: what goes wrong, when, and how badly.
 
 A :class:`FaultPlan` is a frozen value describing every fault a run
-injects — link faults (Gilbert–Elliott burst loss, delay spikes,
-partitions), node faults (crash/recover hazard, battery brownout) and
-agent faults (dropped/stale PROPOSE, refuse-after-award) — plus the
+injects — link faults (Gilbert–Elliott burst loss, partitions), node
+faults (crash/recover hazard, battery brownout) and agent faults
+(dropped/stale PROPOSE, refuse-after-award) — plus the
 :class:`RetryPolicy` the hardened negotiation paths use to survive
 them. Like :class:`~repro.sessions.policy.SessionPolicy`, a plan never
 holds RNG state: every random draw the plan implies is made by the
@@ -76,30 +76,6 @@ class GilbertElliott:
         distribution — the closed form the property tests pin."""
         pi_bad = self.stationary_bad
         return (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
-
-
-@dataclass(frozen=True)
-class DelaySpike:
-    """A window of extra per-message delay (congestion, interference).
-
-    Deterministic — no RNG: every message transmitted in
-    ``[start, start + duration)`` pays ``extra_delay`` seconds on top
-    of the channel's own latency.
-    """
-
-    start: float
-    duration: float
-    extra_delay: float
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.duration <= 0 or self.extra_delay < 0:
-            raise ValueError(
-                f"delay spike needs start >= 0, duration > 0, "
-                f"extra_delay >= 0, got {self}"
-            )
-
-    def active_at(self, now: float) -> bool:
-        return self.start <= now < self.start + self.duration
 
 
 @dataclass(frozen=True)
@@ -266,15 +242,14 @@ class RetryPolicy:
 class FaultPlan:
     """Everything a run injects, as one frozen declarative value.
 
-    An all-defaults plan is *empty*: it schedules nothing, wraps
-    nothing and consumes no RNG draws — running with it is bit-identical
+    An all-defaults plan is *empty*: it schedules nothing and consumes
+    no RNG draws — running with it is bit-identical
     to running without the fault subsystem (``tests/test_faults.py``).
     ``retry`` configures the hardened award handshake and is not a
     fault, so it does not make a plan non-empty.
     """
 
     link: Optional[GilbertElliott] = None
-    delay_spikes: Tuple[DelaySpike, ...] = ()
     partitions: Tuple[Partition, ...] = ()
     crashes: Optional[CrashHazard] = None
     brownouts: Tuple[Brownout, ...] = ()
@@ -282,7 +257,6 @@ class FaultPlan:
     retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delay_spikes", tuple(self.delay_spikes))
         object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "brownouts", tuple(self.brownouts))
 
@@ -291,7 +265,6 @@ class FaultPlan:
         """Whether the plan injects nothing at all."""
         return (
             self.link is None
-            and not self.delay_spikes
             and not self.partitions
             and self.crashes is None
             and not self.brownouts

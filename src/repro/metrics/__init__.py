@@ -1,4 +1,4 @@
-"""Measurement: user-perceived utility, run collection, statistics."""
+"""Measurement: user-perceived utility and statistics."""
 
 from repro.metrics.utility import (
     allocation_utility,
@@ -6,7 +6,6 @@ from repro.metrics.utility import (
     outcome_utility,
     proposal_utility,
 )
-from repro.metrics.collector import RunMetrics, collect_outcome_metrics
 from repro.metrics.stats import confidence_interval, describe, mean_ci
 from repro.metrics.bootstrap import (
     BootstrapCI,
@@ -19,8 +18,6 @@ __all__ = [
     "proposal_utility",
     "allocation_utility",
     "outcome_utility",
-    "RunMetrics",
-    "collect_outcome_metrics",
     "confidence_interval",
     "describe",
     "mean_ci",

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.errors import NotConnectedError, UnknownNodeError
 from repro.network.geometry import _APPROX_MARGIN, exact_distances, pairwise_distances, position_array
+from repro.network.mobility import MobilityModel
 from repro.network.radio import RadioModel
 from repro.resources.node import Node
 
@@ -182,6 +183,14 @@ class Topology:
         if self._blocked:
             self._apply_blocked()
         self._edge_count = int(np.count_nonzero(adj)) // 2
+
+    def advance_mobility(
+        self, mobility: MobilityModel, nodes: Sequence[Node], dt: float
+    ) -> None:
+        """One mobility tick: advance ``mobility`` by ``dt`` over
+        ``nodes``, then :meth:`rebuild`."""
+        mobility.advance(nodes, dt)
+        self.rebuild()
 
     def update_positions(self, moved: Sequence[str]) -> None:
         """Delta rebuild: refresh edges touching only the ``moved`` nodes.

@@ -145,16 +145,16 @@ class SessionDriver:
         tick: Optional[float] = None,
     ) -> None:
         """Advance ``mobility`` every ``tick`` seconds (default: the
-        policy's ``mobility_tick``), rebuilding the topology each step.
-        Ticking stops once no session is pending or active, so mobility
-        never keeps an otherwise-quiescent run alive."""
+        policy's ``mobility_tick``) through the topology's
+        ``advance_mobility``, which brings its edges up to date. Ticking
+        stops once no session is pending or active, so mobility never
+        keeps an otherwise-quiescent run alive."""
         dt = self.policy.mobility_tick if tick is None else tick
 
         def _tick(now: float) -> None:
             if self._pending == 0 and self._active == 0:
                 return
-            mobility.advance(nodes, dt)
-            self.topology.rebuild()
+            self.topology.advance_mobility(mobility, nodes, dt)
             self.engine.schedule(dt, _tick)
 
         self.engine.schedule(dt, _tick)

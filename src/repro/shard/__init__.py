@@ -10,11 +10,14 @@ partitions the numpy topology arena into a sharded simulator:
   duck-typed ``Topology`` facade, with gateway election and
   cross-shard routing (a 1 × 1 :class:`ShardGrid` is one shard, the
   unsharded semantics);
-* :mod:`repro.shard.driver` — :class:`ShardedDriver` (streaming
-  sessions with delta topology maintenance) and
-  :func:`run_sharded_contention`, the sharded twin of
-  :func:`repro.workloads.run_contention` — bit-identical to it on a
-  single shard.
+* :mod:`repro.shard.driver` — :func:`fleet_tables` and
+  :func:`run_sharded_contention`, which runs
+  :func:`repro.workloads.run_contention`'s own pipeline (arrival merge,
+  admission loop, :class:`~repro.sessions.SessionDriver`) on a
+  :class:`ShardedCluster` — bit-identical to it on a single shard.
+
+Layering: this package sits on :mod:`repro.workloads` and below
+:mod:`repro.experiments`, which it never imports.
 
 See ``docs/sharding.md`` for the partitioning scheme and the gateway
 cost model.
@@ -22,7 +25,6 @@ cost model.
 
 from repro.shard.cluster import ShardedCluster
 from repro.shard.driver import (
-    ShardedDriver,
     fleet_from_tables,
     fleet_tables,
     run_sharded_contention,
@@ -31,7 +33,6 @@ from repro.shard.partition import DEFAULT_SHARD_OCCUPANCY, ShardGrid
 
 __all__ = [
     "ShardedCluster",
-    "ShardedDriver",
     "ShardGrid",
     "DEFAULT_SHARD_OCCUPANCY",
     "fleet_tables",

@@ -49,10 +49,11 @@ class ShardedCluster:
         grid: The spatial partition (:meth:`ShardGrid.auto` is the usual
             source). A 1 × 1 grid is one shard holding the whole fleet,
             i.e. the unsharded semantics.
-        backhaul_hop_cost: Communication cost per gateway-to-gateway
-            backhaul hop. Defaults to the cost of a best-case radio hop
-            (``1000 / nominal_bandwidth``) — a provisioned backhaul link
-            is as cheap as the best in-cell link, never cheaper.
+
+    Each gateway-to-gateway backhaul hop costs
+    :attr:`backhaul_hop_cost`, the cost of a best-case radio hop
+    (``1000 / nominal_bandwidth``) — a provisioned backhaul link is as
+    cheap as the best in-cell link, never cheaper.
     """
 
     def __init__(
@@ -60,14 +61,11 @@ class ShardedCluster:
         nodes: Sequence[Node],
         radio: RadioModel,
         grid: ShardGrid,
-        backhaul_hop_cost: Optional[float] = None,
     ) -> None:
         self.grid = grid
         self.radio = radio
-        if backhaul_hop_cost is None:
-            nominal = getattr(radio, "nominal_bandwidth", 0.0)
-            backhaul_hop_cost = 1000.0 / nominal if nominal > 0 else 1.0
-        self.backhaul_hop_cost = float(backhaul_hop_cost)
+        nominal = getattr(radio, "nominal_bandwidth", 0.0)
+        self.backhaul_hop_cost = 1000.0 / nominal if nominal > 0 else 1.0
         self._nodes: Dict[str, Node] = {}
         self._home: Dict[str, int] = {}
         members: List[List[Node]] = [[] for _ in range(grid.n_shards)]

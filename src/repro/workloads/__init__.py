@@ -1,4 +1,4 @@
-"""Scenario generation: service families, arrivals, contention suites.
+"""Scenario generation: service families, arrivals, fleets, contention.
 
 The paper motivates cooperation with three concrete services (movie
 playback, surveillance, conferencing), each requested by a *single*
@@ -12,37 +12,37 @@ contention scenarios" — as a subsystem of its own:
   original three;
 * :mod:`repro.workloads.arrivals` — deterministic-given-seed session
   arrival processes (fixed interval, homogeneous Poisson, inhomogeneous
-  Poisson over arbitrary rate functions via thinning or the
-  conditional-density construction — bursty, diurnal, flash-crowd — and
-  trace replay);
+  Poisson over arbitrary rate functions by thinning — bursty, diurnal,
+  flash-crowd — and trace replay);
 * :mod:`repro.workloads.rates` — composable deterministic rate shapes
   (diurnal cycle, flash crowd, piecewise/trace-derived histograms) with
   exact bounds and cumulative intensities;
+* :mod:`repro.workloads.fleet` — the named helper-class mixes, the one
+  weighted class draw and the placement every fleet shares;
 * :mod:`repro.workloads.contention` — K self-interested requesters with
   independent arrival streams competing for one cluster's providers;
   with a :class:`~repro.sessions.SessionPolicy` that sets
   ``operate=True`` the admitted coalitions' operation phases run
   *inside* the contention window (crashes, battery drain, in-place
   renegotiation — see :mod:`repro.sessions`);
-* :mod:`repro.workloads.registry` — the declarative
+* :mod:`repro.workloads.registry` — the named
   :class:`~repro.workloads.registry.ScenarioSpec` registry that suites
   and the CLI (``--list-scenarios``) name scenarios through instead of
   re-coding them.
 
-The experiment suites E15–E17 (:mod:`repro.experiments.workload_suites`)
-are built entirely on this package; ``docs/workloads.md`` documents the
-calibration targets and the contention model.
+The experiment suites E15–E17, E20 and E21
+(:mod:`repro.experiments.workload_suites`) are built on this package;
+``docs/workloads.md`` documents the calibration targets and the
+contention model.
 
 Layering: this package sits beside :mod:`repro.services` and *below*
-:mod:`repro.experiments` — the few helpers it borrows from
-:mod:`repro.experiments.scenario` are imported lazily inside functions,
-so importing :mod:`repro.workloads` never drags the experiment layer in
-(and the reverse import from the suites stays acyclic).
+:mod:`repro.experiments` and :mod:`repro.shard`. It imports neither,
+so importing it (or running a contention scenario) never loads the
+experiment layer.
 """
 
-from repro.workloads import arrivals, contention, rates, registry, services
+from repro.workloads import arrivals, contention, fleet, rates, registry, services
 from repro.workloads.arrivals import (
-    ARRIVAL_FAMILIES,
     ArrivalProcess,
     BurstyProcess,
     DiurnalProcess,
@@ -84,10 +84,10 @@ from repro.workloads.services import (
 __all__ = [
     "arrivals",
     "contention",
+    "fleet",
     "rates",
     "registry",
     "services",
-    "ARRIVAL_FAMILIES",
     "ArrivalProcess",
     "BurstyProcess",
     "DiurnalProcess",

@@ -17,36 +17,24 @@ The families:
   exponential inter-arrival gaps (memoryless users);
 * :class:`InhomogeneousPoissonProcess` — arbitrary time-varying rate,
   described either by a plain callable with an explicit ceiling or by a
-  :class:`~repro.workloads.rates.RateShape`. Two exact simulation
-  methods: Lewis–Shedler **thinning** (candidates from a homogeneous
-  process at the ceiling, kept with probability ``rate(t)/rate_max``)
-  and the **conditional-density** construction (draw
-  ``N ~ Poisson(Λ(horizon))``, then place the N points by inverting the
-  cumulative intensity — the IPPP method, no ceiling required);
+  :class:`~repro.workloads.rates.RateShape`, simulated exactly by
+  Lewis–Shedler **thinning** (candidates from a homogeneous process at
+  the ceiling, kept with probability ``rate(t)/rate_max``);
 * :class:`BurstyProcess` / :class:`DiurnalProcess` /
   :class:`FlashCrowdProcess` — named specializations over the square
   wave, raised-cosine diurnal cycle, and flash-crowd rate shapes;
 * :class:`TraceReplayProcess` — replays recorded arrival timestamps
   (optionally shifted, rescaled, and looped); consumes no randomness.
-
-:data:`ARRIVAL_FAMILIES` maps short names to constructors so the
-declarative :class:`~repro.workloads.registry.ScenarioSpec` can select a
-process without importing classes.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.workloads.rates import (
-    DiurnalRate,
-    FlashCrowdRate,
-    RateShape,
-    invert_cumulative,
-)
+from repro.workloads.rates import DiurnalRate, FlashCrowdRate, RateShape
 
 
 class ArrivalProcess(abc.ABC):
@@ -118,24 +106,14 @@ class InhomogeneousPoissonProcess(ArrivalProcess):
 
     The rate is either a plain callable ``t -> λ(t)`` with an explicit
     ceiling ``rate_max``, or a :class:`~repro.workloads.rates.RateShape`
-    (ceiling inferred from :meth:`~repro.workloads.rates.RateShape.bound`,
-    cumulative intensity available for the conditional-density method).
+    (ceiling inferred from :meth:`~repro.workloads.rates.RateShape.bound`).
 
-    Both methods are exact simulations of the inhomogeneous Poisson
-    point process and both are seed-deterministic — draws are consumed
-    in a fixed order that depends only on the drawn values, never on
-    wall-clock or call history:
-
-    * ``"thinning"`` (Lewis–Shedler, the default): candidate times from
-      a homogeneous process at ``rate_max``; a candidate at ``t``
-      survives with probability ``rate(t) / rate_max``. The acceptance
-      draw is consumed for *every* candidate (accepted or not), keeping
-      the draw order independent of the rate function.
-    * ``"inversion"`` (conditional-density, :class:`RateShape` only):
-      ``N ~ Poisson(Λ(horizon))``, then ``N`` uniforms mapped through
-      ``Λ⁻¹`` and sorted — one draw per *emitted* event regardless of
-      how loose any ceiling would be, the IPPP construction for rates
-      with a known cumulative.
+    Arrivals are simulated exactly by Lewis–Shedler thinning: candidate
+    times from a homogeneous process at ``rate_max``; a candidate at
+    ``t`` survives with probability ``rate(t) / rate_max``. The
+    acceptance draw is consumed for *every* candidate (accepted or not),
+    so draws are consumed in a fixed order that depends only on the
+    drawn values, never on wall-clock or call history.
 
     A ceiling of exactly ``0`` (a shape that is zero everywhere, e.g.
     an empty trace histogram) is a valid degenerate process: it emits
@@ -147,19 +125,13 @@ class InhomogeneousPoissonProcess(ArrivalProcess):
         rate_max: A (tight, for efficiency) upper bound on ``rate``.
             Required for plain callables; defaults to the shape's own
             bound and may not be below it.
-        method: ``"thinning"`` or ``"inversion"``.
     """
 
     def __init__(
         self,
         rate: Union[RateShape, Callable[[float], float]],
         rate_max: Optional[float] = None,
-        method: str = "thinning",
     ) -> None:
-        if method not in ("thinning", "inversion"):
-            raise ValueError(
-                f"unknown method {method!r}; use 'thinning' or 'inversion'"
-            )
         self.shape: Optional[RateShape] = rate if isinstance(rate, RateShape) else None
         if rate_max is None:
             if self.shape is None:
@@ -172,23 +144,11 @@ class InhomogeneousPoissonProcess(ArrivalProcess):
                 f"rate_max {rate_max} is below the shape's bound "
                 f"{self.shape.bound()}"
             )
-        if method == "inversion" and self.shape is None:
-            raise ValueError(
-                "method='inversion' needs a RateShape (cumulative intensity)"
-            )
         self.rate = rate
         self.rate_max = float(rate_max)
-        self.method = method
 
     def arrivals(self, rng: np.random.Generator, horizon: float) -> Tuple[float, ...]:
         self._check_horizon(horizon)
-        if self.method == "inversion":
-            return self._arrivals_inversion(rng, horizon)
-        return self._arrivals_thinning(rng, horizon)
-
-    def _arrivals_thinning(
-        self, rng: np.random.Generator, horizon: float
-    ) -> Tuple[float, ...]:
         if self.rate_max == 0.0:
             return ()
         times = []
@@ -202,30 +162,6 @@ class InhomogeneousPoissonProcess(ArrivalProcess):
             if float(rng.random()) < lam / self.rate_max:
                 times.append(t)
             t += float(rng.exponential(1.0 / self.rate_max))
-        return tuple(times)
-
-    def _arrivals_inversion(
-        self, rng: np.random.Generator, horizon: float
-    ) -> Tuple[float, ...]:
-        assert self.shape is not None  # guaranteed by __init__
-        total = self.shape.cumulative(horizon)
-        if total <= 0.0:
-            return ()
-        n = int(rng.poisson(total))
-        if n == 0:
-            return ()
-        targets = np.sort(rng.random(n)) * total
-        times: list = []
-        for target in targets:
-            t = invert_cumulative(self.shape, float(target), horizon)
-            # Bisection works to ~60-bit precision; two guards keep the
-            # output contract exact anyway: strictly increasing (nudge a
-            # tie up one ulp) and strictly inside the half-open window.
-            if times and t <= times[-1]:
-                t = float(np.nextafter(times[-1], np.inf))
-            if t >= horizon:
-                break
-            times.append(t)
         return tuple(times)
 
 
@@ -281,11 +217,8 @@ class DiurnalProcess(InhomogeneousPoissonProcess):
         peak_rate: float,
         period: float,
         phase: float = 0.0,
-        method: str = "thinning",
     ) -> None:
-        super().__init__(
-            DiurnalRate(base_rate, peak_rate, period, phase), method=method
-        )
+        super().__init__(DiurnalRate(base_rate, peak_rate, period, phase))
 
 
 class FlashCrowdProcess(InhomogeneousPoissonProcess):
@@ -306,11 +239,8 @@ class FlashCrowdProcess(InhomogeneousPoissonProcess):
         onset: float,
         rise: float = 10.0,
         decay: float = 30.0,
-        method: str = "thinning",
     ) -> None:
-        super().__init__(
-            FlashCrowdRate(base_rate, peak_rate, onset, rise, decay), method=method
-        )
+        super().__init__(FlashCrowdRate(base_rate, peak_rate, onset, rise, decay))
 
 
 class TraceReplayProcess(ArrivalProcess):
@@ -384,32 +314,3 @@ class TraceReplayProcess(ArrivalProcess):
                 break
             base += self.loop_period
         return tuple(out)
-
-
-#: name → constructor, for declarative scenario specs. Parameters are
-#: the constructor keywords (``interval``, ``rate``, ``base_rate``,
-#: ``peak_rate``, ``times`` ...).
-ARRIVAL_FAMILIES: Dict[str, Callable[..., ArrivalProcess]] = {
-    "fixed": FixedIntervalProcess,
-    "poisson": PoissonProcess,
-    "bursty": BurstyProcess,
-    "diurnal": DiurnalProcess,
-    "flash-crowd": FlashCrowdProcess,
-    "trace": TraceReplayProcess,
-}
-
-
-def make_arrival_process(family: str, **params) -> ArrivalProcess:
-    """Instantiate an arrival process by family name.
-
-    Raises:
-        KeyError: For an unknown family name (listing the valid ones).
-    """
-    try:
-        factory = ARRIVAL_FAMILIES[family]
-    except KeyError:
-        raise KeyError(
-            f"unknown arrival family {family!r}; "
-            f"available: {', '.join(ARRIVAL_FAMILIES)}"
-        ) from None
-    return factory(**params)

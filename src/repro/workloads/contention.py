@@ -32,12 +32,10 @@ replication seed, so a scenario is a pure function of its seed — the
 precondition for running on the shared process pool with the
 bit-identical parallel==serial guarantee.
 
-The helpers borrowed from :mod:`repro.experiments.scenario` are
-imported lazily inside :func:`build_contention_cluster` (and the
-experiment-layer fleet tables inside
-:class:`ContentionConfig.__post_init__`) so this package never imports
-the experiment layer at module scope (the suites import us; see the
-:mod:`repro.workloads` docstring on layering).
+The cluster itself is only an input: :func:`run_on_cluster` runs the
+merged arrivals on any built cluster, which is how the sharded runner
+(:func:`repro.shard.run_sharded_contention`) shares this whole pipeline
+with :func:`run_contention`.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ import numpy as np
 from repro.core.negotiation import negotiate, release_coalition
 from repro.metrics.utility import outcome_utility
 from repro.network.mobility import RandomWaypoint
+from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
 from repro.resources.node import Node, NodeClass
 from repro.resources.provider import QoSProvider
@@ -59,16 +58,12 @@ from repro.sessions.policy import SessionPolicy
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.arrivals import ArrivalProcess, PoissonProcess
+from repro.workloads.fleet import FLEET_MIXES, contention_fleet, requester_id
 from repro.workloads.services import SERVICE_FAMILIES, build_service
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.experiments.config import ClusterConfig
     from repro.faults.plan import FaultPlan
     from repro.faults.report import ResilienceReport
-
-def requester_id(k: int) -> str:
-    """Node id of the ``k``-th requester (``req0``, ``req1``, ...)."""
-    return f"req{k}"
 
 
 @dataclass(frozen=True)
@@ -76,14 +71,15 @@ class ContentionConfig:
     """Declarative configuration of one contention run.
 
     One frozen, ``replace``-sweepable value shared by
-    :func:`run_contention`, :class:`~repro.workloads.registry.ScenarioSpec`,
-    the experiment suites and the CLI.
+    :func:`run_contention`, the sharded runner,
+    :class:`~repro.workloads.registry.ScenarioSpec`, the experiment
+    suites and the CLI.
 
     Attributes:
         n_requesters: K, the number of competing requester devices.
         families: Service family per requester
             (:data:`~repro.workloads.services.SERVICE_FAMILIES` keys),
-            cycled when shorter than ``n_requesters``.
+            cycled when shorter than ``n_requesters``; at least one.
         arrival: Arrival process shared by every requester — each draws
             from its *own* RNG stream, so streams are independent.
             ``None`` (the default) normalizes to Poisson at one session
@@ -97,7 +93,7 @@ class ContentionConfig:
         requester_class: Device class of every requester (weak by
             default, the paper's motivating client).
         mix: Named helper-class mix
-            (:data:`repro.experiments.config.FLEET_MIXES` key).
+            (:data:`~repro.workloads.fleet.FLEET_MIXES` key).
         sessions: The streaming-session lifecycle policy; its
             ``operate`` flag selects admission-only vs streaming mode.
         faults: Optional declarative
@@ -122,9 +118,6 @@ class ContentionConfig:
     faults: Optional["FaultPlan"] = None
 
     def __post_init__(self) -> None:
-        # Lazy: keep repro.workloads importable without the experiment layer.
-        from repro.experiments.config import FLEET_MIXES
-
         if self.n_requesters < 1:
             raise ValueError(
                 f"need at least one requester, got {self.n_requesters}"
@@ -135,6 +128,8 @@ class ContentionConfig:
                 f"{self.n_requesters} requesters"
             )
         object.__setattr__(self, "families", tuple(self.families))
+        if not self.families:
+            raise ValueError("need at least one service family")
         unknown = [f for f in self.families if f not in SERVICE_FAMILIES]
         if unknown:
             raise KeyError(
@@ -281,22 +276,14 @@ class ContentionResult:
 
 
 def build_contention_cluster(
-    config: "ClusterConfig",
-    n_requesters: int,
-    registry: RngRegistry,
+    config: ContentionConfig, registry: RngRegistry
 ) -> Tuple[Topology, Dict[str, QoSProvider], List[Node]]:
-    """A static cluster with ``n_requesters`` requester nodes.
-
-    The multi-requester analogue of
-    :func:`repro.experiments.scenario.build_cluster`: requesters come
-    first (``req0`` ... ``req{K-1}``, all of the config's requester
-    class), the remaining nodes are drawn from the config's class mix,
-    and everything is placed by the registry's ``placement`` stream.
-    """
-    from repro.experiments.scenario import assemble_cluster, multi_requester_fleet
-
-    nodes = multi_requester_fleet(config, registry.stream("fleet"), n_requesters)
-    topology, providers = assemble_cluster(nodes, config, registry)
+    """The static cluster of one run: the
+    :func:`~repro.workloads.fleet.contention_fleet` under a disc radio
+    of the config's range, plus a provider per node."""
+    nodes = contention_fleet(config, registry)
+    topology = Topology(nodes, DiscRadio(range_m=config.radio_range))
+    providers = {n.node_id: QoSProvider(n) for n in nodes}
     return topology, providers, nodes
 
 
@@ -317,24 +304,30 @@ def run_contention(
     """
     if config is None:
         config = ContentionConfig()
-
-    # Lazy: keep repro.workloads importable without the experiment layer.
-    from repro.experiments.config import FLEET_MIXES, ClusterConfig
-
     registry = RngRegistry(seed)
-    cluster = ClusterConfig(
-        n_nodes=config.n_nodes,
-        requester_class=config.requester_class,
-        mix=dict(FLEET_MIXES[config.mix]),
-        area=config.area,
-        radio_range=config.radio_range,
-    )
-    topology, providers, nodes = build_contention_cluster(
-        cluster, config.n_requesters, registry
-    )
+    topology, providers, nodes = build_contention_cluster(config, registry)
+    return run_on_cluster(config, registry, topology, providers, nodes)
 
+
+def run_on_cluster(
+    config: ContentionConfig,
+    registry: RngRegistry,
+    topology: Topology,
+    providers: Dict[str, QoSProvider],
+    nodes: List[Node],
+) -> ContentionResult:
+    """Run the config's merged arrivals on an already-built cluster.
+
+    The admission-only loop or, with ``config.sessions.operate``, the
+    streaming :class:`~repro.sessions.SessionDriver`. ``topology`` is
+    anything with the :class:`~repro.network.topology.Topology`
+    interface — the sharded runner passes a
+    :class:`~repro.shard.cluster.ShardedCluster` — and ``nodes`` is the
+    fleet in fleet order. Every stream after the fleet and placement
+    draws is consumed here, so runs sharing this function consume them
+    identically.
+    """
     events, family_of = merge_arrival_events(config, registry)
-
     if config.sessions.operate:
         return _run_streaming(
             config, registry, topology, providers, nodes, events, family_of
@@ -349,11 +342,7 @@ def merge_arrival_events(
 
     Returns the time-sorted ``(t, requester, ordinal)`` events plus the
     requester → service-family map. The one home of the per-requester
-    ``arrivals:req<k>`` stream consumption, shared by
-    :func:`run_contention` and the sharded runner
-    (:func:`repro.shard.driver.run_sharded_contention`) — both paths
-    must consume the streams identically for the shard-vs-unsharded
-    bit-identity pin to hold.
+    ``arrivals:req<k>`` stream consumption.
     """
     family_of = {
         k: config.families[k % len(config.families)]
@@ -438,18 +427,11 @@ def _run_streaming(
     nodes: List[Node],
     events: List[Tuple[float, int, int]],
     family_of: Dict[int, str],
-    driver_cls: type = SessionDriver,
 ) -> ContentionResult:
     """The streaming mode: every admitted coalition's operation phase
-    runs on a shared engine, interleaved with later admissions.
-
-    ``driver_cls`` is the seam the sharded runner uses to substitute
-    :class:`repro.shard.driver.ShardedDriver` (same lifecycle, delta
-    topology maintenance) without duplicating this orchestration; the
-    RNG stream consumption below is identical for every driver class.
-    """
+    runs on a shared engine, interleaved with later admissions."""
     policy = config.sessions
-    driver = driver_cls(topology, providers, policy, engine=Engine())
+    driver = SessionDriver(topology, providers, policy, engine=Engine())
 
     # Lazy: repro.faults is only pulled in when a run might use it.
     from repro.faults.injector import make_injector

@@ -5,8 +5,8 @@ arrival intensity ``λ(t)`` (sessions per second): callable at any
 ``t >= 0``, with a known finite upper bound (:meth:`RateShape.bound`,
 the thinning ceiling) and a closed-form cumulative intensity
 ``Λ(t) = ∫₀ᵗ λ(s) ds`` (:meth:`RateShape.cumulative`, what the
-conditional-density simulation inverts and what the property tests
-compare empirical counts against).
+property tests compare empirical counts against and what rate-matched
+controls read).
 
 Shapes are plain values — no RNG state — so an
 :class:`~repro.workloads.arrivals.InhomogeneousPoissonProcess` built
@@ -58,7 +58,7 @@ class RateShape(abc.ABC):
         """The cumulative intensity ``Λ(t) = ∫₀ᵗ λ(s) ds``.
 
         Non-decreasing with ``Λ(0) = 0``; exact (closed form), so it
-        can anchor property tests and inverse-CDF simulation.
+        can anchor property tests and rate-matched controls.
         """
 
     def mean_rate(self, horizon: float) -> float:
@@ -353,33 +353,3 @@ class ScaledRate(RateShape):
 
     def __repr__(self) -> str:
         return f"{self.factor:g}*{self.shape!r}"
-
-
-def invert_cumulative(
-    shape: RateShape, target: float, horizon: float, tol: float = 1e-12
-) -> float:
-    """``Λ⁻¹(target)`` on ``[0, horizon]`` by bisection.
-
-    ``Λ`` is non-decreasing; over zero-rate plateaus the inverse is
-    set-valued and bisection converges to *a* point of the preimage,
-    which is measure-preserving for the conditional-density sampler
-    (plateaus have zero arrival probability). ``target`` must lie in
-    ``[0, Λ(horizon)]``.
-    """
-    total = shape.cumulative(horizon)
-    if not 0.0 <= target <= total:
-        raise ValueError(
-            f"target {target} outside [0, Λ(horizon)={total}]"
-        )
-    lo, hi = 0.0, float(horizon)
-    # 60 halvings take the bracket below any practical tol; the tol
-    # check just exits early for easy targets.
-    for _ in range(60):
-        if hi - lo <= tol * horizon:
-            break
-        mid = (lo + hi) / 2.0
-        if shape.cumulative(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0

@@ -1,11 +1,11 @@
-"""Declarative scenario registry: name a scenario instead of coding it.
+"""Named scenario registry: name a scenario instead of coding it.
 
-A :class:`ScenarioSpec` is a frozen, purely-declarative description of
-one contention scenario — service families, requester count, arrival
-process, cluster geometry, horizon — holding only primitive values, so
-specs print cleanly, round-trip through ``dataclasses.replace`` for
-sweeps (E15 sweeps ``n_requesters``, E16 the arrival rate), and never
-pull the experiment layer in at import time.
+A :class:`ScenarioSpec` is a name, a one-line description and the
+:class:`~repro.workloads.contention.ContentionConfig` the scenario runs.
+Suites sweep a scenario through its config
+(``get_scenario("contention-mix").config.replace(n_requesters=k)``), so
+a scenario and an ad-hoc run are the same value with the same
+validation.
 
 :data:`SCENARIOS` is the named registry the suites and the CLI
 (``python -m repro.experiments --list-scenarios``) read; new scenarios
@@ -15,15 +15,12 @@ functions.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List
 
-from repro.resources.node import NodeClass
 from repro.sessions.policy import SessionPolicy
-from repro.workloads.arrivals import ARRIVAL_FAMILIES, ArrivalProcess, make_arrival_process
+from repro.workloads.arrivals import BurstyProcess, DiurnalProcess, FlashCrowdProcess
 from repro.workloads.contention import ContentionConfig, ContentionResult, run_contention
-from repro.workloads.services import SERVICE_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -33,98 +30,19 @@ class ScenarioSpec:
     Attributes:
         name: Registry key (kebab-case).
         description: One line for ``--list-scenarios``.
-        families: Service family per requester
-            (:data:`~repro.workloads.services.SERVICE_FAMILIES` keys),
-            cycled when there are more requesters than entries.
-        n_requesters: K, the number of competing requesters.
-        arrival: Arrival-process family
-            (:data:`~repro.workloads.arrivals.ARRIVAL_FAMILIES` key).
-        arrival_params: Constructor keywords of the arrival process, as
-            a tuple of ``(name, value)`` pairs (kept hashable so specs
-            stay frozen and ``replace``-able; values are floats except
-            the ``trace`` family's ``times``, a tuple of floats).
-        horizon: Observation window (simulated seconds).
-        n_nodes: Total cluster size, requesters included.
-        area: Square deployment area side (m).
-        radio_range: Disc-radio range (m).
-        requester_class: Device class of every requester.
-        mix: Named helper-class mix
-            (:data:`repro.experiments.config.FLEET_MIXES` key).
-        sessions: Streaming-session lifecycle policy (see
-            :class:`~repro.sessions.SessionPolicy`); the default keeps
-            the scenario admission-only.
+        config: The run the scenario denotes.
     """
 
     name: str
     description: str
-    families: Tuple[str, ...]
-    n_requesters: int = 2
-    arrival: str = "poisson"
-    arrival_params: Tuple[Tuple[str, Any], ...] = (("rate", 1.0 / 40.0),)
-    horizon: float = 240.0
-    n_nodes: int = 16
-    area: float = 120.0
-    radio_range: float = 100.0
-    requester_class: NodeClass = NodeClass.PHONE
-    mix: str = "default"
-    sessions: SessionPolicy = SessionPolicy()
-
-    def __post_init__(self) -> None:
-        if not self.families:
-            raise ValueError(f"scenario {self.name!r} names no service families")
-        unknown = [f for f in self.families if f not in SERVICE_FAMILIES]
-        if unknown:
-            raise ValueError(
-                f"scenario {self.name!r}: unknown service family {unknown[0]!r}"
-            )
-        if self.arrival not in ARRIVAL_FAMILIES:
-            raise ValueError(
-                f"scenario {self.name!r}: unknown arrival family {self.arrival!r}"
-            )
-        if self.n_requesters < 1 or self.n_nodes < self.n_requesters:
-            raise ValueError(
-                f"scenario {self.name!r}: {self.n_requesters} requesters do not "
-                f"fit a {self.n_nodes}-node cluster"
-            )
-        # Lazy, like run_contention's config import: keeps the layering
-        # acyclic while still failing at construction, not mid-suite.
-        from repro.experiments.config import FLEET_MIXES
-
-        if self.mix not in FLEET_MIXES:
-            raise ValueError(
-                f"scenario {self.name!r}: unknown fleet mix {self.mix!r}"
-            )
-
-    def arrival_process(self) -> ArrivalProcess:
-        """Instantiate the spec's arrival process."""
-        return make_arrival_process(self.arrival, **dict(self.arrival_params))
-
-    def replace(self, **changes) -> "ScenarioSpec":
-        """A copy with fields changed (sweep helper)."""
-        return dataclasses.replace(self, **changes)
-
-    def contention_config(self) -> ContentionConfig:
-        """The :class:`~repro.workloads.contention.ContentionConfig`
-        this spec denotes (arrival process instantiated)."""
-        return ContentionConfig(
-            n_requesters=self.n_requesters,
-            families=self.families,
-            arrival=self.arrival_process(),
-            horizon=self.horizon,
-            n_nodes=self.n_nodes,
-            area=self.area,
-            radio_range=self.radio_range,
-            requester_class=self.requester_class,
-            mix=self.mix,
-            sessions=self.sessions,
-        )
+    config: ContentionConfig
 
     def run(self, seed: int) -> ContentionResult:
         """Run the scenario; a pure function of ``seed``."""
-        return run_contention(seed, self.contention_config())
+        return run_contention(seed, self.config)
 
     def metrics_run(self, seed: int) -> Dict[str, float]:
-        """``run(seed).metrics()`` — the suites' replication callable."""
+        """``run(seed).metrics()`` — the CLI's replication callable."""
         return self.run(seed).metrics()
 
 
@@ -164,127 +82,100 @@ def list_scenarios() -> List[ScenarioSpec]:
 # --------------------------------------------------------------------------
 
 register(ScenarioSpec(
-    name="solo-movie",
-    description="1 movie requester, Poisson arrivals — the no-contention baseline",
-    families=("movie",),
-    n_requesters=1,
-    n_nodes=12,
+    "solo-movie",
+    "1 movie requester, Poisson arrivals — the no-contention baseline",
+    ContentionConfig(n_requesters=1, families=("movie",), n_nodes=12),
 ))
 
 register(ScenarioSpec(
-    name="duet-av",
-    description="movie + conference requesters sharing a 16-node cluster",
-    families=("movie", "conference"),
-    n_requesters=2,
+    "duet-av",
+    "movie + conference requesters sharing a 16-node cluster",
+    ContentionConfig(n_requesters=2, families=("movie", "conference")),
 ))
 
-register(ScenarioSpec(
-    name="contention-mix",
-    description="movie/speech/sensor-fusion/navigation requesters on 20 nodes "
-                "(E15 sweeps its requester count)",
-    families=("movie", "speech", "sensor-fusion", "navigation"),
+#: The four-family, 20-node cluster the larger scenarios share.
+_MIX4 = ContentionConfig(
     n_requesters=4,
+    families=("movie", "speech", "sensor-fusion", "navigation"),
     n_nodes=20,
     area=130.0,
     radio_range=110.0,
     mix="contention",
+)
+
+register(ScenarioSpec(
+    "contention-mix",
+    "movie/speech/sensor-fusion/navigation requesters on 20 nodes "
+    "(E15 sweeps its requester count)",
+    _MIX4,
 ))
 
 register(ScenarioSpec(
-    name="saturation-trio",
-    description="3 mixed requesters on 14 nodes (E16 sweeps its arrival rate)",
-    families=("speech", "movie", "navigation"),
-    n_requesters=3,
-    n_nodes=14,
-))
-
-register(ScenarioSpec(
-    name="burst-octet",
-    description="8 mixed requesters with bursty synchronized arrivals on 24 nodes",
-    families=("movie", "speech", "sensor-fusion", "navigation"),
-    n_requesters=8,
-    n_nodes=24,
-    area=140.0,
-    radio_range=120.0,
-    mix="contention",
-    arrival="bursty",
-    arrival_params=(
-        ("base_rate", 1.0 / 120.0),
-        ("burst_rate", 1.0 / 12.0),
-        ("period", 80.0),
-        ("burst_fraction", 0.25),
+    "saturation-trio",
+    "3 mixed requesters on 14 nodes (E16 sweeps its arrival rate)",
+    ContentionConfig(
+        n_requesters=3, families=("speech", "movie", "navigation"), n_nodes=14
     ),
 ))
 
 register(ScenarioSpec(
-    name="new-services-trio",
-    description="the three new families (speech, sensor-fusion, navigation) "
-                "contending on 16 nodes",
-    families=("speech", "sensor-fusion", "navigation"),
-    n_requesters=3,
+    "burst-octet",
+    "8 mixed requesters with bursty synchronized arrivals on 24 nodes",
+    _MIX4.replace(
+        n_requesters=8,
+        n_nodes=24,
+        area=140.0,
+        radio_range=120.0,
+        arrival=BurstyProcess(
+            base_rate=1.0 / 120.0,
+            burst_rate=1.0 / 12.0,
+            period=80.0,
+            burst_fraction=0.25,
+        ),
+    ),
+))
+
+register(ScenarioSpec(
+    "new-services-trio",
+    "the three new families (speech, sensor-fusion, navigation) "
+    "contending on 16 nodes",
+    ContentionConfig(
+        n_requesters=3, families=("speech", "sensor-fusion", "navigation")
+    ),
 ))
 
 #: The streaming churn policy the realistic-arrival scenarios share
 #: with ``streaming-mix`` (crash hazard 1/200 s, 30 J/s upkeep drain),
 #: so E21's arrival-shape comparison changes nothing but the arrivals.
-_STREAMING_POLICY = SessionPolicy(
+_STREAMING_MIX4 = _MIX4.replace(sessions=SessionPolicy(
     operate=True,
     keepalive=5.0,
     max_renegotiations=2,
     failure_rate=1.0 / 200.0,
     drain=30.0,
-)
-
-register(ScenarioSpec(
-    name="streaming-mix",
-    description="4 mixed requesters streaming under crash + battery churn "
-                "(E20 sweeps its mobility, arrival rate and session length)",
-    families=("movie", "speech", "sensor-fusion", "navigation"),
-    n_requesters=4,
-    n_nodes=20,
-    area=130.0,
-    radio_range=110.0,
-    mix="contention",
-    sessions=_STREAMING_POLICY,
 ))
 
 register(ScenarioSpec(
-    name="diurnal-mix",
-    description="4 mixed requesters on a compressed diurnal arrival cycle, "
-                "streaming under churn (E21 sweeps shape × requester count)",
-    families=("movie", "speech", "sensor-fusion", "navigation"),
-    n_requesters=4,
-    n_nodes=20,
-    area=130.0,
-    radio_range=110.0,
-    mix="contention",
-    arrival="diurnal",
-    arrival_params=(
-        ("base_rate", 1.0 / 240.0),
-        ("peak_rate", 1.0 / 30.0),
-        ("period", 240.0),
-        ("phase", 0.0),
-    ),
-    sessions=_STREAMING_POLICY,
+    "streaming-mix",
+    "4 mixed requesters streaming under crash + battery churn "
+    "(E20 sweeps its mobility, arrival rate and session length)",
+    _STREAMING_MIX4,
 ))
 
 register(ScenarioSpec(
-    name="flash-crowd",
-    description="4 mixed requesters hit by a flash crowd (linear onset at "
-                "t=80 s, exponential decay), streaming under churn",
-    families=("movie", "speech", "sensor-fusion", "navigation"),
-    n_requesters=4,
-    n_nodes=20,
-    area=130.0,
-    radio_range=110.0,
-    mix="contention",
-    arrival="flash-crowd",
-    arrival_params=(
-        ("base_rate", 1.0 / 240.0),
-        ("peak_rate", 1.0 / 8.0),
-        ("onset", 80.0),
-        ("rise", 10.0),
-        ("decay", 30.0),
-    ),
-    sessions=_STREAMING_POLICY,
+    "diurnal-mix",
+    "4 mixed requesters on a compressed diurnal arrival cycle, "
+    "streaming under churn (E21 sweeps shape × requester count)",
+    _STREAMING_MIX4.replace(arrival=DiurnalProcess(
+        base_rate=1.0 / 240.0, peak_rate=1.0 / 30.0, period=240.0, phase=0.0
+    )),
+))
+
+register(ScenarioSpec(
+    "flash-crowd",
+    "4 mixed requesters hit by a flash crowd (linear onset at "
+    "t=80 s, exponential decay), streaming under churn",
+    _STREAMING_MIX4.replace(arrival=FlashCrowdProcess(
+        base_rate=1.0 / 240.0, peak_rate=1.0 / 8.0, onset=80.0, rise=10.0, decay=30.0
+    )),
 ))

@@ -6,7 +6,7 @@ as a pure function of the RNG state — and the inhomogeneous simulators
 additionally promise to be *exact*: over many seeds the empirical count
 must match the cumulative intensity ``Λ(horizon) = ∫λ dt``. Hypothesis
 sweeps the parameter space for the contract; fixed-seed statistical
-checks pin exactness via the bootstrap CI machinery this PR adds.
+checks pin the thinning sampler's exactness via bootstrap CIs.
 
 All hypothesis runs are derandomized so the suite stays deterministic.
 """
@@ -80,10 +80,9 @@ def test_poisson_contract(rate, horizon, seed):
     phase=st.floats(0.0, 120.0),
     horizon=st.floats(1.0, 300.0),
     seed=st.integers(0, 2**32 - 1),
-    method=st.sampled_from(["thinning", "inversion"]),
 )
-def test_diurnal_contract(base, peak_extra, period, phase, horizon, seed, method):
-    proc = DiurnalProcess(base, base + peak_extra, period, phase, method=method)
+def test_diurnal_contract(base, peak_extra, period, phase, horizon, seed):
+    proc = DiurnalProcess(base, base + peak_extra, period, phase)
     times = proc.arrivals(np.random.default_rng(seed), horizon)
     assert_contract(times, horizon)
 
@@ -97,12 +96,9 @@ def test_diurnal_contract(base, peak_extra, period, phase, horizon, seed, method
     decay=st.floats(1.0, 60.0),
     horizon=st.floats(1.0, 300.0),
     seed=st.integers(0, 2**32 - 1),
-    method=st.sampled_from(["thinning", "inversion"]),
 )
-def test_flash_crowd_contract(base, peak_extra, onset, rise, decay, horizon, seed, method):
-    proc = FlashCrowdProcess(
-        base, base + peak_extra, onset, rise, decay, method=method
-    )
+def test_flash_crowd_contract(base, peak_extra, onset, rise, decay, horizon, seed):
+    proc = FlashCrowdProcess(base, base + peak_extra, onset, rise, decay)
     times = proc.arrivals(np.random.default_rng(seed), horizon)
     assert_contract(times, horizon)
 
@@ -144,12 +140,12 @@ def test_trace_replay_contract(raw, offset, scale, horizon):
 
 
 @COMMON
-@given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(["thinning", "inversion"]))
-def test_reinstantiation_is_bit_identical(seed, method):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reinstantiation_is_bit_identical(seed):
     """Two independently constructed processes with equal parameters
     consume equal draws — arrivals depend only on the rng state."""
-    a = DiurnalProcess(0.02, 0.2, 120.0, method=method)
-    b = DiurnalProcess(0.02, 0.2, 120.0, method=method)
+    a = DiurnalProcess(0.02, 0.2, 120.0)
+    b = DiurnalProcess(0.02, 0.2, 120.0)
     assert a.arrivals(np.random.default_rng(seed), 300.0) == b.arrivals(
         np.random.default_rng(seed), 300.0
     )
@@ -165,13 +161,12 @@ EXACTNESS_SHAPES = [
 
 
 @pytest.mark.parametrize("shape", EXACTNESS_SHAPES)
-@pytest.mark.parametrize("method", ["thinning", "inversion"])
-def test_counts_match_cumulative_intensity(shape, method):
-    """Both simulators are exact: across 300 fixed seeds, the bootstrap
-    CI of the mean arrival count covers Λ(horizon) = ∫λ dt."""
+def test_counts_match_cumulative_intensity(shape):
+    """Thinning is exact: across 300 fixed seeds, the bootstrap CI of
+    the mean arrival count covers Λ(horizon) = ∫λ dt."""
     horizon = 200.0
     expected = shape.cumulative(horizon)
-    proc = InhomogeneousPoissonProcess(shape, method=method)
+    proc = InhomogeneousPoissonProcess(shape)
     counts = [
         float(len(proc.arrivals(np.random.default_rng(seed), horizon)))
         for seed in range(300)
@@ -202,21 +197,19 @@ def test_cumulative_matches_numeric_integral():
 
 def test_zero_rate_process_emits_nothing_and_consumes_nothing():
     """An everywhere-zero shape (e.g. an empty trace histogram) is a
-    valid degenerate process: no arrivals, no draws, both methods."""
+    valid degenerate process: no arrivals, no draws."""
     zero = PiecewiseConstantRate.from_trace((), bin_width=10.0, horizon=100.0)
-    for method in ("thinning", "inversion"):
-        proc = InhomogeneousPoissonProcess(zero, method=method)
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
-        assert proc.arrivals(rng, 100.0) == ()
-        assert rng.bit_generator.state == before
+    proc = InhomogeneousPoissonProcess(zero)
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    assert proc.arrivals(rng, 100.0) == ()
+    assert rng.bit_generator.state == before
 
 
-@pytest.mark.parametrize("method", ["thinning", "inversion"])
-def test_zero_rate_interval_gets_no_arrivals(method):
+def test_zero_rate_interval_gets_no_arrivals():
     """No arrival ever lands inside an interval where λ = 0."""
     shape = PiecewiseConstantRate((0.0, 40.0, 80.0, 120.0), (0.5, 0.0, 0.5))
-    proc = InhomogeneousPoissonProcess(shape, method=method)
+    proc = InhomogeneousPoissonProcess(shape)
     for seed in range(50):
         times = proc.arrivals(np.random.default_rng(seed), 120.0)
         assert_contract(times, 120.0)
@@ -238,12 +231,12 @@ def test_no_arrival_at_exactly_horizon():
 
 
 @COMMON
-@given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(["thinning", "inversion"]))
-def test_inhomogeneous_never_touches_horizon(seed, method):
-    """Sweep seeds: the strict t < horizon guard holds for both
-    simulators even at a rate spiking right at the boundary."""
+@given(seed=st.integers(0, 2**32 - 1))
+def test_inhomogeneous_never_touches_horizon(seed):
+    """Sweep seeds: the strict t < horizon guard holds even at a rate
+    spiking right at the boundary."""
     shape = FlashCrowdRate(0.05, 2.0, onset=95.0, rise=2.0, decay=10.0)
-    proc = InhomogeneousPoissonProcess(shape, method=method)
+    proc = InhomogeneousPoissonProcess(shape)
     times = proc.arrivals(np.random.default_rng(seed), 100.0)
     assert_contract(times, 100.0)
 

@@ -23,6 +23,7 @@ from repro.workloads.arrivals import (
     InhomogeneousPoissonProcess,
     TraceReplayProcess,
 )
+from repro.workloads.contention import run_contention
 from repro.workloads.rates import PiecewiseConstantRate
 from repro.workloads.registry import get_scenario
 
@@ -102,8 +103,8 @@ def test_streaming_scenarios_pure_function_of_seed():
     """diurnal-mix and flash-crowd replications re-run bit-identical —
     the per-scenario grounding under the E21 suite pin above."""
     for name in ("diurnal-mix", "flash-crowd"):
-        spec = get_scenario(name).replace(horizon=60.0)
-        first = spec.metrics_run(seed=9)
-        second = spec.metrics_run(seed=9)
+        config = get_scenario(name).config.replace(horizon=60.0)
+        first = run_contention(9, config).metrics()
+        second = run_contention(9, config).metrics()
         assert first == second, name
         assert first["offered"] >= 0.0

@@ -9,8 +9,8 @@ Four test families:
 * determinism — hazard schedules replay exactly, partitions heal
   bit-identically, the ``reliable``/zero-loss channel paths consume no
   draws (the invariant that makes an empty plan a no-op);
-* behaviour — the injector's seams (FaultyChannel, filter_proposals,
-  award_handshake, install) and the committed DEGRADED → OPERATING
+* behaviour — the injector's seams (filter_proposals, award_handshake,
+  install) and the committed DEGRADED → OPERATING
   partition-heal scenario: a session survives a healed partition in
   place, without renegotiating.
 """
@@ -27,10 +27,8 @@ from repro.faults import (
     AgentFaults,
     Brownout,
     CrashHazard,
-    DelaySpike,
     FaultInjector,
     FaultPlan,
-    FaultyChannel,
     GilbertElliott,
     Partition,
     ResilienceReport,
@@ -64,17 +62,6 @@ from repro.workloads.rates import ConstantRate
 def test_gilbert_elliott_rejects_non_probabilities(kwargs):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         GilbertElliott(**kwargs)
-
-
-def test_delay_spike_validation_and_window():
-    with pytest.raises(ValueError):
-        DelaySpike(start=-1.0, duration=5.0, extra_delay=0.1)
-    with pytest.raises(ValueError):
-        DelaySpike(start=0.0, duration=0.0, extra_delay=0.1)
-    spike = DelaySpike(start=10.0, duration=5.0, extra_delay=0.25)
-    assert not spike.active_at(9.99)
-    assert spike.active_at(10.0) and spike.active_at(14.99)
-    assert not spike.active_at(15.0)
 
 
 def test_partition_validation_and_cross_pairs():
@@ -304,36 +291,6 @@ def test_admission_only_runs_reject_non_empty_plans():
 
 
 # -- injector seams ---------------------------------------------------------
-
-
-def test_faulty_channel_drops_survivors_of_the_inner_channel():
-    class PerfectChannel:
-        propagation_delay = 0.002
-
-        def transmit(self, src, dst, size_kb):
-            return 0.01 if src != dst else 0.0
-
-    always_lose = GilbertElliott(p_gb=0.0, p_bg=1.0, loss_good=1.0)
-    injector = FaultInjector(FaultPlan(link=always_lose), RngRegistry(0))
-    channel = injector.wrap_channel(PerfectChannel(), clock=lambda: 0.0)
-    assert isinstance(channel, FaultyChannel)
-    assert channel.transmit("a", "b", 1.0) is None  # chain eats it
-    assert channel.transmit("a", "a", 1.0) == 0.0  # local delivery exempt
-    assert channel.propagation_delay == 0.002  # attribute delegation
-
-
-def test_faulty_channel_adds_spike_delay_inside_the_window():
-    class PerfectChannel:
-        def transmit(self, src, dst, size_kb):
-            return 0.01
-
-    spike = DelaySpike(start=10.0, duration=5.0, extra_delay=0.5)
-    injector = FaultInjector(FaultPlan(delay_spikes=(spike,)), RngRegistry(0))
-    now = {"t": 0.0}
-    channel = injector.wrap_channel(PerfectChannel(), clock=lambda: now["t"])
-    assert channel.transmit("a", "b", 1.0) == pytest.approx(0.01)
-    now["t"] = 12.0
-    assert channel.transmit("a", "b", 1.0) == pytest.approx(0.51)
 
 
 def test_filter_proposals_never_touches_the_requesters_own():

@@ -1,6 +1,7 @@
 """Repository hygiene: declared dependencies match the imports, every
-tracked Python file compiles with warnings as errors, and ``import repro``
-stays free of process-pool code.
+tracked Python file compiles with warnings as errors, ``import repro``
+stays free of process-pool code, and contention runs stay below the
+experiment layer.
 
 ``pyproject.toml`` is parsed by hand — Python 3.10 has no ``tomllib``.
 """
@@ -111,3 +112,22 @@ def test_import_repro_loads_no_process_pool_code():
     assert "repro" in modules
     pool = [m for m in modules if m.split(".")[0] in ("multiprocessing", "concurrent")]
     assert not pool, f"import repro loads {pool}"
+
+
+def test_contention_runs_load_no_experiment_layer():
+    """The layering ``repro.workloads`` and ``repro.shard`` promise:
+    importing ``repro`` and running a contention scenario, sharded or
+    not, loads no ``repro.experiments`` module."""
+    script = (
+        "import sys, repro\n"
+        "config = repro.ContentionConfig(n_requesters=1, horizon=60.0, n_nodes=6)\n"
+        "repro.run_contention(1, config)\n"
+        "repro.run_sharded_contention(1, config)\n"
+        "print([m for m in sys.modules if m.startswith('repro.experiments')])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=path),
+    ).stdout
+    assert out.strip() == "[]", f"contention runs load {out.strip()}"

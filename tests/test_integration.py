@@ -10,7 +10,6 @@ from repro.core.negotiation import negotiate, release_coalition
 from repro.core.operation import run_operation_phase
 from repro.experiments.config import ClusterConfig
 from repro.experiments.scenario import build_agent_system, build_cluster
-from repro.metrics.collector import collect_outcome_metrics
 from repro.metrics.utility import outcome_utility
 from repro.network.mobility import RandomWaypoint
 from repro.resources.kinds import ResourceKind

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.negotiation import negotiate
 from repro.core.proposal import Proposal
-from repro.metrics.collector import collect_outcome_metrics
 from repro.metrics.stats import confidence_interval, describe, mean_ci, summarize_rows
 from repro.metrics.utility import (
     allocation_utility,
@@ -74,22 +73,6 @@ def test_outcome_utility_counts_unallocated_as_zero(small_cluster, movie_service
     partial = outcome_utility(outcome)
     assert partial < full
     assert partial == pytest.approx(full - 0.5, abs=1e-9)
-
-
-# -- collector ----------------------------------------------------------------
-
-
-def test_collect_outcome_metrics(small_cluster, movie_service):
-    topology, providers, nodes = small_cluster
-    outcome = negotiate(movie_service, topology, providers, commit=False)
-    m = collect_outcome_metrics(outcome)
-    assert m.success
-    assert m.allocated_tasks == m.total_tasks == 2
-    assert m.allocation_rate == 1.0
-    assert 0.0 <= m.utility <= 1.0
-    d = m.as_dict()
-    assert d["success"] == 1.0
-    assert set(d) >= {"utility", "coalition_size", "message_count"}
 
 
 # -- statistics ----------------------------------------------------------------

@@ -28,10 +28,10 @@ from repro.shard import (
     fleet_tables,
     run_sharded_contention,
 )
-from repro.shard.driver import _seeded_fleet
 from repro.sim.rng import RngRegistry
 from repro.sim.sequences import reset_all_sequences
 from repro.workloads.contention import run_contention
+from repro.workloads.fleet import contention_fleet
 from repro.workloads.registry import get_scenario
 
 
@@ -99,11 +99,20 @@ class TestShardGrid:
 
 
 def _identity_configs():
-    for scenario in ("contention-mix", "streaming-mix"):
-        base = get_scenario(scenario).replace(horizon=120.0)
-        cfg = base.contention_config()
-        yield f"{scenario}-{cfg.n_nodes}n", cfg
-        yield f"{scenario}-64n", cfg.replace(n_nodes=64)
+    streaming = get_scenario("streaming-mix").config
+    # Mobility ticks reach both clusters through the same SessionDriver,
+    # via each topology's advance_mobility.
+    waypoint = streaming.replace(
+        sessions=streaming.sessions.replace(mobility="waypoint", mobility_speed=4.0)
+    )
+    for label, base in (
+        ("contention-mix", get_scenario("contention-mix").config),
+        ("streaming-mix", streaming),
+        ("streaming-mix-waypoint", waypoint),
+    ):
+        cfg = base.replace(horizon=120.0)
+        yield f"{label}-{cfg.n_nodes}n", cfg
+        yield f"{label}-64n", cfg.replace(n_nodes=64)
 
 
 @pytest.mark.parametrize(
@@ -113,7 +122,8 @@ def test_sharded_bit_identical_to_unsharded(label, config):
     """ShardGrid.auto is 1 x 1 at these scales, and the sharded runner
     consumes the RNG streams exactly like the unsharded one — so the
     session lists and metric dicts must match bit for bit, in both
-    admission-only (contention-mix) and streaming (streaming-mix) mode."""
+    admission-only (contention-mix) and streaming (streaming-mix) mode,
+    static or under waypoint mobility."""
     assert ShardGrid.auto(config.area, config.radio_range, config.n_nodes).n_shards == 1
     for seed in (1, 2, 3):
         reset_all_sequences()
@@ -127,7 +137,7 @@ def test_sharded_bit_identical_to_unsharded(label, config):
 def test_sharded_run_with_tables_bit_identical():
     """Precomputed fleet tables change who derives the fleet, never the
     result."""
-    config = get_scenario("streaming-mix").replace(horizon=120.0).contention_config()
+    config = get_scenario("streaming-mix").config.replace(horizon=120.0)
     reset_all_sequences()
     live = run_sharded_contention(5, config)
     reset_all_sequences()
@@ -392,18 +402,18 @@ class TestCacheCaps:
 
 class TestFleetTables:
     def test_tables_reproduce_the_live_fleet(self):
-        config = get_scenario("contention-mix").contention_config()
+        config = get_scenario("contention-mix").config
         tables = fleet_tables(9, config)
         rebuilt = fleet_from_tables(
             config, tables["classes"], tables["positions"]
         )
-        live = _seeded_fleet(RngRegistry(9), config)
+        live = contention_fleet(config, RngRegistry(9))
         assert [n.node_id for n in rebuilt] == [n.node_id for n in live]
         assert [n.node_class for n in rebuilt] == [n.node_class for n in live]
         assert [n.position for n in rebuilt] == [n.position for n in live]
 
     def test_shape_mismatch_rejected(self):
-        config = get_scenario("contention-mix").contention_config()
+        config = get_scenario("contention-mix").config
         tables = fleet_tables(9, config)
         with pytest.raises(ValueError):
             fleet_from_tables(
@@ -418,14 +428,15 @@ class TestFleetTables:
 
 
 def test_multi_shard_run_partitions_and_serves():
-    config = get_scenario("contention-mix").replace(horizon=120.0).contention_config()
-    config = config.replace(n_nodes=64, area=480.0, radio_range=100.0)
+    config = get_scenario("contention-mix").config.replace(
+        horizon=120.0, n_nodes=64, area=480.0, radio_range=100.0
+    )
     grid = ShardGrid(width=480.0, height=480.0, gx=2, gy=2)
     reset_all_sequences()
     result = run_sharded_contention(2, config, grid=grid)
     assert result.offered() > 0
     # And the cluster itself spreads the fleet over several shards.
-    nodes = _seeded_fleet(RngRegistry(2), config)
+    nodes = contention_fleet(config, RngRegistry(2))
     cluster = ShardedCluster(nodes, DiscRadio(range_m=100.0), grid)
     occupied = {cluster.home_shard(n.node_id) for n in nodes}
     assert len(occupied) > 1

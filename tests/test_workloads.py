@@ -3,6 +3,8 @@ the E15–E17 suites built on it."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,6 @@ from repro.workloads import (
     register,
     run_contention,
 )
-from repro.workloads.arrivals import make_arrival_process
 from repro.workloads.registry import SCENARIOS
 from repro.workloads.services import (
     NEW_SERVICE_FAMILIES,
@@ -115,22 +116,15 @@ def test_arrival_validation():
         PoissonProcess(rate=1.0).arrivals(np.random.default_rng(0), 0.0)
 
 
-def test_make_arrival_process():
-    process = make_arrival_process("poisson", rate=0.1)
-    assert isinstance(process, PoissonProcess)
-    with pytest.raises(KeyError, match="unknown arrival family"):
-        make_arrival_process("fractal")
-
-
 # -- contention runs --------------------------------------------------------
 
 
 def test_contention_is_pure_function_of_seed():
-    spec = get_scenario("duet-av").replace(horizon=120.0)
-    a, b = spec.run(11), spec.run(11)
+    config = get_scenario("duet-av").config.replace(horizon=120.0)
+    a, b = run_contention(11, config), run_contention(11, config)
     assert a.sessions == b.sessions
     assert a.metrics() == b.metrics()
-    assert a.metrics() != spec.run(12).metrics()
+    assert a.metrics() != run_contention(12, config).metrics()
 
 
 def test_contention_requesters_and_families_cycle():
@@ -184,6 +178,15 @@ def test_contention_validation():
         ContentionConfig(mix="all-mainframes")
 
 
+def test_contention_requires_a_service_family():
+    """An empty family tuple is refused at construction instead of
+    dividing by zero when the run cycles requesters through it."""
+    with pytest.raises(ValueError, match="at least one service family"):
+        ContentionConfig(families=())
+    with pytest.raises(ValueError, match="at least one service family"):
+        ContentionConfig().replace(families=[])
+
+
 def test_fairness_bounds():
     result = run_contention(4, ContentionConfig(n_requesters=2, horizon=120.0))
     k = result.n_requesters
@@ -196,7 +199,7 @@ def test_fairness_bounds():
 def test_builtin_scenarios_are_registered():
     names = [spec.name for spec in list_scenarios()]
     assert "contention-mix" in names and "saturation-trio" in names
-    assert get_scenario("contention-mix").n_requesters == 4
+    assert get_scenario("contention-mix").config.n_requesters == 4
 
 
 def test_get_scenario_unknown():
@@ -213,16 +216,13 @@ def test_register_rejects_duplicates():
 def test_register_and_run_custom_scenario():
     name = "test-custom-duo"
     SCENARIOS.pop(name, None)
-    spec = register(ScenarioSpec(
-        name=name,
-        description="test-only scenario",
-        families=("surveillance",),
+    spec = register(ScenarioSpec(name, "test-only scenario", ContentionConfig(
         n_requesters=2,
-        n_nodes=8,
+        families=("surveillance",),
+        arrival=FixedIntervalProcess(interval=45.0),
         horizon=90.0,
-        arrival="fixed",
-        arrival_params=(("interval", 45.0),),
-    ))
+        n_nodes=8,
+    )))
     try:
         result = spec.run(3)
         assert result.offered() == 2 * 2  # two fixed arrivals per requester
@@ -231,25 +231,43 @@ def test_register_and_run_custom_scenario():
 
 
 def test_scenario_spec_validation():
-    with pytest.raises(ValueError, match="unknown service family"):
-        ScenarioSpec(name="x", description="", families=("warp-drive",))
-    with pytest.raises(ValueError, match="unknown arrival family"):
-        ScenarioSpec(name="x", description="", families=("movie",),
-                     arrival="sporadic")
-    with pytest.raises(ValueError, match="do not fit"):
-        ScenarioSpec(name="x", description="", families=("movie",),
-                     n_requesters=20, n_nodes=10)
-    with pytest.raises(ValueError, match="unknown fleet mix"):
-        ScenarioSpec(name="x", description="", families=("movie",),
-                     mix="contnetion")
+    """A spec is validated by its ContentionConfig, so specs raise the
+    config's errors."""
+    with pytest.raises(KeyError, match="unknown service family"):
+        ScenarioSpec("x", "", ContentionConfig(families=("warp-drive",)))
+    with pytest.raises(ValueError, match="cannot host"):
+        ScenarioSpec("x", "", ContentionConfig(n_requesters=20, n_nodes=10))
+    with pytest.raises(KeyError, match="unknown fleet mix"):
+        ScenarioSpec("x", "", ContentionConfig(mix="contnetion"))
+    assert [f.name for f in dataclasses.fields(ScenarioSpec)] == [
+        "name", "description", "config",
+    ]
 
 
 def test_scenario_replace_sweeps_fields():
-    base = get_scenario("saturation-trio")
-    swept = base.replace(arrival_params=(("rate", 0.5),), n_requesters=1)
-    assert swept.arrival_process().rate == 0.5
+    base = get_scenario("saturation-trio").config
+    swept = base.replace(arrival=PoissonProcess(rate=0.5), n_requesters=1)
+    assert swept.arrival.rate == 0.5
     assert swept.n_requesters == 1
-    assert base.arrival_process().rate != 0.5  # original untouched
+    assert base.arrival.rate != 0.5  # original untouched
+
+
+SCENARIO_METRIC_KEYS = {
+    "offered", "success_rate", "utility", "fairness", "mean_concurrent",
+    "peak_concurrent", "mean_coalition_size", "sustained_utility",
+    "renegotiation_rate", "drop_rate",
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_every_registered_scenario_runs(name):
+    """Each built-in scenario runs for one seed at a 120 s horizon and
+    reports the fixed metric row with offered sessions."""
+    config = get_scenario(name).config.replace(horizon=120.0)
+    metrics = run_contention(1, config).metrics()
+    assert set(metrics) == SCENARIO_METRIC_KEYS
+    assert metrics["offered"] > 0
+    assert 0.0 <= metrics["success_rate"] <= 1.0
 
 
 # -- E15–E17 wiring ---------------------------------------------------------
