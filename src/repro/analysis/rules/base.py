@@ -232,15 +232,13 @@ def body_nodes(scope: ast.AST) -> Iterator[ast.AST]:
 
 @dataclass
 class RuleConfig:
-    """Knobs shared by the package-scoped rules (injected by tests)."""
+    """Knobs of the package-scoped rules: R2's wall-clock allowlist and
+    R6's guarded arena attributes."""
 
-    sim_packages: Tuple[str, ...] = (
-        "repro.sim",
-        "repro.core",
-        "repro.sessions",
-        "repro.shard",
+    wall_clock_allowlist: Tuple[str, ...] = (
+        "repro.experiments.parallel",
+        "repro.experiments.store",
     )
-    wall_clock_allowlist: Tuple[str, ...] = ("repro.experiments",)
     guarded_attributes: Tuple[str, ...] = field(
         default=("positions", "_adj", "_bw", "_loss", "_dist")
     )

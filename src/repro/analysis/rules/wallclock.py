@@ -1,12 +1,14 @@
 """R2 — wall-clock-in-sim: simulated time must come from the engine.
 
-``repro.sim.engine.Engine.now`` is the only clock the simulation
-packages may read: a ``time.time()``/``perf_counter()`` or
-``datetime.now()`` call inside ``repro.sim``/``repro.core``/
-``repro.sessions``/``repro.shard`` couples results to the host's
-scheduler, making serial != parallel and run != re-run. The experiment
-harness (``repro.experiments``) legitimately measures wall time for its
-timing columns, so that package is allowlisted.
+``repro.sim.engine.Engine.now`` is the only clock a ``repro`` module
+may read: a ``time.time()``/``perf_counter()`` or ``datetime.now()``
+call anywhere in the package — model, workloads or experiment suites —
+can reach a result table, coupling it to the host's scheduler and
+making serial != parallel and run != re-run. Two modules legitimately
+read the host clock *about* a run, never inside it, and are
+allowlisted: ``repro.experiments.parallel`` (each work unit's start and
+completion time) and ``repro.experiments.store`` (the bench report's
+timestamp). Files outside the package (tools, tests) are not checked.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class WallClockRule(Rule):
     id = "R2"
     name = "wall-clock-in-sim"
     rationale = (
-        "host-clock reads inside the simulation packages couple results "
+        "host-clock reads inside the repro package couple results "
         "to scheduler timing; simulated time is Engine.now only"
     )
 
@@ -54,7 +56,7 @@ class WallClockRule(Rule):
         self.config = config or RuleConfig()
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not in_packages(module.module, self.config.sim_packages):
+        if not in_packages(module.module, ("repro",)):
             return
         if in_packages(module.module, self.config.wall_clock_allowlist):
             return
@@ -66,8 +68,8 @@ class WallClockRule(Rule):
                 yield module.finding(
                     self,
                     node,
-                    f"{dotted}() reads the host clock inside simulation "
-                    f"package {module.module}; use the engine's simulated "
-                    "time (Engine.now) or move the measurement to "
-                    "repro.experiments",
+                    f"{dotted}() reads the host clock in {module.module}; "
+                    "use the engine's simulated time (Engine.now), or "
+                    "time runs from outside (the executor's unit times, "
+                    "benchmarks/perf)",
                 )

@@ -29,8 +29,8 @@ CFP: with an audience of 64 nodes, each quality level's reward and best
 degradation are computed once, not 64 times. Identical arithmetic is
 reused, never recomputed differently, so outcomes stay bit-identical
 (asserted in ``tests/test_batch_evaluation.py``). The degrade loop is
-the negotiation hot path: every provider runs it for every CFP (see
-``tools/profile_negotiation.py``).
+the negotiation hot path: every provider runs it for every CFP (see the
+``core.formulate`` span of ``benchmarks/perf/run.py --trace 1``).
 """
 
 from __future__ import annotations

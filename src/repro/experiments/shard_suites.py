@@ -10,23 +10,16 @@ Each sweep point is one cluster size. The cluster is partitioned by
 4 × 4 at 4096 under the default occupancy target), negotiation stays
 shard-local on the per-shard vectorized arenas, mobility ticks take the
 delta-rebuild path, and crash churn rebuilds only the victim's shard.
-Each replication derives its fleet tables (per-node class + placed
-position, a pure function of the seed) before its timer starts, so the
-wall column times the simulation alone.
-
-Every metric column except the last is a pure function of the seed —
-the bit-identical parallel==serial guarantee holds for them and CI
-gates them exactly. The final **sessions/s (wall)** column is
-wall-clock throughput (offered sessions over the replication's
-measured runtime) and is inherently machine-dependent: it is reported,
-trended, and *exempted* from the exact gates via ``tools/bench_diff.py
---wall-columns`` (columns named "(wall)" are excluded from the noise
-bands, like the suite's wall time).
+Every metric column is a pure function of the seed, so the table is
+bit-identical under any ``--jobs`` and CI gates it exactly. Wall-clock
+throughput is measured outside the table: the suite report's
+``wall_time_s``, the per-unit times ``benchmarks/test_e22_shard.py``
+checks across sizes, and ``benchmarks/perf``'s ``e22-shard-512``
+workload.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict
 
 import numpy as np
@@ -35,7 +28,7 @@ from repro.experiments.config import SweepConfig
 from repro.experiments.plan import SuitePlan, SweepPoint
 from repro.experiments.reporting import Table
 from repro.sessions.policy import SessionPolicy
-from repro.shard import ShardGrid, fleet_tables, run_sharded_contention
+from repro.shard import ShardGrid, run_sharded_contention
 from repro.workloads.contention import ContentionConfig
 
 
@@ -68,13 +61,13 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     Success rate and sustained utility should hold roughly flat across
     sizes — the workload scales with the cluster (K = n/128 requesters,
     constant node density), and negotiation is shard-local, so bigger
-    clusters mean *more* neighborhoods, not denser ones. The throughput
-    column is the headline: sessions per wall-clock second must stay
-    within the same order of magnitude from 512 to 4096 nodes, which is
-    exactly what per-shard arenas + delta mobility rebuilds buy (a
-    global-arena run would fall off the O(n²)-per-tick cliff; the ≥5×
-    delta-rebuild gate is asserted directly by
-    ``benchmarks/test_e22_shard.py``).
+    clusters mean *more* neighborhoods, not denser ones. Sessions per
+    wall-clock second must stay within the same order of magnitude from
+    512 to 4096 nodes, which is exactly what per-shard arenas + delta
+    mobility rebuilds buy (a global-arena run would fall off the
+    O(n²)-per-tick cliff). ``benchmarks/test_e22_shard.py`` asserts that
+    from the executor's per-unit times, and the ≥5× delta-rebuild gate
+    directly.
     """
     sizes = (512, 1024) if sweep.quick else (512, 1024, 2048, 4096)
     horizon = 120.0 if sweep.quick else 240.0
@@ -82,17 +75,13 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
         "E22 — sharded cluster simulation at scale "
         "(streaming contention, constant density)",
         ["nodes × shards", "offered sessions", "success rate",
-         "sustained utility", "drop rate", "sessions/s (wall)"],
+         "sustained utility", "drop rate"],
         caption="Spatially sharded clusters (ShardGrid.auto, ~256 nodes "
                 "per cell target), K = n/128 requesters with Poisson "
                 "arrivals, streaming sessions under crash churn "
                 "(hazard 1/200 s), 30 J/s drain and random-waypoint "
                 "mobility on the per-shard delta-rebuild path. Area "
-                "grows with sqrt(nodes) so density stays constant. "
-                "sessions/s (wall) is "
-                "wall-clock throughput — machine-dependent by nature, "
-                "reported but exempt from the exact CI gates "
-                "(bench_diff --wall-columns).",
+                "grows with sqrt(nodes) so density stays constant.",
     )
     points = []
     for n_nodes in sizes:
@@ -100,19 +89,11 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
         grid = ShardGrid.auto(config.area, config.radio_range, config.n_nodes)
 
         def run(seed: int, config=config) -> Dict[str, float]:
-            tables = fleet_tables(seed, config)
-            start = time.perf_counter()
-            result = run_sharded_contention(seed, config, tables=tables)
-            wall = time.perf_counter() - start
-            metrics = result.metrics()
-            metrics["sessions_per_sec_wall"] = (
-                metrics["offered"] / wall if wall > 0 else 0.0
-            )
-            return metrics
+            return run_sharded_contention(seed, config).metrics()
 
         points.append(SweepPoint(
             label=f"{n_nodes}n-{grid.n_shards}sh", run=run,
             keys=("offered", "success_rate", "sustained_utility",
-                  "drop_rate", "sessions_per_sec_wall"),
+                  "drop_rate"),
         ))
     return SuitePlan("E22", table, points)

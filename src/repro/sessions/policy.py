@@ -113,5 +113,5 @@ class SessionPolicy:
 
     def replace(self, **changes) -> "SessionPolicy":
         """A copy with fields changed (sweep helper, like
-        :meth:`~repro.workloads.registry.ScenarioSpec.replace`)."""
+        :meth:`~repro.workloads.contention.ContentionConfig.replace`)."""
         return dataclasses.replace(self, **changes)

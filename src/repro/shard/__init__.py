@@ -10,8 +10,9 @@ partitions the numpy topology arena into a sharded simulator:
   duck-typed ``Topology`` facade, with gateway election and
   cross-shard routing (a 1 × 1 :class:`ShardGrid` is one shard, the
   unsharded semantics);
-* :mod:`repro.shard.driver` — :func:`fleet_tables` and
-  :func:`run_sharded_contention`, which runs
+* :mod:`repro.shard.driver` — :func:`fleet_tables` (the seed's fleet
+  as arrays, which the perf benchmark builds outside its timed runs)
+  and :func:`run_sharded_contention`, which runs
   :func:`repro.workloads.run_contention`'s own pipeline (arrival merge,
   admission loop, :class:`~repro.sessions.SessionDriver`) on a
   :class:`ShardedCluster` — bit-identical to it on a single shard.

@@ -13,9 +13,10 @@ and re-homes nodes that crossed a cell boundary, and a crash's
 ``rebuild()`` touches only the victim's shard.
 
 The fleet can alternatively come from precomputed tables
-(:func:`fleet_tables`, which E22 derives before it starts its wall-clock
-timer): the tables are a pure function of the same ``fleet`` and
-``placement`` streams, so either source yields the same cluster.
+(:func:`fleet_tables`, which the perf benchmark's ``e22-shard-512``
+workload builds in set-up so its timed runs exclude the fleet draws):
+the tables are a pure function of the same ``fleet`` and ``placement``
+streams, so either source yields the same cluster.
 """
 
 from __future__ import annotations

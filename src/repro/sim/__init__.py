@@ -1,8 +1,8 @@
 """Discrete-event simulation kernel.
 
 This subpackage is the substrate everything else runs on: a deterministic,
-seedable discrete-event engine with coroutine-style processes, named RNG
-streams, structured tracing, and time-series monitors.
+seedable discrete-event engine of scheduled callbacks, named RNG streams,
+structured tracing, and the rewindable id sequences replications reset.
 
 The kernel is deliberately small and dependency-free. Determinism is a hard
 requirement for a reproduction: two runs with the same seed must produce
@@ -24,23 +24,15 @@ Quick example::
 
 from repro.sim.engine import Engine
 from repro.sim.events import Event, EventHandle, Priority
-from repro.sim.process import Process, Timeout, Waiter, sleep
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecord, Tracer
-from repro.sim.monitor import Monitor, TimeSeries
 
 __all__ = [
     "Engine",
     "Event",
     "EventHandle",
     "Priority",
-    "Process",
-    "Timeout",
-    "Waiter",
-    "sleep",
     "RngRegistry",
     "TraceRecord",
     "Tracer",
-    "Monitor",
-    "TimeSeries",
 ]

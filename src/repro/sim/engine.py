@@ -168,7 +168,7 @@ class Engine:
         """Number of queued, non-cancelled events.
 
         O(1): a live counter maintained on push, cancel and pop, so
-        monitors polling this on every sample stay cheap on long runs
+        callers polling this on every tick stay cheap on long runs
         (the old implementation scanned the whole heap each call).
         """
         return self._pending

@@ -18,14 +18,14 @@ class Priority(enum.IntEnum):
     """Firing order among events scheduled at the same simulated time.
 
     Lower numeric value fires first. The defaults are chosen so that
-    network deliveries are visible to processes woken at the same instant.
+    network deliveries are visible to callbacks firing at the same instant.
     """
 
     DELIVERY = 0
     """Message deliveries / external stimuli."""
 
     NORMAL = 1
-    """Ordinary callbacks and process wakeups."""
+    """Ordinary callbacks."""
 
     TIMER = 2
     """Timeouts and watchdogs: fire after same-time deliveries."""

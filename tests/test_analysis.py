@@ -22,7 +22,6 @@ from repro.analysis import (
     AnalysisEngine,
     Baseline,
     ModuleContext,
-    RuleConfig,
     default_rules,
     fingerprint,
     render_json,
@@ -96,16 +95,19 @@ def test_r1_counts_each_unseeded_draw():
 
 
 def test_r2_is_package_scoped():
+    """R2 covers every ``repro`` module, suites included; only the
+    executor's unit timing and the report timestamp may read the host
+    clock, and files outside the package are not checked."""
     rule = WallClockRule()
-    # Outside the simulation packages the same source is not flagged …
-    assert run_rule(rule, "r2_violation", None) == []
-    assert run_rule(rule, "r2_violation", "repro.workloads.x") == []
-    # … and the experiments allowlist wins over a sim-package prefix.
-    config = RuleConfig(
-        sim_packages=("repro.experiments",),
-        wall_clock_allowlist=("repro.experiments",),
-    )
-    assert run_rule(WallClockRule(config), "r2_violation", "repro.experiments.store") == []
+    for module in (
+        "repro.workloads.x",
+        "repro.faults.x",
+        "repro.network.x",
+        "repro.experiments.suites",
+    ):
+        assert run_rule(rule, "r2_violation", module), module
+    for module in ("repro.experiments.parallel", "repro.experiments.store", None):
+        assert run_rule(rule, "r2_violation", module) == [], module
 
 
 def test_r3_flags_keys_and_sets_distinctly():

@@ -78,42 +78,6 @@ def test_wall_time_reported_not_gated_by_default(tmp_path, capsys):
     assert bench_diff.main([str(old), str(new), "--wall-rtol", "0.5"]) == 1
 
 
-def write_bench_wall_col(root: Path, throughput: float) -> Path:
-    """A one-point report with one exact metric and one wall-clock
-    throughput column (named like E22's ``sessions/s (wall)``)."""
-    table = Table("t", ["point", "m1", "sessions/s (wall)"])
-    table.add_row("p0", describe([1.0, 2.0, 3.0]),
-                  describe([throughput] * 3))
-    record = new_run_record("EX", table, SweepConfig(seeds=(1, 2, 3)), 1.0)
-    return ResultsStore(root).write_bench(record)
-
-
-def test_wall_columns_reported_not_gated(tmp_path, capsys):
-    """Columns matching --wall-columns (default: named '(wall)') are
-    machine-dependent throughput: drift is shown but never a
-    regression, under both bands."""
-    old = write_bench_wall_col(tmp_path / "a", throughput=20.0)
-    new = write_bench_wall_col(tmp_path / "b", throughput=5.0)
-    for band in ("rtol", "bootstrap"):
-        assert bench_diff.main(
-            [str(old), str(new), "--band", band, "--rtol", "0"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "wall column, not gated" in out
-    # The exemption is opt-out: an empty regex gates every column.
-    assert bench_diff.main(
-        [str(old), str(new), "--rtol", "0", "--wall-columns", ""]
-    ) == 1
-
-
-def test_wall_columns_bad_regex_exits_2(tmp_path, capsys):
-    old = write_bench(tmp_path / "a")
-    assert bench_diff.main(
-        [str(old), str(old), "--wall-columns", "(unclosed"]
-    ) == 2
-    assert "invalid --wall-columns regex" in capsys.readouterr().err
-
-
 def test_summary_vs_raw_cell_mismatch_exits_2(tmp_path, capsys):
     """A cell that is a summary in one report but raw in the other is
     'not comparable', not a crash or a silent skip."""

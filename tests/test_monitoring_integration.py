@@ -1,4 +1,4 @@
-"""Integration tests: monitors over live negotiations, group mobility."""
+"""Integration tests: state sampled over live negotiations, group mobility."""
 
 from __future__ import annotations
 
@@ -11,13 +11,27 @@ from repro.network.geometry import distance
 from repro.resources.kinds import ResourceKind
 from repro.resources.node import Node, NodeClass
 from repro.services import workload
-from repro.sim.monitor import Monitor
+from repro.sim.events import Priority
 from repro.sim.rng import RngRegistry
 
 
+def sample_every(engine, probe, period):
+    """Read ``probe()`` now and every ``period`` simulated seconds after,
+    at MONITOR priority (after same-instant events settle); returns the
+    list the readings append to."""
+    readings = []
+
+    def tick(now):
+        readings.append(probe())
+        engine.schedule(period, tick, priority=Priority.MONITOR)
+
+    engine.schedule(0.0, tick, priority=Priority.MONITOR)
+    return readings
+
+
 def test_monitor_tracks_reservation_utilization():
-    """A Monitor sampling a helper's utilization sees the award land and
-    (after lease expiry without renewal) drain back to zero."""
+    """Sampling a helper's utilization sees it idle before the CFP, the
+    award land, and the reservation still held two seconds later."""
     from repro.network.mobility import StaticPlacement
 
     nodes = [Node("me", NodeClass.PHONE), Node("lap", NodeClass.LAPTOP)]
@@ -27,19 +41,14 @@ def test_monitor_tracks_reservation_utilization():
     )
     system = AgentSystem(nodes, seed=3, mobility=placement, reliable_channel=True)
     lap_manager = system.nodes["lap"].manager
-    monitor = Monitor(
-        system.engine, lambda: lap_manager.utilization(), period=0.5,
-        name="lap-util",
-    )
+    utilization = sample_every(system.engine, lap_manager.utilization, 0.5)
     service = workload.movie_playback_service(requester="me")
     outcome = system.negotiate(service)
     assert outcome is not None and outcome.success
     system.engine.run(until=system.engine.now + 2.0)
-    monitor.stop()
-    series = monitor.series
-    assert series.values[0] == 0.0          # idle before the CFP
-    assert series.max() > 0.0               # the award reserved resources
-    assert series.last() > 0.0              # still held (lease not expired)
+    assert utilization[0] == 0.0            # idle before the CFP
+    assert max(utilization) > 0.0           # the award reserved resources
+    assert utilization[-1] > 0.0            # still held (lease not expired)
 
 
 def test_group_mobility_agent_system_end_to_end():
@@ -82,13 +91,11 @@ def test_energy_drain_visible_in_monitor():
     )
     system = AgentSystem(nodes, seed=4, mobility=placement, reliable_channel=True)
     lap = system.nodes["lap"]
-    monitor = Monitor(system.engine, lambda: lap.battery_fraction, period=0.5)
+    values = sample_every(system.engine, lambda: lap.battery_fraction, 0.5)
     for i in range(3):
         service = workload.movie_playback_service(requester="me", name=f"e{i}")
         outcome = system.negotiate(service)
         assert outcome is not None
         release_coalition(outcome.coalition, system.providers, system.engine.now)
-    monitor.stop()
-    values = list(monitor.series.values)
     assert values[-1] < values[0]
     assert all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))

@@ -1,11 +1,7 @@
-"""Unit tests for RNG streams, tracing, and time-series monitors."""
+"""Unit tests for RNG streams and tracing."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim.engine import Engine
-from repro.sim.monitor import Monitor, TimeSeries
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.trace import Tracer
 
@@ -101,102 +97,3 @@ def test_trace_record_str():
     tracer.emit(1.5, "net", "sent", mid=7)
     text = str(tracer.records[0])
     assert "net/sent" in text and "mid=7" in text
-
-
-# -- TimeSeries --------------------------------------------------------------
-
-
-def test_timeseries_append_and_last():
-    ts = TimeSeries("load")
-    ts.append(0.0, 1.0)
-    ts.append(1.0, 3.0)
-    assert ts.last() == 3.0
-    assert len(ts) == 2
-
-
-def test_timeseries_rejects_non_monotonic():
-    ts = TimeSeries()
-    ts.append(1.0, 1.0)
-    with pytest.raises(ValueError):
-        ts.append(0.5, 2.0)
-
-
-def test_timeseries_value_at_step_semantics():
-    ts = TimeSeries()
-    ts.append(0.0, 10.0)
-    ts.append(5.0, 20.0)
-    assert ts.value_at(0.0) == 10.0
-    assert ts.value_at(4.999) == 10.0
-    assert ts.value_at(5.0) == 20.0
-    assert ts.value_at(100.0) == 20.0
-    with pytest.raises(ValueError):
-        ts.value_at(-1.0)
-
-
-def test_timeseries_time_average():
-    ts = TimeSeries()
-    ts.append(0.0, 0.0)
-    ts.append(10.0, 10.0)
-    # 0 held for 10 s, then 10 at the instant `until`.
-    assert ts.time_average(until=10.0) == pytest.approx(0.0)
-    assert ts.time_average(until=20.0) == pytest.approx(5.0)
-
-
-def test_timeseries_single_sample_average():
-    ts = TimeSeries()
-    ts.append(2.0, 7.0)
-    assert ts.time_average() == 7.0
-    assert ts.time_average(until=100.0) == 7.0
-
-
-def test_timeseries_empty_raises():
-    ts = TimeSeries()
-    with pytest.raises(ValueError):
-        ts.last()
-    with pytest.raises(ValueError):
-        ts.time_average()
-
-
-def test_timeseries_min_max():
-    ts = TimeSeries()
-    for t, v in [(0, 3.0), (1, -1.0), (2, 9.0)]:
-        ts.append(float(t), v)
-    assert ts.min() == -1.0
-    assert ts.max() == 9.0
-
-
-# -- Monitor ----------------------------------------------------------------
-
-
-def test_monitor_samples_periodically():
-    eng = Engine()
-    counter = {"v": 0}
-
-    def bump(now):
-        counter["v"] += 1
-        if now < 10:
-            eng.schedule(1.0, bump)
-
-    eng.schedule(1.0, bump)
-    mon = Monitor(eng, lambda: float(counter["v"]), period=2.0, name="v")
-    eng.run(until=6.0)
-    # Samples at t=0,2,4,6.
-    assert list(mon.series.times) == [0.0, 2.0, 4.0, 6.0]
-    # Monitor priority samples after same-time normal events settle.
-    assert mon.series.values[-1] == 6.0
-
-
-def test_monitor_stop():
-    eng = Engine()
-    mon = Monitor(eng, lambda: 1.0, period=1.0)
-    eng.run(until=2.0)
-    n = len(mon.series)
-    mon.stop()
-    eng.run(until=10.0)
-    assert len(mon.series) == n
-
-
-def test_monitor_rejects_bad_period():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        Monitor(eng, lambda: 0.0, period=0.0)

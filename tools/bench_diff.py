@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-r"""Diff two ``BENCH_<suite>.json`` reports (perf-trajectory CI gate).
+"""Diff two ``BENCH_<suite>.json`` reports (perf-trajectory CI gate).
 
 Compares an *old* (baseline) and a *new* bench report of the same suite
 and reports, per ``(sweep point, metric)`` cell, how far the new mean
@@ -36,13 +36,6 @@ Wall time is *reported* always but only *gated* when ``--wall-rtol`` is
 given (CI runners are too noisy to gate by default): a regression is
 ``new.wall > old.wall * (1 + wall_rtol)``.
 
-Some suites additionally carry wall-clock *metric columns* (e.g. E22's
-``sessions/s (wall)``) — machine-dependent by construction, like the
-suite wall time. Columns whose name matches ``--wall-columns`` (a
-regex, default ``\(wall\)``) are reported with their drift but **never
-gated**, under either band; pass ``--wall-columns ''`` to disable the
-exemption.
-
 Exit codes: 0 = comparable and within tolerance; 1 = at least one
 regression; 2 = the reports are not comparable (different suite, seeds,
 sweep points, or columns) or the invocation is bad.
@@ -52,19 +45,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Pattern, Tuple
-
-#: Metric columns matching this regex hold wall-clock-derived values
-#: (machine-dependent): reported, never gated. CLI: ``--wall-columns``.
-WALL_COLUMNS_DEFAULT = r"\(wall\)"
-
-
-def _is_wall_column(column: str, wall_columns: Optional[Pattern[str]]) -> bool:
-    return wall_columns is not None and bool(wall_columns.search(column))
-
+from typing import Any, Dict, List, Optional, Tuple
 
 def load_report(path: Path) -> Dict[str, Any]:
     """Load one bench report, exiting with code 2 on malformed input."""
@@ -150,7 +133,6 @@ def diff_metrics(
     new: Dict[str, Any],
     rtol: float,
     ci_slack: bool,
-    wall_columns: Optional[Pattern[str]] = None,
 ) -> Tuple[List[str], List[str]]:
     """(drift report lines, regression lines) under the rtol band."""
     old_cells = summary_cells(old)
@@ -163,12 +145,6 @@ def diff_metrics(
         if drift == 0.0:
             continue
         point, column = key
-        if _is_wall_column(column, wall_columns):
-            lines.append(
-                f"  [{point}] {column}: {a['mean']:.6g} -> {b['mean']:.6g} "
-                f"(drift {drift:.3g}; wall column, not gated)"
-            )
-            continue
         allowed = rtol * abs(a["mean"])
         if ci_slack:
             allowed += a["ci_half_width"] + b["ci_half_width"]
@@ -190,7 +166,6 @@ def diff_metrics_bootstrap(
     alpha: float,
     resamples: int,
     boot_seed: int,
-    wall_columns: Optional[Pattern[str]] = None,
 ) -> Tuple[List[str], List[str]]:
     """(drift report lines, regression lines) under the bootstrap band.
 
@@ -206,15 +181,6 @@ def diff_metrics_bootstrap(
     for key in old_cells:
         a, b = old_cells[key], new_cells[key]
         point, column = key
-        if _is_wall_column(column, wall_columns):
-            drift = abs(b["mean"] - a["mean"])
-            if drift > 0.0:
-                lines.append(
-                    f"  [{point}] {column}: {a['mean']:.6g} -> "
-                    f"{b['mean']:.6g} (drift {drift:.3g}; wall column, "
-                    f"not gated)"
-                )
-            continue
         sa, sb = a.get("samples"), b.get("samples")
         if sa is None or sb is None or len(sa) != len(sb):
             # Schema-v1 report (or ragged cell): only means survive.
@@ -307,20 +273,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also fail when new wall time exceeds old by this fraction "
              "(default: wall time is reported, not gated)",
     )
-    parser.add_argument(
-        "--wall-columns", default=WALL_COLUMNS_DEFAULT, metavar="REGEX",
-        help="metric columns matching this regex hold wall-clock-derived "
-             "values: their drift is reported but never gated (default "
-             "%(default)r; pass '' to gate every column)",
-    )
     args = parser.parse_args(argv)
-    try:
-        wall_columns = (
-            re.compile(args.wall_columns) if args.wall_columns else None
-        )
-    except re.error as exc:
-        print(f"invalid --wall-columns regex: {exc}", file=sys.stderr)
-        return 2
 
     old = load_report(args.old)
     new = load_report(args.new)
@@ -337,12 +290,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             old, new, rtol=args.rtol,
             ci_slack=not args.no_ci_slack, alpha=args.alpha,
             resamples=args.resamples, boot_seed=args.boot_seed,
-            wall_columns=wall_columns,
         )
     else:
         lines, regressions = diff_metrics(
-            old, new, rtol=args.rtol,
-            ci_slack=not args.no_ci_slack, wall_columns=wall_columns,
+            old, new, rtol=args.rtol, ci_slack=not args.no_ci_slack
         )
     wall_line, wall_regression = diff_wall_time(old, new, args.wall_rtol)
     if wall_regression is not None:

@@ -8,9 +8,9 @@ Two checks, stdlib only:
    existing file (anchors and external URLs are skipped).
 2. **CLI flag coverage** — ``docs/cli.md`` must mention every option
    string declared by ``add_argument`` in each checked CLI module
-   (``src/repro/experiments/__main__.py``, ``tools/bench_diff.py``,
-   ``tools/profile_negotiation.py`` and ``tools/lint_repro.py``), so the
-   flag reference cannot silently drift from the argparse definitions.
+   (``src/repro/experiments/__main__.py``, ``tools/bench_diff.py`` and
+   ``tools/lint_repro.py``), so the flag reference cannot silently drift
+   from the argparse definitions.
 
 Exit code 0 when both pass; 1 with a per-finding report otherwise.
 Run locally as ``python tools/check_docs.py``.
@@ -31,7 +31,6 @@ CLI_DOC = DOCS / "cli.md"
 CLI_SOURCES = (
     REPO / "src" / "repro" / "experiments" / "__main__.py",
     REPO / "tools" / "bench_diff.py",
-    REPO / "tools" / "profile_negotiation.py",
     REPO / "tools" / "lint_repro.py",
 )
 
