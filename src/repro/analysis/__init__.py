@@ -3,11 +3,11 @@
 Every result table in this reproduction rests on invariants the test
 suite can only *sample* (replay a handful of seeds and diff): runs are
 pure functions of their seed, serial == parallel bit-identically,
-feature switches are snapshotted once per run, topology caches are
-epoch-keyed. This package enforces those invariants **statically**: an
-AST rule engine (:mod:`~repro.analysis.engine`) with seven registered
-rules (:mod:`~repro.analysis.rules`), per-line suppressions, a
-committed baseline (:mod:`~repro.analysis.baseline`) and text/JSON
+topology caches are epoch-keyed. This package enforces those
+invariants **statically**: an AST rule engine
+(:mod:`~repro.analysis.engine`) with six registered rules
+(:mod:`~repro.analysis.rules`), per-line suppressions, a committed
+baseline (:mod:`~repro.analysis.baseline`) and text/JSON
 reporters (:mod:`~repro.analysis.reporters`), fronted by
 ``tools/lint_repro.py`` and run as a blocking CI gate.
 

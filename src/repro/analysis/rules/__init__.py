@@ -1,4 +1,4 @@
-"""The rule registry: seven statically enforced determinism invariants.
+"""The rule registry: six statically enforced determinism invariants.
 
 ========  ========================  ==========================================
 id        name                      invariant
@@ -10,12 +10,13 @@ id        name                      invariant
 ``R3``    unordered-iteration       no hash-ordered set/frozenset (or opaque
                                     ``.keys()``) iteration
 ``R4``    blanket-except            handlers name the exceptions they absorb
-``R5``    feature-switch-snapshot   each feature switch is read once per
-                                    function body (snapshot semantics)
 ``R6``    epoch-unsafe-mutation     topology arena writes bump the cache epoch
 ``R7``    unbounded-retry           retry loops around transmit/negotiate/
                                     keepalive spend a bounded budget
 ========  ========================  ==========================================
+
+``R5`` is retired (it guarded feature switches that no longer exist);
+the later rules keep their ids, which suppressions and docs cite.
 """
 
 from __future__ import annotations
@@ -34,19 +35,17 @@ from repro.analysis.rules.exceptions import BlanketExceptRule
 from repro.analysis.rules.ordering import UnorderedIterationRule
 from repro.analysis.rules.retry import UnboundedRetryRule
 from repro.analysis.rules.rng import UnseededRngRule
-from repro.analysis.rules.switches import FeatureSnapshotRule
 from repro.analysis.rules.wallclock import WallClockRule
 
 
 def default_rules(config: RuleConfig | None = None) -> List[Rule]:
-    """Fresh instances of all seven rules, in id order."""
+    """Fresh instances of all six rules, in id order."""
     config = config or RuleConfig()
     return [
         UnseededRngRule(),
         WallClockRule(config),
         UnorderedIterationRule(),
         BlanketExceptRule(),
-        FeatureSnapshotRule(),
         EpochMutationRule(config),
         UnboundedRetryRule(),
     ]
@@ -78,7 +77,6 @@ __all__ = [
     "RuleConfig",
     "BlanketExceptRule",
     "EpochMutationRule",
-    "FeatureSnapshotRule",
     "UnboundedRetryRule",
     "UnorderedIterationRule",
     "UnseededRngRule",

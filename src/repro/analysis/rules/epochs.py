@@ -7,8 +7,8 @@ The invariant: any method that mutates the position/adjacency arena
 epoch before returning, directly (``self._bump_epoch()``) or by calling
 a same-class method that transitively does (``rebuild``,
 ``update_positions``). A mutation that skips the bump leaves stale
-routes being served against a changed arena — exactly the class of bug
-PR 8's delta rebuilds made easier to write.
+routes being served against a changed arena — the bug any in-place
+arena write (the partition overlay's, say) invites.
 
 The check is a lightweight intra-module call graph: for every class
 that defines ``_bump_epoch``, compute the fixpoint of "calls a bumping

@@ -8,8 +8,9 @@ churn and mobility all running inside the contention window?
 Each sweep point is one cluster size. The cluster is partitioned by
 :meth:`~repro.shard.partition.ShardGrid.auto` (2 × 2 at 512 up to
 4 × 4 at 4096 under the default occupancy target), negotiation stays
-shard-local on the per-shard vectorized arenas, mobility ticks take the
-delta-rebuild path, and crash churn rebuilds only the victim's shard.
+shard-local on the per-shard vectorized arenas, a mobility tick
+rebuilds once each shard that its movers are in or left, and crash
+churn rebuilds only the victim's shard.
 Every metric column is a pure function of the seed, so the table is
 bit-identical under any ``--jobs`` and CI gates it exactly. Wall-clock
 throughput is measured outside the table: the suite report's
@@ -63,11 +64,11 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     constant node density), and negotiation is shard-local, so bigger
     clusters mean *more* neighborhoods, not denser ones. Sessions per
     wall-clock second must stay within the same order of magnitude from
-    512 to 4096 nodes, which is exactly what per-shard arenas + delta
-    mobility rebuilds buy (a global-arena run would fall off the
-    O(n²)-per-tick cliff). ``benchmarks/test_e22_shard.py`` asserts that
-    from the executor's per-unit times, and the ≥5× delta-rebuild gate
-    directly.
+    512 to 4096 nodes, which is exactly what per-shard arenas buy: each
+    mobility tick rebuilds k arenas of O((n/k)²) instead of one of
+    O(n²), so a global-arena run would fall off the per-tick cliff.
+    ``benchmarks/test_e22_shard.py`` asserts that from the executor's
+    per-unit times.
     """
     sizes = (512, 1024) if sweep.quick else (512, 1024, 2048, 4096)
     horizon = 120.0 if sweep.quick else 240.0
@@ -80,8 +81,9 @@ def e22_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
                 "per cell target), K = n/128 requesters with Poisson "
                 "arrivals, streaming sessions under crash churn "
                 "(hazard 1/200 s), 30 J/s drain and random-waypoint "
-                "mobility on the per-shard delta-rebuild path. Area "
-                "grows with sqrt(nodes) so density stays constant.",
+                "mobility, each tick rebuilding the shards its movers "
+                "are in or left. Area grows with sqrt(nodes) so density "
+                "stays constant.",
     )
     points = []
     for n_nodes in sizes:

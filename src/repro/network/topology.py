@@ -11,6 +11,8 @@ live nodes' positions into a contiguous array, computes the full
 pairwise distance matrix by broadcasting
 (:func:`repro.network.geometry.pairwise_distances`, bit-exact where it
 matters), and evaluates the radio model's ``*_matrix`` methods over it.
+Every position change, a mobility tick's :meth:`update_positions`
+included, repacks the whole arena this way.
 Adjacency and edge attributes (bandwidth / loss) are numpy arrays. Every
 membership or connectivity change bumps an **epoch counter**, which keys
 per-epoch caches for neighbor tuples, BFS orders
@@ -35,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import NotConnectedError, UnknownNodeError
-from repro.network.geometry import _APPROX_MARGIN, exact_distances, pairwise_distances, position_array
+from repro.network.geometry import pairwise_distances, position_array
 from repro.network.mobility import MobilityModel
 from repro.network.radio import RadioModel
 from repro.resources.node import Node
@@ -69,8 +71,6 @@ class Topology:
         self._bw = np.zeros((0, 0), dtype=np.float64)
         self._loss = np.zeros((0, 0), dtype=np.float64)
         self._dist: Optional[np.ndarray] = None
-        self._edge_count = 0
-        self._removed_since_rebuild = False
         # Blocked-link overlay (partition faults): normalized id pairs
         # suppressed from the adjacency on every (re)build. Empty for
         # fault-free runs, where it costs nothing.
@@ -122,8 +122,6 @@ class Topology:
             raise UnknownNodeError(node_id)
         node = self._nodes.pop(node_id)
         node.remove_liveness_watcher(self._on_liveness_change)
-        if node_id in self._index:
-            self._removed_since_rebuild = True
         self._bump_epoch()
 
     def node(self, node_id: str) -> Node:
@@ -158,7 +156,6 @@ class Topology:
         is dropped.
         """
         self._bump_epoch()
-        self._removed_since_rebuild = False
         alive = [n for n in self._nodes.values() if n.alive]
         self._arena_ids = tuple(n.node_id for n in alive)
         self._index = {nid: i for i, nid in enumerate(self._arena_ids)}
@@ -169,7 +166,6 @@ class Topology:
             self._bw = np.zeros((m, m), dtype=np.float64)
             self._loss = np.ones((m, m), dtype=np.float64)
             self._dist = None
-            self._edge_count = 0
             return
         dist = pairwise_distances(
             self.positions, exact_within=self.radio.matrix_distance_cutoff
@@ -182,7 +178,6 @@ class Topology:
         self._loss = np.asarray(self.radio.loss_matrix(dist), dtype=np.float64)
         if self._blocked:
             self._apply_blocked()
-        self._edge_count = int(np.count_nonzero(adj)) // 2
 
     def advance_mobility(
         self, mobility: MobilityModel, nodes: Sequence[Node], dt: float
@@ -193,80 +188,11 @@ class Topology:
         self.rebuild()
 
     def update_positions(self, moved: Sequence[str]) -> None:
-        """Delta rebuild: refresh edges touching only the ``moved`` nodes.
-
-        Mobility ticks typically move a handful of nodes between
-        rebuilds; recomputing the full O(n²) distance/adjacency matrices
-        for k movers wastes n/k of the work. This recomputes just the
-        distance-matrix rows (and mirrored columns) of the moved nodes —
-        with the exact-within-cutoff rule of
-        :func:`repro.network.geometry.pairwise_distances` applied per
-        row, so the arena ends up **bit-identical** to a full
-        :meth:`rebuild` — then re-evaluates the radio model on those rows
-        and bumps the epoch.
-
-        Falls back to a full :meth:`rebuild` whenever the delta
-        assumptions do not hold: membership or liveness changes since the
-        last rebuild (the arena rows no longer line up), or an arena too
-        small to have a distance matrix.
-        """
-        alive_ids = tuple(n.node_id for n in self._nodes.values() if n.alive)
-        if (
-            self._dist is None
-            or self._removed_since_rebuild
-            or alive_ids != self._arena_ids
-        ):
-            self.rebuild()
-            return
-        rows = sorted({self._index[nid] for nid in moved if nid in self._index})
-        if not rows:
-            # Nothing in the arena moved; a no-op delta must still act
-            # like a rebuild for cache invalidation purposes.
-            self._bump_epoch()
-            return
-        pos = self.positions
-        for nid, i in ((nid, self._index[nid]) for nid in moved if nid in self._index):
-            p = self._nodes[nid].position
-            pos[i, 0] = p[0]
-            pos[i, 1] = p[1]
-        cutoff = self.radio.matrix_distance_cutoff
-        dist = self._dist
-        for i in rows:
-            dx = pos[i, 0] - pos[:, 0]
-            dy = pos[i, 1] - pos[:, 1]
-            row = np.sqrt(dx * dx + dy * dy)
-            if cutoff is None:
-                need = np.ones(row.shape, dtype=bool)
-            else:
-                need = row <= cutoff * (1.0 + _APPROX_MARGIN)
-            need[i] = False  # diagonal is exactly 0.0 already
-            jj = np.nonzero(need)[0]
-            if jj.size:
-                # hypot(-dx, -dy) == hypot(dx, dy) bit for bit, so the
-                # mirrored column entries equal what a full rebuild's
-                # upper-triangle pass would have produced.
-                row[jj] = exact_distances(dx[jj], dy[jj])
-            dist[i, :] = row
-            dist[:, i] = row
-        sub = dist[rows, :]
-        adj_rows = np.asarray(self.radio.in_range_matrix(sub), dtype=bool)
-        bw_rows = np.asarray(self.radio.bandwidth_matrix(sub), dtype=np.float64)
-        loss_rows = np.asarray(self.radio.loss_matrix(sub), dtype=np.float64)
-        for k, i in enumerate(rows):
-            adj_rows[k, i] = False
-            self._adj[i, :] = adj_rows[k]
-            self._adj[:, i] = adj_rows[k]
-            self._bw[i, :] = bw_rows[k]
-            self._bw[:, i] = bw_rows[k]
-            self._loss[i, :] = loss_rows[k]
-            self._loss[:, i] = loss_rows[k]
-        if self._blocked:
-            # The refreshed rows re-derived adjacency from the radio
-            # model alone; reapply the overlay so a mover inside a
-            # partition cannot tunnel through it.
-            self._apply_blocked()
-        self._edge_count = int(np.count_nonzero(self._adj)) // 2
-        self._bump_epoch()
+        """Refresh the arena after the ``moved`` nodes changed position:
+        a full :meth:`rebuild`. Mobility moves nearly every node of an
+        arena per tick, so no partial update is cheaper; ``moved`` names
+        the movers for tracing and never changes the result."""
+        self.rebuild()
 
     # -- blocked-link overlay (partition faults) ---------------------------
 
@@ -633,18 +559,14 @@ class Topology:
         return components
 
     def average_degree(self) -> float:
-        """Mean neighbor count over all registered nodes."""
+        """Mean neighbor count over all registered nodes (edges between
+        arena rows whose node has since been removed do not count)."""
         n = len(self._nodes)
         if n == 0:
             return 0.0
-        return 2.0 * self._current_edge_count() / n
-
-    def _current_edge_count(self) -> int:
-        if not self._removed_since_rebuild:
-            return self._edge_count
         ids = self._arena_ids
         present = np.fromiter(
             (nid in self._nodes for nid in ids), dtype=bool, count=len(ids)
         )
-        masked = self._adj & present[:, None] & present[None, :]
-        return int(np.count_nonzero(masked)) // 2
+        degree_sum = int(np.count_nonzero(self._adj & present[:, None] & present[None, :]))
+        return degree_sum / n

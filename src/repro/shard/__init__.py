@@ -6,7 +6,8 @@ partitions the numpy topology arena into a sharded simulator:
 * :mod:`repro.shard.partition` — the :class:`ShardGrid` spatial
   partition and the deterministic gateway backhaul paths;
 * :mod:`repro.shard.cluster` — :class:`ShardedCluster`, per-shard
-  topology arenas (independent epochs, delta rebuilds) behind the
+  topology arenas (independent epochs, one rebuild per touched shard
+  on a mobility tick) behind the
   duck-typed ``Topology`` facade, with gateway election and
   cross-shard routing (a 1 × 1 :class:`ShardGrid` is one shard, the
   unsharded semantics);

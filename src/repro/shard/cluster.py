@@ -15,9 +15,10 @@ session driver consume (``node`` / ``neighbors`` / ``khop_neighbors`` /
   as **gateway**, and the gateway-to-gateway backhaul costs
   ``hops × backhaul_hop_cost`` where ``hops`` is the Manhattan cell
   distance (see ``docs/sharding.md`` for the cost model);
-* **mobility ticks** update only the distance-matrix rows of nodes that
-  actually moved (:meth:`~repro.network.topology.Topology.update_positions`
-  delta rebuilds), re-homing nodes that crossed a cell boundary;
+* **mobility ticks** re-home nodes that crossed a cell boundary, then
+  rebuild each shard that holds a mover or lost a migrant, once
+  (:meth:`~repro.network.topology.Topology.update_positions`); shards
+  without movers keep their arenas and epochs;
 * **liveness churn** marks only the victim's home shard dirty, so the
   driver's post-crash ``rebuild()`` rebuilds one shard, not the world.
 
@@ -43,8 +44,11 @@ class ShardedCluster:
 
     Args:
         nodes: The full fleet, in fleet order (requesters first). Each
-            shard's arena keeps this relative order, so intra-shard
-            neighbor tuples and tie-breaks match the unsharded arena's.
+            shard's arena starts in this relative order, so intra-shard
+            neighbor tuples and tie-breaks match the unsharded arena's
+            until the first migration: a migrant joins the end of its
+            new shard, so a shard's order afterwards is its members'
+            arrival order, not fleet order.
         radio: Radio model shared by every shard.
         grid: The spatial partition (:meth:`ShardGrid.auto` is the usual
             source). A 1 × 1 grid is one shard holding the whole fleet,
@@ -123,9 +127,6 @@ class ShardedCluster:
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
         return self._home[node_id]
-
-    def shard_topology(self, shard: int) -> Topology:
-        return self.shards[shard]
 
     def _mark_dirty(self, node: Node) -> None:
         shard = self._home.get(node.node_id)
@@ -255,21 +256,15 @@ class ShardedCluster:
         for shard in dirty:
             self.shards[shard].rebuild()
 
-    def rebuild_all(self) -> None:
-        """Unconditionally rebuild every shard."""
-        self._dirty.clear()
-        for shard in self.shards:
-            shard.rebuild()
-
     def advance_mobility(
         self, mobility: MobilityModel, nodes: Sequence[Node], dt: float
     ) -> None:
         """One mobility tick: advance the model, re-home nodes that
-        crossed a cell boundary (full rebuild of both affected shards),
-        and delta-rebuild every other shard for just its movers."""
+        crossed a cell boundary, then rebuild each touched shard once —
+        a mover's home shard and both ends of every migration — in shard
+        id order."""
         before = {node.node_id: node.position for node in nodes}
         mobility.advance(nodes, dt)
-        migrated: Set[int] = set()
         movers_by_shard: Dict[int, List[str]] = {}
         for node in nodes:
             if node.position == before[node.node_id]:
@@ -281,17 +276,8 @@ class ShardedCluster:
                 self.shards[old].remove_node(nid)
                 self.shards[new].add_node(node)
                 self._home[nid] = new
-                migrated.add(old)
-                migrated.add(new)
-            else:
-                movers_by_shard.setdefault(old, []).append(nid)
-        for shard in sorted(migrated):
-            self.shards[shard].rebuild()
-            self._dirty.discard(shard)
+                movers_by_shard.setdefault(old, [])
+            movers_by_shard.setdefault(new, []).append(nid)
         for shard, movers in sorted(movers_by_shard.items()):
-            if shard in migrated:
-                continue  # the full rebuild above already saw the moves
-            # Either a pure row delta or (after untracked churn) its
-            # full-rebuild fallback — both leave the arena current.
             self.shards[shard].update_positions(movers)
             self._dirty.discard(shard)

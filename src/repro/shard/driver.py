@@ -8,9 +8,9 @@ merge, the admission loop and the :class:`~repro.sessions.SessionDriver`
 are the same code, so a 1 × 1 grid run is bit-identical to the
 unsharded path (pinned in ``tests/test_shard.py``). The session driver reaches
 the cluster only through the ``Topology`` interface: a mobility tick
-calls ``advance_mobility``, which here delta-rebuilds only what moved
-and re-homes nodes that crossed a cell boundary, and a crash's
-``rebuild()`` touches only the victim's shard.
+calls ``advance_mobility``, which here re-homes nodes that crossed a
+cell boundary and rebuilds only the shards its movers are in or left,
+and a crash's ``rebuild()`` touches only the victim's shard.
 
 The fleet can alternatively come from precomputed tables
 (:func:`fleet_tables`, which the perf benchmark's ``e22-shard-512``

@@ -29,8 +29,9 @@ from typing import List, Tuple
 
 #: Target node count per shard for :meth:`ShardGrid.auto` — large enough
 #: that intra-shard neighborhoods look like a full historical cluster,
-#: small enough that per-shard O(m²) rebuilds stay in the sub-millisecond
-#: range.
+#: small enough that a per-shard O(m²) rebuild stays at a few
+#: milliseconds (2–3 ms for 256 nodes on a 2-vCPU Xeon VM), which
+#: every mobility tick pays per touched shard.
 DEFAULT_SHARD_OCCUPANCY = 256
 
 

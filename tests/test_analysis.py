@@ -32,7 +32,6 @@ from repro.analysis.engine import SUPPRESSION_RULE_ID
 from repro.analysis.rules import (
     BlanketExceptRule,
     EpochMutationRule,
-    FeatureSnapshotRule,
     UnboundedRetryRule,
     UnorderedIterationRule,
     UnseededRngRule,
@@ -51,7 +50,6 @@ RULE_FIXTURES = {
     "r2": (WallClockRule(), "repro.sim.fixture"),
     "r3": (UnorderedIterationRule(), None),
     "r4": (BlanketExceptRule(), None),
-    "r5": (FeatureSnapshotRule(), None),
     "r6": (EpochMutationRule(), None),
     "r7": (UnboundedRetryRule(), None),
 }
@@ -120,12 +118,6 @@ def test_r4_ignores_base_exception_relays():
     findings = run_rule(BlanketExceptRule(), "r4_violation")
     assert len(findings) == 2
     assert any("bare except" in f.message for f in findings)
-
-
-def test_r5_flags_only_the_re_read():
-    findings = run_rule(FeatureSnapshotRule(), "r5_violation")
-    assert len(findings) == 1
-    assert "USE_FAST_PATH" in findings[0].message
 
 
 def test_r6_flags_direct_and_aliased_stores():
@@ -287,9 +279,7 @@ def test_json_report_schema():
         "version", "rules", "findings", "suppressed", "baselined",
         "stale_baseline", "summary",
     }
-    assert set(document["rules"]) == {
-        "R1", "R2", "R3", "R4", "R5", "R6", "R7",
-    }
+    assert set(document["rules"]) == {"R1", "R2", "R3", "R4", "R6", "R7"}
     for meta in document["rules"].values():
         assert set(meta) == {"name", "rationale"}
     for finding in document["findings"]:
@@ -345,8 +335,10 @@ def run_cli(*args: str):
 def test_cli_list_rules():
     proc = run_cli("--list-rules")
     assert proc.returncode == 0
-    for rid in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"):
+    for rid in ("R1", "R2", "R3", "R4", "R6", "R7"):
         assert rid in proc.stdout
+    # R5 is retired; its id is not reused.
+    assert "R5" not in proc.stdout
 
 
 def test_cli_flags_fixture_violations():

@@ -1,4 +1,4 @@
-"""The repro.shard subsystem: partitioning, gateways, delta rebuilds,
+"""The repro.shard subsystem: partitioning, gateways, mobility ticks,
 fleet tables, and the shard-vs-unsharded bit-identity pin.
 
 The headline contract: on a 1 × 1 grid (which :meth:`ShardGrid.auto`
@@ -6,8 +6,9 @@ produces for every historical scenario scale) the sharded runner is
 **bit-identical** to :func:`repro.workloads.run_contention` — same
 sessions, same metrics, in both admission-only (E15) and streaming
 (E20) modes. Everything else here exercises what sharding adds: gateway
-election and cross-shard routing, cell migration under mobility, the
-delta-rebuild fast path, the per-epoch cache caps, and the fleet
+election and cross-shard routing, cell migration under mobility (every
+shard a tick touches must equal a fresh ``Topology`` over its members),
+``Topology.update_positions``, the per-epoch cache caps, and the fleet
 tables.
 """
 
@@ -18,6 +19,7 @@ import pytest
 
 import repro.network.topology as topology_mod
 from repro.errors import NotConnectedError, UnknownNodeError
+from repro.network.mobility import RandomWaypoint
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
 from repro.resources.node import Node
@@ -266,8 +268,19 @@ class TestGatewayRouting:
 
 
 # ==========================================================================
-# Mobility: migration across cells and the delta path
+# Mobility: migration across cells and per-shard rebuilds
 # ==========================================================================
+
+
+def _assert_same_arena(topo, fresh):
+    assert topo._arena_ids == fresh._arena_ids
+    if fresh._dist is None:
+        assert topo._dist is None
+    else:
+        assert np.array_equal(topo._dist, fresh._dist, equal_nan=True)
+    assert np.array_equal(topo._adj, fresh._adj)
+    assert np.array_equal(topo._bw, fresh._bw, equal_nan=True)
+    assert np.array_equal(topo._loss, fresh._loss, equal_nan=True)
 
 
 class _ScriptedMobility:
@@ -299,6 +312,9 @@ class TestAdvanceMobility:
         # Gateways re-elect from the post-migration membership.
         assert cluster.gateway(0) == "a"
         assert cluster.gateway(1) == "g1"
+        # The shard g0 left holds no mover, yet it is rebuilt too.
+        for shard in cluster.shards:
+            _assert_same_arena(shard, Topology(list(shard.nodes), cluster.radio))
 
     def test_in_cell_movers_match_full_rebuild(self):
         cluster, nodes = _two_cell_cluster()
@@ -306,10 +322,37 @@ class TestAdvanceMobility:
         mobility = _ScriptedMobility({"a": (20.0, 60.0), "b": (180.0, 40.0)})
         cluster.advance_mobility(mobility, all_nodes, 1.0)
         for shard in cluster.shards:
-            dist, adj = shard._dist.copy(), shard._adj.copy()
-            shard.rebuild()
-            assert np.array_equal(dist, shard._dist, equal_nan=True)
-            assert np.array_equal(adj, shard._adj)
+            _assert_same_arena(shard, Topology(list(shard.nodes), cluster.radio))
+
+
+def test_all_movers_tick_matches_fresh_shard_topologies():
+    """Every node moves on every tick and many cross a cell boundary:
+    after each tick every shard, at both ends of each migration, equals
+    a fresh ``Topology`` over its current members."""
+    rng = np.random.default_rng(5)
+    nodes = [
+        Node(f"n{i}", position=(float(rng.uniform(0, 400)),
+                                float(rng.uniform(0, 400))))
+        for i in range(96)
+    ]
+    radio = DiscRadio(range_m=100.0)
+    grid = ShardGrid(width=400.0, height=400.0, gx=2, gy=2)
+    cluster = ShardedCluster(nodes, radio, grid)
+    cluster.node("n3").fail()
+    cluster.rebuild()
+    mobility = RandomWaypoint(400.0, 400.0, speed_min=0.0, speed_max=30.0,
+                              pause=0.0, rng=np.random.default_rng(9))
+    migrations = 0
+    for _ in range(20):
+        homes = {n.node_id: cluster.home_shard(n.node_id) for n in nodes}
+        cluster.advance_mobility(mobility, nodes, 1.0)
+        for node in nodes:
+            home = cluster.home_shard(node.node_id)
+            assert home == grid.shard_of(*node.position)
+            migrations += home != homes[node.node_id]
+        for shard in cluster.shards:
+            _assert_same_arena(shard, Topology(list(shard.nodes), radio))
+    assert migrations > 0
 
 
 class TestUpdatePositions:

@@ -3,9 +3,8 @@
 
 Statically enforces the invariants the test suite only samples — seeded
 RNG discipline, no wall clock in simulated time, ordered iteration,
-narrow exception handlers, snapshot-once feature switches, epoch-bumped
-topology mutation, bounded retries — via the :mod:`repro.analysis` rule
-engine::
+narrow exception handlers, epoch-bumped topology mutation, bounded
+retries — via the :mod:`repro.analysis` rule engine::
 
     python tools/lint_repro.py                     # lint src/repro
     python tools/lint_repro.py --rules R1,R3       # subset of rules
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPECS",
         help="comma-separated rule ids or names to run "
-        "(e.g. 'R1,unordered-iteration'; default: all seven)",
+        "(e.g. 'R1,unordered-iteration'; default: all six)",
     )
     parser.add_argument(
         "--baseline",
