@@ -3,12 +3,13 @@
 E4's agent-based scenario at 16–128 nodes — the regime where the
 pre-batching simulator spent its wall time in per-proposal evaluation
 and per-node reformulation (docs/performance.md). The table's metrics
-are deterministic; the wall time lands in ``BENCH_E18.json`` via the
-CLI, and CI diffs a fresh full sweep against the committed snapshot
-(``bench_diff --rtol 0 --wall-rtol 4.0``: exact metrics, coarse wall
-gate). Expected shape: same protocol behaviour as E4, just bigger —
-messages stay ~linear in the audience, simulated time stays bounded by
-the protocol constants, success stays high.
+are deterministic and checked exactly against both the archived
+``E18.txt`` and the committed ``BENCH_E18.json``; the wall time lands
+in the bench report via the CLI, and CI also diffs a fresh full sweep
+against that snapshot (``bench_diff --wall-rtol 4.0``: exact results,
+coarse wall gate). Expected shape: same protocol behaviour as E4, just
+bigger — messages stay ~linear in the audience, simulated time stays
+bounded by the protocol constants, success stays high.
 """
 
 from benchmarks.conftest import run_suite

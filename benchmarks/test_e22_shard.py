@@ -2,10 +2,10 @@
 
 Perf-trajectory suite: the streaming contention workload at 512–4096
 nodes on spatially partitioned shards. Every table column is
-deterministic and checked against the archived ``E22.txt``; throughput
-(offered sessions per second of replication time) comes from the
-start/completion times the executor records for each work unit, so it
-never enters the table.
+deterministic and checked against the archived ``E22.txt`` and
+``BENCH_E22.json``; throughput (offered sessions per second of
+replication time) comes from the start/completion times the executor
+records for each work unit, so it never enters the table.
 """
 
 from benchmarks.conftest import check_archived
@@ -21,7 +21,7 @@ def test_e22_shard_scale(benchmark, sweep, tmp_path):
         rounds=1, iterations=1,
     )
     table = plan.reduce([r.row for r in results], seeds)
-    check_archived(table.render(), "E22", tmp_path)
+    check_archived(table, "E22", sweep, tmp_path)
     labels = table.column("nodes × shards")
     offered = [s.mean for s in table.column("offered sessions")]
     success = [s.mean for s in table.column("success rate")]

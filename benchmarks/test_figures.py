@@ -8,7 +8,7 @@ style artifacts, regenerated from the same sweeps as the tables:
 * **F3** — coalition gain over capacity heterogeneity (E7).
 """
 
-from benchmarks.conftest import check_archived
+from benchmarks.conftest import check_text
 from repro.experiments.figures import figure_from_table
 from repro.experiments.plan import run_plan
 from repro.experiments.suites import SUITE_PLANS
@@ -27,7 +27,7 @@ def test_f1_utility_vs_nodes(benchmark, sweep, tmp_path):
         title="F1 — utility vs neighborhood size (movie, phone requester)",
         y_label="mean utility",
     )
-    check_archived(chart.render(), "F1", tmp_path)
+    check_text(chart.render(), "F1", tmp_path)
     text = chart.render()
     assert "coalition utility" in text and "single utility" in text
 
@@ -39,7 +39,7 @@ def test_f2_messages_vs_nodes(benchmark, sweep, tmp_path):
         title="F2 — protocol cost vs node count (agent-based)",
         y_label="count",
     )
-    check_archived(chart.render(), "F2", tmp_path)
+    check_text(chart.render(), "F2", tmp_path)
     assert "messages" in chart.render()
 
 
@@ -50,5 +50,5 @@ def test_f3_gain_vs_heterogeneity(benchmark, sweep, tmp_path):
         title="F3 — coalition gain vs capacity heterogeneity",
         y_label="utility / gain",
     )
-    check_archived(chart.render(), "F3", tmp_path)
+    check_text(chart.render(), "F3", tmp_path)
     assert "gain" in chart.render()

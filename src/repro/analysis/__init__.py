@@ -6,15 +6,14 @@ pure functions of their seed, serial == parallel bit-identically,
 topology caches are epoch-keyed. This package enforces those
 invariants **statically**: an AST rule engine
 (:mod:`~repro.analysis.engine`) with six registered rules
-(:mod:`~repro.analysis.rules`), per-line suppressions, a committed
-baseline (:mod:`~repro.analysis.baseline`) and text/JSON
-reporters (:mod:`~repro.analysis.reporters`), fronted by
-``tools/lint_repro.py`` and run as a blocking CI gate.
+(:mod:`~repro.analysis.rules`), per-line suppressions with a mandatory
+reason, and text/JSON reporters (:mod:`~repro.analysis.reporters`),
+fronted by ``tools/lint_repro.py`` and run as a blocking CI gate: every
+unsuppressed finding fails it.
 
 See ``docs/static-analysis.md`` for the rule catalog and workflow.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry, fingerprint
 from repro.analysis.engine import (
     AnalysisEngine,
     AnalysisReport,
@@ -34,15 +33,12 @@ from repro.analysis.rules import (
 __all__ = [
     "AnalysisEngine",
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ModuleContext",
     "Rule",
     "RuleConfig",
     "Suppression",
     "default_rules",
-    "fingerprint",
     "render_json",
     "render_text",
     "rule_index",

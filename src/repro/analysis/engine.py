@@ -9,10 +9,7 @@ The engine owns the parts that are rule-independent:
   flagged line, or alone on the line directly above it. The reason is
   mandatory: a reasonless (or unknown-rule) ``allow`` suppresses
   nothing and is itself reported under the pseudo-rule ``SUP``, so
-  suppressions stay auditable;
-* **Baseline subtraction** — findings matching the committed baseline
-  (:mod:`repro.analysis.baseline`) are moved to the report's
-  ``baselined`` bucket instead of failing the gate.
+  suppressions stay auditable. Every other finding fails the gate.
 
 The result is an :class:`AnalysisReport`; rendering lives in
 :mod:`repro.analysis.reporters`.
@@ -23,9 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.rules.base import Finding, ModuleContext, Rule
 
 #: ``# repro: allow[R3] hash order irrelevant here`` — the per-line
@@ -65,8 +61,6 @@ class AnalysisReport:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
     files_checked: int = 0
 
     @property
@@ -84,8 +78,8 @@ class AnalysisEngine:
     Args:
         rules: Rule instances to apply (see
             :func:`repro.analysis.rules.default_rules`).
-        root: Repository root; paths in findings and fingerprints are
-            reported relative to it.
+        root: Repository root; paths in findings are reported relative
+            to it.
     """
 
     def __init__(self, rules: Sequence[Rule], root: Path) -> None:
@@ -152,64 +146,28 @@ class AnalysisEngine:
 
     # -- the run -------------------------------------------------------------
 
-    def analyze_paths(
-        self,
-        paths: Sequence[Path],
-        baseline: Optional[Baseline] = None,
-    ) -> AnalysisReport:
-        report = AnalysisReport()
-        raw: List[Finding] = []
-        for file_path in self.iter_files(paths):
-            module = ModuleContext.from_file(file_path, self.root)
-            report.files_checked += 1
-            suppressions, malformed = self.scan_suppressions(module)
-            raw.extend(malformed)
-            for rule in self.rules:
-                for finding in rule.check(module):
-                    covering = next(
-                        (s for s in suppressions if s.covers(finding)), None
-                    )
-                    if covering is not None:
-                        report.suppressed.append(finding)
-                    else:
-                        raw.append(finding)
-        raw.sort(key=_sort_key)
-        if baseline is not None:
-            kept, grandfathered, stale = baseline.partition(raw)
-            report.findings = kept
-            report.baselined = grandfathered
-            report.stale_baseline = stale
-        else:
-            report.findings = raw
-        report.suppressed.sort(key=_sort_key)
-        return report
+    def analyze_paths(self, paths: Sequence[Path]) -> AnalysisReport:
+        """Lint every ``*.py`` file under ``paths``."""
+        return self.analyze_modules(
+            ModuleContext.from_file(file_path, self.root)
+            for file_path in self.iter_files(paths)
+        )
 
-    def analyze_modules(
-        self,
-        modules: Iterable[ModuleContext],
-        baseline: Optional[Baseline] = None,
-    ) -> AnalysisReport:
-        """Like :meth:`analyze_paths` over pre-built contexts (tests)."""
+    def analyze_modules(self, modules: Iterable[ModuleContext]) -> AnalysisReport:
+        """Run every rule over ``modules``, applying their suppressions."""
         report = AnalysisReport()
-        raw: List[Finding] = []
         for module in modules:
             report.files_checked += 1
             suppressions, malformed = self.scan_suppressions(module)
-            raw.extend(malformed)
+            report.findings.extend(malformed)
             for rule in self.rules:
                 for finding in rule.check(module):
                     if any(s.covers(finding) for s in suppressions):
                         report.suppressed.append(finding)
                     else:
-                        raw.append(finding)
-        raw.sort(key=_sort_key)
-        if baseline is not None:
-            kept, grandfathered, stale = baseline.partition(raw)
-            report.findings = kept
-            report.baselined = grandfathered
-            report.stale_baseline = stale
-        else:
-            report.findings = raw
+                        report.findings.append(finding)
+        report.findings.sort(key=_sort_key)
+        report.suppressed.sort(key=_sort_key)
         return report
 
 

@@ -5,8 +5,8 @@ Two formats, both stable enough to build tooling on:
 * **text** — one ``path:line:col RULE[name] message (in scope)`` line
   per finding plus a summary, for humans and CI logs;
 * **JSON** — a versioned document (``REPORT_VERSION``) with the rule
-  catalog, every finding (including its baseline fingerprint), and the
-  summary counters, for dashboards and the test suite's schema checks.
+  catalog, every finding and suppressed finding, and the summary
+  counters, for dashboards and the test suite's schema checks.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Sequence
 
-from repro.analysis.baseline import fingerprint
 from repro.analysis.engine import AnalysisReport, rule_index
 from repro.analysis.rules.base import Finding, Rule
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def render_text(report: AnalysisReport, verbose_suppressed: bool = False) -> str:
@@ -35,13 +34,9 @@ def render_text(report: AnalysisReport, verbose_suppressed: bool = False) -> str
                 f"{finding.location()} {finding.rule}[{finding.name}] "
                 f"suppressed (in {finding.context})"
             )
-    for stale in report.stale_baseline:
-        lines.append(f"stale baseline entry (fixed? remove it): {stale}")
     lines.append(
         f"{len(report.findings)} finding(s) "
-        f"({len(report.suppressed)} suppressed, "
-        f"{len(report.baselined)} baselined, "
-        f"{len(report.stale_baseline)} stale baseline entr(y/ies)) "
+        f"({len(report.suppressed)} suppressed) "
         f"across {report.files_checked} file(s)"
     )
     return "\n".join(lines)
@@ -57,7 +52,6 @@ def _finding_dict(finding: Finding) -> Dict[str, Any]:
         "message": finding.message,
         "context": finding.context,
         "snippet": finding.snippet,
-        "fingerprint": fingerprint(finding),
     }
 
 
@@ -68,13 +62,9 @@ def render_json(report: AnalysisReport, rules: Sequence[Rule]) -> str:
         "rules": rule_index(rules),
         "findings": [_finding_dict(f) for f in report.findings],
         "suppressed": [_finding_dict(f) for f in report.suppressed],
-        "baselined": [_finding_dict(f) for f in report.baselined],
-        "stale_baseline": list(report.stale_baseline),
         "summary": {
             "findings": len(report.findings),
             "suppressed": len(report.suppressed),
-            "baselined": len(report.baselined),
-            "stale_baseline": len(report.stale_baseline),
             "files_checked": report.files_checked,
             "clean": report.clean,
         },

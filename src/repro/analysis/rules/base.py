@@ -30,9 +30,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 class Finding:
     """One rule violation at one source location.
 
-    ``snippet`` is the stripped source line — it (not the line number)
-    feeds the baseline fingerprint, so committed baselines survive
-    unrelated edits above the finding.
+    ``context`` is the enclosing scope's qualname and ``snippet`` the
+    stripped source line, both shown in reports.
     """
 
     rule: str
@@ -53,7 +52,7 @@ class ModuleContext:
 
     Args:
         source: The module's text.
-        path: Repo-relative posix path (diagnostics + fingerprints).
+        path: Repo-relative posix path, as findings report it.
         module: Dotted module name (``repro.sim.engine``) when the file
             belongs to the package tree, else ``None``. Package-scoped
             rules (wall-clock, epoch) key off it.

@@ -7,9 +7,10 @@ latest machine-readable report per suite, the artifact CI uploads and
 ``tools/bench_diff.py`` diffs.
 
 Records round-trip losslessly (``write_bench`` → ``load_bench`` →
-``compare`` reports *identical*), which is how the determinism
-guarantee of the parallel runner is checked: run a suite serially and
-in parallel, then compare the two records cell by cell. Tables are
+``compare`` reports *identical*). :meth:`ResultsStore.compare` is the
+one results comparison, and it is exact: the serial-vs-parallel
+determinism check, the benchmarks' check against the committed
+snapshots and ``tools/bench_diff.py`` all use it. Tables are
 reduced in unit order whatever order the units completed in, so only
 ``wall_time_s`` reflects scheduling: it spans the suite's first unit
 starting → its last unit completing, and since suites in a ``jobs > 1``
@@ -20,13 +21,14 @@ add up.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
 from repro.experiments.config import SweepConfig
 from repro.experiments.reporting import Table
+from repro.metrics.stats import Summary
 
 #: Default results root, relative to the *current working directory*
 #: (run the CLI from the repo root — or pass ``--out`` — so artifacts
@@ -156,9 +158,12 @@ class ResultsStore:
         """Compare two records' *results*, ignoring timing and identity.
 
         Two runs are identical when they cover the same suite, seeds,
-        and sweep points with exactly equal metric summaries — the
-        criterion for the parallel-vs-serial determinism guarantee.
-        Wall time, run id, timestamp, and job count may differ.
+        and sweep points with exactly equal cells, per-seed samples
+        included — the criterion for the parallel-vs-serial determinism
+        guarantee and for every committed snapshot. Wall time, run id,
+        timestamp, and job count may differ. Each difference names its
+        row and column; for two summaries it names each seed whose
+        sample moved (see :func:`_summary_difference`).
         """
         diffs: List[str] = []
         if a.suite != b.suite:
@@ -173,8 +178,38 @@ class ResultsStore:
         if not diffs:
             for i, (row_a, row_b) in enumerate(zip(ta.rows, tb.rows)):
                 for column, cell_a, cell_b in zip(ta.columns, row_a, row_b):
-                    if cell_a != cell_b:
-                        diffs.append(
-                            f"row {i} [{column}]: {cell_a} != {cell_b}"
-                        )
+                    if cell_a == cell_b:
+                        continue
+                    if isinstance(cell_a, Summary) and isinstance(cell_b, Summary):
+                        what = _summary_difference(cell_a, cell_b, a.seeds)
+                    else:
+                        what = f"{cell_a} != {cell_b}"
+                    diffs.append(f"row {i} [{column}]: {what}")
         return Comparison(identical=not diffs, differences=tuple(diffs))
+
+
+def _summary_difference(
+    a: Summary, b: Summary, seeds: Tuple[int, ...]
+) -> str:
+    """What differs between two unequal summaries of the same seeds.
+
+    Names each seed whose per-seed sample moved, with both values; when
+    the samples agree (or cannot be paired with the seeds), the first
+    differing field instead. A mean-preserving change, such as two
+    seeds swapping values, is therefore still named.
+    """
+    if (
+        a.samples is not None
+        and b.samples is not None
+        and a.samples != b.samples
+        and len(a.samples) == len(b.samples) == len(seeds)
+    ):
+        return "; ".join(
+            f"seed {seed}: {x!r} != {y!r}"
+            for seed, x, y in zip(seeds, a.samples, b.samples)
+            if x != y
+        )
+    name = next(
+        f.name for f in fields(Summary) if getattr(a, f.name) != getattr(b, f.name)
+    )
+    return f"{name}: {getattr(a, name)!r} != {getattr(b, name)!r}"

@@ -1052,8 +1052,8 @@ def e18_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     every suite); the *wall time* recorded in ``BENCH_E18.json`` is the
     speedup gauge. CI re-runs the full sweep and diffs it against the
     committed ``benchmarks/results/BENCH_E18.json`` with
-    ``tools/bench_diff.py --rtol 0 --wall-rtol 4.0`` — exact on
-    metrics, coarse on wall time (see ``docs/performance.md``).
+    ``tools/bench_diff.py --wall-rtol 4.0`` — exact on results, coarse
+    on wall time (see ``docs/performance.md``).
     """
     sizes = (16, 32) if sweep.quick else (16, 32, 64, 128)
     table = Table(
@@ -1083,8 +1083,8 @@ def e19_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     vectorizes — and every CFP prices its candidates over best multi-hop
     routes, hitting the per-epoch route cache. Metrics are deterministic
     (bit-identical serial vs parallel); wall time lives in
-    ``BENCH_E19.json`` and CI gates the quick sweep serial-vs-parallel
-    with ``tools/bench_diff.py --rtol 0`` like E18.
+    ``BENCH_E19.json``, and CI diffs a full sweep against the committed
+    snapshot with ``tools/bench_diff.py`` like E18.
     """
     combos = (
         [("waypoint", 16), ("waypoint", 32)] if sweep.quick

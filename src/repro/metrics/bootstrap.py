@@ -5,38 +5,26 @@ The suites replicate every sweep point over 8–30 seeds and report
 (:func:`repro.metrics.stats.describe`), which silently assumes the
 per-seed metric is Gaussian. Success rates near 1, drop rates near 0
 and wall-clock timings are not, so this module provides the honest
-alternative: resample the replication rows themselves.
-
-Two interval methods over the sample **mean**:
-
-* ``"percentile"`` — the empirical ``α/2`` and ``1 − α/2`` quantiles of
-  the resampled means; simple, monotone-invariant, first-order accurate;
-* ``"bca"`` — bias-corrected and accelerated (Efron): the percentile
-  endpoints adjusted by the bias correction ``z₀`` (from the fraction
-  of resampled means below the observed mean) and the acceleration
-  ``a`` (from the jackknife skewness), second-order accurate for
-  skewed metrics.
+alternative: resample the replication rows themselves and take the
+empirical ``α/2`` and ``1 − α/2`` quantiles of the resampled means (the
+percentile interval; simple, monotone-invariant, first-order accurate).
 
 Everything is deterministic: resampling indices are a pure function of
 ``(len(samples), n_resamples, seed)`` via a dedicated
 :class:`~numpy.random.Generator` seeded per call — never a shared
 stream — so reports carrying bootstrap intervals stay bit-identical
-between serial and parallel runs, and two reports diffed by
-``tools/bench_diff.py`` resample with the *same* index sets.
+between serial and parallel runs.
 
-:func:`bootstrap_diff_ci` is the perf gate's primitive: the interval of
-the mean of **paired** per-seed differences between two reports (the
-suites replicate both sides over identical seed lists). A metric whose
-difference interval excludes zero drifted beyond its own replication
-noise; one whose interval straddles zero is statistically
-indistinguishable — that interval *is* the principled noise band that
-replaces the hand-picked ``rtol``.
+:func:`bootstrap_diff_ci` is the interval of the mean of **paired**
+per-seed differences between two runs over the same seed list, for
+reporting how far one configuration moved a metric against another: an
+interval that excludes zero is a shift distinguishable from replication
+noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Any, Dict, Sequence
 
 import numpy as np
@@ -57,7 +45,6 @@ class BootstrapCI:
     hi: float
     mean: float
     alpha: float
-    method: str
     n_resamples: int
 
     @property
@@ -71,14 +58,13 @@ class BootstrapCI:
     def __str__(self) -> str:
         return (
             f"[{self.lo:.4f}, {self.hi:.4f}] "
-            f"({self.method}, {1 - self.alpha:.0%}, B={self.n_resamples})"
+            f"({1 - self.alpha:.0%}, B={self.n_resamples})"
         )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "lo": self.lo, "hi": self.hi, "mean": self.mean,
-            "alpha": self.alpha, "method": self.method,
-            "n_resamples": self.n_resamples,
+            "alpha": self.alpha, "n_resamples": self.n_resamples,
         }
 
 
@@ -92,10 +78,9 @@ def resample_indices(n: int, n_resamples: int, seed: int) -> np.ndarray:
     return rng.integers(0, n, size=(n_resamples, n))
 
 
-def _degenerate(mean: float, alpha: float, method: str, n_resamples: int) -> BootstrapCI:
+def _degenerate(mean: float, alpha: float, n_resamples: int) -> BootstrapCI:
     return BootstrapCI(
-        lo=mean, hi=mean, mean=mean, alpha=alpha,
-        method=method, n_resamples=n_resamples,
+        lo=mean, hi=mean, mean=mean, alpha=alpha, n_resamples=n_resamples,
     )
 
 
@@ -103,10 +88,10 @@ def bootstrap_ci(
     samples: Sequence[float],
     alpha: float = 0.05,
     n_resamples: int = DEFAULT_RESAMPLES,
-    method: str = "percentile",
     seed: int = DEFAULT_SEED,
 ) -> BootstrapCI:
-    """A two-sided ``1 − alpha`` bootstrap CI for the mean of ``samples``.
+    """A two-sided ``1 − alpha`` percentile bootstrap CI for the mean of
+    ``samples``.
 
     Degenerate inputs short-circuit exactly: a single observation, or a
     constant sample, yields the zero-width interval ``[mean, mean]``
@@ -117,11 +102,8 @@ def bootstrap_ci(
         samples: The replication rows (one metric across seeds).
         alpha: Two-sided miss probability (``0.05`` → 95 % interval).
         n_resamples: Bootstrap resamples ``B``.
-        method: ``"percentile"`` or ``"bca"``.
         seed: Seed of the dedicated resampling generator.
     """
-    if method not in ("percentile", "bca"):
-        raise ValueError(f"unknown method {method!r}; use 'percentile' or 'bca'")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if n_resamples < 1:
@@ -131,59 +113,15 @@ def bootstrap_ci(
         raise ValueError("cannot bootstrap an empty sample")
     mean = float(arr.mean())
     if arr.size == 1 or float(arr.min()) == float(arr.max()):
-        return _degenerate(mean, alpha, method, n_resamples)
+        return _degenerate(mean, alpha, n_resamples)
 
     idx = resample_indices(arr.size, n_resamples, seed)
     boot_means = arr[idx].mean(axis=1)
-
-    if method == "percentile":
-        lo_q, hi_q = alpha / 2.0, 1.0 - alpha / 2.0
-    else:
-        lo_q, hi_q = _bca_quantiles(arr, boot_means, mean, alpha)
-    lo, hi = np.quantile(boot_means, [lo_q, hi_q])
+    lo, hi = np.quantile(boot_means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapCI(
         lo=float(lo), hi=float(hi), mean=mean, alpha=alpha,
-        method=method, n_resamples=n_resamples,
+        n_resamples=n_resamples,
     )
-
-
-def _bca_quantiles(
-    arr: np.ndarray, boot_means: np.ndarray, mean: float, alpha: float
-) -> tuple:
-    """The BCa-adjusted quantile pair (Efron 1987).
-
-    ``z₀`` measures median bias (the normal quantile of the fraction of
-    resampled means below the observed mean); ``a`` is the acceleration,
-    the jackknife estimate of the statistic's skewness. Both zero
-    reduces BCa to the plain percentile interval.
-    """
-    norm = NormalDist()
-    B = boot_means.size
-    # Clamp the below-fraction away from {0, 1}: inv_cdf is infinite
-    # there, and a resample distribution entirely on one side of the
-    # mean is a degenerate edge the interval should survive, not crash.
-    below = float(np.count_nonzero(boot_means < mean)) / B
-    below = min(max(below, 1.0 / (B + 1)), B / (B + 1.0))
-    z0 = norm.inv_cdf(below)
-
-    # Jackknife acceleration: a = Σd³ / (6 (Σd²)^{3/2}), d = mean-of-
-    # leave-one-out deviations. Vectorized: leave-one-out means are
-    # (Σx - xᵢ) / (n - 1).
-    n = arr.size
-    jack = (arr.sum() - arr) / (n - 1)
-    d = jack.mean() - jack
-    denom = float((d ** 2).sum()) ** 1.5
-    a = float((d ** 3).sum()) / (6.0 * denom) if denom > 0 else 0.0
-
-    def adjust(q: float) -> float:
-        z = norm.inv_cdf(q)
-        num = z0 + z
-        adj = z0 + num / (1.0 - a * num)
-        # Guard the tails: extreme z₀/a can push the adjusted quantile
-        # to 0 or 1; clamp inside the resample distribution's support.
-        return min(max(norm.cdf(adj), 1.0 / (B + 1)), B / (B + 1.0))
-
-    return adjust(alpha / 2.0), adjust(1.0 - alpha / 2.0)
 
 
 def bootstrap_diff_ci(
@@ -191,16 +129,15 @@ def bootstrap_diff_ci(
     new: Sequence[float],
     alpha: float = 0.05,
     n_resamples: int = DEFAULT_RESAMPLES,
-    method: str = "percentile",
     seed: int = DEFAULT_SEED,
 ) -> BootstrapCI:
     """The bootstrap CI of the mean **paired** difference ``new − old``.
 
-    Both samples must align element-wise (the suites replicate both
-    reports over the same seed list, so row *i* of each side is the same
-    seed). The returned interval is the perf gate's noise band: zero
-    outside it means the drift is distinguishable from replication
-    noise at level ``alpha``; identical inputs give exactly ``[0, 0]``.
+    Both samples must align element-wise: replicate both sides over the
+    same seed list, so row *i* of each side is the same seed. Zero
+    outside the interval means the shift is distinguishable from
+    replication noise at level ``alpha``; identical inputs give exactly
+    ``[0, 0]``.
     """
     a = np.asarray(old, dtype=float)
     b = np.asarray(new, dtype=float)
@@ -208,15 +145,5 @@ def bootstrap_diff_ci(
         raise ValueError(
             f"paired samples must align, got lengths {a.size} != {b.size}"
         )
-    return bootstrap_ci(
-        b - a, alpha=alpha, n_resamples=n_resamples, method=method, seed=seed
-    )
+    return bootstrap_ci(b - a, alpha=alpha, n_resamples=n_resamples, seed=seed)
 
-
-def coverage(
-    intervals: Sequence[BootstrapCI], truth: float
-) -> float:
-    """The fraction of intervals containing ``truth`` (test helper)."""
-    if not intervals:
-        raise ValueError("no intervals")
-    return sum(1 for ci in intervals if ci.contains(truth)) / len(intervals)

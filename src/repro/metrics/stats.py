@@ -12,11 +12,12 @@ intervals travel with every summary:
   honest for the success/drop rates and timings that are nowhere near
   Gaussian.
 
-Summaries also retain the raw per-seed ``samples``, which is what lets
-``tools/bench_diff.py`` derive its perf-gate tolerance as a *paired*
-bootstrap noise band between two reports instead of a hand-picked
-``rtol``. All three additions are deterministic functions of the
-samples, so the parallel==serial bit-identity guarantee is untouched.
+Summaries also retain the raw per-seed ``samples``, so two reports
+compare exactly, seed by seed: ``ResultsStore.compare`` (and
+``tools/bench_diff.py`` in front of it) names each seed whose value
+moved, even when the mean did not. The intervals and samples are
+deterministic functions of the per-seed values, so the parallel ==
+serial bit-identity guarantee is untouched.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 Fixture files live under ``tests/data/lint/``: one known-violation and
 one known-clean module per rule. The tests drive the rules through
 :class:`~repro.analysis.ModuleContext` (so package-scoped rules can be
-pinned to simulated module names), the engine's suppression and
-baseline plumbing, the JSON reporter schema, and the ``lint_repro``
-CLI end to end — including the acceptance gate that the repo's own
-``src/repro`` tree is clean.
+pinned to simulated module names), the engine's suppression
+plumbing, the JSON reporter schema, and the ``lint_repro`` CLI end to
+end — including the acceptance gate that the repo's own ``src/repro``
+tree is clean.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ import pytest
 
 from repro.analysis import (
     AnalysisEngine,
-    Baseline,
     ModuleContext,
     default_rules,
-    fingerprint,
     render_json,
     render_text,
     select_rules,
@@ -200,71 +198,6 @@ def test_suppression_for_other_rule_does_not_apply():
     assert report.suppressed == []
 
 
-# -- baseline ----------------------------------------------------------------
-
-
-def test_baseline_round_trip(tmp_path):
-    module = load_fixture("r4_violation")
-    engine = _engine()
-    before = engine.analyze_modules([module])
-    assert before.findings
-
-    baseline = Baseline.from_findings(before.findings)
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    reloaded = Baseline.load(path)
-    assert len(reloaded.entries) == len(before.findings)
-
-    after = engine.analyze_modules([module], baseline=reloaded)
-    assert after.clean
-    assert len(after.baselined) == len(before.findings)
-    assert after.stale_baseline == []
-
-
-def test_baseline_is_a_multiset_and_reports_stale(tmp_path):
-    source = "def f(a):\n    for x in set(a):\n        yield x\n"
-    module = ModuleContext(source, "m.py")
-    engine = AnalysisEngine([UnorderedIterationRule()], REPO)
-    baseline = Baseline.from_findings(engine.analyze_modules([module]).findings)
-
-    # A second identical violation in the same scope exceeds the budget.
-    doubled = ModuleContext(
-        "def f(a):\n    for x in set(a):\n        yield x\n"
-        "    for x in set(a):\n        yield x\n",
-        "m.py",
-    )
-    report = engine.analyze_modules([doubled], baseline=baseline)
-    assert len(report.baselined) == 1
-    assert len(report.findings) == 1
-
-    # Fixing the violation leaves the entry stale (reported, not failing).
-    fixed = ModuleContext("def f(a):\n    return sorted(set(a))\n", "m.py")
-    report = engine.analyze_modules([fixed], baseline=baseline)
-    assert report.clean
-    assert len(report.stale_baseline) == 1
-
-
-def test_baseline_fingerprint_ignores_line_numbers():
-    module_a = load_fixture("r4_violation")
-    shifted = ModuleContext(
-        "\n\n\n" + module_a.source, "tests/data/lint/r4_violation.py"
-    )
-    rule = BlanketExceptRule()
-    original = [fingerprint(f) for f in rule.check(module_a)]
-    moved = [fingerprint(f) for f in rule.check(shifted)]
-    assert original == moved
-
-
-def test_baseline_update_keeps_human_reasons(tmp_path):
-    module = load_fixture("r4_violation")
-    findings = _engine().analyze_modules([module]).findings
-    first = Baseline.from_findings(findings)
-    first.entries[0].reason = "carefully reviewed: tolerated on purpose"
-    regenerated = Baseline.from_findings(findings)
-    regenerated.merge_reasons(first)
-    assert regenerated.entries[0].reason == "carefully reviewed: tolerated on purpose"
-
-
 # -- reporters ---------------------------------------------------------------
 
 
@@ -274,10 +207,9 @@ def test_json_report_schema():
     report = AnalysisEngine(rules, REPO).analyze_modules([module])
     document = json.loads(render_json(report, rules))
 
-    assert document["version"] == 1
+    assert document["version"] == 2
     assert set(document) == {
-        "version", "rules", "findings", "suppressed", "baselined",
-        "stale_baseline", "summary",
+        "version", "rules", "findings", "suppressed", "summary",
     }
     assert set(document["rules"]) == {"R1", "R2", "R3", "R4", "R6", "R7"}
     for meta in document["rules"].values():
@@ -285,10 +217,10 @@ def test_json_report_schema():
     for finding in document["findings"]:
         assert set(finding) == {
             "rule", "name", "path", "line", "col", "message", "context",
-            "snippet", "fingerprint",
+            "snippet",
         }
-        assert len(finding["fingerprint"]) == 16
     summary = document["summary"]
+    assert set(summary) == {"findings", "suppressed", "files_checked", "clean"}
     assert summary["findings"] == len(document["findings"]) > 0
     assert summary["clean"] is False
     assert summary["files_checked"] == 1
@@ -342,17 +274,14 @@ def test_cli_list_rules():
 
 
 def test_cli_flags_fixture_violations():
-    proc = run_cli("--paths", "tests/data/lint", "--baseline", "/nonexistent.json")
+    proc = run_cli("--paths", "tests/data/lint")
     assert proc.returncode == 1
     assert "R1[unseeded-rng]" in proc.stdout
     assert "R4[blanket-except]" in proc.stdout
 
 
-def test_cli_rules_subset_and_json(tmp_path):
-    proc = run_cli(
-        "--paths", "tests/data/lint", "--rules", "R4",
-        "--baseline", str(tmp_path / "none.json"), "--json",
-    )
+def test_cli_rules_subset_and_json():
+    proc = run_cli("--paths", "tests/data/lint", "--rules", "R4", "--json")
     assert proc.returncode == 1
     document = json.loads(proc.stdout)
     assert {f["rule"] for f in document["findings"]} == {"R4"}
@@ -368,24 +297,6 @@ def test_cli_unknown_rule_exits_2():
 def test_cli_missing_path_exits_2():
     proc = run_cli("--paths", "no/such/dir")
     assert proc.returncode == 2
-
-
-def test_cli_update_baseline_then_clean(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    update = run_cli(
-        "--paths", "tests/data/lint/r4_violation.py",
-        "--baseline", str(baseline), "--update-baseline",
-    )
-    assert update.returncode == 0
-    assert baseline.is_file()
-    data = json.loads(baseline.read_text())
-    assert data["version"] == 1
-    assert all(entry["reason"] for entry in data["entries"])
-
-    gated = run_cli(
-        "--paths", "tests/data/lint/r4_violation.py", "--baseline", str(baseline)
-    )
-    assert gated.returncode == 0, gated.stdout
 
 
 def test_repo_tree_is_lint_clean():

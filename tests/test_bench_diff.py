@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "tools"))
 
 import bench_diff  # noqa: E402 - needs the tools/ path above
 
@@ -17,57 +18,84 @@ from repro.experiments.reporting import Table  # noqa: E402
 from repro.experiments.store import ResultsStore, new_run_record  # noqa: E402
 from repro.metrics.stats import describe  # noqa: E402
 
+COMMITTED_E18 = REPO / "benchmarks" / "results" / "BENCH_E18.json"
+
 
 def write_bench(
     root: Path,
     suite: str = "EX",
-    means=(1.0, 2.0),
-    spread: float = 0.0,
+    samples=(1.0, 2.0, 3.0),
     wall: float = 1.0,
 ) -> Path:
-    """A minimal two-point bench report with controllable means/noise."""
-    table = Table("t", ["point", "m1", "m2"])
-    for point in ("p0", "p1"):
-        table.add_row(
-            point,
-            describe([means[0] - spread, means[0], means[0] + spread]),
-            describe([means[1] - spread, means[1], means[1] + spread]),
-        )
-    record = new_run_record(suite, table, SweepConfig(seeds=(1, 2, 3)), wall)
+    """A one-point bench report whose single metric carries exactly the
+    given per-seed samples (seeds 1, 2, ...)."""
+    table = Table("t", ["point", "m1"])
+    table.add_row("p0", describe(list(samples)))
+    seeds = tuple(range(1, len(samples) + 1))
+    record = new_run_record(suite, table, SweepConfig(seeds=seeds), wall)
     return ResultsStore(root).write_bench(record)
 
 
 def test_identical_reports_pass(tmp_path, capsys):
-    old = write_bench(tmp_path / "a")
-    new = write_bench(tmp_path / "b")
-    assert bench_diff.main([str(old), str(new), "--rtol", "0"]) == 0
+    """Run id, timestamp and wall time differ; the results do not."""
+    old = write_bench(tmp_path / "a", wall=1.0)
+    new = write_bench(tmp_path / "b", wall=1.5)
+    assert bench_diff.main([str(old), str(new)]) == 0
+    assert "ok: results identical" in capsys.readouterr().out
+    assert bench_diff.main([str(COMMITTED_E18), str(COMMITTED_E18)]) == 0
+
+
+def test_a_mean_preserving_per_seed_change_fails(tmp_path, capsys):
+    """Seeds 1 and 2 of the committed E18 snapshot swap their 16-node
+    message counts. Mean, std, CI and extremes are unchanged, yet the
+    gate fails and names both seeds with both values."""
+    data = json.loads(COMMITTED_E18.read_text())
+    table = data["table"]
+    row = next(r for r in table["rows"] if r[0] == 16)
+    samples = row[table["columns"].index("messages")]["__summary__"]["samples"]
+    first, second = samples[0], samples[1]
+    assert first != second
+    samples[0], samples[1] = second, first
+    swapped = tmp_path / "BENCH_E18.json"
+    swapped.write_text(json.dumps(data))
+
+    assert bench_diff.main([str(COMMITTED_E18), str(swapped)]) == 1
+    captured = capsys.readouterr()
+    assert (
+        f"[messages]: seed 1: {first!r} != {second!r}; "
+        f"seed 2: {second!r} != {first!r}"
+    ) in captured.out
+    assert "1 result difference(s)" in captured.err
+
+
+def test_exact_gates_fail_a_tiny_consistent_drift(tmp_path, capsys):
+    """The gate is exact: every per-seed sample moved by 5e-10 fails,
+    and each seed is named."""
+    old = write_bench(tmp_path / "a", samples=[1.0, 2.0, 3.0])
+    new = write_bench(
+        tmp_path / "b", samples=[1.0 + 5e-10, 2.0 + 5e-10, 3.0 + 5e-10]
+    )
+    assert bench_diff.main([str(old), str(new)]) == 1
     out = capsys.readouterr().out
-    assert "all metric means identical" in out
+    for seed, value in ((1, 1.0), (2, 2.0), (3, 3.0)):
+        assert f"seed {seed}: {value!r} != {value + 5e-10!r}" in out
 
 
-def test_drift_beyond_tolerance_fails(tmp_path, capsys):
-    old = write_bench(tmp_path / "a", means=(1.0, 2.0))
-    new = write_bench(tmp_path / "b", means=(1.2, 2.0))
-    assert bench_diff.main([str(old), str(new), "--rtol", "0.05"]) == 1
-    err = capsys.readouterr().err
-    assert "regression(s) beyond the noise band" in err
-    assert "m1" in err
+def test_structural_differences_fail(tmp_path, capsys):
+    """A different suite, or a summary cell replaced by a raw value, is
+    a result difference: exit 1, and the difference is named."""
+    old = write_bench(tmp_path / "a", suite="EX")
+    other_suite = write_bench(tmp_path / "b", suite="EY")
+    assert bench_diff.main([str(old), str(other_suite)]) == 1
+    assert "suite: 'EX' != 'EY'" in capsys.readouterr().out
 
-
-def test_drift_within_rtol_passes(tmp_path):
-    old = write_bench(tmp_path / "a", means=(1.0, 2.0))
-    new = write_bench(tmp_path / "b", means=(1.02, 2.0))
-    assert bench_diff.main([str(old), str(new), "--rtol", "0.05"]) == 0
-
-
-def test_ci_slack_absorbs_noisy_drift(tmp_path):
-    old = write_bench(tmp_path / "a", means=(1.0, 2.0), spread=0.5)
-    new = write_bench(tmp_path / "b", means=(1.3, 2.0), spread=0.5)
-    # Raw drift 0.3 >> rtol 0, but both cells carry wide 95% CIs.
-    assert bench_diff.main([str(old), str(new), "--rtol", "0"]) == 0
-    assert bench_diff.main(
-        [str(old), str(new), "--rtol", "0", "--no-ci-slack"]
-    ) == 1
+    raw = write_bench(tmp_path / "c")
+    data = json.loads(raw.read_text())
+    data["table"]["rows"][0][1] = 1.0
+    raw.write_text(json.dumps(data))
+    assert bench_diff.main([str(old), str(raw)]) == 1
+    out = capsys.readouterr().out
+    assert "row 0 [m1]: " in out and out.count("!= 1.0\n") == 1
 
 
 def test_wall_time_reported_not_gated_by_default(tmp_path, capsys):
@@ -76,110 +104,25 @@ def test_wall_time_reported_not_gated_by_default(tmp_path, capsys):
     assert bench_diff.main([str(old), str(new)]) == 0
     assert "wall time: 1.00s -> 10.00s" in capsys.readouterr().out
     assert bench_diff.main([str(old), str(new), "--wall-rtol", "0.5"]) == 1
+    assert "exceeds --wall-rtol 0.5" in capsys.readouterr().err
 
 
-def test_summary_vs_raw_cell_mismatch_exits_2(tmp_path, capsys):
-    """A cell that is a summary in one report but raw in the other is
-    'not comparable', not a crash or a silent skip."""
+def test_malformed_report_exits_2(tmp_path, capsys):
+    """Unreadable or malformed reports, and bad invocations, exit 2."""
     old = write_bench(tmp_path / "a")
-    new = write_bench(tmp_path / "b")
-    data = json.loads(new.read_text())
-    data["table"]["rows"][0][1] = 1.0  # raw float where old has a summary
-    new.write_text(json.dumps(data))
-    assert bench_diff.main([str(old), str(new)]) == 2
-    err = capsys.readouterr().err
-    assert "summary only in old report" in err
-
-
-def write_bench_samples(root: Path, samples, wall: float = 1.0) -> Path:
-    """A one-point bench report whose single metric carries exactly the
-    given per-seed samples (for paired bootstrap-band tests)."""
-    table = Table("t", ["point", "m1"])
-    table.add_row("p0", describe(list(samples)))
-    seeds = tuple(range(1, len(samples) + 1))
-    record = new_run_record("EX", table, SweepConfig(seeds=seeds), wall)
-    return ResultsStore(root).write_bench(record)
-
-
-def test_bootstrap_band_accepts_within_noise_jitter(tmp_path, capsys):
-    """A drift whose paired per-seed differences straddle zero is
-    replication noise, not a regression — even with --rtol 0 semantics
-    (the band comes from the samples, not a hand-picked tolerance)."""
-    old = write_bench_samples(tmp_path / "a", [1.0, 2.0, 3.0, 4.0, 5.0])
-    new = write_bench_samples(tmp_path / "b", [1.3, 1.8, 3.2, 3.9, 5.0])
-    assert bench_diff.main([str(old), str(new), "--band", "bootstrap"]) == 0
-    out = capsys.readouterr().out
-    assert "noise band" in out
-    assert "ok: within the noise band" in out
-
-
-def test_bootstrap_band_rejects_real_regression(tmp_path, capsys):
-    """A consistent shift in every seed gives a degenerate paired
-    interval that excludes zero — flagged no matter how small."""
-    old = write_bench_samples(tmp_path / "a", [1.0, 2.0, 3.0, 4.0, 5.0])
-    new = write_bench_samples(tmp_path / "b", [1.05, 2.05, 3.05, 4.05, 5.05])
-    assert bench_diff.main([str(old), str(new), "--band", "bootstrap"]) == 1
-    err = capsys.readouterr().err
-    assert "excludes zero" in err
-
-
-def test_exact_gates_fail_a_tiny_consistent_drift(tmp_path, capsys):
-    """Both exact gates are exact: a cell whose mean and every per-seed
-    sample moved by 5e-10 regresses under --rtol 0 --no-ci-slack and
-    under the bootstrap band (degenerate interval [5e-10, 5e-10])."""
-    old = write_bench_samples(tmp_path / "a", [1.0, 2.0, 3.0])
-    new = write_bench_samples(tmp_path / "b", [1.0 + 5e-10, 2.0 + 5e-10, 3.0 + 5e-10])
-    assert bench_diff.main(
-        [str(old), str(new), "--rtol", "0", "--no-ci-slack"]
-    ) == 1
-    assert bench_diff.main([str(old), str(new), "--band", "bootstrap"]) == 1
-    assert "excludes zero" in capsys.readouterr().err
-
-
-def test_bootstrap_band_exact_on_identical_samples(tmp_path, capsys):
-    """Bit-identical cells pass exactly — deterministic metrics keep
-    their exact gate under the bootstrap band."""
-    old = write_bench_samples(tmp_path / "a", [1.0, 2.0, 3.0])
-    new = write_bench_samples(tmp_path / "b", [1.0, 2.0, 3.0])
-    assert bench_diff.main([str(old), str(new), "--band", "bootstrap"]) == 0
-    assert "all metric means identical" in capsys.readouterr().out
-
-
-def test_bootstrap_band_falls_back_without_samples(tmp_path, capsys):
-    """Schema-v1 reports (no per-seed samples) fall back to the rtol
-    rule per cell, with the fallback noted in the drift line."""
-    old = write_bench_samples(tmp_path / "a", [1.0, 2.0, 3.0])
-    new = write_bench_samples(tmp_path / "b", [1.3, 2.3, 3.3])
-    for path in (old, new):
-        data = json.loads(path.read_text())
-        for row in data["table"]["rows"]:
-            del row[1]["__summary__"]["samples"]
-        path.write_text(json.dumps(data))
-    assert bench_diff.main(
-        [str(old), str(new), "--band", "bootstrap", "--rtol", "0.5"]
-    ) == 0
-    assert "no samples, rtol rule" in capsys.readouterr().out
-    assert bench_diff.main(
-        [str(old), str(new), "--band", "bootstrap", "--rtol", "0.01",
-         "--no-ci-slack"]
-    ) == 1
-
-
-def test_incomparable_reports_exit_2(tmp_path, capsys):
-    old = write_bench(tmp_path / "a", suite="EX")
-    new = write_bench(tmp_path / "b", suite="EY")
-    assert bench_diff.main([str(old), str(new)]) == 2
-    assert "not comparable" in capsys.readouterr().err
-
-
-def test_malformed_report_exits_2(tmp_path):
-    old = write_bench(tmp_path / "a")
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"not": "a bench report"}))
-    with pytest.raises(SystemExit) as excinfo:
-        bench_diff.load_report(bad)
-    assert excinfo.value.code == 2
-    missing = tmp_path / "missing.json"
-    with pytest.raises(SystemExit):
-        bench_diff.load_report(missing)
-    assert bench_diff.main([str(old), str(old)]) == 0  # self-diff sanity
+    not_a_report = tmp_path / "not_a_report.json"
+    not_a_report.write_text(json.dumps({"not": "a bench report"}))
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{")
+    cases = [
+        ([str(old), str(not_a_report)], "not a bench report"),
+        ([str(old), str(not_json)], "cannot read bench report"),
+        ([str(old), str(tmp_path / "missing.json")], "cannot read bench report"),
+        ([str(old)], "usage:"),
+        ([str(old), str(old), "--no-such-flag"], "unrecognized arguments"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as excinfo:
+            bench_diff.main(argv)
+        assert excinfo.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv

@@ -1,7 +1,8 @@
 """Repository hygiene: declared dependencies match the imports, every
 tracked Python file compiles with warnings as errors, ``import repro``
-stays free of process-pool code, and contention runs stay below the
-experiment layer.
+stays free of process-pool code, contention runs stay below the
+experiment layer, and the CLI reference names exactly the declared
+flags.
 
 ``pyproject.toml`` is parsed by hand — Python 3.10 has no ``tomllib``.
 """
@@ -19,6 +20,10 @@ from typing import Iterable, List, Set
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+
+sys.path.insert(0, str(ROOT / "tools"))
+
+import check_docs  # noqa: E402 - needs the tools/ path above
 
 
 def _requirements(table: str, key: str) -> Set[str]:
@@ -131,3 +136,14 @@ def test_contention_runs_load_no_experiment_layer():
         check=True, env=dict(os.environ, PYTHONPATH=path),
     ).stdout
     assert out.strip() == "[]", f"contention runs load {out.strip()}"
+
+
+def test_cli_doc_mentions_only_declared_flags(tmp_path, monkeypatch):
+    """Every ``--option`` in docs/cli.md is declared by a checked CLI, so
+    a deleted flag cannot linger in the reference."""
+    assert check_docs.check_cli_flags() == []
+    doc = tmp_path / "cli.md"
+    doc.write_text(check_docs.CLI_DOC.read_text() + "\n`--no-such-flag`\n")
+    monkeypatch.setattr(check_docs, "CLI_DOC", doc)
+    problems = check_docs.check_cli_flags()
+    assert len(problems) == 1 and "'--no-such-flag'" in problems[0], problems

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.experiments.reporting import Table
 from repro.experiments.runner import replicate
 from repro.experiments.store import ResultsStore, RunRecord, new_run_record
 from repro.experiments.suites import SUITE_PLANS
-from repro.metrics.stats import Summary
+from repro.metrics.stats import Summary, describe
 from repro.sim.rng import RngRegistry
 
 
@@ -153,6 +154,29 @@ def test_store_compare_reports_differences():
         wall_time_s=123.0, table=record.table,
     )
     assert ResultsStore.compare(record, clone).identical
+
+
+def test_store_compare_names_the_seeds_that_moved():
+    """Seeds 1 and 2 swapping values leaves the mean, std and extremes
+    unchanged; compare still names each seed that moved, with both
+    values. Equal samples name the first differing field instead."""
+    sweep = SweepConfig(seeds=(1, 2, 3), quick=True, jobs=1)
+
+    def record(summary: Summary) -> RunRecord:
+        table = Table("T", ["point", "metric"])
+        table.add_row("a", summary)
+        return new_run_record("EX", table, sweep, 1.0)
+
+    before = describe([26.0, 34.0, 37.0])
+    swapped = describe([34.0, 26.0, 37.0])
+    assert (swapped.mean, swapped.std) == (before.mean, before.std)
+    assert ResultsStore.compare(record(before), record(swapped)).differences == (
+        "row 0 [metric]: seed 1: 26.0 != 34.0; seed 2: 34.0 != 26.0",
+    )
+    moved_interval = replace(before, boot_lo=0.0)
+    assert ResultsStore.compare(record(before), record(moved_interval)).differences == (
+        f"row 0 [metric]: boot_lo: {before.boot_lo!r} != 0.0",
+    )
 
 
 def test_store_latest_and_bench(tmp_path):

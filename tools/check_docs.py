@@ -6,11 +6,12 @@ Two checks, stdlib only:
 1. **Dead relative links** — every markdown link or image in ``docs/``
    and ``README.md`` whose target is a relative path must resolve to an
    existing file (anchors and external URLs are skipped).
-2. **CLI flag coverage** — ``docs/cli.md`` must mention every option
+2. **CLI flags, both ways** — ``docs/cli.md`` must mention every option
    string declared by ``add_argument`` in each checked CLI module
    (``src/repro/experiments/__main__.py``, ``tools/bench_diff.py`` and
-   ``tools/lint_repro.py``), so the flag reference cannot silently drift
-   from the argparse definitions.
+   ``tools/lint_repro.py``), and every ``--option`` token it mentions
+   must be declared by one of them (``--help`` is argparse's own), so
+   the flag reference can neither miss a flag nor keep a deleted one.
 
 Exit code 0 when both pass; 1 with a per-finding report otherwise.
 Run locally as ``python tools/check_docs.py``.
@@ -19,6 +20,7 @@ Run locally as ``python tools/check_docs.py``.
 from __future__ import annotations
 
 import ast
+import os
 import re
 import sys
 from pathlib import Path
@@ -36,6 +38,9 @@ CLI_SOURCES = (
 
 #: Markdown inline links/images: [text](target) / ![alt](target).
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A ``--option`` token anywhere in the CLI reference.
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def iter_doc_files() -> list[Path]:
@@ -92,11 +97,14 @@ def argparse_flags(source: Path) -> list[str]:
 
 
 def check_cli_flags() -> list[str]:
-    """docs/cli.md must mention every checked module's option strings."""
+    """docs/cli.md must mention every checked module's option strings,
+    and mention no ``--option`` that none of them declares."""
+    doc = os.path.relpath(CLI_DOC, REPO)
     if not CLI_DOC.is_file():
-        return [f"{CLI_DOC.relative_to(REPO)}: missing (CLI flag reference)"]
+        return [f"{doc}: missing (CLI flag reference)"]
     text = CLI_DOC.read_text()
     problems = []
+    declared = {"--help"}
     for source in CLI_SOURCES:
         flags = argparse_flags(source)
         if not flags:
@@ -105,12 +113,17 @@ def check_cli_flags() -> list[str]:
                 "(checker out of sync with the CLI?)"
             )
             continue
+        declared.update(flags)
         problems.extend(
-            f"{CLI_DOC.relative_to(REPO)}: flag {flag!r} from "
+            f"{doc}: flag {flag!r} from "
             f"{source.relative_to(REPO)} is not documented"
             for flag in flags
             if flag not in text
         )
+    problems.extend(
+        f"{doc}: flag {flag!r} is not declared by any checked CLI"
+        for flag in sorted(set(FLAG_RE.findall(text)) - declared)
+    )
     return problems
 
 
@@ -124,7 +137,7 @@ def main() -> int:
     docs = len(iter_doc_files())
     n_flags = sum(len(argparse_flags(source)) for source in CLI_SOURCES)
     print(f"docs check ok: {docs} file(s), all relative links resolve, "
-          f"all {n_flags} CLI flags documented")
+          f"all {n_flags} CLI flags documented and no undeclared one")
     return 0
 
 

@@ -9,7 +9,6 @@ retries — via the :mod:`repro.analysis` rule engine::
     python tools/lint_repro.py                     # lint src/repro
     python tools/lint_repro.py --rules R1,R3       # subset of rules
     python tools/lint_repro.py --json              # machine-readable
-    python tools/lint_repro.py --update-baseline   # grandfather findings
     python tools/lint_repro.py --paths src/repro/sim tools/lint_repro.py
     python tools/lint_repro.py --list-rules        # rule catalog
 
@@ -17,11 +16,11 @@ Suppress a single deliberate finding in source with::
 
     risky_line()  # repro: allow[R3] iteration feeds an order-free sum
 
-Exit codes: 0 = clean (suppressed/baselined findings do not fail);
-1 = at least one new finding; 2 = bad invocation.
+Exit codes: 0 = clean (suppressed findings do not fail); 1 = at least
+one finding; 2 = bad invocation.
 
-See ``docs/static-analysis.md`` for the rule catalog and the baseline
-workflow.
+See ``docs/static-analysis.md`` for the rule catalog and the
+suppression workflow.
 """
 
 from __future__ import annotations
@@ -36,15 +35,12 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.analysis import (  # noqa: E402  (sys.path bootstrap above)
     AnalysisEngine,
-    Baseline,
     RuleConfig,
     default_rules,
     render_json,
     render_text,
     select_rules,
 )
-
-DEFAULT_BASELINE = REPO / "tools" / "lint_baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,20 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPECS",
         help="comma-separated rule ids or names to run "
         "(e.g. 'R1,unordered-iteration'; default: all six)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=DEFAULT_BASELINE,
-        metavar="FILE",
-        help="baseline file of grandfathered findings "
-        "(default: tools/lint_baseline.json; missing file = empty)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather every current finding "
-        "(existing reasons are kept; new entries get a placeholder)",
     )
     parser.add_argument(
         "--json",
@@ -123,24 +105,7 @@ def main(argv: List[str] | None = None) -> int:
         )
         return 2
 
-    if args.update_baseline:
-        report = engine.analyze_paths(paths, baseline=None)
-        previous = Baseline.load(args.baseline)
-        updated = Baseline.from_findings(report.findings)
-        updated.merge_reasons(previous)
-        updated.save(args.baseline)
-        print(
-            f"baseline updated: {len(updated.entries)} entr(y/ies) "
-            f"written to {args.baseline}"
-        )
-        return 0
-
-    try:
-        baseline = Baseline.load(args.baseline)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    report = engine.analyze_paths(paths, baseline=baseline)
+    report = engine.analyze_paths(paths)
     if args.json:
         print(render_json(report, rules))
     else:
