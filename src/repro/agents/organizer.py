@@ -41,7 +41,7 @@ from repro.agents.messages import (
 )
 from repro.core.admissibility import is_admissible
 from repro.core.coalition import Coalition, TaskAward
-from repro.core.evaluation import ProposalEvaluator, WeightScheme
+from repro.core.evaluation import ProposalEvaluator
 from repro.core.negotiation import (
     NegotiationOutcome,
     formulate_node_proposals,
@@ -109,7 +109,6 @@ class OrganizerAgent(Agent):
         award_timeout: Seconds to wait for CONFIRM/REFUSE before treating
             an award as refused (covers lost messages).
         selection: Winner-selection policy (default: the paper's triple).
-        weights: eq. 3 weight scheme.
     """
 
     def __init__(
@@ -121,7 +120,6 @@ class OrganizerAgent(Agent):
         proposal_window: float = 0.5,
         award_timeout: float = 0.25,
         selection: Optional[SelectionPolicy] = None,
-        weights: WeightScheme = WeightScheme.LINEAR,
         max_hops: int = 1,
     ) -> None:
         super().__init__(engine, node, network)
@@ -129,7 +127,6 @@ class OrganizerAgent(Agent):
         self.proposal_window = proposal_window
         self.award_timeout = award_timeout
         self.selection = selection if selection is not None else SelectionPolicy()
-        self.weights = weights
         self.max_hops = max(1, int(max_hops))
         self.provider = QoSProvider(node)
         self.sessions: Dict[str, NegotiationSession] = {}
@@ -236,7 +233,7 @@ class OrganizerAgent(Agent):
             if is_admissible(task.request, p)
         ]
         scored = score_admissible(
-            task.request, admissible, self.weights, session.evaluators,
+            task.request, admissible, session.evaluators,
             lambda nid: self._comm_cost(session.service, nid),
             set(session.coalition.members),
         )

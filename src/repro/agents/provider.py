@@ -26,7 +26,6 @@ from repro.agents.messages import (
     RefusePayload,
 )
 from repro.core.negotiation import formulate_node_proposals
-from repro.core.reward import PenaltyPolicy
 from repro.errors import CapacityExceededError
 from repro.network.messaging import Message, NetworkService
 from repro.resources.kinds import ResourceKind
@@ -42,7 +41,6 @@ class ProviderAgent(Agent):
         engine: Simulation engine.
         node: The node this agent serves.
         network: Message delivery service.
-        penalty: eq. 1 penalty policy used in formulation.
         propose_delay: Simulated think-time before replying to a CFP
             (models the Resource-Manager consultation latency).
     """
@@ -52,13 +50,11 @@ class ProviderAgent(Agent):
         engine: Engine,
         node: Node,
         network: NetworkService,
-        penalty: Optional[PenaltyPolicy] = None,
         propose_delay: float = 0.005,
         award_lease: Optional[float] = 120.0,
     ) -> None:
         super().__init__(engine, node, network)
         self.provider = QoSProvider(node)
-        self.penalty = penalty
         self.propose_delay = propose_delay
         self.award_lease = award_lease
         self.leases_reclaimed = 0
@@ -100,7 +96,7 @@ class ProviderAgent(Agent):
             if not self.node.alive:
                 return
             proposals = formulate_node_proposals(
-                self.provider, payload.service.tasks, penalty=self.penalty, now=at
+                self.provider, payload.service.tasks, now=at
             )
             if not proposals:
                 return  # nothing servable: stay silent, as the paper implies

@@ -14,7 +14,6 @@ from repro.agents.organizer import OrganizerAgent
 from repro.agents.provider import ProviderAgent
 from repro.core.negotiation import NegotiationOutcome
 from repro.core.selection import SelectionPolicy
-from repro.core.evaluation import WeightScheme
 from repro.errors import UnknownNodeError
 from repro.network.channel import ChannelModel
 from repro.network.messaging import NetworkService
@@ -42,7 +41,6 @@ class AgentSystem:
         proposal_window: Organizer CFP collection window (s).
         award_timeout: Organizer award-reply timeout (s).
         selection: Winner-selection policy for organizers.
-        weights: eq. 3 weight scheme for organizers.
     """
 
     def __init__(
@@ -55,7 +53,6 @@ class AgentSystem:
         proposal_window: float = 0.5,
         award_timeout: float = 0.25,
         selection: Optional[SelectionPolicy] = None,
-        weights: WeightScheme = WeightScheme.LINEAR,
         max_hops: int = 1,
     ) -> None:
         self.engine = Engine(seed=seed)
@@ -83,7 +80,6 @@ class AgentSystem:
         self.proposal_window = proposal_window
         self.award_timeout = award_timeout
         self.selection = selection
-        self.weights = weights
         self.max_hops = max_hops
 
         self.providers: Dict[str, QoSProvider] = {}
@@ -120,7 +116,6 @@ class AgentSystem:
                 proposal_window=self.proposal_window,
                 award_timeout=self.award_timeout,
                 selection=self.selection,
-                weights=self.weights,
                 max_hops=self.max_hops,
             )
             # Chain: organizer handles its kinds, provider handles CFP/AWARD.

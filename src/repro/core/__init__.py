@@ -26,13 +26,7 @@ Layout mirrors the paper:
 """
 
 from repro.core.proposal import Proposal
-from repro.core.reward import (
-    ConstantPenalty,
-    LinearPenalty,
-    PenaltyPolicy,
-    QuadraticPenalty,
-    local_reward,
-)
+from repro.core.reward import local_reward
 from repro.core.formulation import FormulationResult, formulate
 from repro.core.evaluation import ProposalEvaluator, WeightScheme
 from repro.core.admissibility import is_admissible, admissibility_failures
@@ -50,10 +44,6 @@ from repro.core import baselines
 
 __all__ = [
     "Proposal",
-    "PenaltyPolicy",
-    "LinearPenalty",
-    "QuadraticPenalty",
-    "ConstantPenalty",
     "local_reward",
     "FormulationResult",
     "formulate",

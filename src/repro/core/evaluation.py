@@ -27,15 +27,12 @@ Interpretation choices (documented because the paper under-specifies):
   would *reward* offers numerically below the preferred one (e.g. 5 fps
   when 10 fps is preferred ⇒ negative "distance"), contradicting the
   paper's "lowest evaluation … closer to the preferred ones". We take the
-  absolute value by default; ``signed=True`` restores the literal formula
-  for ablation.
+  absolute value.
 * **Normalization set** ``Q_k``: eq. 5 normalizes by the attribute's value
-  span/length. ``normalize_by="domain"`` (default) uses the application
-  spec's domain — the quality-index reading of Lee et al. [12] that the
-  paper cites; ``"request"`` uses the request's acceptable set (Section
-  4.1 defines ``Q_kj`` as the requested quality choices). Both are exact
-  implementations of defensible readings; E9's sibling ablation compares
-  them.
+  span/length. We use the application spec's domain — the quality-index
+  reading of Lee et al. [12] that the paper cites. The request's
+  acceptable set (Section 4.1 defines ``Q_kj`` as the requested quality
+  choices) is the other defensible reading; we do not use it.
 """
 
 from __future__ import annotations
@@ -45,10 +42,9 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import DomainError, NegotiationError, RequestError
+from repro.errors import NegotiationError, RequestError
 from repro.core.proposal import Proposal
 from repro.qos.domain import ContinuousDomain, DiscreteDomain
-from repro.qos.levels import build_ladder
 from repro.qos.request import ServiceRequest
 
 
@@ -85,7 +81,7 @@ class _CompiledAttribute:
 
     __slots__ = (
         "name", "continuous", "domain", "pref_value", "pref_position",
-        "span", "ladder", "dif_cache",
+        "span", "dif_cache",
     )
 
     def __init__(
@@ -96,7 +92,6 @@ class _CompiledAttribute:
         pref_value: float,
         pref_position: int,
         span: float,
-        ladder: Tuple[Any, ...],
     ) -> None:
         self.name = name
         self.continuous = continuous
@@ -104,7 +99,6 @@ class _CompiledAttribute:
         self.pref_value = pref_value
         self.pref_position = pref_position
         self.span = span
-        self.ladder = ladder
         self.dif_cache: Dict[Tuple[type, Any], float] = {}
 
 
@@ -117,9 +111,8 @@ class ProposalEvaluator:
     """Scores proposals against a service request (lower = better).
 
     The request is **compiled once** at construction — dimension
-    weights (eq. 3), attribute weights (eq. 4), continuous spans,
-    discrete position tables, and request-ladder indices for
-    ``normalize_by="request"`` — because in the negotiation hot path
+    weights (eq. 3), attribute weights (eq. 4), continuous spans and
+    discrete domain positions — because in the negotiation hot path
     (one evaluation per proposal per task per service) re-deriving them
     per call would dominate. :meth:`distances` scores a whole proposal
     list in one call, with per-attribute dif values cached per distinct
@@ -133,38 +126,22 @@ class ProposalEvaluator:
     exactly. ``tests/data/evaluation_golden.json`` records the answers
     of the original per-call implementation, and
     ``tests/test_batch_evaluation.py`` pins this one to them bit for
-    bit. Out-of-domain or unacceptable values raise
-    :class:`~repro.errors.DomainError`, missing attributes ``KeyError``.
+    bit. Out-of-domain values raise :class:`~repro.errors.DomainError`,
+    missing attributes ``KeyError``.
 
     Args:
         request: The user's request (supplies preference orders and the
             preferred values ``Pref_ki``).
         weights: Rank→weight scheme for both dimensions and attributes.
-        normalize_by: ``"domain"`` or ``"request"`` — the ``Q_k`` set used
-            by eq. 5's denominators (see module docs).
-        signed: Use eq. 5 literally (signed differences) instead of the
-            default absolute magnitude.
-        float_steps: Interval expansion granularity when normalizing by
-            the request's acceptable set on continuous attributes.
     """
 
     def __init__(
         self,
         request: ServiceRequest,
         weights: WeightScheme = WeightScheme.LINEAR,
-        normalize_by: str = "domain",
-        signed: bool = False,
-        float_steps: int = 8,
     ) -> None:
-        if normalize_by not in ("domain", "request"):
-            raise NegotiationError(
-                f"normalize_by must be 'domain' or 'request', got {normalize_by!r}"
-            )
         self.request = request
         self.weights = weights
-        self.normalize_by = normalize_by
-        self.signed = signed
-        self.float_steps = float_steps
 
         # -- compile: one pass over the request ---------------------------
         n_dims = len(request.dimensions)
@@ -186,28 +163,12 @@ class ProposalEvaluator:
         pref = self.request.preference_for(name).preferred
         domain = self.request.spec.attribute(name).domain
         if isinstance(domain, ContinuousDomain):
-            if self.normalize_by == "domain":
-                span = domain.span()
-            else:
-                lo, hi = self.request.preference_for(name).bounds()
-                width = hi - lo
-                span = width if width > 0 else 1.0
             return _CompiledAttribute(
-                name, True, domain, float(pref), 0, span, (),
+                name, True, domain, float(pref), 0, domain.span(),
             )
         assert isinstance(domain, DiscreteDomain)
-        if self.normalize_by == "domain":
-            return _CompiledAttribute(
-                name, False, domain, 0.0, domain.position(pref),
-                domain.span(), (),
-            )
-        ladder = build_ladder(
-            self.request.preference_for(name), domain.value_type,
-            self.float_steps,
-        )
         return _CompiledAttribute(
-            name, False, domain, 0.0, ladder.index(pref),
-            float(max(len(ladder) - 1, 1)), ladder,
+            name, False, domain, 0.0, domain.position(pref), domain.span(),
         )
 
     def _dimension(self, dimension: str) -> _Dimension:
@@ -243,19 +204,10 @@ class ProposalEvaluator:
         if entry.continuous:
             raw = (float(entry.domain.validate(proposed)) - entry.pref_value) \
                 / entry.span
-        elif not entry.ladder:  # discrete, domain-normalized
+        else:
             raw = (entry.domain.position(proposed) - entry.pref_position) \
                 / entry.span
-        else:  # discrete, request-normalized
-            try:
-                pos = entry.ladder.index(proposed)
-            except ValueError:
-                raise DomainError(
-                    f"proposed value {proposed!r} not among acceptable values "
-                    f"of {entry.name!r}"
-                ) from None
-            raw = (pos - entry.pref_position) / entry.span
-        dif = raw if self.signed else abs(raw)
+        dif = abs(raw)
         entry.dif_cache[key] = dif
         return dif
 

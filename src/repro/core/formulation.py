@@ -21,10 +21,10 @@ bounded by the sum of ladder depths.
 Performance: each loop iteration degrades exactly one task, so the
 candidate steps (and eq. 1 rewards) of every *other* task are unchanged
 from the previous iteration. Moreover a task's cheapest step depends
-only on ``(assignment, penalty, float_steps)`` — not on the node whose
-headroom is being probed — so the memo lives on the
-:class:`~repro.services.task.Task` itself (``_reward_cache`` /
-``_step_cache``) and is shared by every provider answering the same
+only on its assignment — not on the node whose headroom is being
+probed — so the memo lives on the :class:`~repro.services.task.Task`
+itself (``_reward_cache`` / ``_step_cache``, keyed by the assignment's
+ladder indices) and is shared by every provider answering the same
 CFP: with an audience of 64 nodes, each quality level's reward and best
 degradation are computed once, not 64 times. Identical arithmetic is
 reused, never recomputed differently, so outcomes stay bit-identical
@@ -39,16 +39,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InfeasibleTaskError
-from repro.core.reward import LinearPenalty, PenaltyPolicy, local_reward
+from repro.core.reward import local_reward
 from repro.qos.levels import QualityAssignment
 from repro.services.task import Task
 
 SchedulabilityTest = Callable[[Mapping[str, QualityAssignment]], bool]
 """Predicate: can this node serve all tasks at these levels simultaneously?"""
-
-_DEFAULT_PENALTY = LinearPenalty()
-"""Shared default policy: a stable identity keeps the per-task reward/step
-memos (keyed by penalty object) warm across ``formulate`` calls."""
 
 
 @dataclass
@@ -74,41 +70,20 @@ class FormulationResult:
         return self.assignments[task_id].values()
 
 
-def _initial_assignments(
-    tasks: Sequence[Task], float_steps: int
-) -> Dict[str, QualityAssignment]:
-    """Step 1: everyone at the user's preferred values."""
-    out: Dict[str, QualityAssignment] = {}
-    for task in tasks:
-        ladder = task.ladder(float_steps)
-        out[task.task_id] = ladder.top()
-    return out
-
-
-def _dependency_ok(assignment: QualityAssignment) -> bool:
-    return assignment.respects_dependencies()
-
-
 def formulate(
-    tasks: Sequence[Task],
-    is_schedulable: SchedulabilityTest,
-    penalty: Optional[PenaltyPolicy] = None,
-    float_steps: int = 8,
-    require_dependencies: bool = True,
+    tasks: Sequence[Task], is_schedulable: SchedulabilityTest
 ) -> FormulationResult:
     """Run the Section 5 heuristic over a set of tasks.
+
+    Degradation steps that would violate the spec's ``Deps`` are
+    skipped, and preferred assignments violating them are first repaired
+    by degrading the *least important* offending attribute.
 
     Args:
         tasks: The tasks to serve (the paper's ``T``). Task ids must be
             unique.
         is_schedulable: The Resource-Manager-backed predicate answering
             "can all these levels be served at once?".
-        penalty: eq. 1 penalty policy (default linear).
-        float_steps: Interval expansion granularity for float attributes.
-        require_dependencies: When ``True`` (default), degradation steps
-            that would violate the spec's ``Deps`` are skipped, and
-            initial assignments violating them are repaired by degrading
-            the *least important* offending attribute first.
 
     Returns:
         A :class:`FormulationResult`; check ``feasible``.
@@ -118,33 +93,32 @@ def formulate(
             configuration cannot be found (e.g. dependencies are
             unsatisfiable on the acceptable ladders).
     """
-    penalty = penalty if penalty is not None else _DEFAULT_PENALTY
     ids = [t.task_id for t in tasks]
     if len(set(ids)) != len(ids):
         raise InfeasibleTaskError("duplicate task ids in formulation")
 
-    current = _initial_assignments(tasks, float_steps)
+    # Step 1: everyone at the user's preferred values, repaired to
+    # satisfy ``Deps``.
+    current: Dict[str, QualityAssignment] = {}
     degradations = 0
-
-    if require_dependencies:
-        for task in tasks:
-            repaired, steps = _repair_dependencies(current[task.task_id])
-            if repaired is None:
-                raise InfeasibleTaskError(
-                    f"task {task.task_id!r}: no dependency-valid level exists "
-                    f"on the acceptable ladders"
-                )
-            current[task.task_id] = repaired
-            degradations += steps
+    for task in tasks:
+        repaired, steps = _repair_dependencies(task.ladder().top())
+        if repaired is None:
+            raise InfeasibleTaskError(
+                f"task {task.task_id!r}: no dependency-valid level exists "
+                f"on the acceptable ladders"
+            )
+        current[task.task_id] = repaired
+        degradations += steps
 
     # eq. 1 rewards and best steps are memoized on the Task (shared
-    # across every provider probing this CFP, see the module docs); the
-    # keys carry everything the cached value depends on.
+    # across every provider probing this CFP, see the module docs),
+    # keyed by the assignment's ladder indices.
     def reward_of(task: Task, assignment: QualityAssignment) -> float:
-        key = (penalty, float_steps, assignment.index_key())
+        key = assignment.index_key()
         value = task._reward_cache.get(key)
         if value is None:
-            value = local_reward(assignment, penalty)
+            value = local_reward(assignment)
             task._reward_cache[key] = value
         return value
 
@@ -157,15 +131,10 @@ def formulate(
         for t_index, task in enumerate(tasks):
             tid = task.task_id
             if tid not in options:
-                skey = (
-                    penalty, require_dependencies, float_steps,
-                    current[tid].index_key(),
-                )
+                skey = current[tid].index_key()
                 entry = task._step_cache.get(skey, _MISSING)
                 if entry is _MISSING:
-                    entry = _best_task_step(
-                        task, current[tid], require_dependencies, reward_of
-                    )
+                    entry = _best_task_step(task, current[tid], reward_of)
                     task._step_cache[skey] = entry
                 options[tid] = entry
             entry = options[tid]
@@ -204,7 +173,6 @@ _MISSING = object()
 def _best_task_step(
     task: Task,
     assignment: QualityAssignment,
-    require_dependencies: bool,
     reward_of: Callable[[Task, QualityAssignment], float],
 ) -> Optional[Tuple[float, int, QualityAssignment]]:
     """Steps 2a–2b for one task: its minimum-reward-decrease degradation.
@@ -220,7 +188,7 @@ def _best_task_step(
         if not assignment.can_degrade(attr):
             continue
         candidate = assignment.degrade(attr)
-        if require_dependencies and not _dependency_ok(candidate):
+        if not candidate.respects_dependencies():
             continue
         decrease = before - reward_of(task, candidate)
         if best is None or (decrease, a_index) < best[:2]:
@@ -243,7 +211,7 @@ def _repair_dependencies(
     steps = 0
     current = assignment
     # Bounded by the total ladder volume; each iteration degrades once.
-    while not _dependency_ok(current):
+    while not current.respects_dependencies():
         order = list(reversed(current.ladder_set.request.attribute_names))
         progressed = False
         for attr in order:

@@ -33,11 +33,10 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.admissibility import is_admissible
 from repro.core.coalition import Coalition, TaskAward
-from repro.core.evaluation import ProposalEvaluator, WeightScheme
+from repro.core.evaluation import ProposalEvaluator
 from repro.core.formulation import formulate
 from repro.core.proposal import Proposal
 from repro.core.reputation import ReputationTracker
-from repro.core.reward import PenaltyPolicy
 from repro.core.selection import ScoredProposal, SelectionPolicy
 from repro.errors import (
     CapacityExceededError,
@@ -162,9 +161,7 @@ def collect_proposals(
     service: Service,
     audience: Sequence[str],
     providers: Mapping[str, QoSProvider],
-    penalty: Optional[PenaltyPolicy] = None,
     now: float = 0.0,
-    float_steps: int = 8,
 ) -> Tuple[Dict[str, List[Proposal]], int]:
     """Steps 1–2 bookkeeping shared by :func:`negotiate` and the
     baselines: gather every audience node's proposals per task and count
@@ -182,10 +179,7 @@ def collect_proposals(
         provider = providers.get(node_id)
         if provider is None:
             continue
-        node_proposals = formulate_node_proposals(
-            provider, service.tasks, penalty=penalty, now=now,
-            float_steps=float_steps,
-        )
+        node_proposals = formulate_node_proposals(provider, service.tasks, now=now)
         if node_id != requester and node_proposals:
             messages += 1
         for proposal in node_proposals:
@@ -204,9 +198,7 @@ def remote_award_messages(coalition: Coalition, requester: str) -> int:
 def formulate_node_proposals(
     provider: QoSProvider,
     tasks: Sequence[Task],
-    penalty: Optional[PenaltyPolicy] = None,
     now: float = 0.0,
-    float_steps: int = 8,
 ) -> List[Proposal]:
     """Step 2 for one node: formulate proposals for the servable tasks.
 
@@ -233,9 +225,7 @@ def formulate_node_proposals(
             total = demand if total is None else total + demand
         return True if total is None else provider.can_serve(total)
 
-    joint = formulate(
-        list(tasks), joint_servable, penalty=penalty, float_steps=float_steps
-    )
+    joint = formulate(list(tasks), joint_servable)
     if joint.feasible:
         for task in tasks:
             values = joint.values(task.task_id)
@@ -256,9 +246,7 @@ def formulate_node_proposals(
             demand = task.demand_at(assignments[task.task_id].values())
             return provider.can_serve(demand)
 
-        result = formulate(
-            [task], solo_servable, penalty=penalty, float_steps=float_steps
-        )
+        result = formulate([task], solo_servable)
         if not result.feasible:
             continue
         values = result.values(task.task_id)
@@ -277,13 +265,11 @@ def formulate_node_proposals(
 def score_admissible(
     request,
     admissible: Sequence[Proposal],
-    weights: WeightScheme,
     evaluator_cache: Dict[int, ProposalEvaluator],
     comm_cost,
     members: set,
     reputation=None,
     battery=None,
-    evaluator_kwargs: Optional[dict] = None,
 ) -> Tuple[ScoredProposal, ...]:
     """Step-3 scoring of one task's admissible proposals (both drivers).
 
@@ -294,9 +280,7 @@ def score_admissible(
     """
     evaluator = evaluator_cache.get(id(request))
     if evaluator is None:
-        evaluator = ProposalEvaluator(
-            request, weights=weights, **(evaluator_kwargs or {})
-        )
+        evaluator = ProposalEvaluator(request)
         evaluator_cache[id(request)] = evaluator
     return SelectionPolicy.score(
         admissible,
@@ -310,12 +294,9 @@ def negotiate(
     topology: Topology,
     providers: Mapping[str, QoSProvider],
     selection: Optional[SelectionPolicy] = None,
-    weights: WeightScheme = WeightScheme.LINEAR,
-    penalty: Optional[PenaltyPolicy] = None,
     commit: bool = True,
     now: float = 0.0,
     candidates: Optional[Sequence[str]] = None,
-    evaluator_options: Optional[dict] = None,
     max_hops: int = 1,
     reputation: Optional["ReputationTracker"] = None,
     faults: Optional["FaultInjector"] = None,
@@ -327,17 +308,12 @@ def negotiate(
         topology: Current network topology (audience + comm costs).
         providers: node id → QoS Provider for every node in the topology.
         selection: Winner-selection policy (default: the paper's triple).
-        weights: eq. 3 weight scheme for the evaluator.
-        penalty: eq. 1 penalty policy for formulation.
         commit: When ``True`` award-time admission reserves real
             resources; when ``False`` a scratch ledger is used and no
             state is mutated (dry run for baselines/what-ifs).
         now: Simulated time stamped on proposals/reservations.
         candidates: Override the audience (default:
             :func:`candidate_nodes`).
-        evaluator_options: Extra kwargs for
-            :class:`~repro.core.evaluation.ProposalEvaluator`
-            (``normalize_by``, ``signed``, ``float_steps``).
         max_hops: CFP reach in hops. 1 = the paper's one-hop broadcast;
             > 1 enables the relayed extension, with communication costs
             computed over the best multi-hop route.
@@ -357,7 +333,6 @@ def negotiate(
         FORMING so callers can start the operation phase.
     """
     selection = selection if selection is not None else SelectionPolicy()
-    evaluator_options = dict(evaluator_options or {})
     coalition = Coalition(service, formed_at=now)
     audience = (
         tuple(candidates) if candidates is not None
@@ -365,10 +340,7 @@ def negotiate(
     )
     # Steps 1–2: broadcast the CFP and collect per-task proposals; the
     # helper also tallies the radio messages those steps cost.
-    by_task, messages = collect_proposals(
-        service, audience, providers, penalty=penalty, now=now,
-        float_steps=evaluator_options.get("float_steps", 8),
-    )
+    by_task, messages = collect_proposals(service, audience, providers, now=now)
     stale: frozenset = frozenset()
     if faults is not None:
         # Link/agent faults hit the PROPOSE leg: dropped bundles vanish
@@ -407,9 +379,6 @@ def negotiate(
     # request (common in generated workloads) reuse one compiled set of
     # weights/denominators and its dif caches.
     evaluators: Dict[int, ProposalEvaluator] = {}
-    evaluator_kwargs = {
-        k: v for k, v in evaluator_options.items() if k != "float_steps"
-    }
     unallocated: List[str] = []
     handshake_stats = {"retries": 0, "delay": 0.0}
     for task in service.tasks:
@@ -422,11 +391,10 @@ def negotiate(
             return provider.node.battery_fraction if provider else 0.0
 
         scored = score_admissible(
-            task.request, admissible, weights, evaluators, comm_cost,
+            task.request, admissible, evaluators, comm_cost,
             set(coalition.members),
             reputation=reputation.score if reputation is not None else None,
             battery=battery,
-            evaluator_kwargs=evaluator_kwargs,
         )
         ranked = selection.rank(scored)
         awarded = _try_award(

@@ -12,117 +12,38 @@ The paper leaves ``penalty`` open: *"this parameter can be defined
 according to user's own criteria and its value increases with the distance
 for user's preferred value."* We take ``n`` to be the number of attributes
 in the request (each attribute contributes one penalty term; serving every
-attribute at its preferred level yields the maximal reward ``n``), and
-ship three penalty policies satisfying the paper's monotonicity rule.
-``distance`` below is the attribute's degradation-ladder index (0 = the
-user's preferred value).
+attribute at its preferred level yields the maximal reward ``n``), and fix
+one penalty that satisfies the paper's monotonicity rule::
+
+    penalty_j = index_j / (depth_j - 1)
+
+where ``index_j`` is attribute ``j``'s degradation-ladder index (0 = the
+user's preferred value) and ``depth_j`` its ladder length; a one-level
+ladder cannot degrade and costs 0. Normalizing by ladder depth makes one
+full degradation of any attribute cost exactly 1 however many levels the
+user listed, so attribute importance comes only from the request order,
+not from ladder granularity.
 """
 
 from __future__ import annotations
 
-import abc
-
-from repro.errors import ReproError
 from repro.qos.levels import QualityAssignment
 
 
-class PenaltyPolicy(abc.ABC):
-    """Maps an attribute's ladder distance to a penalty value.
-
-    Implementations must satisfy ``penalty(0) == 0`` and monotone
-    non-decreasing penalties in distance (the paper's only constraints).
-    """
-
-    @abc.abstractmethod
-    def penalty(self, distance: int, depth: int) -> float:
-        """Penalty for an attribute ``distance`` steps below preferred.
-
-        Args:
-            distance: Ladder index of the current level (0 = preferred).
-            depth: Total ladder length for the attribute (>= 1), allowing
-                depth-normalized policies.
-        """
-
-    def __call__(self, distance: int, depth: int) -> float:
-        if distance < 0:
-            raise ReproError(f"negative ladder distance: {distance}")
-        if depth < 1:
-            raise ReproError(f"ladder depth must be >= 1: {depth}")
-        if distance >= depth:
-            raise ReproError(f"distance {distance} beyond ladder depth {depth}")
-        return self.penalty(distance, depth)
-
-
-class LinearPenalty(PenaltyPolicy):
-    """``penalty = scale * distance / (depth - 1)`` — the default.
-
-    Normalizing by ladder depth makes one full degradation of any
-    attribute cost the same (``scale``) regardless of how many levels the
-    user listed, so attribute importance comes only from the request
-    order, not from ladder granularity.
-    """
-
-    def __init__(self, scale: float = 1.0) -> None:
-        if scale < 0:
-            raise ReproError(f"penalty scale must be >= 0: {scale}")
-        self.scale = scale
-
-    def penalty(self, distance: int, depth: int) -> float:
-        if depth == 1:
-            return 0.0
-        return self.scale * distance / (depth - 1)
-
-
-class QuadraticPenalty(PenaltyPolicy):
-    """``penalty = scale * (distance / (depth-1))**2`` — gentle near the
-    preferred value, steep near the acceptability floor."""
-
-    def __init__(self, scale: float = 1.0) -> None:
-        if scale < 0:
-            raise ReproError(f"penalty scale must be >= 0: {scale}")
-        self.scale = scale
-
-    def penalty(self, distance: int, depth: int) -> float:
-        if depth == 1:
-            return 0.0
-        frac = distance / (depth - 1)
-        return self.scale * frac * frac
-
-
-class ConstantPenalty(PenaltyPolicy):
-    """``penalty = scale`` for any degradation at all — models users who
-    only care whether they get their first choice."""
-
-    def __init__(self, scale: float = 1.0) -> None:
-        if scale < 0:
-            raise ReproError(f"penalty scale must be >= 0: {scale}")
-        self.scale = scale
-
-    def penalty(self, distance: int, depth: int) -> float:
-        return self.scale if distance > 0 else 0.0
-
-
-def local_reward(
-    assignment: QualityAssignment, policy: PenaltyPolicy | None = None
-) -> float:
+def local_reward(assignment: QualityAssignment) -> float:
     """Evaluate eq. 1 for a quality assignment.
-
-    Args:
-        assignment: The quality level under evaluation.
-        policy: Penalty policy; defaults to :class:`LinearPenalty`.
 
     Returns:
         ``n`` (the attribute count) when the assignment is at the top
         level everywhere, otherwise ``n - Σ penalty_j``.
     """
-    policy = policy if policy is not None else LinearPenalty()
     ladders = assignment.ladder_set.ladders
     n = len(ladders)
     if assignment.at_top:
         return float(n)
     total_penalty = 0.0
-    for attr in ladders:
-        distance = assignment.index(attr)
-        depth = len(ladders[attr])
-        total_penalty += policy(distance, depth)
+    for attr, ladder in ladders.items():
+        depth = len(ladder)
+        if depth > 1:
+            total_penalty += assignment.index(attr) / (depth - 1)
     return float(n) - total_penalty

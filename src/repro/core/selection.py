@@ -7,7 +7,7 @@ distinct nodes in coalition."*
 :class:`SelectionPolicy` ranks the admissible proposals for one task
 lexicographically by
 
-1. eq. 2 distance (quantized to ``distance_resolution`` so that
+1. eq. 2 distance (quantized to :data:`DISTANCE_RESOLUTION` so that
    numerically indistinguishable offers fall through to the secondary
    criteria — with exact floats the tie-breaks would almost never fire);
 2. communication cost between requester and offering node;
@@ -30,6 +30,15 @@ from repro.sim.rng import derive_seed
 
 CommCost = Callable[[str], float]
 """Maps an offering node id to the cost of talking to the requester."""
+
+DISTANCE_RESOLUTION = 1e-6
+"""Quantum for distance comparison: distances within one quantum tie."""
+
+REPUTATION_RESOLUTION = 0.1
+"""Quantum for the reputation criterion."""
+
+BATTERY_RESOLUTION = 0.2
+"""Quantum for the battery criterion."""
 
 
 @dataclass(frozen=True)
@@ -62,11 +71,11 @@ class SelectionPolicy:
 
     * ``use_reputation`` — after distance, prefer nodes with a higher
       task-completion reliability estimate (quantized to
-      ``reputation_resolution`` so that small estimate noise does not
+      :data:`REPUTATION_RESOLUTION` so that small estimate noise does not
       override the operational tie-breaks);
     * ``use_battery`` — after reputation but before the operational
       tie-breaks, prefer nodes with more remaining battery (quantized to
-      ``battery_resolution`` buckets; within a bucket comm cost still
+      :data:`BATTERY_RESOLUTION` buckets; within a bucket comm cost still
       decides). Placing it above comm cost is deliberate: its purpose is
       *network lifetime*, which a cheaper link cannot buy back once the
       nearest helper's battery is gone.
@@ -76,10 +85,6 @@ class SelectionPolicy:
         use_coalition_size: Apply tie-break (3). Disabled in ablations.
         use_reputation: Apply the reliability extension criterion.
         use_battery: Apply the battery extension criterion.
-        distance_resolution: Quantum for distance comparison; distances
-            within the same quantum are considered tied.
-        reputation_resolution: Quantum for reputation comparison.
-        battery_resolution: Quantum for battery comparison.
     """
 
     def __init__(
@@ -88,30 +93,20 @@ class SelectionPolicy:
         use_coalition_size: bool = True,
         use_reputation: bool = False,
         use_battery: bool = False,
-        distance_resolution: float = 1e-6,
-        reputation_resolution: float = 0.1,
-        battery_resolution: float = 0.2,
     ) -> None:
-        if distance_resolution <= 0:
-            raise ValueError("distance_resolution must be positive")
-        if reputation_resolution <= 0 or battery_resolution <= 0:
-            raise ValueError("resolutions must be positive")
         self.use_comm_cost = use_comm_cost
         self.use_coalition_size = use_coalition_size
         self.use_reputation = use_reputation
         self.use_battery = use_battery
-        self.distance_resolution = distance_resolution
-        self.reputation_resolution = reputation_resolution
-        self.battery_resolution = battery_resolution
 
     def _key(self, scored: ScoredProposal) -> Tuple:
-        quantized = round(scored.distance / self.distance_resolution)
+        quantized = round(scored.distance / DISTANCE_RESOLUTION)
         key: list = [quantized]
         if self.use_reputation:
             # Negated (higher reliability first), quantized.
-            key.append(-round(scored.reputation / self.reputation_resolution))
+            key.append(-round(scored.reputation / REPUTATION_RESOLUTION))
         if self.use_battery:
-            key.append(-round(scored.battery_fraction / self.battery_resolution))
+            key.append(-round(scored.battery_fraction / BATTERY_RESOLUTION))
         if self.use_comm_cost:
             key.append(scored.comm_cost)
         if self.use_coalition_size:

@@ -17,19 +17,15 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.core.evaluation import ProposalEvaluator, WeightScheme
+from repro.core.evaluation import ProposalEvaluator
 from repro.core.negotiation import NegotiationOutcome
 from repro.core.proposal import Proposal
 from repro.qos.request import ServiceRequest
 
 
-def proposal_utility(
-    request: ServiceRequest,
-    proposal: Proposal,
-    weights: WeightScheme = WeightScheme.LINEAR,
-) -> float:
+def proposal_utility(request: ServiceRequest, proposal: Proposal) -> float:
     """Normalized utility of one proposal under a request."""
-    evaluator = ProposalEvaluator(request, weights=weights)
+    evaluator = ProposalEvaluator(request)
     bound = evaluator.max_distance()
     if bound <= 0:
         return 1.0
@@ -37,32 +33,21 @@ def proposal_utility(
     return max(0.0, min(1.0, value))
 
 
-def assignment_utility(
-    request: ServiceRequest,
-    values: Mapping[str, Any],
-    weights: WeightScheme = WeightScheme.LINEAR,
-) -> float:
+def assignment_utility(request: ServiceRequest, values: Mapping[str, Any]) -> float:
     """Utility of a concrete attribute→value assignment."""
     proposal = Proposal(task_id="_", node_id="_", values=dict(values))
-    return proposal_utility(request, proposal, weights)
+    return proposal_utility(request, proposal)
 
 
-def allocation_utility(
-    request: ServiceRequest,
-    distance: float,
-    weights: WeightScheme = WeightScheme.LINEAR,
-) -> float:
+def allocation_utility(request: ServiceRequest, distance: float) -> float:
     """Utility from a pre-computed eq. 2 distance."""
-    bound = ProposalEvaluator(request, weights=weights).max_distance()
+    bound = ProposalEvaluator(request).max_distance()
     if bound <= 0:
         return 1.0
     return max(0.0, min(1.0, 1.0 - distance / bound))
 
 
-def outcome_utility(
-    outcome: NegotiationOutcome,
-    weights: WeightScheme = WeightScheme.LINEAR,
-) -> float:
+def outcome_utility(outcome: NegotiationOutcome) -> float:
     """Mean per-task utility of a negotiation outcome.
 
     Allocated tasks contribute their award's normalized utility;
@@ -76,5 +61,5 @@ def outcome_utility(
         award = outcome.coalition.awards.get(task.task_id)
         if award is None:
             continue
-        total += allocation_utility(task.request, award.distance, weights)
+        total += allocation_utility(task.request, award.distance)
     return total / len(tasks)

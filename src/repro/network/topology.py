@@ -31,6 +31,7 @@ the arena to them bit for bit.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,10 +72,11 @@ class Topology:
         self._bw = np.zeros((0, 0), dtype=np.float64)
         self._loss = np.zeros((0, 0), dtype=np.float64)
         self._dist: Optional[np.ndarray] = None
-        # Blocked-link overlay (partition faults): normalized id pairs
+        # Blocked-link overlay (partition faults): normalized id pair ->
+        # number of partitions currently blocking it; every pair is
         # suppressed from the adjacency on every (re)build. Empty for
         # fault-free runs, where it costs nothing.
-        self._blocked: set = set()
+        self._blocked: Counter = Counter()
         # -- per-epoch caches, built lazily on first query ----------------
         self._cache_epoch = -1
         self._nbrs: Dict[str, Tuple[str, ...]] = {}
@@ -231,18 +233,19 @@ class Topology:
 
         The overlay survives later rebuilds (mobility, churn) until
         :meth:`unblock_links` removes it — a partition does not heal
-        because somebody moved.
+        because somebody moved. Blocks are counted per pair, so a pair
+        that overlapping partitions share stays blocked until every one
+        of them has healed.
         """
         self._blocked.update(self._normalize_pair(a, b) for a, b in pairs)
         self.rebuild()
 
     def unblock_links(self, pairs: Sequence[Tuple[str, str]]) -> None:
-        """Remove link blocks (healing a partition) and rebuild; links
-        come back exactly as the radio model dictates, so post-heal
-        routes match a never-partitioned topology bit for bit."""
-        self._blocked.difference_update(
-            self._normalize_pair(a, b) for a, b in pairs
-        )
+        """Remove one block per pair (healing a partition) and rebuild;
+        a pair whose last block goes comes back exactly as the radio
+        model dictates, so post-heal routes match a never-partitioned
+        topology bit for bit."""
+        self._blocked -= Counter(self._normalize_pair(a, b) for a, b in pairs)
         self.rebuild()
 
     # -- lazy caches -------------------------------------------------------

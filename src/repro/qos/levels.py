@@ -7,8 +7,8 @@ attribute, a concrete *ordered list of acceptable values* — the
 
 * scalar items contribute themselves;
 * intervals contribute every step from ``best`` to ``worst`` (step 1 for
-  integer attributes; a configurable count of evenly spaced steps for
-  float attributes).
+  integer attributes; :data:`FLOAT_STEPS` evenly spaced steps, both ends
+  included, for float attributes).
 
 A :class:`QualityAssignment` is one point in the level lattice: a mapping
 from attribute name to the *index on its ladder* (0 = most preferred),
@@ -26,13 +26,11 @@ from repro.qos.request import AttributePreference, ServiceRequest, ValueInterval
 from repro.qos.types import ValueType
 
 
-DEFAULT_FLOAT_STEPS = 8
+FLOAT_STEPS = 8
 """Number of ladder steps an interval of a float attribute expands into."""
 
 
-def _expand_interval(
-    interval: ValueInterval, value_type: ValueType, float_steps: int
-) -> list[Any]:
+def _expand_interval(interval: ValueInterval, value_type: ValueType) -> list[Any]:
     """Expand an interval into concrete ladder values, best end first."""
     if value_type is ValueType.INTEGER:
         best, worst = int(interval.best), int(interval.worst)
@@ -42,14 +40,13 @@ def _expand_interval(
     best, worst = float(interval.best), float(interval.worst)
     if best == worst:
         return [best]
-    n = max(2, int(float_steps))
-    return [best + (worst - best) * i / (n - 1) for i in range(n)]
+    return [
+        best + (worst - best) * i / (FLOAT_STEPS - 1) for i in range(FLOAT_STEPS)
+    ]
 
 
 def build_ladder(
-    preference: AttributePreference,
-    value_type: ValueType,
-    float_steps: int = DEFAULT_FLOAT_STEPS,
+    preference: AttributePreference, value_type: ValueType
 ) -> Tuple[Any, ...]:
     """Build the ordered acceptable-value ladder for one attribute.
 
@@ -60,7 +57,7 @@ def build_ladder(
     seen: set[Any] = set()
     for item in preference.items:
         if isinstance(item, ValueInterval):
-            values = _expand_interval(item, value_type, float_steps)
+            values = _expand_interval(item, value_type)
         else:
             values = [item]
         for v in values:
@@ -85,15 +82,13 @@ class DegradationLadder:
     ladders: Mapping[str, Tuple[Any, ...]]
 
     @classmethod
-    def from_request(
-        cls, request: ServiceRequest, float_steps: int = DEFAULT_FLOAT_STEPS
-    ) -> "DegradationLadder":
+    def from_request(cls, request: ServiceRequest) -> "DegradationLadder":
         """Derive ladders for every attribute of ``request``."""
         ladders: Dict[str, Tuple[Any, ...]] = {}
         for name in request.attribute_names:
             attr = request.spec.attribute(name)
             ladders[name] = build_ladder(
-                request.preference_for(name), attr.domain.value_type, float_steps
+                request.preference_for(name), attr.domain.value_type
             )
         return cls(request=request, ladders=dict(ladders))
 

@@ -36,7 +36,6 @@ class ResourceManager:
         self.capacity = capacity
         self._reserved = Capacity.zero()
         self._live: Dict[int, Reservation] = {}
-        self._history: list[Reservation] = []
 
     # -- queries ------------------------------------------------------------
 
@@ -95,7 +94,6 @@ class ResourceManager:
         )
         self._reserved = self._reserved + demand
         self._live[reservation.rid] = reservation
-        self._history.append(reservation)
         return reservation
 
     def try_reserve(

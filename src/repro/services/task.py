@@ -14,7 +14,7 @@ A task is what one coalition member executes. It bundles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.qos.levels import DegradationLadder
 from repro.qos.request import ServiceRequest
@@ -45,10 +45,9 @@ class Task:
     negotiation instead of recomputed per node. The caches never change
     results — only who pays for them. ``_reward_cache`` and
     ``_step_cache`` belong to the formulation heuristic
-    (:mod:`repro.core.formulation`), which owns their key layout. All
-    caches are invalidated together if ``request`` is swapped out (the
-    next :meth:`ladder` call detects it); swapping ``demand_model`` on a
-    live task is not supported — construct a new ``Task`` instead.
+    (:mod:`repro.core.formulation`), which owns their key layout.
+    Swapping ``request`` or ``demand_model`` on a live task is not
+    supported — construct a new ``Task`` instead.
     """
 
     task_id: str
@@ -57,8 +56,8 @@ class Task:
     input_kb: float = 10.0
     output_kb: float = 10.0
     duration: float = 10.0
-    _ladder_cache: Dict[int, DegradationLadder] = field(
-        default_factory=dict, init=False, repr=False, compare=False,
+    _ladder: Optional[DegradationLadder] = field(
+        default=None, init=False, repr=False, compare=False,
     )
     _demand_cache: Dict[Tuple, Capacity] = field(
         default_factory=dict, init=False, repr=False, compare=False,
@@ -75,20 +74,11 @@ class Task:
         """Generate a unique task id."""
         return f"{prefix}-{_task_seq.next()}"
 
-    def ladder(self, float_steps: int = 8) -> DegradationLadder:
+    def ladder(self) -> DegradationLadder:
         """The degradation ladder of this task's request (memoized)."""
-        cached = self._ladder_cache.get(float_steps)
-        if cached is not None and cached.request is self.request:
-            return cached
-        if any(l.request is not self.request for l in self._ladder_cache.values()):
-            # request swapped out: every derived cache is stale
-            self._ladder_cache.clear()
-            self._demand_cache.clear()
-            self._reward_cache.clear()
-            self._step_cache.clear()
-        cached = DegradationLadder.from_request(self.request, float_steps)
-        self._ladder_cache[float_steps] = cached
-        return cached
+        if self._ladder is None:
+            self._ladder = DegradationLadder.from_request(self.request)
+        return self._ladder
 
     def demand_at(self, values: Mapping[str, Any]) -> Capacity:
         """Resource demand of serving this task at quality ``values``.

@@ -4,10 +4,9 @@
 evaluator (one eq. 5 ``dif`` per attribute per call, no compiled
 tables) answered: eq. 2 distances of randomized proposals against the
 request of every service-family task and two catalog requests, for
-each ``normalize_by`` mode and :class:`WeightScheme`; each request's
-eq. 3 weights and ``max_distance``; the signed-mode case; whole
-synchronous negotiations; and the quick E4 (agent path) and E15
-(contention path) tables. The compiled evaluator must reproduce every
+each :class:`WeightScheme`; each request's eq. 3 weights and
+``max_distance``; whole synchronous negotiations; and the quick E4
+(agent path) and E15 (contention path) tables. The compiled evaluator must reproduce every
 recorded float **exactly** (``==``, not approx) — the fixture is the
 oracle the scalar implementation used to be.
 
@@ -27,7 +26,7 @@ from repro.agents.system import AgentSystem
 from repro.core.evaluation import ProposalEvaluator, WeightScheme
 from repro.core.negotiation import negotiate
 from repro.core.proposal import Proposal
-from repro.errors import DomainError, NegotiationError, UnknownNodeError
+from repro.errors import DomainError, UnknownNodeError
 from repro.experiments.config import ClusterConfig, SweepConfig
 from repro.experiments.plan import run_plan
 from repro.experiments.reporting import Table
@@ -80,26 +79,23 @@ def _random_proposals(request, rng, count=40):
     return proposals
 
 
-@pytest.mark.parametrize("normalize_by", ["domain", "request"])
-@pytest.mark.parametrize("label,request_", _family_requests(),
-                         ids=lambda p: p if isinstance(p, str) else "")
-def test_batch_equals_scalar_exactly(label, request_, normalize_by):
+@pytest.mark.parametrize(
+    "label,request_",
+    [pytest.param(label, request, id=label) for label, request in _family_requests()],
+)
+def test_batch_equals_scalar_exactly(label, request_):
     """Every distance equal with ``==`` — same floats, not close floats —
     down both the batch and the single-proposal entry points."""
     key = _key(label)
-    rng = RngRegistry(20260727).stream(f"batch:{key}:{normalize_by}")
+    rng = RngRegistry(20260727).stream(f"batch:{key}:domain")
     proposals = _random_proposals(request_, rng)
     for weights in WeightScheme:
-        expected = GOLDEN["requests"][key][weights.value]["distances"][normalize_by]
-        evaluator = ProposalEvaluator(
-            request_, weights=weights, normalize_by=normalize_by
-        )
+        expected = GOLDEN["requests"][key][weights.value]["distances"]["domain"]
+        evaluator = ProposalEvaluator(request_, weights=weights)
         assert evaluator.distances(proposals).tolist() == expected
         # A fresh evaluator: the single-proposal path fills its own
         # dif caches instead of reading the batch's.
-        single = ProposalEvaluator(
-            request_, weights=weights, normalize_by=normalize_by
-        )
+        single = ProposalEvaluator(request_, weights=weights)
         assert [single.distance(p) for p in proposals] == expected
 
 
@@ -121,29 +117,26 @@ def test_compiled_arrays_mirror_scalar_weights():
             assert evaluator.max_distance() == rec["max_distance"]
 
 
-def test_batch_signed_mode_equals_scalar():
-    request = catalog.surveillance_request()
-    rng = RngRegistry(99).stream("signed")
-    proposals = _random_proposals(request, rng, count=25)
-    evaluator = ProposalEvaluator(request, signed=True)
-    assert evaluator.distances(proposals).tolist() == GOLDEN["signed"]
-
-
 def test_batch_empty_and_error_parity():
+    """The batch and single-proposal entry points fail alike."""
     request = catalog.surveillance_request()
-    batch = ProposalEvaluator(request)
-    assert list(batch.distances([])) == []
-    with pytest.raises(NegotiationError):
-        ProposalEvaluator(request, normalize_by="bogus")
+    evaluator = ProposalEvaluator(request)
+    assert list(evaluator.distances([])) == []
     # Missing attribute -> KeyError.
+    missing = Proposal(task_id="t", node_id="n", values={})
     with pytest.raises(KeyError):
-        batch.distances([Proposal(task_id="t", node_id="n", values={})])
+        evaluator.distances([missing])
+    with pytest.raises(KeyError):
+        evaluator.distance(missing)
     # Out-of-domain value -> DomainError.
     good = _random_proposals(request, RngRegistry(1).stream("e"), count=1)[0]
     bad_values = dict(good.values)
     bad_values[request.attribute_names[0]] = object()
+    bad = Proposal(task_id="t", node_id="n", values=bad_values)
     with pytest.raises(DomainError):
-        batch.distances([Proposal(task_id="t", node_id="n", values=bad_values)])
+        evaluator.distances([bad])
+    with pytest.raises(DomainError):
+        evaluator.distance(bad)
 
 
 # -- whole negotiations and suite tables against the recorded runs ----------

@@ -1,17 +1,12 @@
-"""Tests for the CLI runner, evaluator options in negotiation, and
-miscellaneous API details."""
+"""Tests for the CLI runner and miscellaneous API details."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.evaluation import ProposalEvaluator, WeightScheme
-from repro.core.negotiation import negotiate
 from repro.core.proposal import Proposal
-from repro.core.reward import ConstantPenalty, QuadraticPenalty
 from repro.experiments.__main__ import main as cli_main
-from repro.qos import catalog
-from repro.qos.catalog import COLOR_DEPTH, FRAME_RATE, SAMPLE_BITS, SAMPLING_RATE
+from repro.qos.catalog import COLOR_DEPTH, FRAME_RATE
 from repro.services import workload
 
 
@@ -34,69 +29,6 @@ def test_cli_runs_selected_suite(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "E2 — evaluator selection quality" in out
     assert (tmp_path / "BENCH_E2.json").exists()
-
-
-# -- evaluator options through negotiate ------------------------------------
-
-
-def test_negotiate_with_request_normalization(small_cluster, movie_service):
-    topology, providers, nodes = small_cluster
-    outcome = negotiate(
-        movie_service, topology, providers, commit=False,
-        evaluator_options={"normalize_by": "request"},
-    )
-    assert outcome.success
-
-
-def test_negotiate_with_uniform_weights(small_cluster, movie_service):
-    topology, providers, nodes = small_cluster
-    outcome = negotiate(
-        movie_service, topology, providers, commit=False,
-        weights=WeightScheme.UNIFORM,
-    )
-    assert outcome.success
-
-
-def test_negotiate_with_custom_penalty(small_cluster, movie_service):
-    topology, providers, nodes = small_cluster
-    for penalty in (QuadraticPenalty(), ConstantPenalty()):
-        outcome = negotiate(
-            movie_service, topology, providers, commit=False, penalty=penalty,
-        )
-        assert outcome.success
-
-
-# -- evaluator normalization cross-checks --------------------------------------
-
-
-def test_domain_vs_request_normalization_order_preserved():
-    """Both normalizations rank proposals identically when one dominates
-    the other attribute-wise (order embedding, not just scale)."""
-    request = catalog.surveillance_request()
-    dom = ProposalEvaluator(request, normalize_by="domain")
-    req = ProposalEvaluator(request, normalize_by="request")
-
-    def proposal(fr, cd):
-        return Proposal(
-            task_id="t", node_id="n",
-            values={FRAME_RATE: fr, COLOR_DEPTH: cd,
-                    SAMPLING_RATE: 8, SAMPLE_BITS: 8},
-        )
-
-    better = proposal(9, 3)
-    worse = proposal(4, 1)
-    assert dom.distance(better) < dom.distance(worse)
-    assert req.distance(better) < req.distance(worse)
-
-
-def test_signed_evaluator_through_negotiation(small_cluster, movie_service):
-    topology, providers, nodes = small_cluster
-    outcome = negotiate(
-        movie_service, topology, providers, commit=False,
-        evaluator_options={"signed": True},
-    )
-    # Signed mode is an ablation; it still allocates.
-    assert outcome.success
 
 
 # -- proposal immutability -----------------------------------------------------
@@ -124,5 +56,6 @@ def test_task_transfer_and_ladder_helpers():
     service = workload.movie_playback_service(requester="r")
     task = service.tasks[0]
     assert task.transfer_kb() == task.input_kb + task.output_kb
-    ladder = task.ladder(float_steps=4)
+    ladder = task.ladder()
     assert ladder.top().at_top
+    assert task.ladder() is ladder  # memoized on the task

@@ -6,7 +6,11 @@ import pytest
 
 from repro.core.admissibility import admissibility_failures, is_admissible
 from repro.core.proposal import Proposal
-from repro.core.selection import ScoredProposal, SelectionPolicy
+from repro.core.selection import (
+    DISTANCE_RESOLUTION,
+    ScoredProposal,
+    SelectionPolicy,
+)
 from repro.errors import NoAdmissibleProposalError
 from repro.qos import catalog
 from repro.qos.catalog import COLOR_DEPTH, FRAME_RATE, SAMPLE_BITS, SAMPLING_RATE
@@ -134,16 +138,16 @@ def test_disabled_criteria_are_ignored():
 
 
 def test_distance_resolution_quantizes():
-    policy = SelectionPolicy(distance_resolution=0.1)
+    policy = SelectionPolicy()
     best = policy.select([
-        _scored("a", 0.201, 5.0, True),
-        _scored("b", 0.204, 1.0, True),  # same quantum -> comm decides
+        _scored("a", 0.2, 5.0, True),
+        # same quantum -> comm decides
+        _scored("b", 0.2 + DISTANCE_RESOLUTION / 4, 1.0, True),
     ])
     assert best.proposal.node_id == "b"
-    fine = SelectionPolicy(distance_resolution=1e-9)
-    best2 = fine.select([
-        _scored("a", 0.201, 5.0, True),
-        _scored("b", 0.204, 1.0, True),
+    best2 = policy.select([
+        _scored("a", 0.2, 5.0, True),
+        _scored("b", 0.2 + 3 * DISTANCE_RESOLUTION, 1.0, True),
     ])
     assert best2.proposal.node_id == "a"
 
@@ -161,11 +165,6 @@ def test_rank_returns_sorted():
 def test_empty_selection_raises():
     with pytest.raises(NoAdmissibleProposalError):
         SelectionPolicy().select([])
-
-
-def test_invalid_resolution():
-    with pytest.raises(ValueError):
-        SelectionPolicy(distance_resolution=0.0)
 
 
 def test_score_helper(request_):

@@ -89,31 +89,12 @@ def test_dif_discrete_uses_quality_index(evaluator):
     assert evaluator.dif(COLOR_DEPTH, 1) == pytest.approx((4 - 3) / 4)
 
 
-def test_dif_request_normalization(request_):
-    ev = ProposalEvaluator(request_, normalize_by="request")
-    # frame-rate acceptable set spans 1..10 -> width 9.
-    assert ev.dif(FRAME_RATE, 5) == pytest.approx(5 / 9)
-    # color depth acceptable ladder (3, 1): positions 0,1, span 1.
-    assert ev.dif(COLOR_DEPTH, 1) == pytest.approx(1.0)
-
-
-def test_dif_signed_mode(request_):
-    ev = ProposalEvaluator(request_, signed=True)
-    assert ev.dif(FRAME_RATE, 5) == pytest.approx(-5 / 29)
-    assert ProposalEvaluator(request_).dif(FRAME_RATE, 5) > 0
-
-
 def test_dif_bounded_by_one(evaluator):
     # Any in-domain value: |dif| <= 1 under domain normalization.
     for fr in (1, 5, 10, 20, 30):
         assert abs(evaluator.dif(FRAME_RATE, fr)) <= 1.0
     for cd in (1, 3, 8, 16, 24):
         assert abs(evaluator.dif(COLOR_DEPTH, cd)) <= 1.0
-
-
-def test_invalid_normalize_by(request_):
-    with pytest.raises(NegotiationError):
-        ProposalEvaluator(request_, normalize_by="bogus")
 
 
 # -- eq. 4 / eq. 2 ------------------------------------------------------------

@@ -7,7 +7,7 @@ from typing import Mapping
 import pytest
 
 from repro.core.formulation import formulate
-from repro.core.reward import LinearPenalty, local_reward
+from repro.core.reward import local_reward
 from repro.errors import InfeasibleTaskError
 from repro.qos import catalog
 from repro.qos.catalog import CODEC, COLOR_DEPTH, FRAME_RATE

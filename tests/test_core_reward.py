@@ -1,18 +1,12 @@
-"""Unit tests for eq. 1 local reward and penalty policies."""
+"""Unit tests for eq. 1 local reward and its depth-normalized penalty."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.reward import (
-    ConstantPenalty,
-    LinearPenalty,
-    QuadraticPenalty,
-    local_reward,
-)
-from repro.errors import ReproError
+from repro.core.reward import local_reward
 from repro.qos import catalog
-from repro.qos.catalog import COLOR_DEPTH, FRAME_RATE
+from repro.qos.catalog import COLOR_DEPTH, FRAME_RATE, SAMPLING_RATE
 from repro.qos.levels import DegradationLadder
 
 
@@ -38,63 +32,12 @@ def test_reward_at_bottom_linear(ladder):
     assert local_reward(ladder.bottom()) == pytest.approx(4.0 - 2.0)
 
 
-def test_penalty_policies_zero_at_preferred():
-    for policy in (LinearPenalty(), QuadraticPenalty(), ConstantPenalty()):
-        assert policy(0, 5) == 0.0
-
-
-def test_penalty_policies_monotone():
-    for policy in (LinearPenalty(), QuadraticPenalty(), ConstantPenalty()):
-        values = [policy(d, 6) for d in range(6)]
-        assert all(values[i] <= values[i + 1] for i in range(5))
-
-
-def test_linear_penalty_normalized_by_depth():
-    p = LinearPenalty()
-    assert p(4, 5) == pytest.approx(1.0)  # full degradation costs `scale`
-    assert p(2, 5) == pytest.approx(0.5)
-    assert p(0, 1) == 0.0  # single-level ladders cannot be penalized
-
-
-def test_quadratic_penalty_convexity():
-    p = QuadraticPenalty()
-    assert p(2, 5) == pytest.approx(0.25)
-    assert p(2, 5) < LinearPenalty()(2, 5)  # gentler near preferred
-    assert p(4, 5) == pytest.approx(1.0)
-
-
-def test_constant_penalty_binary():
-    p = ConstantPenalty(scale=0.7)
-    assert p(1, 5) == 0.7
-    assert p(4, 5) == 0.7
-
-
-def test_penalty_argument_validation():
-    p = LinearPenalty()
-    with pytest.raises(ReproError):
-        p(-1, 5)
-    with pytest.raises(ReproError):
-        p(5, 5)  # distance beyond depth
-    with pytest.raises(ReproError):
-        p(0, 0)
-    with pytest.raises(ReproError):
-        LinearPenalty(scale=-1.0)
-
-
-def test_reward_with_custom_policy(ladder):
-    a = ladder.top().degrade(COLOR_DEPTH)
-    r_const = local_reward(a, ConstantPenalty(scale=2.0))
-    assert r_const == pytest.approx(4.0 - 2.0)
-
-
-def test_reward_policy_changes_ranking(ladder):
-    """Constant vs linear penalties order degradations differently."""
-    one_deep = ladder.top().degrade(FRAME_RATE)           # 1 step of 10
-    shallow_wide = ladder.top().degrade(COLOR_DEPTH)      # 1 step of 2
-    lin_deep = local_reward(one_deep, LinearPenalty())
-    lin_wide = local_reward(shallow_wide, LinearPenalty())
-    # Linear: a frame-rate step costs 1/9, a color step costs 1/1.
-    assert lin_deep > lin_wide
-    const_deep = local_reward(one_deep, ConstantPenalty())
-    const_wide = local_reward(shallow_wide, ConstantPenalty())
-    assert const_deep == const_wide  # constant: any degradation equal
+def test_linear_penalty_normalized_by_depth(ladder):
+    """One step costs ``1 / (depth - 1)``: a frame-rate step (10 levels)
+    costs exactly 1/9, a color-depth step (2 levels) a full 1, and the
+    one-level sampling-rate ladder adds nothing to either sum."""
+    assert ladder.depth(FRAME_RATE) == 10
+    assert ladder.depth(COLOR_DEPTH) == 2
+    assert ladder.depth(SAMPLING_RATE) == 1
+    assert local_reward(ladder.top().degrade(FRAME_RATE)) == 4.0 - 1 / 9
+    assert local_reward(ladder.top().degrade(COLOR_DEPTH)) == 4.0 - 1.0

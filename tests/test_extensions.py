@@ -298,8 +298,8 @@ def test_selection_reputation_quantization_falls_through():
             distance=0.1, comm_cost=comm, new_member=True, reputation=rep,
         )
 
-    policy = SelectionPolicy(use_reputation=True, reputation_resolution=0.1)
-    # Reputations in the same bucket: comm cost decides.
+    policy = SelectionPolicy(use_reputation=True)
+    # Reputations in the same 0.1 bucket: comm cost decides.
     best = policy.select([scored("a", 0.81, 5.0), scored("b", 0.79, 1.0)])
     assert best.proposal.node_id == "b"
 
@@ -341,10 +341,3 @@ def test_negotiate_battery_aware_prefers_charged_node(movie_service):
     )
     assert outcome.success
     assert outcome.coalition.members == {"fresh"}
-
-
-def test_selection_resolution_validation():
-    with pytest.raises(ValueError):
-        SelectionPolicy(reputation_resolution=0.0)
-    with pytest.raises(ValueError):
-        SelectionPolicy(battery_resolution=-1.0)

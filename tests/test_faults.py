@@ -42,6 +42,7 @@ from repro.resources.node import Node, NodeClass
 from repro.resources.provider import QoSProvider
 from repro.services import workload
 from repro.sessions import SessionDriver, SessionPolicy, SessionState
+from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.contention import ContentionConfig, run_contention
 from repro.workloads.rates import ConstantRate
@@ -176,6 +177,38 @@ def test_partition_heal_restores_routes_bit_identically():
             assert faulted.shortest_route(src, dst) == pristine.shortest_route(
                 src, dst
             )
+
+
+def test_overlapping_partitions_keep_shared_links_blocked():
+    """Two partitions of one plan that overlap in time and share a cross
+    pair: the first heal must not restore the link while the second
+    partition is still in force."""
+    nodes = [
+        Node("a", NodeClass.LAPTOP, position=(0.0, 0.0)),
+        Node("b", NodeClass.LAPTOP, position=(10.0, 0.0)),
+    ]
+    topology = Topology(nodes, DiscRadio(range_m=100.0))
+    plan = FaultPlan(
+        partitions=(
+            Partition(start=5.0, duration=20.0, group_a=("a",), group_b=("b",)),
+            Partition(start=15.0, duration=30.0, group_a=("a",), group_b=("b",)),
+        )
+    )
+    engine = Engine(seed=0)
+    driver = types.SimpleNamespace(engine=engine, topology=topology)
+    FaultInjector(plan, RngRegistry(0)).install(driver)
+
+    seen = {}
+    for t in (1.0, 10.0, 20.0, 30.0, 50.0):
+        engine.run(until=t)
+        seen[t] = (topology.connected("a", "b"), topology.blocked_links)
+    assert seen == {
+        1.0: (True, frozenset()),
+        10.0: (False, {("a", "b")}),
+        20.0: (False, {("a", "b")}),
+        30.0: (False, {("a", "b")}),  # first partition healed, second holds
+        50.0: (True, frozenset()),
+    }
 
 
 def test_blocking_bumps_the_topology_epoch():

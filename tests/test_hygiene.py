@@ -1,8 +1,8 @@
 """Repository hygiene: declared dependencies match the imports, every
 tracked Python file compiles with warnings as errors, ``import repro``
 stays free of process-pool code, contention runs stay below the
-experiment layer, and the CLI reference names exactly the declared
-flags.
+experiment layer, the CLI reference names exactly the declared flags,
+and every example runs.
 
 ``pyproject.toml`` is parsed by hand — Python 3.10 has no ``tomllib``.
 """
@@ -17,6 +17,8 @@ import sys
 import warnings
 from pathlib import Path
 from typing import Iterable, List, Set
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
@@ -99,16 +101,20 @@ def test_tracked_files_compile_with_warnings_as_errors():
     assert not failures, "\n".join(failures)
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src/`` first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_import_repro_loads_no_process_pool_code():
     """The experiment executor imports its pool only when a run asks for
     workers, so ``import repro`` — what every program using the library
     pays at start-up — loads no ``multiprocessing`` or
     ``concurrent.futures``."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     report = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", "import repro"],
-        capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, env=_src_env(),
     ).stderr
     modules = [
         line.rsplit("|", 1)[-1].strip()
@@ -130,10 +136,9 @@ def test_contention_runs_load_no_experiment_layer():
         "repro.run_sharded_contention(1, config)\n"
         "print([m for m in sys.modules if m.startswith('repro.experiments')])\n"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
-        check=True, env=dict(os.environ, PYTHONPATH=path),
+        check=True, env=_src_env(),
     ).stdout
     assert out.strip() == "[]", f"contention runs load {out.strip()}"
 
@@ -147,3 +152,18 @@ def test_cli_doc_mentions_only_declared_flags(tmp_path, monkeypatch):
     monkeypatch.setattr(check_docs, "CLI_DOC", doc)
     problems = check_docs.check_cli_flags()
     assert len(problems) == 1 and "'--no-such-flag'" in problems[0], problems
+
+
+@pytest.mark.parametrize(
+    "example", sorted(p.stem for p in (ROOT / "examples").glob("*.py"))
+)
+def test_example_runs(example, tmp_path):
+    """Each example runs to completion against the library and prints
+    its report, so a removed or renamed public parameter cannot break
+    one unnoticed."""
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / f"{example}.py")],
+        capture_output=True, text=True, cwd=tmp_path, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 from repro.core.admissibility import is_admissible
 from repro.core.negotiation import negotiate
 from repro.core.proposal import Proposal
-from repro.core.selection import ScoredProposal, SelectionPolicy
+from repro.core.selection import (
+    DISTANCE_RESOLUTION,
+    ScoredProposal,
+    SelectionPolicy,
+)
 from repro.experiments.config import ClusterConfig
 from repro.experiments.scenario import build_cluster
 from repro.qos import catalog
@@ -192,9 +196,12 @@ def test_rank_is_total_and_stable(pool):
 
 @given(st.lists(scored_proposals, min_size=1, max_size=12))
 def test_strictly_lower_distance_always_wins(pool):
-    """No tie-break may override a strictly lower (non-tied) distance."""
-    policy = SelectionPolicy(use_reputation=True, use_battery=True,
-                             distance_resolution=1e-9)
+    """No tie-break may override a strictly lower (non-tied) distance:
+    the winner sits in the lowest distance quantum."""
+    policy = SelectionPolicy(use_reputation=True, use_battery=True)
     winner = policy.select(pool)
-    min_distance = min(s.distance for s in pool)
-    assert winner.distance <= min_distance + 1e-6
+
+    def bucket(distance: float) -> int:
+        return round(distance / DISTANCE_RESOLUTION)
+
+    assert bucket(winner.distance) == min(bucket(s.distance) for s in pool)

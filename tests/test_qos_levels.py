@@ -7,7 +7,7 @@ import pytest
 from repro.errors import DomainError, RequestError
 from repro.qos import catalog
 from repro.qos.catalog import COLOR_DEPTH, FRAME_RATE, SAMPLE_BITS, SAMPLING_RATE
-from repro.qos.levels import DegradationLadder, build_ladder
+from repro.qos.levels import FLOAT_STEPS, DegradationLadder, build_ladder
 from repro.qos.request import AttributePreference, ValueInterval
 from repro.qos.types import ValueType
 
@@ -30,10 +30,10 @@ def test_build_ladder_deduplicates_touching_intervals():
 
 def test_build_ladder_float_steps():
     ap = AttributePreference("gain", (ValueInterval(1.0, 0.0),))
-    ladder = build_ladder(ap, ValueType.FLOAT, float_steps=5)
-    assert len(ladder) == 5
+    ladder = build_ladder(ap, ValueType.FLOAT)
+    assert len(ladder) == FLOAT_STEPS
     assert ladder[0] == 1.0 and ladder[-1] == 0.0
-    assert all(ladder[i] > ladder[i + 1] for i in range(4))
+    assert all(ladder[i] > ladder[i + 1] for i in range(FLOAT_STEPS - 1))
 
 
 def test_build_ladder_degenerate_float_interval():
