@@ -29,10 +29,11 @@ import numpy as np
 from repro.core.admissibility import is_admissible
 from repro.core.coalition import Coalition, TaskAward
 from repro.core.evaluation import ProposalEvaluator
-from repro.core.formulation import formulate
+from repro.core.formulation import first_fit
 from repro.core.negotiation import (
     NegotiationOutcome,
     _Ledger,
+    admission_limits,
     candidate_nodes,
     collect_proposals,
     formulate_node_proposals,
@@ -43,7 +44,6 @@ from repro.core.proposal import Proposal
 from repro.core.selection import SelectionPolicy
 from repro.errors import NotConnectedError
 from repro.network.topology import Topology
-from repro.qos.levels import QualityAssignment
 from repro.resources.provider import QoSProvider
 from repro.services.service import Service
 
@@ -58,43 +58,37 @@ def single_node(
 
     The requester formulates all tasks *jointly* (they must be
     schedulable together on the one device — exactly the Section 5 "while
-    the set of tasks is not schedulable" loop).
+    the set of tasks is not schedulable" loop): the :func:`first_fit` of
+    its headroom on the tasks' joint walk, with no per-task fallback.
     """
     requester = service.requester
     provider = providers[requester]
     coalition = Coalition(service, formed_at=now)
     unallocated: List[str] = [t.task_id for t in service.tasks]
 
-    def jointly_servable(assignments: Mapping[str, QualityAssignment]) -> bool:
-        total = None
-        for task in service.tasks:
-            demand = task.demand_at(assignments[task.task_id].values())
-            total = demand if total is None else total + demand
-        return provider.can_serve(total) if total is not None else True
-
-    if provider.node.alive:
-        result = formulate(list(service.tasks), jointly_servable)
-        if result.feasible:
-            unallocated = []
-            for task in service.tasks:
-                values = result.values(task.task_id)
-                evaluator = ProposalEvaluator(task.request)
-                proposal = Proposal(
-                    task_id=task.task_id, node_id=requester,
-                    values=values, demand=task.demand_at(values),
-                    formulated_at=now,
+    admission = admission_limits(provider)
+    state = None if admission is None else first_fit(service.tasks, *admission)
+    if state is not None:
+        unallocated = []
+        for task, assignment in zip(service.tasks, state):
+            values = assignment.values()
+            evaluator = ProposalEvaluator(task.request)
+            proposal = Proposal(
+                task_id=task.task_id, node_id=requester,
+                values=values, demand=task.demand_at(values),
+                formulated_at=now,
+            )
+            coalition.add_award(
+                TaskAward(
+                    task_id=task.task_id,
+                    node_id=requester,
+                    proposal=proposal,
+                    distance=evaluator.distance(proposal),
+                    comm_cost=0.0,
+                    demand=proposal.demand,
+                    reservation=None,
                 )
-                coalition.add_award(
-                    TaskAward(
-                        task_id=task.task_id,
-                        node_id=requester,
-                        proposal=proposal,
-                        distance=evaluator.distance(proposal),
-                        comm_cost=0.0,
-                        demand=proposal.demand,
-                        reservation=None,
-                    )
-                )
+            )
 
     return NegotiationOutcome(
         service=service,

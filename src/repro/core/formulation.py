@@ -18,33 +18,50 @@ importance order) so runs are reproducible. Termination is guaranteed:
 each iteration strictly increases the total ladder index, which is
 bounded by the sum of ladder depths.
 
-Performance: each loop iteration degrades exactly one task, so the
-candidate steps (and eq. 1 rewards) of every *other* task are unchanged
-from the previous iteration. Moreover a task's cheapest step depends
-only on its assignment — not on the node whose headroom is being
-probed — so the memo lives on the :class:`~repro.services.task.Task`
-itself (``_reward_cache`` / ``_step_cache``, keyed by the assignment's
-ladder indices) and is shared by every provider answering the same
-CFP: with an audience of 64 nodes, each quality level's reward and best
-degradation are computed once, not 64 times. Identical arithmetic is
-reused, never recomputed differently, so outcomes stay bit-identical
-(asserted in ``tests/test_batch_evaluation.py``). The degrade loop is
-the negotiation hot path: every provider runs it for every CFP (see the
-``core.formulate`` span of ``benchmarks/perf/run.py --trace 1``).
+Performance: step 2c picks each degradation by eq. 1 reward decrease
+alone; the node enters only through the stopping test. So every
+provider answering a CFP walks the same states, and the walk of a task
+tuple — its states, and each state's summed resource demand — is built
+once, memoized on the tuple's first :class:`~repro.services.task.Task`
+(``_walk_cache``, keyed by the identity of the other tasks and checked
+through weak references, because a dead task's id may be reused). It
+is extended only as far as some caller has asked, so a direct
+:func:`formulate` caller keeps its early exit and demand is priced only
+for states some stopping test reaches. The walk holds no task — callers
+pass the tuple whenever it must extend — so it makes no reference cycle
+through the task it is cached on. Steps and eq. 1 rewards come from the
+per-task memos (``_step_cache`` / ``_reward_cache``, keyed by the
+assignment's ladder indices). Outcomes stay bit-identical to the
+per-node loop the walk replaced (``tests/test_formulation_golden.py``).
+A node's :func:`first_fit` is the negotiation hot path (the
+``core.formulate_node_proposals`` span of
+``benchmarks/perf/run.py --trace 1``).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from operator import le
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InfeasibleTaskError
 from repro.core.reward import local_reward
 from repro.qos.levels import QualityAssignment
+from repro.resources.kinds import ResourceKind
 from repro.services.task import Task
 
 SchedulabilityTest = Callable[[Mapping[str, QualityAssignment]], bool]
 """Predicate: can this node serve all tasks at these levels simultaneously?"""
+
+State = Tuple[QualityAssignment, ...]
+"""One point of a walk: an assignment per task, in task-tuple order."""
+
+KINDS: Tuple[ResourceKind, ...] = tuple(ResourceKind)
+"""Column order of summed-demand rows and of :func:`first_fit`'s limits."""
+
+_COLUMN = {kind: column for column, kind in enumerate(KINDS)}
+_ENERGY = _COLUMN[ResourceKind.ENERGY]
 
 
 @dataclass
@@ -77,7 +94,9 @@ def formulate(
 
     Degradation steps that would violate the spec's ``Deps`` are
     skipped, and preferred assignments violating them are first repaired
-    by degrading the *least important* offending attribute.
+    by degrading the *least important* offending attribute. The result
+    is the first state of the walk that ``is_schedulable`` accepts, or
+    the last state when none is.
 
     Args:
         tasks: The tasks to serve (the paper's ``T``). Task ids must be
@@ -93,77 +112,158 @@ def formulate(
             configuration cannot be found (e.g. dependencies are
             unsatisfiable on the acceptable ladders).
     """
-    ids = [t.task_id for t in tasks]
-    if len(set(ids)) != len(ids):
-        raise InfeasibleTaskError("duplicate task ids in formulation")
-
-    # Step 1: everyone at the user's preferred values, repaired to
-    # satisfy ``Deps``.
-    current: Dict[str, QualityAssignment] = {}
-    degradations = 0
-    for task in tasks:
-        repaired, steps = _repair_dependencies(task.ladder().top())
-        if repaired is None:
-            raise InfeasibleTaskError(
-                f"task {task.task_id!r}: no dependency-valid level exists "
-                f"on the acceptable ladders"
-            )
-        current[task.task_id] = repaired
-        degradations += steps
-
-    # eq. 1 rewards and best steps are memoized on the Task (shared
-    # across every provider probing this CFP, see the module docs),
-    # keyed by the assignment's ladder indices.
-    def reward_of(task: Task, assignment: QualityAssignment) -> float:
-        key = assignment.index_key()
-        value = task._reward_cache.get(key)
-        if value is None:
-            value = local_reward(assignment)
-            task._reward_cache[key] = value
-        return value
-
-    # Per-task best candidate step for the *current* assignment; entries
-    # are dropped (and lazily re-fetched) only for the degraded task.
-    options: Dict[str, Optional[Tuple[float, int, QualityAssignment]]] = {}
-
-    while not is_schedulable(current):
-        chosen: Optional[Tuple[Tuple[float, int, int], str, QualityAssignment]] = None
-        for t_index, task in enumerate(tasks):
-            tid = task.task_id
-            if tid not in options:
-                skey = current[tid].index_key()
-                entry = task._step_cache.get(skey, _MISSING)
-                if entry is _MISSING:
-                    entry = _best_task_step(task, current[tid], reward_of)
-                    task._step_cache[skey] = entry
-                options[tid] = entry
-            entry = options[tid]
-            if entry is None:
-                continue
-            decrease, a_index, candidate = entry
-            key = (decrease, t_index, a_index)
-            if chosen is None or key < chosen[0]:
-                chosen = (key, tid, candidate)
-        if chosen is None:
-            return FormulationResult(
-                assignments=current,
-                degradations=degradations,
-                rewards={
-                    t.task_id: reward_of(t, current[t.task_id]) for t in tasks
-                },
-                feasible=False,
-            )
-        _, task_id, new_assignment = chosen
-        current[task_id] = new_assignment
-        options.pop(task_id)
-        degradations += 1
-
+    walk = _walk_of(tasks)
+    ids = [task.task_id for task in tasks]
+    steps = 0
+    current = dict(zip(ids, walk.states[0]))
+    feasible = is_schedulable(current)
+    while not feasible and walk.reach(steps + 1, tasks):
+        steps += 1
+        current = dict(zip(ids, walk.states[steps]))
+        feasible = is_schedulable(current)
     return FormulationResult(
         assignments=current,
-        degradations=degradations,
-        rewards={t.task_id: reward_of(t, current[t.task_id]) for t in tasks},
-        feasible=True,
+        degradations=walk.repairs + steps,
+        rewards={
+            task.task_id: _reward(task, current[task.task_id]) for task in tasks
+        },
+        feasible=feasible,
     )
+
+
+def first_fit(
+    tasks: Sequence[Task], limits: Sequence[float], battery: float
+) -> Optional[State]:
+    """The first state of the walk whose summed demand fits a node.
+
+    A state fits when its demand, summed over ``tasks`` in order, is at
+    most ``limits`` on every kind of :data:`KINDS` and its ENERGY is at
+    most ``battery``. Rows are compared, never rebuilt: each is priced
+    once per walk, the first time any node's scan reaches it.
+
+    Returns:
+        The fitting state, or ``None`` when none does.
+
+    Raises:
+        InfeasibleTaskError: As :func:`formulate`.
+    """
+    walk = _walk_of(tasks)
+    rows = walk.rows
+    i = 0
+    while i < len(rows) or walk.price_next(tasks):
+        row = rows[i]
+        if row[_ENERGY] <= battery and all(map(le, row, limits)):
+            return walk.states[i]
+        i += 1
+    return None
+
+
+class _Walk:
+    """The Section 5 walk of one task tuple, made as far as asked.
+
+    ``states[i]`` is the tuple's state after the dependency repair
+    (``repairs`` steps) and ``i`` degradation steps; ``exhausted`` is
+    set once the last state has no step left. ``rows`` holds the summed
+    demand over :data:`KINDS` of a prefix of the states. The walk keeps
+    no reference to its tasks (see the module docs): every method that
+    may extend it takes the tuple as ``tasks``.
+    """
+
+    __slots__ = ("states", "rows", "repairs", "exhausted")
+
+    def __init__(self, tasks: Sequence[Task]) -> None:
+        ids = [task.task_id for task in tasks]
+        if len(set(ids)) != len(ids):
+            raise InfeasibleTaskError("duplicate task ids in formulation")
+        # Step 1: everyone at the user's preferred values, repaired to
+        # satisfy ``Deps``.
+        top: List[QualityAssignment] = []
+        self.repairs = 0
+        for task in tasks:
+            repaired, steps = _repair_dependencies(task.ladder().top())
+            if repaired is None:
+                raise InfeasibleTaskError(
+                    f"task {task.task_id!r}: no dependency-valid level exists "
+                    f"on the acceptable ladders"
+                )
+            top.append(repaired)
+            self.repairs += steps
+        self.states: List[State] = [tuple(top)]
+        self.rows: List[Tuple[float, ...]] = []
+        self.exhausted = False
+
+    def reach(self, i: int, tasks: Sequence[Task]) -> bool:
+        """Extend the walk up to state ``i``; whether that state exists.
+
+        Each extension is one iteration of step 2: the cheapest step of
+        every task, ties broken on (decrease, task index, attribute
+        index).
+        """
+        states = self.states
+        while len(states) <= i and not self.exhausted:
+            last = states[-1]
+            chosen: Optional[Tuple[Tuple[float, int, int], QualityAssignment]] = None
+            for t_index, (task, assignment) in enumerate(zip(tasks, last)):
+                skey = assignment.index_key()
+                entry = task._step_cache.get(skey, _MISSING)
+                if entry is _MISSING:
+                    entry = _best_task_step(task, assignment)
+                    task._step_cache[skey] = entry
+                if entry is None:
+                    continue
+                decrease, a_index, candidate = entry
+                key = (decrease, t_index, a_index)
+                if chosen is None or key < chosen[0]:
+                    chosen = (key, candidate)
+            if chosen is None:
+                self.exhausted = True
+            else:
+                (_, t_index, _), candidate = chosen
+                states.append(last[:t_index] + (candidate,) + last[t_index + 1:])
+        return i < len(states)
+
+    def price_next(self, tasks: Sequence[Task]) -> bool:
+        """Price the first state without a row; whether one existed.
+
+        A row adds each task's demand kind by kind in task order —
+        bit-identical to summing the tasks' :class:`Capacity` vectors,
+        whose ``+`` adds each kind left to right and omits zero terms.
+        """
+        n = len(self.rows)
+        if not self.reach(n, tasks):
+            return False
+        totals = [0.0] * len(KINDS)
+        for task, assignment in zip(tasks, self.states[n]):
+            for kind, amount in task.demand_at(assignment.values()).items():
+                totals[_COLUMN[kind]] += amount
+        self.rows.append(tuple(totals))
+        return True
+
+
+def _walk_of(tasks: Sequence[Task]) -> _Walk:
+    """The walk of ``tasks``, memoized on its first task."""
+    if not tasks:
+        return _Walk(tasks)
+    first, others = tasks[0], tuple(tasks[1:])
+    key = tuple(map(id, others))
+    entry = first._walk_cache.get(key)
+    if entry is not None:
+        refs, walk = entry
+        if all(ref() is task for ref, task in zip(refs, others)):
+            return walk
+    walk = _Walk(tasks)
+    first._walk_cache[key] = (tuple(map(weakref.ref, others)), walk)
+    return walk
+
+
+def _reward(task: Task, assignment: QualityAssignment) -> float:
+    """eq. 1 reward of ``assignment``, memoized on the task."""
+    key = assignment.index_key()
+    value = task._reward_cache.get(key)
+    if value is None:
+        value = local_reward(assignment)
+        task._reward_cache[key] = value
+    return value
 
 
 _MISSING = object()
@@ -171,9 +271,7 @@ _MISSING = object()
 
 
 def _best_task_step(
-    task: Task,
-    assignment: QualityAssignment,
-    reward_of: Callable[[Task, QualityAssignment], float],
+    task: Task, assignment: QualityAssignment
 ) -> Optional[Tuple[float, int, QualityAssignment]]:
     """Steps 2a–2b for one task: its minimum-reward-decrease degradation.
 
@@ -182,7 +280,7 @@ def _best_task_step(
     or ``None`` when the task cannot degrade at all (already at ``Q_kn``,
     or every remaining step violates dependencies).
     """
-    before = reward_of(task, assignment)
+    before = _reward(task, assignment)
     best: Optional[Tuple[float, int, QualityAssignment]] = None
     for a_index, attr in enumerate(assignment.ladder_set.request.attribute_names):
         if not assignment.can_degrade(attr):
@@ -190,7 +288,7 @@ def _best_task_step(
         candidate = assignment.degrade(attr)
         if not candidate.respects_dependencies():
             continue
-        decrease = before - reward_of(task, candidate)
+        decrease = before - _reward(task, candidate)
         if best is None or (decrease, a_index) < best[:2]:
             best = (decrease, a_index, candidate)
     return best

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.admissibility import is_admissible
 from repro.core.coalition import Coalition, TaskAward
 from repro.core.evaluation import ProposalEvaluator
-from repro.core.formulation import formulate
+from repro.core.formulation import KINDS, first_fit
 from repro.core.proposal import Proposal
 from repro.core.reputation import ReputationTracker
 from repro.core.selection import ScoredProposal, SelectionPolicy
@@ -195,6 +195,26 @@ def remote_award_messages(coalition: Coalition, requester: str) -> int:
     )
 
 
+def admission_limits(
+    provider: QoSProvider,
+) -> Optional[Tuple[List[float], float]]:
+    """:meth:`QoSProvider.can_serve` read once, as :func:`first_fit`'s
+    limits.
+
+    ``can_serve(demand)`` holds when the node is alive and willing, the
+    demand's ENERGY is at most the battery, and ``headroom.get(k) +
+    1e-9 >= demand.get(k)`` for every kind (:meth:`Capacity.covers`).
+    Returns the per-kind ``headroom.get(k) + 1e-9`` over
+    :data:`~repro.core.formulation.KINDS` and the battery, or ``None``
+    for a node that serves nothing.
+    """
+    node = provider.node
+    if not node.alive or not node.willing:
+        return None
+    headroom = provider.headroom()
+    return [headroom.get(kind) + 1e-9 for kind in KINDS], node.battery
+
+
 def formulate_node_proposals(
     provider: QoSProvider,
     tasks: Sequence[Task],
@@ -211,54 +231,35 @@ def formulate_node_proposals(
     the organizer's award-time admission check resolves conflicts.
     Tasks the node cannot serve even alone produce no proposal (the node
     stays silent for them).
+
+    Both are the :func:`first_fit` of the node's headroom on the walk
+    every provider shares: the joint walk of ``tasks``, then each task's
+    own.
     """
     proposals: List[Proposal] = []
-    if not provider.node.alive or not provider.node.willing:
+    admission = admission_limits(provider)
+    if admission is None:
         return proposals
+    limits, battery = admission
+    node_id = provider.node.node_id
 
-    by_id = {task.task_id: task for task in tasks}
-
-    def joint_servable(assignments: Mapping[str, QualityAssignment]) -> bool:
-        total: Optional[Capacity] = None
-        for tid, assignment in assignments.items():
-            demand = by_id[tid].demand_at(assignment.values())
-            total = demand if total is None else total + demand
-        return True if total is None else provider.can_serve(total)
-
-    joint = formulate(list(tasks), joint_servable)
-    if joint.feasible:
-        for task in tasks:
-            values = joint.values(task.task_id)
-            proposals.append(
-                Proposal(
-                    task_id=task.task_id,
-                    node_id=provider.node.node_id,
-                    values=values,
-                    demand=task.demand_at(values),
-                    formulated_at=now,
-                )
-            )
-        return proposals
-
-    for task in tasks:
-
-        def solo_servable(assignments: Mapping[str, QualityAssignment]) -> bool:
-            demand = task.demand_at(assignments[task.task_id].values())
-            return provider.can_serve(demand)
-
-        result = formulate([task], solo_servable)
-        if not result.feasible:
-            continue
-        values = result.values(task.task_id)
-        proposals.append(
-            Proposal(
-                task_id=task.task_id,
-                node_id=provider.node.node_id,
-                values=values,
-                demand=task.demand_at(values),
-                formulated_at=now,
-            )
+    def propose(task: Task, assignment: QualityAssignment) -> Proposal:
+        values = assignment.values()
+        return Proposal(
+            task_id=task.task_id,
+            node_id=node_id,
+            values=values,
+            demand=task.demand_at(values),
+            formulated_at=now,
         )
+
+    joint = first_fit(tasks, limits, battery)
+    if joint is not None:
+        return [propose(task, a) for task, a in zip(tasks, joint)]
+    for task in tasks:
+        solo = first_fit((task,), limits, battery)
+        if solo is not None:
+            proposals.append(propose(task, solo[0]))
     return proposals
 
 

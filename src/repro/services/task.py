@@ -38,16 +38,19 @@ class Task:
         duration: Nominal execution time in simulated seconds (resources
             stay reserved for this long during the operation phase).
 
-    Ladders, demand vectors, eq. 1 rewards and degradation steps are
-    memoized per task: every provider a CFP reaches probes the *same*
-    quality levels of the same task, so the answers (pure functions of
-    the immutable request / demand model) are shared across the whole
-    negotiation instead of recomputed per node. The caches never change
-    results — only who pays for them. ``_reward_cache`` and
-    ``_step_cache`` belong to the formulation heuristic
-    (:mod:`repro.core.formulation`), which owns their key layout.
-    Swapping ``request`` or ``demand_model`` on a live task is not
-    supported — construct a new ``Task`` instead.
+    Ladders, demand vectors, eq. 1 rewards, degradation steps and whole
+    degrade walks are memoized per task: every provider a CFP reaches
+    probes the *same* quality levels of the same task, so the answers
+    (pure functions of the immutable request / demand model) are shared
+    across the whole negotiation instead of recomputed per node. The
+    caches never change results — only who pays for them.
+    ``_reward_cache``, ``_step_cache`` and ``_walk_cache`` belong to the
+    formulation heuristic (:mod:`repro.core.formulation`), which owns
+    their key layout: ``_walk_cache`` holds the walks of the task tuples
+    this task heads, keyed by the identity of the tuple's other tasks
+    and checked through weak references to them, so a walk never keeps
+    another task alive. Swapping ``request`` or ``demand_model`` on a
+    live task is not supported — construct a new ``Task`` instead.
     """
 
     task_id: str
@@ -66,6 +69,9 @@ class Task:
         default_factory=dict, init=False, repr=False, compare=False,
     )
     _step_cache: Dict[Tuple, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False,
+    )
+    _walk_cache: Dict[Tuple[int, ...], Tuple[Tuple[Any, ...], object]] = field(
         default_factory=dict, init=False, repr=False, compare=False,
     )
 

@@ -188,3 +188,95 @@ def test_formulation_result_values_helper():
     result = formulate([task], lambda a: True)
     values = result.values("video")
     assert values[FRAME_RATE] == 10 and values[COLOR_DEPTH] == 3
+
+
+def test_single_step_can_break_dependencies():
+    """A ``Deps`` entry that one degradation step can break: with the
+    extra rule "dct needs at least 15 fps", moving wavelet→dct below
+    15 fps, or dropping dct below 15 fps, is a step the heuristic must
+    skip. Every state of a full walk, and every proposal a laptop makes
+    at any headroom, must satisfy ``Deps``."""
+    from repro.core.negotiation import formulate_node_proposals
+    from repro.qos.catalog import (
+        AUDIO_QUALITY, CODING, RESOLUTION, SAMPLING_RATE, VIDEO_QUALITY,
+    )
+    from repro.qos.dependencies import Dependency, DependencySet
+    from repro.qos.request import (
+        AttributePreference,
+        DimensionPreference,
+        ServiceRequest,
+        ValueInterval,
+    )
+    from repro.qos.spec import QoSSpec
+    from repro.resources.node import NODE_CLASS_PROFILES, Node, NodeClass
+    from repro.resources.provider import QoSProvider
+
+    base = catalog.video_conference_spec()
+    spec = QoSSpec(
+        name=base.name,
+        dimensions=base.dimensions,
+        attributes=[base.attribute(name) for name in base.attribute_names],
+        dependencies=DependencySet((
+            *base.dependencies,
+            Dependency(
+                name="dct-fps-floor",
+                attributes=(CODEC, FRAME_RATE),
+                predicate=lambda v: v[CODEC] != "dct" or v[FRAME_RATE] >= 15,
+            ),
+        )),
+    )
+    request = ServiceRequest(
+        spec,
+        dimensions=(
+            DimensionPreference(
+                VIDEO_QUALITY,
+                (
+                    AttributePreference(FRAME_RATE, (ValueInterval(20, 5),)),
+                    AttributePreference(RESOLUTION, ("720p", "480p", "240p")),
+                ),
+            ),
+            DimensionPreference(
+                AUDIO_QUALITY, (AttributePreference(SAMPLING_RATE, (16, 8)),)
+            ),
+            DimensionPreference(
+                CODING,
+                (AttributePreference(CODEC, ("wavelet", "dct", "none")),),
+            ),
+        ),
+    )
+    tasks = [
+        Task(task_id=f"conf-{i}", request=request,
+             demand_model=workload.conference_demand())
+        for i in range(2)
+    ]
+
+    visited = []
+
+    def record(assignments: Mapping) -> bool:
+        visited.append({tid: a.values() for tid, a in assignments.items()})
+        return False
+
+    result = formulate(tasks, record)
+    assert not result.feasible
+    assert len(visited) == result.degradations + 1
+    # The walk reaches frame rates below 15 with a codec step left,
+    # where taking that step would break the new rule.
+    assert any(
+        values[FRAME_RATE] < 15 and values[CODEC] != "none"
+        for state in visited for values in state.values()
+    )
+    for state in visited:
+        for values in state.values():
+            assert spec.dependencies.satisfied(values), values
+
+    profile = NODE_CLASS_PROFILES[NodeClass.LAPTOP]
+    proposed = 0
+    for i in range(20):
+        scale = 0.05 + 0.05 * i
+        provider = QoSProvider(
+            Node(f"lap{i}", NodeClass.LAPTOP, capacity=profile.scaled(scale))
+        )
+        for proposal in formulate_node_proposals(provider, tasks):
+            assert spec.dependencies.satisfied(proposal.values), (scale, proposal)
+            proposed += 1
+    assert proposed > 0
