@@ -20,17 +20,21 @@ bounded by the sum of ladder depths.
 
 Performance: step 2c picks each degradation by eq. 1 reward decrease
 alone; the node enters only through the stopping test. So every
-provider answering a CFP walks the same states, and the walk of a task
-tuple — its states, and each state's summed resource demand — is built
-once, memoized on the tuple's first :class:`~repro.services.task.Task`
-(``_walk_cache``, keyed by the identity of the other tasks and checked
-through weak references, because a dead task's id may be reused). It
-is extended only as far as some caller has asked, so a direct
-:func:`formulate` caller keeps its early exit and demand is priced only
-for states some stopping test reaches. The walk holds no task — callers
-pass the tuple whenever it must extend — so it makes no reference cycle
-through the task it is cached on. Steps and eq. 1 rewards come from the
-per-task memos (``_step_cache`` / ``_reward_cache``, keyed by the
+provider answering a CFP walks the same states, and so does every CFP
+whose tasks share the same :class:`~repro.services.task.TaskProfile`s:
+the walk of a profile tuple — its states, and each state's summed
+resource demand — is built once, memoized on the tuple's first profile
+(``_walk_cache``, keyed by the identity of the other profiles and
+checked through weak references, because a dead profile's id may be
+reused). The references are weak because both orders of a tuple can get
+walks (a renegotiation orders its tasks by id), and strong ones would
+tie the two profiles into a reference cycle. A walk is extended only as
+far as some caller has asked, so a direct :func:`formulate` caller
+keeps its early exit and demand is priced only for states some stopping
+test reaches. The walk holds no profile — callers pass the tasks
+whenever it must extend — so it makes no reference cycle through the
+profile it is cached on. Steps and eq. 1 rewards come from the
+per-profile memos (``_step_cache`` / ``_reward_cache``, keyed by the
 assignment's ladder indices). Outcomes stay bit-identical to the
 per-node loop the walk replaced (``tests/test_formulation_golden.py``).
 A node's :func:`first_fit` is the negotiation hot path (the
@@ -49,7 +53,7 @@ from repro.errors import InfeasibleTaskError
 from repro.core.reward import local_reward
 from repro.qos.levels import QualityAssignment
 from repro.resources.kinds import ResourceKind
-from repro.services.task import Task
+from repro.services.task import Task, TaskProfile
 
 SchedulabilityTest = Callable[[Mapping[str, QualityAssignment]], bool]
 """Predicate: can this node serve all tasks at these levels simultaneously?"""
@@ -112,8 +116,10 @@ def formulate(
             configuration cannot be found (e.g. dependencies are
             unsatisfiable on the acceptable ladders).
     """
-    walk = _walk_of(tasks)
     ids = [task.task_id for task in tasks]
+    if len(set(ids)) != len(ids):
+        raise InfeasibleTaskError("duplicate task ids in formulation")
+    walk = _walk_of(tasks)
     steps = 0
     current = dict(zip(ids, walk.states[0]))
     feasible = is_schedulable(current)
@@ -125,7 +131,8 @@ def formulate(
         assignments=current,
         degradations=walk.repairs + steps,
         rewards={
-            task.task_id: _reward(task, current[task.task_id]) for task in tasks
+            task.task_id: _reward(task.profile, current[task.task_id])
+            for task in tasks
         },
         feasible=feasible,
     )
@@ -145,7 +152,8 @@ def first_fit(
         The fitting state, or ``None`` when none does.
 
     Raises:
-        InfeasibleTaskError: As :func:`formulate`.
+        InfeasibleTaskError: If some task has no dependency-valid level
+            (as :func:`formulate`).
     """
     walk = _walk_of(tasks)
     rows = walk.rows
@@ -159,22 +167,20 @@ def first_fit(
 
 
 class _Walk:
-    """The Section 5 walk of one task tuple, made as far as asked.
+    """The Section 5 walk of one profile tuple, made as far as asked.
 
     ``states[i]`` is the tuple's state after the dependency repair
     (``repairs`` steps) and ``i`` degradation steps; ``exhausted`` is
     set once the last state has no step left. ``rows`` holds the summed
     demand over :data:`KINDS` of a prefix of the states. The walk keeps
-    no reference to its tasks (see the module docs): every method that
-    may extend it takes the tuple as ``tasks``.
+    no reference to its profiles (see the module docs): every method
+    that may extend it takes tasks over them as ``tasks``, and reads
+    only their profiles.
     """
 
     __slots__ = ("states", "rows", "repairs", "exhausted")
 
     def __init__(self, tasks: Sequence[Task]) -> None:
-        ids = [task.task_id for task in tasks]
-        if len(set(ids)) != len(ids):
-            raise InfeasibleTaskError("duplicate task ids in formulation")
         # Step 1: everyone at the user's preferred values, repaired to
         # satisfy ``Deps``.
         top: List[QualityAssignment] = []
@@ -204,11 +210,12 @@ class _Walk:
             last = states[-1]
             chosen: Optional[Tuple[Tuple[float, int, int], QualityAssignment]] = None
             for t_index, (task, assignment) in enumerate(zip(tasks, last)):
+                profile = task.profile
                 skey = assignment.index_key()
-                entry = task._step_cache.get(skey, _MISSING)
+                entry = profile._step_cache.get(skey, _MISSING)
                 if entry is _MISSING:
-                    entry = _best_task_step(task, assignment)
-                    task._step_cache[skey] = entry
+                    entry = _best_task_step(profile, assignment)
+                    profile._step_cache[skey] = entry
                 if entry is None:
                     continue
                 decrease, a_index, candidate = entry
@@ -234,35 +241,35 @@ class _Walk:
             return False
         totals = [0.0] * len(KINDS)
         for task, assignment in zip(tasks, self.states[n]):
-            for kind, amount in task.demand_at(assignment.values()).items():
+            for kind, amount in task.profile.demand_at(assignment.values()).items():
                 totals[_COLUMN[kind]] += amount
         self.rows.append(tuple(totals))
         return True
 
 
 def _walk_of(tasks: Sequence[Task]) -> _Walk:
-    """The walk of ``tasks``, memoized on its first task."""
+    """The walk of the profiles of ``tasks``, memoized on the first."""
     if not tasks:
         return _Walk(tasks)
-    first, others = tasks[0], tuple(tasks[1:])
+    first, *others = [task.profile for task in tasks]
     key = tuple(map(id, others))
     entry = first._walk_cache.get(key)
     if entry is not None:
         refs, walk = entry
-        if all(ref() is task for ref, task in zip(refs, others)):
+        if all(ref() is profile for ref, profile in zip(refs, others)):
             return walk
     walk = _Walk(tasks)
     first._walk_cache[key] = (tuple(map(weakref.ref, others)), walk)
     return walk
 
 
-def _reward(task: Task, assignment: QualityAssignment) -> float:
-    """eq. 1 reward of ``assignment``, memoized on the task."""
+def _reward(profile: TaskProfile, assignment: QualityAssignment) -> float:
+    """eq. 1 reward of ``assignment``, memoized on the profile."""
     key = assignment.index_key()
-    value = task._reward_cache.get(key)
+    value = profile._reward_cache.get(key)
     if value is None:
         value = local_reward(assignment)
-        task._reward_cache[key] = value
+        profile._reward_cache[key] = value
     return value
 
 
@@ -271,7 +278,7 @@ _MISSING = object()
 
 
 def _best_task_step(
-    task: Task, assignment: QualityAssignment
+    profile: TaskProfile, assignment: QualityAssignment
 ) -> Optional[Tuple[float, int, QualityAssignment]]:
     """Steps 2a–2b for one task: its minimum-reward-decrease degradation.
 
@@ -280,7 +287,7 @@ def _best_task_step(
     or ``None`` when the task cannot degrade at all (already at ``Q_kn``,
     or every remaining step violates dependencies).
     """
-    before = _reward(task, assignment)
+    before = _reward(profile, assignment)
     best: Optional[Tuple[float, int, QualityAssignment]] = None
     for a_index, attr in enumerate(assignment.ladder_set.request.attribute_names):
         if not assignment.can_degrade(attr):
@@ -288,7 +295,7 @@ def _best_task_step(
         candidate = assignment.degrade(attr)
         if not candidate.respects_dependencies():
             continue
-        decrease = before - _reward(task, candidate)
+        decrease = before - _reward(profile, candidate)
         if best is None or (decrease, a_index) < best[:2]:
             best = (decrease, a_index, candidate)
     return best

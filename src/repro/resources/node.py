@@ -14,6 +14,7 @@ by task execution (the paper's motivation for offloading).
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ResourceError
@@ -82,20 +83,28 @@ class Node:
         self.manager = ResourceManager(self.capacity, name=f"rm:{node_id}")
         self.battery = self.capacity.get(ResourceKind.ENERGY)
         self.alive = True
-        self._liveness_watchers: List[Callable[["Node"], None]] = []
+        self._liveness_watchers: List[weakref.WeakMethod] = []
 
     # -- liveness observers ----------------------------------------------
 
     def add_liveness_watcher(self, watcher: Callable[["Node"], None]) -> None:
-        """Register a callback fired whenever ``alive`` flips (death by
-        battery drain, :meth:`fail`, :meth:`recover`). The topology layer
-        uses this to bump its cache epoch the instant liveness changes."""
-        if watcher not in self._liveness_watchers:
-            self._liveness_watchers.append(watcher)
+        """Register a bound method fired whenever ``alive`` flips (death
+        by battery drain, :meth:`fail`, :meth:`recover`). The topology
+        layer uses this to bump its cache epoch the instant liveness
+        changes.
+
+        The node holds the method weakly: a topology watches its nodes,
+        not the other way round, so a dropped topology is freed by
+        reference counting while its nodes live on, and its watcher
+        falls silent.
+        """
+        ref = weakref.WeakMethod(watcher)
+        if ref not in self._liveness_watchers:
+            self._liveness_watchers.append(ref)
 
     def remove_liveness_watcher(self, watcher: Callable[["Node"], None]) -> None:
         try:
-            self._liveness_watchers.remove(watcher)
+            self._liveness_watchers.remove(weakref.WeakMethod(watcher))
         except ValueError:
             pass
 
@@ -103,8 +112,10 @@ class Node:
         if alive == self.alive:
             return
         self.alive = alive
-        for watcher in tuple(self._liveness_watchers):
-            watcher(self)
+        for ref in tuple(self._liveness_watchers):
+            watcher = ref()
+            if watcher is not None:
+                watcher(self)
 
     # -- energy ----------------------------------------------------------
 

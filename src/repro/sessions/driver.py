@@ -28,6 +28,7 @@ order — fixed by submission order. Same seed, same trace.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.negotiation import negotiate, release_award, release_coalition
@@ -150,14 +151,18 @@ class SessionDriver:
         stops once no session is pending or active, so mobility never
         keeps an otherwise-quiescent run alive."""
         dt = self.policy.mobility_tick if tick is None else tick
+        self.engine.schedule(dt, partial(self._mobility_tick, mobility, nodes, dt))
 
-        def _tick(now: float) -> None:
-            if self._pending == 0 and self._active == 0:
-                return
-            self.topology.advance_mobility(mobility, nodes, dt)
-            self.engine.schedule(dt, _tick)
-
-        self.engine.schedule(dt, _tick)
+    def _mobility_tick(
+        self, mobility: MobilityModel, nodes: Sequence[Node], dt: float, now: float
+    ) -> None:
+        # A fresh callback per tick: a self-rescheduling closure would
+        # hold itself through its own cell, and with it the driver and
+        # the whole cluster, until the cyclic collector ran.
+        if self._pending == 0 and self._active == 0:
+            return
+        self.topology.advance_mobility(mobility, nodes, dt)
+        self.engine.schedule(dt, partial(self._mobility_tick, mobility, nodes, dt))
 
     # -- life cycle --------------------------------------------------------
 

@@ -35,7 +35,10 @@ bit-identical parallel==serial guarantee.
 The cluster itself is only an input: :func:`run_on_cluster` runs the
 merged arrivals on any built cluster, which is how the sharded runner
 (:func:`repro.shard.run_sharded_contention`) shares this whole pipeline
-with :func:`run_contention`.
+with :func:`run_contention`. A run builds each service family once and
+hands every later session of the family task shells over the same
+:class:`~repro.services.task.TaskProfile` objects, so the family's
+degrade walks are computed once per run; the profiles die with it.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
 from repro.resources.node import Node, NodeClass
 from repro.resources.provider import QoSProvider
+from repro.services.service import Service
+from repro.services.task import Task
 from repro.sessions.driver import SessionDriver
 from repro.sessions.policy import SessionPolicy
 from repro.sim.engine import Engine
@@ -328,11 +333,10 @@ def run_on_cluster(
     identically.
     """
     events, family_of = merge_arrival_events(config, registry)
+    arrivals = _session_arrivals(events, family_of)
     if config.sessions.operate:
-        return _run_streaming(
-            config, registry, topology, providers, nodes, events, family_of
-        )
-    return _run_admission_only(config, topology, providers, events, family_of)
+        return _run_streaming(config, registry, topology, providers, nodes, arrivals)
+    return _run_admission_only(config, topology, providers, arrivals)
 
 
 def merge_arrival_events(
@@ -359,20 +363,55 @@ def merge_arrival_events(
     return events, family_of
 
 
-def _session_service(family: str, k: int, ordinal: int):
-    return build_service(
-        family,
-        requester=requester_id(k),
-        name=f"{family}-{requester_id(k)}-{ordinal}",
-    )
+def _session_arrivals(
+    events: List[Tuple[float, int, int]], family_of: Dict[int, str]
+) -> List[Tuple[float, int, str, Service]]:
+    """The ``(t, requester, family, service)`` of every event, in order.
+
+    A family's services differ only in their names, requesters and task
+    ids, so a run builds each family once: its first session through
+    :func:`~repro.workloads.services.build_service`, and every later one
+    from shells (:meth:`~repro.services.task.Task.reissue`) over the
+    first one's :class:`~repro.services.task.TaskProfile` objects, which
+    then share their memoized degrade walks across the run. The map of
+    first sessions is local, so the profiles and their memos die with
+    the run. Task ids are drawn in the order and with the prefixes the
+    builder would use, because selection's final tie-break hashes them.
+    """
+    first: Dict[str, Service] = {}
+    arrivals = []
+    for t, k, ordinal in events:
+        family = family_of[k]
+        requester = requester_id(k)
+        name = f"{family}-{requester}-{ordinal}"
+        template = first.get(family)
+        if template is None:
+            service = first[family] = build_service(family, requester, name=name)
+        else:
+            service = Service(
+                name=name,
+                tasks=tuple(
+                    _reissue(task, template.name, name) for task in template.tasks
+                ),
+                requester=requester,
+            )
+        arrivals.append((t, k, family, service))
+    return arrivals
+
+
+def _reissue(task: Task, old_name: str, new_name: str) -> Task:
+    """``task`` for a later session of its family: an id drawn by
+    :meth:`Task.fresh_id` with the builder's prefix
+    (``"<service name>-<role>"``) under ``new_name``."""
+    prefix = task.task_id.rsplit("-", 1)[0]
+    return task.reissue(Task.fresh_id(new_name + prefix[len(old_name):]))
 
 
 def _run_admission_only(
     config: ContentionConfig,
     topology: Topology,
     providers: Dict[str, QoSProvider],
-    events: List[Tuple[float, int, int]],
-    family_of: Dict[int, str],
+    arrivals: List[Tuple[float, int, str, Service]],
 ) -> ContentionResult:
     """The historical admission-only loop: sessions hold reservations
     for their nominal duration; nothing happens while they do."""
@@ -380,7 +419,7 @@ def _run_admission_only(
         n_requesters=config.n_requesters, horizon=config.horizon
     )
     active: List[Tuple[float, object]] = []  # (end time, coalition)
-    for t, k, ordinal in events:
+    for t, k, family, service in arrivals:
         # Dissolve sessions whose duration has elapsed by now.
         still = []
         for end, coalition in active:
@@ -390,8 +429,6 @@ def _run_admission_only(
                 still.append((end, coalition))
         active = still
 
-        family = family_of[k]
-        service = _session_service(family, k, ordinal)
         outcome = negotiate(service, topology, providers, commit=True, now=t)
         utility = outcome_utility(outcome)
         result.sessions.append(
@@ -425,8 +462,7 @@ def _run_streaming(
     topology: Topology,
     providers: Dict[str, QoSProvider],
     nodes: List[Node],
-    events: List[Tuple[float, int, int]],
-    family_of: Dict[int, str],
+    arrivals: List[Tuple[float, int, str, Service]],
 ) -> ContentionResult:
     """The streaming mode: every admitted coalition's operation phase
     runs on a shared engine, interleaved with later admissions."""
@@ -476,11 +512,8 @@ def _run_streaming(
         )
         driver.attach_mobility(mobility, nodes)
 
-    submitted: List[Tuple[int, float, str]] = []
-    for t, k, ordinal in events:
-        family = family_of[k]
-        driver.submit(_session_service(family, k, ordinal), t)
-        submitted.append((k, t, family))
+    for t, _k, _family, service in arrivals:
+        driver.submit(service, t)
     driver.run()
 
     result = ContentionResult(
@@ -488,7 +521,7 @@ def _run_streaming(
         horizon=config.horizon,
         resilience=ResilienceReport.from_sessions(driver.sessions),
     )
-    for (k, t, family), session in zip(submitted, driver.sessions):
+    for (t, k, family, _service), session in zip(arrivals, driver.sessions):
         admission = session.admission
         result.sessions.append(
             SessionOutcome(

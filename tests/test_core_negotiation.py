@@ -214,47 +214,6 @@ def test_summary_format(small_cluster, movie_service):
     assert movie_service.name in text and "OK" in text
 
 
-@pytest.mark.parametrize(
-    "scales",
-    [
-        pytest.param(tuple(0.05 + 0.05 * i for i in range(40)), id="exhausted"),
-        pytest.param((2.0,), id="unfinished"),
-    ],
-)
-def test_formulation_memos_die_with_their_tasks(scales):
-    """Whatever formulation memoizes on a service's tasks is freed with
-    them by reference counting alone: no memo holds a reference cycle
-    through a task, whether its degrade walk ran to the end (PDAs too
-    small for any level) or stopped early (one roomy PDA)."""
-    import gc
-    import weakref
-
-    from repro.resources.node import NODE_CLASS_PROFILES
-    from repro.workloads.services import build_service
-
-    profile = NODE_CLASS_PROFILES[NodeClass.PDA]
-    providers = [
-        QoSProvider(Node(f"pda{i}", NodeClass.PDA, capacity=profile.scaled(s)))
-        for i, s in enumerate(scales)
-    ]
-    service = build_service("navigation", requester="r")
-    n_tasks = len(service.tasks)
-    gc.disable()
-    try:
-        answers = [
-            len(formulate_node_proposals(provider, service.tasks))
-            for provider in providers
-        ]
-        refs = [weakref.ref(task) for task in service.tasks]
-        del service
-        assert [ref() for ref in refs] == [None] * n_tasks
-    finally:
-        gc.enable()
-    if len(scales) > 1:
-        assert answers[0] == 0  # no level fits: every walk ran out
-    assert answers[-1] == n_tasks
-
-
 def test_unreached_levels_are_never_priced():
     """Demand is priced only for the levels a node's degrade walk
     reaches: a conference task whose codec table lacks ``"dct"`` is

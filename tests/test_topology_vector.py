@@ -338,6 +338,30 @@ def test_liveness_watcher_detached_on_remove():
     assert topo.epoch == epoch
 
 
+def test_dropped_topology_is_freed_while_its_nodes_live():
+    """Nodes hold their topology's liveness watcher weakly, so the
+    topology is freed by reference counting alone (no cycle through its
+    nodes), and a later liveness flip on a surviving node is a no-op."""
+    import gc
+    import weakref
+
+    topo, nodes = _line_topology()
+    shortest = topo.shortest_route("a", "c")  # fill the per-epoch caches
+    assert shortest == ("a", "b", "c")
+    ref = weakref.ref(topo)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del topo
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    nodes[1].fail()
+    nodes[1].recover()
+    assert nodes[1].alive
+
+
 # -- mobility: vectorized fast paths are seed-identical ----------------------
 
 
