@@ -1,9 +1,10 @@
-"""E15 — multi-requester contention (admission-only sessions).
+"""E15 — multi-requester contention (churn-free streaming sessions).
 
 The ``contention-mix`` scenario with the requester count swept: K
 self-interested requesters share one 20-node cluster, each session
-holding real reservations for its duration. The archived table pins
-every cell; the assertions pin the qualitative shape.
+running through the ``SessionDriver`` and holding real reservations for
+its span. The archived table pins every cell; the assertions pin the
+qualitative shape.
 """
 
 from benchmarks.conftest import run_suite

@@ -1,8 +1,9 @@
-"""E16 — arrival-rate saturation (admission-only sessions).
+"""E16 — arrival-rate saturation (churn-free streaming sessions).
 
 The ``saturation-trio`` scenario with the per-requester Poisson rate
-swept: concurrency climbs until admission control refuses sessions.
-The archived table pins every cell; the assertion pins the shape.
+swept, each session running through the ``SessionDriver``: concurrency
+climbs until admission control refuses sessions. The archived table
+pins every cell; the assertion pins the shape.
 """
 
 from benchmarks.conftest import run_suite

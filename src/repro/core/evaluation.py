@@ -269,16 +269,30 @@ class ProposalEvaluator:
         return total
 
     def max_distance(self) -> float:
-        """Upper bound of :meth:`distance` over in-domain proposals.
+        """Upper bound of :meth:`distance` over in-domain proposals
+        (the module's :func:`max_distance` of this request)."""
+        return max_distance(self.request, self.weights)
 
-        With absolute differences every ``|dif|`` is at most 1, so the
-        bound is ``Σ_k w_k · Σ_i w_i``. Used to normalize distances into
-        [0, 1] for utility reporting.
-        """
-        total = 0.0
-        for w_k, compiled_attrs in self._dims:
-            total += w_k * sum(w_i for _entry, w_i in compiled_attrs)
-        return total
+
+def max_distance(
+    request: ServiceRequest, weights: WeightScheme = WeightScheme.LINEAR
+) -> float:
+    """Upper bound of the eq. 2 distance over in-domain proposals.
+
+    With absolute differences every ``|dif|`` is at most 1, so the bound
+    is ``Σ_k w_k · Σ_i w_i``, summed in importance order as the compiled
+    evaluator sums its distances. It reads only the request's preference
+    orders, so utility reporting normalizes distances into [0, 1]
+    without compiling a :class:`ProposalEvaluator`.
+    """
+    n_dims = len(request.dimensions)
+    total = 0.0
+    for k, dp in enumerate(request.dimensions, start=1):
+        count = len(dp.attributes)
+        total += weights.weight(k, n_dims) * sum(
+            weights.weight(i, count) for i in range(1, count + 1)
+        )
+    return total
 
 
 #: Alias for callers that name the batch scorer, such as the perf

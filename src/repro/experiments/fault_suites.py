@@ -125,7 +125,6 @@ def _e23_config(plan: FaultPlan, horizon: float) -> ContentionConfig:
         area=60.0 * float(np.sqrt(_N_NODES)),
         radio_range=100.0,
         sessions=SessionPolicy(
-            operate=True,
             # Probe every 2.5 s so even a short overlap between a
             # session's span and the partition window gets noticed.
             keepalive=2.5,
@@ -193,9 +192,7 @@ def e23_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
             from repro.workloads.contention import run_contention
 
             result = run_contention(seed, config)
-            resilience = result.resilience
-            assert resilience is not None  # streaming mode always reports
-            row = resilience.metrics()
+            row = result.resilience.metrics()
             row["drop_rate"] = result.metrics()["drop_rate"]
             return row
 

@@ -46,7 +46,6 @@ def _e22_config(n_nodes: int, horizon: float) -> ContentionConfig:
         area=60.0 * float(np.sqrt(n_nodes)),
         radio_range=100.0,
         sessions=SessionPolicy(
-            operate=True,
             failure_rate=1.0 / 200.0,
             drain=30.0,
             mobility="waypoint",

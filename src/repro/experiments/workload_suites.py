@@ -16,10 +16,10 @@ hand-building clusters and loops:
   families (speech recognition, sensor-fusion telemetry, navigation
   rendering) — the E1 claim re-checked off the paper's beaten path;
 * **E20** — streaming sessions under churn: the ``streaming-mix``
-  scenario with ``sessions.operate=True``, swept over mobility ×
-  arrival rate × session length; admitted coalitions run their
-  operation phase *inside* the contention window (crash and battery
-  churn, in-place renegotiation — see :mod:`repro.sessions`);
+  scenario (crash and battery churn), swept over mobility × arrival
+  rate × session length; admitted coalitions run their operation phase
+  *inside* the contention window (in-place renegotiation — see
+  :mod:`repro.sessions`);
 * **E21** — realistic arrival streams: the ``diurnal-mix`` and
   ``flash-crowd`` scenarios (inhomogeneous Poisson arrivals, streaming
   sessions) against a rate-matched homogeneous Poisson control, swept

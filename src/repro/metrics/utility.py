@@ -6,8 +6,8 @@ complement of that distance::
 
     utility = 1 - distance / max_distance   ∈ [0, 1]
 
-where ``max_distance`` is the evaluator's upper bound over in-domain
-proposals (:meth:`~repro.core.evaluation.ProposalEvaluator.max_distance`).
+where ``max_distance`` is the eq. 2 upper bound over in-domain
+proposals (:func:`~repro.core.evaluation.max_distance`).
 Utility 1 means every attribute at the user's preferred value; 0 means
 maximally distant (yet admissible) values everywhere. Unallocated tasks
 contribute utility 0 — a service the user does not get has no value.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.core.evaluation import ProposalEvaluator
+from repro.core.evaluation import ProposalEvaluator, max_distance
 from repro.core.negotiation import NegotiationOutcome
 from repro.core.proposal import Proposal
 from repro.qos.request import ServiceRequest
@@ -41,7 +41,7 @@ def assignment_utility(request: ServiceRequest, values: Mapping[str, Any]) -> fl
 
 def allocation_utility(request: ServiceRequest, distance: float) -> float:
     """Utility from a pre-computed eq. 2 distance."""
-    bound = ProposalEvaluator(request).max_distance()
+    bound = max_distance(request)
     if bound <= 0:
         return 1.0
     return max(0.0, min(1.0, 1.0 - distance / bound))

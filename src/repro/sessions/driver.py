@@ -32,8 +32,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.negotiation import negotiate, release_award, release_coalition
-from repro.core.reputation import ReputationTracker
-from repro.core.selection import SelectionPolicy
 from repro.metrics.utility import allocation_utility
 from repro.network.mobility import MobilityModel
 from repro.network.topology import Topology
@@ -47,6 +45,9 @@ from repro.sim.engine import Engine, EventHandle
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
 
+#: Seconds between mobility ticks of an attached mobility model.
+MOBILITY_TICK = 1.0
+
 
 class SessionDriver:
     """Runs streaming sessions' whole life cycle on a shared engine.
@@ -56,11 +57,9 @@ class SessionDriver:
         providers: node id → QoS provider for every node.
         policy: The :class:`~repro.sessions.policy.SessionPolicy` knobs.
         engine: The shared event engine (a fresh ``Engine()`` if omitted).
-        selection: Winner-selection policy for admission *and* in-place
-            renegotiation (both run the same Section 4.2 protocol).
-        reputation: Optional tracker; mid-session provider failures are
-            debited against the dead member and clean closes credited to
-            every surviving member, so later negotiations see churn.
+
+    Admission and in-place renegotiation run the same Section 4.2
+    protocol under the paper's default selection policy.
     """
 
     def __init__(
@@ -69,15 +68,11 @@ class SessionDriver:
         providers: Mapping[str, QoSProvider],
         policy: SessionPolicy,
         engine: Optional[Engine] = None,
-        selection: Optional[SelectionPolicy] = None,
-        reputation: Optional[ReputationTracker] = None,
     ) -> None:
         self.topology = topology
         self.providers = providers
         self.policy = policy
         self.engine = engine if engine is not None else Engine()
-        self.selection = selection
-        self.reputation = reputation
         self.sessions: List[Session] = []
         self.faults: Optional["FaultInjector"] = None
         """Fault context for negotiation rounds (set by
@@ -139,30 +134,28 @@ class SessionDriver:
 
         self.engine.schedule_at(time, _crash)
 
-    def attach_mobility(
-        self,
-        mobility: MobilityModel,
-        nodes: Sequence[Node],
-        tick: Optional[float] = None,
-    ) -> None:
-        """Advance ``mobility`` every ``tick`` seconds (default: the
-        policy's ``mobility_tick``) through the topology's
-        ``advance_mobility``, which brings its edges up to date. Ticking
-        stops once no session is pending or active, so mobility never
-        keeps an otherwise-quiescent run alive."""
-        dt = self.policy.mobility_tick if tick is None else tick
-        self.engine.schedule(dt, partial(self._mobility_tick, mobility, nodes, dt))
+    def attach_mobility(self, mobility: MobilityModel, nodes: Sequence[Node]) -> None:
+        """Advance ``mobility`` every :data:`MOBILITY_TICK` seconds
+        through the topology's ``advance_mobility``, which brings its
+        edges up to date. Ticking stops once no session is pending or
+        active, so mobility never keeps an otherwise-quiescent run
+        alive."""
+        self.engine.schedule(
+            MOBILITY_TICK, partial(self._tick_mobility, mobility, nodes)
+        )
 
-    def _mobility_tick(
-        self, mobility: MobilityModel, nodes: Sequence[Node], dt: float, now: float
+    def _tick_mobility(
+        self, mobility: MobilityModel, nodes: Sequence[Node], now: float
     ) -> None:
         # A fresh callback per tick: a self-rescheduling closure would
         # hold itself through its own cell, and with it the driver and
         # the whole cluster, until the cyclic collector ran.
         if self._pending == 0 and self._active == 0:
             return
-        self.topology.advance_mobility(mobility, nodes, dt)
-        self.engine.schedule(dt, partial(self._mobility_tick, mobility, nodes, dt))
+        self.topology.advance_mobility(mobility, nodes, MOBILITY_TICK)
+        self.engine.schedule(
+            MOBILITY_TICK, partial(self._tick_mobility, mobility, nodes)
+        )
 
     # -- life cycle --------------------------------------------------------
 
@@ -173,10 +166,8 @@ class SessionDriver:
             session.service,
             self.topology,
             self.providers,
-            selection=self.selection,
             commit=True,
             now=now,
-            reputation=self.reputation,
             faults=self.faults,
         )
         session.admission = outcome
@@ -238,8 +229,6 @@ class SessionDriver:
                 award = coalition.awards[task_id]
                 # Idempotent: the dead node's ledger may have reclaimed it.
                 release_award(self.providers, award, now, missing_ok=True)
-                if self.reputation is not None:
-                    self.reputation.record_failure(award.node_id)
                 session.live_tasks.discard(task_id)
                 session.suspended.pop(task_id, None)
             self.engine.tracer.emit(
@@ -270,7 +259,7 @@ class SessionDriver:
         once every task is live and unsuspended the session recovers in
         place (``DEGRADED → OPERATING``, same awards, no renegotiation).
         A suspension outliving the grace window is treated like a crash:
-        award released, reputation debited, task renegotiated.
+        award released, task renegotiated.
         """
         coalition = session.coalition
         assert coalition is not None
@@ -290,8 +279,6 @@ class SessionDriver:
             for task_id in expired:
                 award = coalition.awards[task_id]
                 release_award(self.providers, award, now, missing_ok=True)
-                if self.reputation is not None:
-                    self.reputation.record_failure(award.node_id)
                 session.live_tasks.discard(task_id)
                 session.suspended.pop(task_id, None)
             self.engine.tracer.emit(
@@ -340,10 +327,8 @@ class SessionDriver:
             sub_service,
             self.topology,
             self.providers,
-            selection=self.selection,
             commit=True,
             now=now,
-            reputation=self.reputation,
             faults=self.faults,
         )
         session.award_retries += outcome.award_retries
@@ -404,9 +389,6 @@ class SessionDriver:
             return  # already dropped
         coalition = session.coalition
         assert coalition is not None
-        if self.reputation is not None:
-            for task_id in sorted(session.live_tasks):
-                self.reputation.record_success(coalition.awards[task_id].node_id)
         release_coalition(coalition, self.providers, now)
         coalition.dissolve(now)
         self._active -= 1
@@ -420,7 +402,7 @@ class SessionDriver:
         the awards the session currently holds (lost tasks count 0) —
         the same eq. 2 normalization as admission utility, so an
         unchurned session's sustained utility equals its admission
-        utility."""
+        utility up to the rounding of the time integral."""
         coalition = session.coalition
         if coalition is None:
             return 0.0

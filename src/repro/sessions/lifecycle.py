@@ -46,10 +46,11 @@ normalizes by the *planned* streaming span::
     sustained_utility = (1/D) · ∫₀ᴰ u(t) dt
 
 so a session that streamed at admission quality for its whole span
-scores its admission utility, one renegotiated to degraded levels
-scores less, and one dropped halfway scores at most half. Everything is
-event-driven — no sampling — so the value is an exact function of the
-event trace (and therefore of the seed).
+scores its admission utility (up to floating-point rounding), one
+renegotiated to degraded levels scores less, and one dropped halfway
+scores at most half. Everything is event-driven — no sampling — so the
+value is an exact function of the event trace (and therefore of the
+seed).
 """
 
 from __future__ import annotations

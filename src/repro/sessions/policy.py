@@ -1,10 +1,9 @@
 """The session-lifecycle policy: one frozen knob block for streaming runs.
 
 :class:`SessionPolicy` collects every knob of the streaming-session
-lifecycle — whether the operation phase runs in-session at all, the
-keepalive cadence, the renegotiation budget, and the churn drivers
-(crash hazard, streaming energy drain, mobility) — into one frozen,
-purely-primitive dataclass. It rides inside
+lifecycle — the keepalive cadence, the renegotiation budget, and the
+churn drivers (crash hazard, streaming energy drain, mobility) — into
+one frozen, purely-primitive dataclass. It rides inside
 :class:`~repro.workloads.contention.ContentionConfig` and
 :class:`~repro.workloads.registry.ScenarioSpec`, so a scenario's whole
 lifecycle behaviour is declarative, printable and ``replace``-sweepable
@@ -29,10 +28,11 @@ class SessionPolicy:
     """Lifecycle knobs for streaming sessions under contention.
 
     Attributes:
-        operate: Run each admitted coalition's operation phase *inside*
-            the contention run (the :class:`~repro.sessions.SessionDriver`
-            path). ``False`` keeps the PR-3 admission-only semantics:
-            sessions just hold their reservations for their duration.
+        operate: Must be ``True`` (``False`` raises
+            :class:`ValueError`): every contention run streams its
+            sessions through the :class:`~repro.sessions.SessionDriver`,
+            so each admitted coalition's operation phase runs inside
+            the run.
         keepalive: Seconds between a session's keepalive ticks — the
             cadence at which member liveness is checked, streaming
             upkeep energy is drawn, and degradation is detected (a crash
@@ -40,7 +40,13 @@ class SessionPolicy:
             the request/keepalive/renegotiate protocol shape).
         max_renegotiations: Failed in-place renegotiation attempts a
             session tolerates; reaching the bound drops the session.
-            Successful renegotiations do not consume the budget.
+            Successful renegotiations do not consume the budget. A
+            failed attempt with budget left does not retry by itself:
+            the lost tasks are already out of the session's live set,
+            so the session stays ``DEGRADED`` and renegotiates again
+            only when a later keepalive finds another dead member (or a
+            partition grace expires). Otherwise it streams degraded
+            until its span ends and closes cleanly.
         failure_rate: Per-helper-node crash hazard (1/s). Each
             non-requester node draws one exponential time-to-crash from
             the run's ``failures`` stream; draws landing inside the
@@ -54,9 +60,9 @@ class SessionPolicy:
             (the service's longest task duration) — the E20 sweep's
             session-length axis.
         mobility: ``"static"`` (nodes stay put) or ``"waypoint"``
-            (random-waypoint motion with a topology rebuild per tick).
+            (random-waypoint motion with a topology rebuild per
+            one-second tick).
         mobility_speed: Maximum waypoint speed (m/s).
-        mobility_tick: Seconds between mobility ticks.
         partition_grace: Seconds a session tolerates an *alive but
             unreachable* member (a network partition) before treating it
             as lost. While any member is within grace the session is
@@ -67,7 +73,7 @@ class SessionPolicy:
             the pre-fault keepalive path draw for draw.
     """
 
-    operate: bool = False
+    operate: bool = True
     keepalive: float = 5.0
     max_renegotiations: int = 2
     failure_rate: float = 0.0
@@ -75,10 +81,14 @@ class SessionPolicy:
     duration_scale: float = 1.0
     mobility: str = "static"
     mobility_speed: float = 4.0
-    mobility_tick: float = 1.0
     partition_grace: float = 0.0
 
     def __post_init__(self) -> None:
+        if not self.operate:
+            raise ValueError(
+                "operate=False is not supported: every contention run "
+                "streams its sessions through the SessionDriver"
+            )
         if self.keepalive <= 0:
             raise ValueError(f"keepalive must be positive, got {self.keepalive}")
         if self.max_renegotiations < 0:
@@ -101,10 +111,6 @@ class SessionPolicy:
         if self.mobility_speed < 0:
             raise ValueError(
                 f"mobility_speed must be >= 0, got {self.mobility_speed}"
-            )
-        if self.mobility_tick <= 0:
-            raise ValueError(
-                f"mobility_tick must be positive, got {self.mobility_tick}"
             )
         if self.partition_grace < 0:
             raise ValueError(

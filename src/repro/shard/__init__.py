@@ -15,8 +15,8 @@ partitions the numpy topology arena into a sharded simulator:
   as arrays, which the perf benchmark builds outside its timed runs)
   and :func:`run_sharded_contention`, which runs
   :func:`repro.workloads.run_contention`'s own pipeline (arrival merge,
-  admission loop, :class:`~repro.sessions.SessionDriver`) on a
-  :class:`ShardedCluster` — bit-identical to it on a single shard.
+  :class:`~repro.sessions.SessionDriver`) on a :class:`ShardedCluster`
+  — bit-identical to it on a single shard.
 
 Layering: this package sits on :mod:`repro.workloads` and below
 :mod:`repro.experiments`, which it never imports.

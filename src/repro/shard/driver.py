@@ -4,9 +4,9 @@
 with one difference: the cluster handed to
 :func:`~repro.workloads.contention.run_on_cluster` is a
 :class:`~repro.shard.cluster.ShardedCluster`. The fleet, the arrival
-merge, the admission loop and the :class:`~repro.sessions.SessionDriver`
-are the same code, so a 1 × 1 grid run is bit-identical to the
-unsharded path (pinned in ``tests/test_shard.py``). The session driver reaches
+merge and the :class:`~repro.sessions.SessionDriver` are the same code,
+so a 1 × 1 grid run is bit-identical to the unsharded path (pinned in
+``tests/test_shard.py``). The session driver reaches
 the cluster only through the ``Topology`` interface: a mobility tick
 calls ``advance_mobility``, which here re-homes nodes that crossed a
 cell boundary and rebuilds only the shards its movers are in or left,

@@ -21,10 +21,10 @@ contention scenarios" — as a subsystem of its own:
   weighted class draw and the placement every fleet shares;
 * :mod:`repro.workloads.contention` — K self-interested requesters with
   independent arrival streams competing for one cluster's providers;
-  with a :class:`~repro.sessions.SessionPolicy` that sets
-  ``operate=True`` the admitted coalitions' operation phases run
-  *inside* the contention window (crashes, battery drain, in-place
-  renegotiation — see :mod:`repro.sessions`);
+  the admitted coalitions' operation phases run *inside* the contention
+  window (crashes, battery drain, in-place renegotiation, as the
+  :class:`~repro.sessions.SessionPolicy` sets them — see
+  :mod:`repro.sessions`);
 * :mod:`repro.workloads.registry` — the named
   :class:`~repro.workloads.registry.ScenarioSpec` registry that suites
   and the CLI (``--list-scenarios``) name scenarios through instead of

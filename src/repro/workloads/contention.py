@@ -9,28 +9,21 @@ exactly the self-interested-agents regime of the related
 equilibrium-computation work on integer programming games.
 
 A run is configured by one :class:`ContentionConfig` (which embeds a
-:class:`~repro.sessions.SessionPolicy`) and executes in one of two
-modes:
+:class:`~repro.sessions.SessionPolicy`). Its merged arrivals are
+submitted to one :class:`~repro.sessions.SessionDriver` on a discrete-
+event engine, so each admitted coalition's *operation phase* — crash
+and battery churn, degradation, in-place renegotiation against the
+currently contended cluster — interleaves with later admissions. With
+no churn, mobility or faults configured, a session simply holds its
+reservations for its span and is released.
 
-* **admission-only** (``sessions.operate=False``, the default and the
-  historical semantics): an event loop over the merged arrival
-  sequence — sessions negotiate, hold their reservations for their
-  nominal duration, and are released; nothing happens *during* a
-  session.
-* **streaming** (``sessions.operate=True``): the same arrivals are
-  submitted to a :class:`~repro.sessions.SessionDriver` on a discrete-
-  event engine, so each admitted coalition's *operation phase* — crash
-  and battery churn, degradation, in-place renegotiation against the
-  currently contended cluster — interleaves with later admissions.
-
-Both modes consume the ``fleet``, ``placement`` and
-``arrivals:req<k>`` RNG streams identically; the streaming mode's extra
-draws come from its own ``failures`` and ``mobility`` streams, which
-are independently derived — so flipping the mode never perturbs the
-cluster or the arrival sequence. Everything derives from the
-replication seed, so a scenario is a pure function of its seed — the
-precondition for running on the shared process pool with the
-bit-identical parallel==serial guarantee.
+The cluster and the arrivals come from the ``fleet``, ``placement`` and
+``arrivals:req<k>`` RNG streams; churn draws come from the run's own
+``failures`` and ``mobility`` streams, which are independently derived
+— so enabling churn never perturbs the cluster or the arrival sequence.
+Everything derives from the replication seed, so a scenario is a pure
+function of its seed — the precondition for running on the shared
+process pool with the bit-identical parallel==serial guarantee.
 
 The cluster itself is only an input: :func:`run_on_cluster` runs the
 merged arrivals on any built cluster, which is how the sharded runner
@@ -49,7 +42,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.negotiation import negotiate, release_coalition
 from repro.metrics.utility import outcome_utility
 from repro.network.mobility import RandomWaypoint
 from repro.network.radio import DiscRadio
@@ -60,7 +52,6 @@ from repro.services.service import Service
 from repro.services.task import Task
 from repro.sessions.driver import SessionDriver
 from repro.sessions.policy import SessionPolicy
-from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.arrivals import ArrivalProcess, PoissonProcess
 from repro.workloads.fleet import FLEET_MIXES, contention_fleet, requester_id
@@ -90,8 +81,8 @@ class ContentionConfig:
             ``None`` (the default) normalizes to Poisson at one session
             per 40 s.
         horizon: Observation window (simulated seconds); arrivals stop
-            here, but streaming sessions admitted before the horizon
-            run out their span.
+            here, but sessions admitted before the horizon run out
+            their span.
         n_nodes: Total cluster size, requesters included.
         area: Square deployment area side (m).
         radio_range: Disc-radio range (m).
@@ -99,15 +90,12 @@ class ContentionConfig:
             default, the paper's motivating client).
         mix: Named helper-class mix
             (:data:`~repro.workloads.fleet.FLEET_MIXES` key).
-        sessions: The streaming-session lifecycle policy; its
-            ``operate`` flag selects admission-only vs streaming mode.
+        sessions: The streaming-session lifecycle policy.
         faults: Optional declarative
-            :class:`~repro.faults.plan.FaultPlan` injected into
-            streaming runs (burst loss, partitions, crash hazards,
-            agent faults — see :mod:`repro.faults`). ``None`` or an
-            empty plan is the exact fault-free path, draw for draw.
-            Faults act on the operation phase, so a non-empty plan
-            needs ``sessions.operate=True``.
+            :class:`~repro.faults.plan.FaultPlan` injected into the run
+            (burst loss, partitions, crash hazards, agent faults — see
+            :mod:`repro.faults`). ``None`` or an empty plan is the exact
+            fault-free path, draw for draw.
     """
 
     n_requesters: int = 2
@@ -148,11 +136,6 @@ class ContentionConfig:
             )
         if self.arrival is None:
             object.__setattr__(self, "arrival", PoissonProcess(rate=1.0 / 40.0))
-        if self.faults is not None and not self.faults.empty and not self.sessions.operate:
-            raise ValueError(
-                "a non-empty fault plan needs streaming sessions "
-                "(sessions.operate=True); admission-only runs cannot inject faults"
-            )
 
     def replace(self, **changes) -> "ContentionConfig":
         """A copy with fields changed (sweep helper)."""
@@ -165,11 +148,11 @@ class SessionOutcome:
 
     ``final_state`` is ``"rejected"`` when admission failed,
     ``"closed"`` for a session that streamed its full span, and
-    ``"dropped"`` for one torn down mid-stream (streaming mode only —
-    admission-only runs never drop what they admit). ``utility`` is the
+    ``"dropped"`` for one torn down mid-stream. ``utility`` is the
     admission-time utility; ``sustained_utility`` is the time-integrated
     utility actually delivered over the planned span (equal to
-    ``utility`` when nothing churned, 0 for rejected sessions).
+    ``utility`` up to rounding when nothing churned, 0 for rejected
+    sessions).
     """
 
     requester: int
@@ -196,12 +179,11 @@ class ContentionResult:
 
     n_requesters: int
     horizon: float
+    resilience: "ResilienceReport"
+    """Robustness accounting. Surfaced separately from :meth:`metrics`
+    so the fixed metric row — and every committed benchmark built on
+    it — is untouched by fault injection."""
     sessions: List[SessionOutcome] = field(default_factory=list)
-    resilience: Optional["ResilienceReport"] = None
-    """Robustness accounting (streaming mode only; ``None`` in
-    admission-only runs). Surfaced separately from :meth:`metrics` so
-    the fixed metric row — and every committed benchmark built on it —
-    is untouched by fault injection."""
 
     def offered(self, requester: Optional[int] = None) -> int:
         """Session count, overall or for one requester."""
@@ -241,10 +223,7 @@ class ContentionResult:
 
         Keys are fixed regardless of outcomes, as
         :func:`~repro.experiments.runner.summarize_replications`
-        requires. The streaming-lifecycle keys are present in every
-        mode (admission-only runs report ``sustained_utility`` equal to
-        admission utility, zero renegotiations and zero drops), so
-        sweeps can mix modes without ragged rows.
+        requires.
         """
         n = len(self.sessions)
         admitted = [s for s in self.sessions if s.success]
@@ -300,9 +279,7 @@ def run_contention(
     Args:
         seed: Master seed; the run is a pure function of it.
         config: The :class:`ContentionConfig` describing the run
-            (``ContentionConfig()`` if omitted). The embedded
-            :class:`~repro.sessions.SessionPolicy` selects
-            admission-only vs streaming mode.
+            (``ContentionConfig()`` if omitted).
 
     Returns:
         The :class:`ContentionResult` with per-session outcomes.
@@ -323,153 +300,22 @@ def run_on_cluster(
 ) -> ContentionResult:
     """Run the config's merged arrivals on an already-built cluster.
 
-    The admission-only loop or, with ``config.sessions.operate``, the
-    streaming :class:`~repro.sessions.SessionDriver`. ``topology`` is
-    anything with the :class:`~repro.network.topology.Topology`
-    interface — the sharded runner passes a
-    :class:`~repro.shard.cluster.ShardedCluster` — and ``nodes`` is the
-    fleet in fleet order. Every stream after the fleet and placement
-    draws is consumed here, so runs sharing this function consume them
-    identically.
+    Every arrival is submitted to one
+    :class:`~repro.sessions.SessionDriver`, so each admitted coalition's
+    operation phase runs on a shared engine, interleaved with later
+    admissions. ``topology`` is anything with the
+    :class:`~repro.network.topology.Topology` interface — the sharded
+    runner passes a :class:`~repro.shard.cluster.ShardedCluster` — and
+    ``nodes`` is the fleet in fleet order. Every stream after the fleet
+    and placement draws is consumed here, so runs sharing this function
+    consume them identically.
     """
     events, family_of = merge_arrival_events(config, registry)
     arrivals = _session_arrivals(events, family_of)
-    if config.sessions.operate:
-        return _run_streaming(config, registry, topology, providers, nodes, arrivals)
-    return _run_admission_only(config, topology, providers, arrivals)
-
-
-def merge_arrival_events(
-    config: ContentionConfig, registry: RngRegistry
-) -> Tuple[List[Tuple[float, int, int]], Dict[int, str]]:
-    """Draw every requester's arrival stream and merge the events.
-
-    Returns the time-sorted ``(t, requester, ordinal)`` events plus the
-    requester → service-family map. The one home of the per-requester
-    ``arrivals:req<k>`` stream consumption.
-    """
-    family_of = {
-        k: config.families[k % len(config.families)]
-        for k in range(config.n_requesters)
-    }
-    events: List[Tuple[float, int, int]] = []
-    assert config.arrival is not None  # normalized by __post_init__
-    for k in range(config.n_requesters):
-        times = config.arrival.arrivals(
-            registry.stream(f"arrivals:{requester_id(k)}"), config.horizon
-        )
-        events.extend((t, k, i) for i, t in enumerate(times))
-    events.sort()
-    return events, family_of
-
-
-def _session_arrivals(
-    events: List[Tuple[float, int, int]], family_of: Dict[int, str]
-) -> List[Tuple[float, int, str, Service]]:
-    """The ``(t, requester, family, service)`` of every event, in order.
-
-    A family's services differ only in their names, requesters and task
-    ids, so a run builds each family once: its first session through
-    :func:`~repro.workloads.services.build_service`, and every later one
-    from shells (:meth:`~repro.services.task.Task.reissue`) over the
-    first one's :class:`~repro.services.task.TaskProfile` objects, which
-    then share their memoized degrade walks across the run. The map of
-    first sessions is local, so the profiles and their memos die with
-    the run. Task ids are drawn in the order and with the prefixes the
-    builder would use, because selection's final tie-break hashes them.
-    """
-    first: Dict[str, Service] = {}
-    arrivals = []
-    for t, k, ordinal in events:
-        family = family_of[k]
-        requester = requester_id(k)
-        name = f"{family}-{requester}-{ordinal}"
-        template = first.get(family)
-        if template is None:
-            service = first[family] = build_service(family, requester, name=name)
-        else:
-            service = Service(
-                name=name,
-                tasks=tuple(
-                    _reissue(task, template.name, name) for task in template.tasks
-                ),
-                requester=requester,
-            )
-        arrivals.append((t, k, family, service))
-    return arrivals
-
-
-def _reissue(task: Task, old_name: str, new_name: str) -> Task:
-    """``task`` for a later session of its family: an id drawn by
-    :meth:`Task.fresh_id` with the builder's prefix
-    (``"<service name>-<role>"``) under ``new_name``."""
-    prefix = task.task_id.rsplit("-", 1)[0]
-    return task.reissue(Task.fresh_id(new_name + prefix[len(old_name):]))
-
-
-def _run_admission_only(
-    config: ContentionConfig,
-    topology: Topology,
-    providers: Dict[str, QoSProvider],
-    arrivals: List[Tuple[float, int, str, Service]],
-) -> ContentionResult:
-    """The historical admission-only loop: sessions hold reservations
-    for their nominal duration; nothing happens while they do."""
-    result = ContentionResult(
-        n_requesters=config.n_requesters, horizon=config.horizon
-    )
-    active: List[Tuple[float, object]] = []  # (end time, coalition)
-    for t, k, family, service in arrivals:
-        # Dissolve sessions whose duration has elapsed by now.
-        still = []
-        for end, coalition in active:
-            if end <= t:
-                release_coalition(coalition, providers, now=t)
-            else:
-                still.append((end, coalition))
-        active = still
-
-        outcome = negotiate(service, topology, providers, commit=True, now=t)
-        utility = outcome_utility(outcome)
-        result.sessions.append(
-            SessionOutcome(
-                requester=k,
-                arrival=t,
-                family=family,
-                success=outcome.success,
-                utility=utility,
-                coalition_size=outcome.coalition.size,
-                concurrent=len(active),
-                final_state="closed" if outcome.success else "rejected",
-                sustained_utility=utility if outcome.success else 0.0,
-            )
-        )
-        if outcome.success:
-            duration = max(task.duration for task in service.tasks)
-            active.append((t + duration, outcome.coalition))
-        else:
-            # A failed negotiation must not strand partial reservations.
-            release_coalition(outcome.coalition, providers, now=t)
-
-    for _end, coalition in active:
-        release_coalition(coalition, providers, now=config.horizon)
-    return result
-
-
-def _run_streaming(
-    config: ContentionConfig,
-    registry: RngRegistry,
-    topology: Topology,
-    providers: Dict[str, QoSProvider],
-    nodes: List[Node],
-    arrivals: List[Tuple[float, int, str, Service]],
-) -> ContentionResult:
-    """The streaming mode: every admitted coalition's operation phase
-    runs on a shared engine, interleaved with later admissions."""
     policy = config.sessions
-    driver = SessionDriver(topology, providers, policy, engine=Engine())
+    driver = SessionDriver(topology, providers, policy)
 
-    # Lazy: repro.faults is only pulled in when a run might use it.
+    # Lazy: repro.faults imports repro.workloads (import cycle guard).
     from repro.faults.injector import make_injector
     from repro.faults.report import ResilienceReport
 
@@ -542,3 +388,71 @@ def _run_streaming(
             )
         )
     return result
+
+
+def merge_arrival_events(
+    config: ContentionConfig, registry: RngRegistry
+) -> Tuple[List[Tuple[float, int, int]], Dict[int, str]]:
+    """Draw every requester's arrival stream and merge the events.
+
+    Returns the time-sorted ``(t, requester, ordinal)`` events plus the
+    requester → service-family map. The one home of the per-requester
+    ``arrivals:req<k>`` stream consumption.
+    """
+    family_of = {
+        k: config.families[k % len(config.families)]
+        for k in range(config.n_requesters)
+    }
+    events: List[Tuple[float, int, int]] = []
+    assert config.arrival is not None  # normalized by __post_init__
+    for k in range(config.n_requesters):
+        times = config.arrival.arrivals(
+            registry.stream(f"arrivals:{requester_id(k)}"), config.horizon
+        )
+        events.extend((t, k, i) for i, t in enumerate(times))
+    events.sort()
+    return events, family_of
+
+
+def _session_arrivals(
+    events: List[Tuple[float, int, int]], family_of: Dict[int, str]
+) -> List[Tuple[float, int, str, Service]]:
+    """The ``(t, requester, family, service)`` of every event, in order.
+
+    A family's services differ only in their names, requesters and task
+    ids, so a run builds each family once: its first session through
+    :func:`~repro.workloads.services.build_service`, and every later one
+    from shells (:meth:`~repro.services.task.Task.reissue`) over the
+    first one's :class:`~repro.services.task.TaskProfile` objects, which
+    then share their memoized degrade walks across the run. The map of
+    first sessions is local, so the profiles and their memos die with
+    the run. Task ids are drawn in the order and with the prefixes the
+    builder would use, because selection's final tie-break hashes them.
+    """
+    first: Dict[str, Service] = {}
+    arrivals = []
+    for t, k, ordinal in events:
+        family = family_of[k]
+        requester = requester_id(k)
+        name = f"{family}-{requester}-{ordinal}"
+        template = first.get(family)
+        if template is None:
+            service = first[family] = build_service(family, requester, name=name)
+        else:
+            service = Service(
+                name=name,
+                tasks=tuple(
+                    _reissue(task, template.name, name) for task in template.tasks
+                ),
+                requester=requester,
+            )
+        arrivals.append((t, k, family, service))
+    return arrivals
+
+
+def _reissue(task: Task, old_name: str, new_name: str) -> Task:
+    """``task`` for a later session of its family: an id drawn by
+    :meth:`Task.fresh_id` with the builder's prefix
+    (``"<service name>-<role>"``) under ``new_name``."""
+    prefix = task.task_id.rsplit("-", 1)[0]
+    return task.reissue(Task.fresh_id(new_name + prefix[len(old_name):]))

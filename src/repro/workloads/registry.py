@@ -148,7 +148,6 @@ register(ScenarioSpec(
 #: with ``streaming-mix`` (crash hazard 1/200 s, 30 J/s upkeep drain),
 #: so E21's arrival-shape comparison changes nothing but the arrivals.
 _STREAMING_MIX4 = _MIX4.replace(sessions=SessionPolicy(
-    operate=True,
     keepalive=5.0,
     max_renegotiations=2,
     failure_rate=1.0 / 200.0,

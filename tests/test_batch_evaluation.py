@@ -11,7 +11,9 @@ recorded float **exactly** (``==``, not approx) — the fixture is the
 oracle the scalar implementation used to be.
 
 The message-count pin: the synchronous driver's ``message_count`` must
-equal what the agent-based organizer actually sends.
+equal what the agent-based organizer actually sends, on one fixed
+4-node cluster and, as a property, on random twin clusters where the
+two drivers must also award alike.
 """
 
 from __future__ import annotations
@@ -21,16 +23,18 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agents.system import AgentSystem
-from repro.core.evaluation import ProposalEvaluator, WeightScheme
+from repro.core.evaluation import ProposalEvaluator, WeightScheme, max_distance
 from repro.core.negotiation import negotiate
 from repro.core.proposal import Proposal
 from repro.errors import DomainError, UnknownNodeError
 from repro.experiments.config import ClusterConfig, SweepConfig
 from repro.experiments.plan import run_plan
 from repro.experiments.reporting import Table
-from repro.experiments.scenario import build_cluster
+from repro.experiments.scenario import build_agent_system, build_cluster
 from repro.experiments.suites import SUITE_PLANS
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
@@ -100,8 +104,9 @@ def test_batch_equals_scalar_exactly(label, request_):
 
 
 def test_compiled_arrays_mirror_scalar_weights():
-    """eq. 3 weights and ``max_distance`` equal the recorded ones for
-    every request and weight scheme."""
+    """eq. 3 weights and ``max_distance`` (the evaluator's and the
+    module function's) equal the recorded ones for every request and
+    weight scheme."""
     for label, request in _family_requests():
         for weights in WeightScheme:
             rec = GOLDEN["requests"][_key(label)][weights.value]
@@ -115,6 +120,7 @@ def test_compiled_arrays_mirror_scalar_weights():
                 for dp in request.dimensions
             ] == rec["attribute_weights"]
             assert evaluator.max_distance() == rec["max_distance"]
+            assert max_distance(request, weights) == rec["max_distance"]
 
 
 def test_batch_empty_and_error_parity():
@@ -234,6 +240,46 @@ def test_sync_and_agent_message_counts_match():
     assert sorted(agent_outcome.coalition.members) == sorted(
         sync_outcome.coalition.members
     )
+
+
+def _awards(outcome) -> dict:
+    return {
+        task_id: (award.node_id, award.proposal.values, award.distance)
+        for task_id, award in outcome.coalition.awards.items()
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    family=st.sampled_from(sorted(SERVICE_FAMILIES)),
+    n_nodes=st.sampled_from((16, 32, 64)),
+    seed=st.integers(min_value=1, max_value=20),
+)
+def test_agent_and_sync_drivers_award_alike(family, n_nodes, seed):
+    """On a reliable channel with a one-hop CFP, the message-passing
+    protocol (``AgentSystem.negotiate``) and the synchronous driver
+    (``negotiate(commit=True)``) on twin clusters award every task to
+    the same node at the same values and distance, from the same number
+    of proposals and radio messages. Sequences are rewound before each
+    service is built, because the final tie-break hashes task ids."""
+    config = ClusterConfig(n_nodes=n_nodes, area=100.0)
+    agent_system = build_agent_system(config, seed, reliable_channel=True)
+    twin = build_agent_system(config, seed, reliable_channel=True)
+
+    reset_all_sequences()
+    agent_outcome = agent_system.negotiate(
+        build_service(family, requester="requester")
+    )
+    reset_all_sequences()
+    sync_outcome = negotiate(
+        build_service(family, requester="requester"),
+        twin.topology, twin.providers, commit=True,
+    )
+
+    assert agent_outcome is not None
+    assert _awards(agent_outcome) == _awards(sync_outcome)
+    assert agent_outcome.proposals_received == sync_outcome.proposals_received
+    assert agent_outcome.message_count == sync_outcome.message_count
 
 
 # -- narrowed error masking -------------------------------------------------

@@ -217,7 +217,7 @@ def _run_session_with_crash(exc_type):
     """Crash every serving helper at t=6 and rig the dead nodes'
     providers so the keepalive's orphan release raises ``exc_type``."""
     topology, providers = _streaming_cluster()
-    policy = SessionPolicy(operate=True, keepalive=5.0, max_renegotiations=2)
+    policy = SessionPolicy(keepalive=5.0, max_renegotiations=2)
     driver = SessionDriver(topology, providers, policy)
     service = workload.movie_playback_service(requester="requester")
     session = driver.submit(service, 0.0, duration=30.0)

@@ -295,7 +295,7 @@ def test_empty_plans_are_bit_identical_to_no_plan():
     admit, drop and recover identically, draw for draw."""
     config = ContentionConfig(
         n_requesters=2, horizon=120.0,
-        sessions=SessionPolicy(operate=True, failure_rate=1.0 / 60.0, drain=30.0),
+        sessions=SessionPolicy(failure_rate=1.0 / 60.0, drain=30.0),
     )
     for seed in (1, 2):
         runs = [
@@ -307,20 +307,6 @@ def test_empty_plans_are_bit_identical_to_no_plan():
         for run in runs[1:]:
             assert run.sessions == runs[0].sessions
             assert run.resilience.metrics() == runs[0].resilience.metrics()
-
-
-def test_admission_only_runs_reject_non_empty_plans():
-    """Faults act on the operation phase; admission-only runs have none,
-    so a plan there would be silently ignored — refuse it instead."""
-    plan = FaultPlan(link=GilbertElliott())
-    with pytest.raises(ValueError, match="operate=True"):
-        ContentionConfig(faults=plan)
-    with pytest.raises(ValueError, match="operate=True"):
-        ContentionConfig(sessions=SessionPolicy(operate=True), faults=plan).replace(
-            sessions=SessionPolicy()
-        )
-    assert ContentionConfig(faults=EMPTY_PLAN).faults is EMPTY_PLAN
-    assert ContentionConfig(sessions=SessionPolicy(operate=True), faults=plan).faults is plan
 
 
 # -- injector seams ---------------------------------------------------------
@@ -413,7 +399,7 @@ def test_partition_heal_recovers_in_place_without_renegotiation():
             ),
         )
     )
-    policy = SessionPolicy(operate=True, keepalive=5.0, partition_grace=10.0)
+    policy = SessionPolicy(keepalive=5.0, partition_grace=10.0)
     driver = SessionDriver(topology, providers, policy)
     service = workload.movie_playback_service(requester="requester")
     session = driver.submit(service, 0.0, duration=30.0)
@@ -460,7 +446,7 @@ def test_partition_outliving_grace_expires_into_renegotiation():
         )
     )
     policy = SessionPolicy(
-        operate=True, keepalive=5.0, partition_grace=7.0, max_renegotiations=2
+        keepalive=5.0, partition_grace=7.0, max_renegotiations=2
     )
     driver = SessionDriver(topology, providers, policy)
     service = workload.movie_playback_service(requester="requester")
@@ -496,7 +482,7 @@ def test_grace_zero_keeps_the_legacy_path():
             ),
         )
     )
-    policy = SessionPolicy(operate=True, keepalive=5.0)  # grace defaults 0
+    policy = SessionPolicy(keepalive=5.0)  # grace defaults 0
     driver = SessionDriver(topology, providers, policy)
     service = workload.movie_playback_service(requester="requester")
     session = driver.submit(service, 0.0, duration=30.0)

@@ -39,7 +39,7 @@ CONTEND = ContentionConfig(
     n_nodes=64,
     area=480.0,
     radio_range=100.0,
-    sessions=SessionPolicy(operate=True),
+    sessions=SessionPolicy(),
 )
 
 SHARDED = ContentionConfig(
@@ -51,7 +51,6 @@ SHARDED = ContentionConfig(
     area=580.0,
     radio_range=100.0,
     sessions=SessionPolicy(
-        operate=True,
         failure_rate=1.0 / 50.0,
         drain=30.0,
         mobility="waypoint",
@@ -67,7 +66,7 @@ FAULTED = ContentionConfig(
     n_nodes=48,
     area=420.0,
     radio_range=100.0,
-    sessions=SessionPolicy(operate=True, keepalive=2.5, partition_grace=15.0),
+    sessions=SessionPolicy(keepalive=2.5, partition_grace=15.0),
     faults=FaultPlan(
         partitions=(
             Partition(

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core.reputation import ReputationTracker
 from repro.errors import SessionStateError
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
@@ -69,7 +68,7 @@ def _all_released(providers):
     )
 
 
-STREAMING = SessionPolicy(operate=True, keepalive=5.0, max_renegotiations=2)
+STREAMING = SessionPolicy(keepalive=5.0, max_renegotiations=2)
 
 
 # -- the state machine ------------------------------------------------------
@@ -154,10 +153,12 @@ def test_sustained_utility_of_drop_stops_at_the_drop(movie_service):
 # -- the session policy -----------------------------------------------------
 
 
-def test_policy_defaults_are_admission_only():
+def test_policy_defaults_stream():
     policy = SessionPolicy()
-    assert not policy.operate
+    assert policy.operate
     assert policy.mobility in MOBILITY_MODES
+    with pytest.raises(ValueError, match="operate=False"):
+        SessionPolicy(operate=False)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -168,7 +169,6 @@ def test_policy_defaults_are_admission_only():
     ({"duration_scale": 0.0}, "duration_scale"),
     ({"mobility": "teleport"}, "unknown mobility mode"),
     ({"mobility_speed": -1.0}, "mobility_speed"),
-    ({"mobility_tick": 0.0}, "mobility_tick"),
 ])
 def test_policy_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -177,9 +177,9 @@ def test_policy_validation(kwargs, match):
 
 def test_policy_replace_sweeps_without_mutating():
     base = SessionPolicy()
-    swept = base.replace(operate=True, duration_scale=2.0)
-    assert swept.operate and swept.duration_scale == 2.0
-    assert not base.operate and base.duration_scale == 1.0
+    swept = base.replace(keepalive=2.5, duration_scale=2.0)
+    assert swept.keepalive == 2.5 and swept.duration_scale == 2.0
+    assert base.keepalive == 5.0 and base.duration_scale == 1.0
 
 
 # -- the driver: clean close ------------------------------------------------
@@ -335,28 +335,6 @@ def test_drain_kills_serving_nodes_mid_session():
     assert _all_released(providers)
 
 
-def test_reputation_folds_mid_session_churn():
-    """Crashed members are debited, surviving members credited on the
-    clean close — later negotiations see the churn."""
-    topology, providers, _nodes = _streaming_cluster(extra_laptops=1)
-    service = workload.movie_playback_service(requester="requester")
-    tracker = ReputationTracker()
-    driver = SessionDriver(topology, providers, STREAMING, reputation=tracker)
-    session = driver.submit(service, 0.0, duration=30.0)
-    crash, victims = _crash_holders(session, topology)
-    driver.engine.schedule_at(6.0, crash)
-    driver.run()
-    assert session.state is SessionState.CLOSED
-    for victim in victims:
-        successes, failures = tracker.observations(victim)
-        assert failures >= 1 and successes == 0
-        assert tracker.score(victim) < 0.5
-    for award in session.coalition.awards.values():
-        successes, _failures = tracker.observations(award.node_id)
-        assert successes >= 1
-        assert tracker.score(award.node_id) > 0.5
-
-
 def test_concurrent_sessions_interleave_on_one_engine():
     topology, providers, _nodes = _streaming_cluster(extra_laptops=2)
     driver = SessionDriver(topology, providers, STREAMING)
@@ -397,9 +375,7 @@ def test_streaming_mode_reports_lifecycle_metrics():
     config = ContentionConfig(
         n_requesters=2,
         horizon=120.0,
-        sessions=SessionPolicy(
-            operate=True, failure_rate=1.0 / 60.0, drain=30.0
-        ),
+        sessions=SessionPolicy(failure_rate=1.0 / 60.0, drain=30.0),
     )
     result = run_contention(5, config)
     metrics = result.metrics()
@@ -409,21 +385,21 @@ def test_streaming_mode_reports_lifecycle_metrics():
         assert outcome.final_state in ("closed", "dropped", "rejected")
         assert (outcome.final_state == "rejected") == (not outcome.success)
         assert 0.0 <= outcome.sustained_utility <= 1.0
-    # Streaming mode is a pure function of the seed like every run mode.
+    # A run is a pure function of the seed.
     again = run_contention(5, config)
     assert again.sessions == result.sessions
 
 
-def test_streaming_mode_sees_the_same_arrivals_as_admission_only():
-    """Flipping operate must never perturb the cluster or arrivals —
-    the streams are independent by name."""
+def test_churn_never_perturbs_the_arrivals():
+    """Crash churn, drain and mobility must never perturb the cluster
+    or the arrivals — the streams are independent by name."""
     base = ContentionConfig(n_requesters=2, horizon=120.0)
-    admission = run_contention(9, base)
-    streaming = run_contention(
-        9, base.replace(sessions=SessionPolicy(operate=True))
-    )
-    assert [(s.requester, s.arrival, s.family) for s in admission.sessions] \
-        == [(s.requester, s.arrival, s.family) for s in streaming.sessions]
+    calm = run_contention(9, base)
+    churned = run_contention(9, base.replace(sessions=SessionPolicy(
+        failure_rate=1.0 / 60.0, drain=30.0, mobility="waypoint"
+    )))
+    assert [(s.requester, s.arrival, s.family) for s in calm.sessions] \
+        == [(s.requester, s.arrival, s.family) for s in churned.sessions]
 
 
 # -- façade ------------------------------------------------------------------

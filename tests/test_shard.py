@@ -4,8 +4,7 @@ fleet tables, and the shard-vs-unsharded bit-identity pin.
 The headline contract: on a 1 × 1 grid (which :meth:`ShardGrid.auto`
 produces for every historical scenario scale) the sharded runner is
 **bit-identical** to :func:`repro.workloads.run_contention` — same
-sessions, same metrics, in both admission-only (E15) and streaming
-(E20) modes. Everything else here exercises what sharding adds: gateway
+sessions, same metrics, without churn (E15) and under churn (E20). Everything else here exercises what sharding adds: gateway
 election and cross-shard routing, cell migration under mobility (every
 shard a tick touches must equal a fresh ``Topology`` over its members),
 ``Topology.update_positions``, the per-epoch cache caps, and the fleet
@@ -123,9 +122,9 @@ def _identity_configs():
 def test_sharded_bit_identical_to_unsharded(label, config):
     """ShardGrid.auto is 1 x 1 at these scales, and the sharded runner
     consumes the RNG streams exactly like the unsharded one — so the
-    session lists and metric dicts must match bit for bit, in both
-    admission-only (contention-mix) and streaming (streaming-mix) mode,
-    static or under waypoint mobility."""
+    session lists and metric dicts must match bit for bit, without
+    churn (contention-mix) and under churn (streaming-mix), static or
+    under waypoint mobility."""
     assert ShardGrid.auto(config.area, config.radio_range, config.n_nodes).n_shards == 1
     for seed in (1, 2, 3):
         reset_all_sequences()
