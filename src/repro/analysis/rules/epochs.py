@@ -13,7 +13,10 @@ arena write (the partition overlay's, say) invites.
 The check is a lightweight intra-module call graph: for every class
 that defines ``_bump_epoch``, compute the fixpoint of "calls a bumping
 method of self", then flag arena-mutating methods outside that set.
-Local aliases (``pos = self.positions; pos[i] = …``) are tracked.
+A mutation is a store (``self._adj[i, j] = …``) or an in-place call
+from a short fixed list (:data:`INPLACE_FUNCTIONS` with the array as
+first argument, :data:`INPLACE_METHODS` with it as receiver). Local
+aliases (``pos = self.positions; pos[i] = …``) are tracked.
 """
 
 from __future__ import annotations
@@ -27,7 +30,15 @@ from repro.analysis.rules.base import (
     Rule,
     RuleConfig,
     body_nodes,
+    resolve_dotted,
 )
+
+#: numpy functions that write into their first argument.
+INPLACE_FUNCTIONS = frozenset(
+    {"numpy.fill_diagonal", "numpy.copyto", "numpy.put", "numpy.place"}
+)
+#: ndarray methods that write into their receiver.
+INPLACE_METHODS = frozenset({"fill", "put", "sort", "resize"})
 
 
 def _self_method_calls(scope: ast.AST) -> Set[str]:
@@ -86,10 +97,10 @@ class EpochMutationRule(Rule):
                 # Construction precedes any cached query; there is no
                 # stale epoch to invalidate yet.
                 continue
-            for store in self._guarded_stores(scope, guarded):
+            for mutation in self._guarded_mutations(scope, guarded, module.imports):
                 yield module.finding(
                     self,
-                    store,
+                    mutation,
                     f"{cls.name}.{name} mutates an epoch-guarded array "
                     "without bumping the epoch; call self._bump_epoch() "
                     "(or route through rebuild/update_positions) so the "
@@ -97,7 +108,9 @@ class EpochMutationRule(Rule):
                 )
 
     @staticmethod
-    def _guarded_stores(scope: ast.AST, guarded: Set[str]) -> Iterator[ast.AST]:
+    def _guarded_mutations(
+        scope: ast.AST, guarded: Set[str], imports: Dict[str, str]
+    ) -> Iterator[ast.AST]:
         aliases: Set[str] = set()
         nodes: List[ast.AST] = list(body_nodes(scope))
         # First pass: local aliases of guarded arrays (pos = self.positions).
@@ -112,18 +125,51 @@ class EpochMutationRule(Rule):
                     aliases.update(
                         t.id for t in node.targets if isinstance(t, ast.Name)
                     )
-        # Second pass: stores through self.<attr> or an alias.
+        # Second pass: stores and in-place calls through self.<attr> or
+        # an alias.
         for node in nodes:
             targets: List[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = list(node.targets)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
+            elif isinstance(node, ast.Call):
+                mutated = _inplace_operand(node, imports)
+                if mutated is not None and _is_guarded_ref(mutated, guarded, aliases):
+                    yield node
             for target in targets:
                 if _is_guarded_store(target, guarded, aliases):
                     yield target
 
     # (module-level helper below keeps this static method tiny)
+
+
+def _inplace_operand(call: ast.Call, imports: Dict[str, str]) -> ast.expr | None:
+    """The array an in-place call writes into, or ``None``:
+    ``np.fill_diagonal(a, …)``-style functions write their first
+    argument, ``a.fill(…)``-style methods their receiver."""
+    func = call.func
+    if resolve_dotted(func, imports) in INPLACE_FUNCTIONS:
+        return call.args[0] if call.args else None
+    if isinstance(func, ast.Attribute) and func.attr in INPLACE_METHODS:
+        return func.value
+    return None
+
+
+def _is_guarded_ref(node: ast.expr, guarded: Set[str], aliases: Set[str]) -> bool:
+    """Whether ``node`` is a guarded array, a view of one
+    (``self._adj[i]``) or a recorded local alias."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute):
+        return (
+            isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr in guarded
+        )
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    return False
 
 
 def _is_guarded_store(
@@ -132,24 +178,11 @@ def _is_guarded_store(
     """Whether an assignment target hits a guarded array.
 
     Covers ``self.positions = …``, ``self._adj[i, :] = …`` and stores
-    through a recorded local alias (``pos[i] = …``).
+    through a recorded local alias (``pos[i] = …``); rebinding the alias
+    itself (``pos = …``) is no store.
     """
-    if isinstance(target, ast.Attribute):
-        return (
-            isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            and target.attr in guarded
-        )
-    if isinstance(target, ast.Subscript):
-        base = target.value
-        if isinstance(base, ast.Attribute):
-            return (
-                isinstance(base.value, ast.Name)
-                and base.value.id == "self"
-                and base.attr in guarded
-            )
-        if isinstance(base, ast.Name):
-            return base.id in aliases
+    if isinstance(target, (ast.Attribute, ast.Subscript)):
+        return _is_guarded_ref(target, guarded, aliases)
     if isinstance(target, (ast.Tuple, ast.List)):
         return any(_is_guarded_store(elt, guarded, aliases) for elt in target.elts)
     return False

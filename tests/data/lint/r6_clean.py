@@ -1,5 +1,7 @@
 """R6 fixture: every arena mutation bumps, directly or transitively."""
 
+import numpy as np
+
 
 class MiniTopology:
     def __init__(self):
@@ -24,5 +26,14 @@ class MiniTopology:
         self._adj = []
         self.rebuild()  # calls a bumping method
 
+    def reconnect(self):
+        np.fill_diagonal(self._adj, True)
+        adj = self._adj
+        adj.fill(True)
+        self._bump_epoch()  # in-place calls bump like stores
+
     def read_only(self):
         return len(self.positions)  # reads never need a bump
+
+    def sorted_copy(self):
+        return sorted(self.positions)  # a copy, not an in-place sort

@@ -1,5 +1,7 @@
 """R6 fixture: arena mutation without an epoch bump (should flag)."""
 
+import numpy as np
+
 
 class MiniTopology:
     def __init__(self):
@@ -22,3 +24,12 @@ class MiniTopology:
     def sneak_alias(self, i, xy):
         pos = self.positions
         pos[i] = xy
+
+    def sneak_fill_diagonal(self):
+        # An in-place numpy function writes its first argument.
+        np.fill_diagonal(self._adj, True)
+
+    def sneak_fill(self):
+        # An in-place method writes its receiver, here through an alias.
+        adj = self._adj
+        adj.fill(True)

@@ -364,7 +364,7 @@ class TestUpdatePositions:
         ]
         return Topology(nodes, DiscRadio(range_m=100.0))
 
-    def test_delta_equals_full_rebuild(self):
+    def test_update_positions_equals_rebuild(self):
         topo = self._topology()
         movers = ["n0", "n5", "n31"]
         for nid in movers:
@@ -373,13 +373,13 @@ class TestUpdatePositions:
         topo.update_positions(movers)
         arrays = (topo._dist.copy(), topo._adj.copy(),
                   topo._bw.copy(), topo._loss.copy())
-        routes_delta = topo.shortest_route("n0", "n31")
+        route = topo.shortest_route("n0", "n31")
         topo.rebuild()
         assert np.array_equal(arrays[0], topo._dist, equal_nan=True)
         assert np.array_equal(arrays[1], topo._adj)
         assert np.array_equal(arrays[2], topo._bw, equal_nan=True)
         assert np.array_equal(arrays[3], topo._loss, equal_nan=True)
-        assert routes_delta == topo.shortest_route("n0", "n31")
+        assert route == topo.shortest_route("n0", "n31")
 
     def test_empty_move_set_still_bumps_epoch(self):
         topo = self._topology()
@@ -387,11 +387,11 @@ class TestUpdatePositions:
         topo.update_positions([])
         assert topo.epoch > before
 
-    def test_falls_back_after_membership_churn(self):
+    def test_update_positions_after_membership_churn_equals_rebuild(self):
         topo = self._topology()
         topo.remove_node("n1")
         topo.node("n2").move_to(10.0, 10.0)
-        topo.update_positions(["n2"])  # arena stale -> full rebuild
+        topo.update_positions(["n2"])
         assert "n1" not in topo._arena_ids
         reference = self._topology()
         reference.remove_node("n1")
@@ -400,11 +400,11 @@ class TestUpdatePositions:
         assert topo._arena_ids == reference._arena_ids
         assert np.array_equal(topo._adj, reference._adj)
 
-    def test_falls_back_after_death(self):
+    def test_update_positions_drops_a_dead_node(self):
         topo = self._topology()
         topo.node("n3").fail()
         topo.node("n2").move_to(10.0, 10.0)
-        topo.update_positions(["n2"])  # alive set changed -> full rebuild
+        topo.update_positions(["n2"])
         assert "n3" not in topo._arena_ids
 
 

@@ -1,6 +1,6 @@
 """Vectorized topology arena: equivalence, epochs, cache invalidation.
 
-Three families of guarantees are pinned here:
+Four families of guarantees are pinned here:
 
 * **radio matrices** — the vectorized ``*_matrix`` methods agree
   *elementwise, bit for bit* with the scalar curves on random placements
@@ -14,7 +14,11 @@ Three families of guarantees are pinned here:
   costs, k-hop orders and the analysis helpers;
 * **epochs** — neighbor/route caches refresh after ``add_node``,
   ``remove_node``, node death and ``rebuild()``, and the epoch counter
-  observes liveness flips the moment they happen.
+  observes liveness flips the moment they happen;
+* **the geometry memo** — rebuilds after a crash, recovery, partition
+  or heal slice the memo, and the three cases where it must miss (a
+  move before the rebuild, the recovery of a node it lacks, a
+  membership round trip) re-measure; each answers like a fresh build.
 
 The vectorized mobility fast paths are pinned seed-identical against
 reference replays of the original scalar walks, and the engine's O(1)
@@ -336,6 +340,94 @@ def test_liveness_watcher_detached_on_remove():
     epoch = topo.epoch
     nodes[1].fail()            # no longer registered: no bump
     assert topo.epoch == epoch
+
+
+# -- the geometry memo: hits equal a fresh build, and so do the misses -------
+
+
+def _assert_like_fresh(topo, radio):
+    """Arena and answers equal a fresh build of the same nodes and overlay."""
+    fresh = Topology(list(topo.nodes), radio)
+    fresh.block_links(sorted(topo.blocked_links))
+    assert topo._arena_ids == fresh._arena_ids
+    assert np.array_equal(topo.positions, fresh.positions)
+    for name in ("_dist", "_adj", "_bw", "_loss"):
+        assert np.array_equal(getattr(topo, name), getattr(fresh, name)), name
+    for a in topo.node_ids:
+        assert topo.neighbors(a) == fresh.neighbors(a)
+        for b in topo.node_ids:
+            assert topo.shortest_route(a, b) == fresh.shortest_route(a, b)
+            assert topo.multihop_cost(a, b) == fresh.multihop_cost(a, b)
+
+
+def _memo_fleet():
+    radio = DiscRadio(range_m=GOLDEN["radio_range"])
+    nodes = _fleet(24, 250.0, 7)
+    return Topology(nodes, radio), nodes, radio
+
+
+def test_memo_hits_through_crash_partition_recovery_and_heal():
+    """None of these moves a node, so every rebuild slices the memo of
+    the first one and still answers like a fresh build."""
+    topo, nodes, radio = _memo_fleet()
+    memo = topo._geometry
+    assert memo is not None
+
+    def check():
+        assert topo._geometry is memo
+        _assert_like_fresh(topo, radio)
+
+    cut = [(a.node_id, b.node_id) for a in nodes[:12] for b in nodes[12:]]
+    nodes[4].fail()
+    topo.rebuild()
+    check()
+    topo.block_links(cut)
+    check()
+    nodes[17].fail()
+    topo.rebuild()
+    check()
+    nodes[4].recover()
+    topo.rebuild()
+    check()
+    topo.unblock_links(cut)
+    check()
+
+
+def test_memo_misses_when_a_node_moved_before_a_crash_rebuild():
+    topo, nodes, radio = _memo_fleet()
+    memo = topo._geometry
+    nodes[5].move_to(12.0, 240.0)  # no rebuild: the arena keeps the old spot
+    nodes[9].fail()
+    topo.rebuild()
+    assert topo._geometry is not memo
+    assert topo.positions[topo._index["n5"]].tolist() == [12.0, 240.0]
+    _assert_like_fresh(topo, radio)
+
+
+def test_memo_misses_when_a_node_dead_at_the_last_recompute_recovers():
+    radio = DiscRadio(range_m=GOLDEN["radio_range"])
+    nodes = _fleet(24, 250.0, 7)
+    nodes[3].fail()
+    topo = Topology(nodes, radio)
+    memo = topo._geometry
+    assert "n3" not in memo.ids
+    nodes[3].recover()
+    topo.rebuild()
+    assert topo._geometry is not memo
+    assert "n3" in topo._arena_ids
+    _assert_like_fresh(topo, radio)
+
+
+def test_memo_misses_after_remove_node_then_add_node_of_the_same_id():
+    topo, nodes, radio = _memo_fleet()
+    topo.block_links([("n6", "n7"), ("n2", "n6")])
+    topo.remove_node("n6")
+    assert topo._geometry is None
+    topo.add_node(nodes[6])
+    topo.rebuild()
+    assert topo._arena_ids[-1] == "n6"
+    assert topo._geometry.ids == topo._arena_ids
+    _assert_like_fresh(topo, radio)
 
 
 def test_dropped_topology_is_freed_while_its_nodes_live():
