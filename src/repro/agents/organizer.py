@@ -111,6 +111,12 @@ class OrganizerAgent(Agent):
         selection: Winner-selection policy (default: the paper's triple).
     """
 
+    HANDLERS = {
+        PROPOSE: "_handle_propose",
+        CONFIRM: "_handle_confirm",
+        REFUSE: "_handle_refuse",
+    }
+
     def __init__(
         self,
         engine: Engine,
@@ -130,9 +136,6 @@ class OrganizerAgent(Agent):
         self.max_hops = max(1, int(max_hops))
         self.provider = QoSProvider(node)
         self.sessions: Dict[str, NegotiationSession] = {}
-        self.on(PROPOSE, self._handle_propose)
-        self.on(CONFIRM, self._handle_confirm)
-        self.on(REFUSE, self._handle_refuse)
 
     # -- public API -----------------------------------------------------------
 

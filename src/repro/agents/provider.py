@@ -32,6 +32,7 @@ from repro.resources.kinds import ResourceKind
 from repro.resources.node import Node
 from repro.resources.provider import QoSProvider
 from repro.sim.engine import Engine
+from repro.sim.events import weak_callback
 
 
 class ProviderAgent(Agent):
@@ -44,6 +45,8 @@ class ProviderAgent(Agent):
         propose_delay: Simulated think-time before replying to a CFP
             (models the Resource-Manager consultation latency).
     """
+
+    HANDLERS = {CFP: "_handle_cfp", AWARD: "_handle_award"}
 
     def __init__(
         self,
@@ -63,8 +66,6 @@ class ProviderAgent(Agent):
         self.awards_confirmed = 0
         self.awards_refused = 0
         self._sessions_heard: set[str] = set()
-        self.on(CFP, self._handle_cfp)
-        self.on(AWARD, self._handle_award)
 
     # -- CFP → PROPOSE ------------------------------------------------------
 
@@ -161,16 +162,19 @@ class ProviderAgent(Agent):
     # -- lease maintenance -----------------------------------------------
 
     def _schedule_lease_sweep(self, delay: float) -> None:
-        def sweep(now: float) -> None:
-            reclaimed = self.node.manager.release_expired(now)
-            if reclaimed:
-                self.leases_reclaimed += reclaimed
-                self.engine.tracer.emit(
-                    now, "provider", "lease_reclaimed",
-                    node=self.node_id, count=reclaimed,
-                )
-            nxt = self.node.manager.next_expiry()
-            if nxt is not None:
-                self.engine.schedule(max(nxt - now, 0.0) + 1e-9, sweep)
+        # A sweep is often still pending when the agent's system is
+        # dropped; holding the agent weakly keeps that event from tying
+        # the agent and its engine into a cycle.
+        self.engine.schedule(delay + 1e-9, weak_callback(self._sweep_leases))
 
-        self.engine.schedule(delay + 1e-9, sweep)
+    def _sweep_leases(self, now: float) -> None:
+        reclaimed = self.node.manager.release_expired(now)
+        if reclaimed:
+            self.leases_reclaimed += reclaimed
+            self.engine.tracer.emit(
+                now, "provider", "lease_reclaimed",
+                node=self.node_id, count=reclaimed,
+            )
+        nxt = self.node.manager.next_expiry()
+        if nxt is not None:
+            self._schedule_lease_sweep(max(nxt - now, 0.0))

@@ -120,7 +120,7 @@ class AgentSystem:
             )
             # Chain: organizer handles its kinds, provider handles CFP/AWARD.
             for kind in ("CFP", "AWARD"):
-                organizer.on(kind, provider_agent._handlers[kind])
+                organizer.on(kind, provider_agent.handler(kind))
             self.organizers[node_id] = organizer
         return self.organizers[node_id]
 

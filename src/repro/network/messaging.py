@@ -9,7 +9,9 @@ is how the experiments count protocol messages.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import UnknownNodeError
@@ -63,7 +65,9 @@ class NetworkService:
         self.engine = engine
         self.topology = topology
         self.channel = channel
-        self._inboxes: Dict[str, InboxHandler] = {}
+        # node id -> a zero-argument callable returning its inbox handler
+        # (None once a weakly held agent is gone); see register().
+        self._inboxes: Dict[str, Callable[[], Optional[InboxHandler]]] = {}
         self.sent_count = 0
         self.delivered_count = 0
         self.lost_count = 0
@@ -71,10 +75,19 @@ class NetworkService:
     # -- registration ------------------------------------------------------------
 
     def register(self, node_id: str, handler: InboxHandler) -> None:
-        """Attach the inbox handler for ``node_id`` (one per node)."""
+        """Attach the inbox handler for ``node_id`` (one per node).
+
+        A bound method (an agent's inbox) is held weakly, so the service
+        never keeps an agent alive: its owner must keep it reachable,
+        and a message to a freed agent is lost as if no agent were
+        attached. Any other callable is held strongly.
+        """
         if node_id not in self.topology:
             raise UnknownNodeError(node_id)
-        self._inboxes[node_id] = handler
+        if isinstance(handler, MethodType):
+            self._inboxes[node_id] = weakref.WeakMethod(handler)
+        else:
+            self._inboxes[node_id] = lambda: handler
 
     def unregister(self, node_id: str) -> None:
         self._inboxes.pop(node_id, None)
@@ -221,7 +234,8 @@ class NetworkService:
         if node is None or not node.alive:
             self.lost_count += 1
             return
-        handler = self._inboxes.get(message.recipient)
+        inbox = self._inboxes.get(message.recipient)
+        handler = None if inbox is None else inbox()
         if handler is None:
             # No agent attached: the radio heard it, nobody was listening.
             self.lost_count += 1

@@ -21,19 +21,26 @@ to memo rows once per block, heal or re-measure and cleared from the
 adjacency on every rebuild.
 Adjacency and edge attributes (bandwidth / loss) are numpy arrays. Every
 membership or connectivity change bumps an **epoch counter**, which keys
-per-epoch caches for neighbor tuples, BFS orders
-(:meth:`khop_neighbors`) and weighted shortest routes
-(:meth:`shortest_route` / :meth:`multihop_cost`) — repeated queries
-within an epoch are O(1) dictionary hits, which is what the messaging
-layer's routed delivery and the organizer's comm-cost tie-breaks hit on
-every CFP.
+the per-epoch caches. Each node's two **rows** are built from the arena
+on first ask, once per epoch: its neighbor tuple, and its routing row
+(the arena indices of the neighbors it reaches at positive bandwidth,
+their hop costs ``1000.0 / bw`` and the row's two cheapest costs). BFS
+orders (:meth:`khop_neighbors`) and weighted shortest routes
+(:meth:`shortest_route` / :meth:`multihop_cost`) are memoized per epoch
+on top, so repeated queries within an epoch are O(1) dictionary hits,
+and an epoch that asks about a few nodes builds only their rows.
 
 Neighbor order is the alive-list insertion order, and shortest routes
-come from a bidirectional Dijkstra with fixed tie-breaking rules.
+come from a bidirectional Dijkstra with fixed tie-breaking rules over
+the routing rows. A direct link is answered without a search when it is
+**certified**: it costs less than the cheapest other link at one end
+plus the cheapest other link at the other, so every other route costs
+more (see :meth:`_certified_direct`).
 ``tests/data/topology_golden.json`` records the answers of the original
 graph-library implementation, and ``tests/test_topology_vector.py`` pins
 the arena to them bit for bit; ``tests/test_topology_machine.py`` holds
-the arena to a fresh build under random churn.
+the arena to a fresh build under random churn, and every certified
+route to the search's answer.
 """
 
 from __future__ import annotations
@@ -116,6 +123,17 @@ class _Geometry(NamedTuple):
         return dist, adj, bw, loss
 
 
+class _RouteRow(NamedTuple):
+    """One node's routing row for an epoch: the neighbors it reaches at
+    positive bandwidth, as ``(arena index, hop cost)`` pairs in neighbor
+    order, and the two cheapest hop costs (``inf`` where the row is
+    shorter). A zero-bandwidth link carries nothing, so it is no route."""
+
+    links: List[Tuple[int, float]]
+    cheapest: float
+    second: float
+
+
 class Topology:
     """The network graph over a set of nodes under a radio model.
 
@@ -136,6 +154,10 @@ class Topology:
         self._bw = np.zeros((0, 0), dtype=np.float64)
         self._loss = np.zeros((0, 0), dtype=np.float64)
         self._dist: Optional[np.ndarray] = None
+        # Which arena rows belong to a registered node: ``None`` while
+        # all do, else a mask (remove_node() keeps a node's row until
+        # the next rebuild, and no query may see it).
+        self._present: Optional[np.ndarray] = None
         # Geometry memo of the last recompute (see rebuild()); dropped
         # by every membership change.
         self._geometry: Optional[_Geometry] = None
@@ -149,10 +171,7 @@ class Topology:
         # -- per-epoch caches, built lazily on first query ----------------
         self._cache_epoch = -1
         self._nbrs: Dict[str, Tuple[str, ...]] = {}
-        # (node ids, id -> index, int-indexed weighted adjacency)
-        self._wadj: Optional[
-            Tuple[List[str], Dict[str, int], List[List[Tuple[int, float]]]]
-        ] = None
+        self._rows: List[Optional[_RouteRow]] = []  # by arena index
         self._bfs: Dict[str, List[Tuple[str, int]]] = {}
         self._routes: Dict[Tuple[str, str], Optional[Tuple[str, ...]]] = {}
         self._route_costs: Dict[Tuple[str, str], float] = {}
@@ -186,6 +205,9 @@ class Topology:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self._nodes[node.node_id] = node
         node.add_liveness_watcher(self._on_liveness_change)
+        row = self._index.get(node.node_id)
+        if row is not None and self._present is not None:
+            self._present[row] = True  # re-joined before a rebuild
         self._geometry = None  # membership changed: drop the memo
         self._bump_epoch()
 
@@ -194,6 +216,11 @@ class Topology:
             raise UnknownNodeError(node_id)
         node = self._nodes.pop(node_id)
         node.remove_liveness_watcher(self._on_liveness_change)
+        row = self._index.get(node_id)
+        if row is not None:
+            if self._present is None:
+                self._present = np.ones(len(self._arena_ids), dtype=bool)
+            self._present[row] = False
         self._geometry = None  # membership changed: drop the memo
         self._bump_epoch()
 
@@ -246,6 +273,7 @@ class Topology:
         ids = tuple(n.node_id for n in alive)
         self._arena_ids = ids
         self._index = {nid: i for i, nid in enumerate(ids)}
+        self._present = None
         self.positions = position_array([n.position for n in alive])
         m = len(alive)
         if m < 2:
@@ -289,10 +317,6 @@ class Topology:
 
     # -- blocked-link overlay (partition faults) ---------------------------
 
-    @staticmethod
-    def _normalize_pair(a: str, b: str) -> Tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
     @property
     def blocked_links(self) -> frozenset:
         """The current overlay: normalized ``(a, b)`` pairs whose direct
@@ -335,7 +359,7 @@ class Topology:
         that overlapping partitions share stays blocked until every one
         of them has healed.
         """
-        self._blocked.update(self._normalize_pair(a, b) for a, b in pairs)
+        self._blocked.update((a, b) if a <= b else (b, a) for a, b in pairs)
         self._overlay = None
         self.rebuild()
 
@@ -343,65 +367,74 @@ class Topology:
         """Remove one block per pair (healing a partition) and rebuild;
         a pair whose last block goes comes back exactly as the radio
         model dictates, so post-heal routes match a never-partitioned
-        topology bit for bit."""
-        self._blocked -= Counter(self._normalize_pair(a, b) for a, b in pairs)
+        topology bit for bit. Unblocking a pair that is not blocked does
+        nothing. O(pairs): each pair is decremented in place."""
+        blocked = self._blocked
+        for a, b in pairs:
+            pair = (a, b) if a <= b else (b, a)
+            count = blocked.get(pair)
+            if count is None:
+                continue
+            if count > 1:
+                blocked[pair] = count - 1
+            else:
+                blocked.pop(pair)
         self._overlay = None
         self.rebuild()
 
-    # -- lazy caches -------------------------------------------------------
+    # -- lazy per-epoch rows -----------------------------------------------
 
     def _ensure_epoch_caches(self) -> None:
-        """(Re)build the per-epoch neighbor tuples; reset BFS/route caches."""
+        """Drop every row and memoized answer of an older epoch."""
         if self._cache_epoch == self._epoch:
             return
         self._cache_epoch = self._epoch
-        self._wadj = None
+        self._nbrs = {}
+        self._rows = [None] * len(self._arena_ids)
         self._bfs = {}
         self._routes = {}
         self._route_costs = {}
-        nbrs: Dict[str, Tuple[str, ...]] = {}
-        ids = self._arena_ids
-        if ids:
-            present = np.fromiter(
-                (nid in self._nodes for nid in ids), dtype=bool, count=len(ids)
-            )
-            for i, nid in enumerate(ids):
-                if not present[i]:
-                    continue
-                js = np.nonzero(self._adj[i] & present)[0]
-                nbrs[nid] = tuple(ids[j] for j in js.tolist())
-        self._nbrs = nbrs
 
-    def _routing_tables(self) -> Tuple[List[str], Dict[str, int], List[List[Tuple[int, float]]]]:
-        """Per-epoch routing tables over *integer* node indices.
+    def _neighbor_row(self, node_id: str) -> Tuple[str, ...]:
+        """The neighbor tuple of a registered node this epoch, built from
+        its arena row on first ask: the registered nodes its row links
+        to, in arena order. A node outside the arena has none."""
+        nbrs = self._nbrs.get(node_id)
+        if nbrs is None:
+            i = self._index.get(node_id)
+            if i is None:
+                nbrs = ()
+            else:
+                linked = self._adj[i]
+                if self._present is not None:
+                    linked = linked & self._present
+                ids = self._arena_ids
+                nbrs = tuple([ids[j] for j in np.flatnonzero(linked).tolist()])
+            self._nbrs[node_id] = nbrs
+        return nbrs
 
-        ``rids``/``ridx`` map between node ids and dense indices covering
-        every current node (isolated ones included); ``radj[i]`` lists
-        ``(neighbor index, hop cost)`` in neighbor order with
-        zero-bandwidth links excluded (such a link carries nothing, so
-        it is no route). Integer keys make the Dijkstra replay several
-        times faster than string-keyed dictionaries without touching its
-        tie-breaking.
-        """
-        self._ensure_epoch_caches()
-        if self._wadj is None:
-            rids = list(self._nodes)
-            ridx = {nid: i for i, nid in enumerate(rids)}
-            nbrs = self._nbrs
-            radj: List[List[Tuple[int, float]]] = []
-            for nid in rids:
-                links: List[Tuple[int, float]] = []
-                neighbor_ids = nbrs.get(nid)
-                if neighbor_ids:
-                    i = self._index[nid]
-                    row = self._bw[i]
-                    for w in neighbor_ids:
-                        bw = float(row[self._index[w]])
-                        if bw > 0:
-                            links.append((ridx[w], 1000.0 / bw))
-                radj.append(links)
-            self._wadj = (rids, ridx, radj)
-        return self._wadj
+    def _route_row(self, i: int) -> _RouteRow:
+        """The routing row of arena index ``i`` this epoch, built on first
+        ask. Its hop costs are the numpy quotients ``1000.0 / bw``, which
+        equal the Python ones bit for bit (IEEE division is correctly
+        rounded either way)."""
+        row = self._rows[i]
+        if row is None:
+            bw = self._bw[i]
+            linked = self._adj[i] & (bw > 0)
+            if self._present is not None:
+                linked &= self._present
+            js = np.flatnonzero(linked)
+            costs = 1000.0 / bw[js]
+            inf = float("inf")
+            if len(costs) >= 2:
+                low = np.partition(costs, 1)
+                cheapest, second = float(low[0]), float(low[1])
+            else:
+                cheapest, second = (float(costs[0]), inf) if len(costs) else (inf, inf)
+            row = _RouteRow(list(zip(js.tolist(), costs.tolist())), cheapest, second)
+            self._rows[i] = row
+        return row
 
     # -- direct links ------------------------------------------------------
 
@@ -410,7 +443,7 @@ class Topology:
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
         self._ensure_epoch_caches()
-        return self._nbrs.get(node_id, ())
+        return self._neighbor_row(node_id)
 
     def connected(self, a: str, b: str) -> bool:
         """Whether a direct link exists between ``a`` and ``b``."""
@@ -485,7 +518,7 @@ class Topology:
         cached = self._bfs.get(source)
         if cached is not None:
             return cached
-        nbrs = self._nbrs
+        row_of = self._neighbor_row
         seen = {source}
         order = [(source, 0)]
         nextlevel = [source]
@@ -495,7 +528,7 @@ class Topology:
             thislevel = nextlevel
             nextlevel = []
             for v in thislevel:
-                for w in nbrs.get(v, ()):
+                for w in row_of(v):
                     if w not in seen:
                         seen.add(w)
                         nextlevel.append(w)
@@ -511,9 +544,10 @@ class Topology:
         Edge weight is the per-hop communication cost (inverse normalized
         bandwidth). Returns the node sequence including both endpoints,
         or ``None`` when no path exists. ``a == b`` yields ``(a,)``.
-        Memoized per ``(epoch, a, b)`` — the first query runs a
-        bidirectional Dijkstra over precompiled hop costs, repeats are
-        O(1).
+        Memoized per ``(epoch, a, b)``: the first query answers a
+        certified direct link at once (:meth:`_certified_direct`) and
+        otherwise runs a bidirectional Dijkstra over the routing rows;
+        repeats are O(1).
         """
         if a not in self._nodes:
             raise UnknownNodeError(a)
@@ -525,77 +559,110 @@ class Topology:
         key = (a, b)
         if key in self._routes:
             return self._routes[key]
-        route = self._bidirectional_dijkstra(a, b)
+        if self._certified_direct(a, b):
+            route: Optional[Tuple[str, ...]] = key
+        else:
+            route = self._bidirectional_dijkstra(a, b)
         if len(self._routes) >= ROUTE_CACHE_MAX:
             self._routes.pop(next(iter(self._routes)))
         self._routes[key] = route
         return route
 
-    def _bidirectional_dijkstra(self, source: str, target: str) -> Optional[Tuple[str, ...]]:
-        """Bidirectional Dijkstra over the precompiled integer-indexed
-        routing adjacency. The directions alternate (forward first), heap
-        ties break by insertion counter, and the first node settled in
-        both directions ends the search along the best meeting path — so
-        the route is well defined even when several routes tie on cost
-        (common: links within half range all cost the same).
+    def _certified_direct(self, a: str, b: str) -> bool:
+        """Whether the direct ``a``–``b`` link is provably the route the
+        search returns: it costs less than the cheapest other link at
+        ``a`` plus the cheapest other link at ``b``.
+
+        Any other route has at least two hops; its first hop leaves
+        ``a`` and its last enters ``b`` over other links (or it runs
+        over the direct link and costs at least as much). Hop costs are
+        symmetric, since every radio matrix is elementwise in the
+        symmetric distance, and IEEE addition of non-negative costs is
+        monotone, so every other route's computed cost is at least the
+        computed sum of those two minima, above the link's cost. The
+        search meets on the direct link first and moves its meet only on
+        a strict improvement, so it returns ``(a, b)``.
         """
-        rids, ridx, radj = self._routing_tables()
-        src, dst = ridx[source], ridx[target]
-        n = len(rids)
-        # Per-direction state lives in flat arrays of length 2n (forward
-        # at offset 0, backward at offset n): byte flags + value lists
-        # index faster than string-keyed dictionaries.
-        dist_flag = bytearray(2 * n)
-        seen_flag = bytearray(2 * n)
-        seen_val = [0.0] * (2 * n)
-        preds = [-1] * (2 * n)
-        fringes: Tuple[List[Tuple[float, int, int]], ...] = ([], [])
+        self._ensure_epoch_caches()
+        i, j = self._index.get(a), self._index.get(b)
+        if i is None or j is None or not self._adj[i, j]:
+            return False
+        bw = float(self._bw[i, j])
+        if not bw > 0:
+            return False
+        cost = 1000.0 / bw
+        at_a, at_b = self._route_row(i), self._route_row(j)
+        other_a = at_a.second if cost == at_a.cheapest else at_a.cheapest
+        other_b = at_b.second if cost == at_b.cheapest else at_b.cheapest
+        return cost < other_a + other_b
+
+    def _bidirectional_dijkstra(self, source: str, target: str) -> Optional[Tuple[str, ...]]:
+        """Bidirectional Dijkstra over the routing rows, by arena index.
+        The directions alternate (forward first), heap ties break by
+        insertion counter, and the first node settled in both directions
+        ends the search along the best meeting path — so the route is
+        well defined even when several routes tie on cost (common: links
+        within half range all cost the same). A node outside the arena
+        has no route.
+        """
+        self._ensure_epoch_caches()
+        src, dst = self._index.get(source), self._index.get(target)
+        if src is None or dst is None:
+            return None
+        ids = self._arena_ids
+        rows, row_of = self._rows, self._route_row
+        n = len(ids)
+        # Per-direction state (forward, backward) by arena index: settled
+        # flags, the best tentative distance seen (None: not yet) and
+        # predecessors. Flat lists index faster than dictionaries.
+        settled = (bytearray(n), bytearray(n))
+        seen: Tuple[List[Optional[float]], ...] = ([None] * n, [None] * n)
+        preds = ([-1] * n, [-1] * n)
+        fringes: Tuple[List[Tuple[float, int, int]], ...] = ([(0, 0, src)], [(0, 1, dst)])
+        seen[0][src] = 0.0
+        seen[1][dst] = 0.0
         push, pop = heappush, heappop
-        push(fringes[0], (0, 0, src))
-        push(fringes[1], (0, 1, dst))
-        seen_flag[src] = 1
-        seen_flag[n + dst] = 1
         c = 2
         finaldist: Optional[float] = None
         meetnode = -1
         direction = 1
         while fringes[0] and fringes[1]:
             direction = 1 - direction
-            base = direction * n
-            other = n - base
+            done = settled[direction]
             dist_v, _, v = pop(fringes[direction])
-            if dist_flag[base + v]:
+            if done[v]:
                 continue
-            dist_flag[base + v] = 1
-            if dist_flag[other + v]:
+            done[v] = 1
+            if settled[1 - direction][v]:
+                forward, backward = preds
                 route: List[int] = []
                 node = meetnode
                 while node != -1:
                     route.append(node)
-                    node = preds[node]
+                    node = forward[node]
                 route.reverse()
-                node = preds[n + meetnode]
+                node = backward[meetnode]
                 while node != -1:
                     route.append(node)
-                    node = preds[n + node]
-                return tuple(rids[i] for i in route)
-            this_fringe = fringes[direction]
-            for w, cost in radj[v]:
-                bw = base + w
-                if dist_flag[bw]:
+                    node = backward[node]
+                return tuple(ids[i] for i in route)
+            fringe, dist, pred = fringes[direction], seen[direction], preds[direction]
+            other_dist = seen[1 - direction]
+            for w, cost in (rows[v] or row_of(v)).links:
+                if done[w]:
                     # Already finalized in this direction; non-negative
                     # weights rule out a shorter path through it.
                     continue
                 vw_dist = dist_v + cost
-                if not seen_flag[bw] or vw_dist < seen_val[bw]:
-                    seen_flag[bw] = 1
-                    seen_val[bw] = vw_dist
-                    push(this_fringe, (vw_dist, c, w))
+                known = dist[w]
+                if known is None or vw_dist < known:
+                    dist[w] = vw_dist
+                    push(fringe, (vw_dist, c, w))
                     c += 1
-                    preds[bw] = v
-                    ow = other + w
-                    if seen_flag[ow]:
-                        total = vw_dist + seen_val[ow]
+                    pred[w] = v
+                    meet = other_dist[w]
+                    if meet is not None:
+                        total = vw_dist + meet
                         if finaldist is None or finaldist > total:
                             finaldist, meetnode = total, w
         return None
@@ -655,7 +722,7 @@ class Topology:
             seen.add(nid)
             while stack:
                 v = stack.pop()
-                for w in self._nbrs.get(v, ()):
+                for w in self._neighbor_row(v):
                     if w in alive and w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -667,9 +734,6 @@ class Topology:
         n = len(self._nodes)
         if n == 0:
             return 0.0
-        ids = self._arena_ids
-        present = np.fromiter(
-            (nid in self._nodes for nid in ids), dtype=bool, count=len(ids)
-        )
-        degree_sum = int(np.count_nonzero(self._adj & present[:, None] & present[None, :]))
-        return degree_sum / n
+        present = self._present
+        adj = self._adj if present is None else self._adj & present[:, None] & present[None, :]
+        return int(np.count_nonzero(adj)) / n

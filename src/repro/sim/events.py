@@ -10,6 +10,7 @@ ties, making runs fully deterministic.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -83,10 +84,16 @@ class EventHandle:
 
     def cancel(self) -> bool:
         """Cancel the event. Returns ``True`` if it had not already fired
-        or been cancelled."""
+        or been cancelled.
+
+        The event stays in the heap until it surfaces, but its callback
+        is dropped at once: a timer's callback usually holds its owner,
+        which holds the engine, and a cancelled timer would otherwise
+        keep that cycle alive."""
         if self._event.cancelled or self._event.fired:
             return False
         self._event.cancelled = True
+        self._event.callback = _cancelled
         if self._on_cancel is not None:
             self._on_cancel()
         return True
@@ -94,3 +101,27 @@ class EventHandle:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time} {state}>"
+
+
+def _cancelled(now: float) -> None:
+    """The callback of a cancelled event, which never fires."""
+
+
+def weak_callback(method: Callable[[float], Any]) -> Callable[[float], None]:
+    """An event callback that calls the bound ``method`` while its object
+    lives and does nothing once it has been freed.
+
+    A pending event holds its callback, and the engine holds the event,
+    so a bound method of an object that holds the engine ties the two
+    into a cycle for as long as the event is pending. Scheduling the
+    weak callback instead leaves the object to its owner: whoever holds
+    it must keep it reachable while its events should fire.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def fire(now: float) -> None:
+        target = ref()
+        if target is not None:
+            target(now)
+
+    return fire

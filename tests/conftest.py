@@ -1,8 +1,9 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the hypothesis profiles."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
@@ -11,6 +12,12 @@ from repro.resources.node import Node, NodeClass
 from repro.resources.provider import QoSProvider
 from repro.services import workload
 from repro.sim.engine import Engine
+
+# ``pytest --hypothesis-profile=deep`` runs the fuzzers that read their
+# budget from the loaded profile (the topology machine and the route
+# certificate property) with 500 derandomized examples each, instead of
+# the tier-1 budget they set themselves.
+settings.register_profile("deep", derandomize=True, deadline=None, max_examples=500)
 
 
 @pytest.fixture

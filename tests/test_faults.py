@@ -211,6 +211,29 @@ def test_overlapping_partitions_keep_shared_links_blocked():
     }
 
 
+def test_unblocking_a_pair_that_is_not_blocked_does_nothing():
+    """A heal decrements each of its pairs once: a pair that was never
+    blocked, and a pair healed a second time, change nothing, and a
+    pair two blocks share stays blocked until both heal."""
+    topo = Topology(_grid_nodes(), DiscRadio(range_m=100.0))
+    topo.block_links([("n0", "n1"), ("n1", "n2"), ("n2", "n1")])
+    assert topo.blocked_links == {("n0", "n1"), ("n1", "n2")}
+
+    topo.unblock_links([("n6", "n0")])  # never blocked
+    assert topo.blocked_links == {("n0", "n1"), ("n1", "n2")}
+    topo.unblock_links([("n1", "n0")])  # either order names the pair
+    assert topo.blocked_links == {("n1", "n2")}
+    topo.unblock_links([("n0", "n1")])  # healed twice
+    assert topo.blocked_links == {("n1", "n2")}
+    assert topo.connected("n0", "n1") and not topo.connected("n1", "n2")
+
+    topo.unblock_links([("n1", "n2")])  # one of its two blocks
+    assert not topo.connected("n1", "n2")
+    topo.unblock_links([("n2", "n1"), ("n1", "n2")])  # the other, then none
+    assert not topo.blocked_links
+    assert topo.connected("n1", "n2")
+
+
 def test_blocking_bumps_the_topology_epoch():
     topo = Topology(_grid_nodes(), DiscRadio(range_m=100.0))
     before = topo.epoch

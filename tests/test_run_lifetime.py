@@ -1,15 +1,19 @@
-"""A finished contention run is freed by reference counting alone.
+"""A finished run is freed by reference counting alone.
 
 No part of a run may outlive it in a reference cycle: its cluster, its
 session driver and engine, and the task profiles whose memos (ladders,
-demand, steps, degrade walks) its sessions share. Otherwise the whole
-run waits for the cyclic collector, and peak memory follows the
-collector's timing instead of the program's.
+demand, steps, degrade walks) its sessions share; on the agent path,
+its agents, their handler tables and inboxes, and the events still
+pending when the negotiation ends. Otherwise the whole run waits for
+the cyclic collector, and peak memory follows the collector's timing
+instead of the program's.
 
 Each configuration here is a shortened perf workload that keeps the
 features which used to leave cycles behind: streaming sessions
-(contend), shards with waypoint mobility, crashes and drain (e22), and
-a fault plan with a partition and a crash hazard (e23).
+(contend), shards with waypoint mobility, crashes and drain (e22), a
+fault plan with a partition and a crash hazard (e23), and one agent
+negotiation, which leaves lease sweeps and cancelled award timers in
+the engine's queue (e18).
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ import weakref
 import pytest
 
 import repro.workloads.contention as contention
+from repro.experiments import ClusterConfig, build_agent_system
 from repro.faults import CrashHazard, FaultPlan, Partition
 from repro.resources.node import NodeClass
+from repro.services.workload import movie_playback_service
 from repro.sessions import SessionPolicy
 from repro.shard import run_sharded_contention
 from repro.shard.partition import ShardGrid
@@ -81,31 +87,44 @@ FAULTED = ContentionConfig(
     ),
 )
 
+AGENTS = ClusterConfig(n_nodes=32, area=100.0)
+
+
+def negotiate_once(seed: int = 1):
+    """E18's replication on 32 nodes: a fresh agent system, one
+    negotiation of the movie service, and the system and its outcome."""
+    system = build_agent_system(AGENTS, seed, reliable_channel=True)
+    outcome = system.negotiate(movie_playback_service(requester="requester"))
+    assert outcome is not None and outcome.success
+    return system, outcome
+
+
 RUNS = {
-    "contend": lambda: run_contention(1, CONTEND),
-    "e22": lambda: run_sharded_contention(
-        1, SHARDED, grid=ShardGrid(SHARDED.area, SHARDED.area, 2, 2)
+    "contend": lambda: len(run_contention(1, CONTEND).sessions),
+    "e22": lambda: len(
+        run_sharded_contention(
+            1, SHARDED, grid=ShardGrid(SHARDED.area, SHARDED.area, 2, 2)
+        ).sessions
     ),
-    "e23": lambda: run_contention(1, FAULTED),
+    "e23": lambda: len(run_contention(1, FAULTED).sessions),
+    "e18": lambda: len(negotiate_once()[1].coalition.awards),
 }
 
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_a_finished_run_leaves_no_cyclic_garbage(name):
     """Under ``DEBUG_SAVEALL`` the collector keeps whatever it finds
-    unreachable, so after one dropped replication ``gc.collect()``
-    counts exactly the objects that only cycles kept alive."""
-    result = RUNS[name]()  # warm imports and lazy module state
-    assert result.sessions
-    del result
+    unreachable, so after one replication that dropped everything it
+    made, ``gc.collect()`` counts exactly the objects that only cycles
+    kept alive. Each run returns how many sessions (awards for e18) it
+    produced, so that none is vacuous."""
+    assert RUNS[name]()  # warm imports and lazy module state
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        result = RUNS[name]()
-        assert result.sessions
-        del result
+        assert RUNS[name]()
         found = gc.collect()
         leaked = collections.Counter(type(obj).__name__ for obj in gc.garbage)
     finally:
@@ -164,3 +183,29 @@ def test_task_profiles_die_with_their_run(monkeypatch, requester_class, exhauste
     assert all(walk_caches)
     assert all(walk.exhausted for walk in walks) == exhausted
     assert dead == [True] * len(profiles)
+
+
+def test_a_dropped_agent_system_dies_without_the_collector():
+    """With the collector off, dropping an agent system frees it, its
+    engine and every agent at once, although the engine's queue still
+    holds the agents' lease sweeps and the organizer's cancelled award
+    timers: the network holds inboxes weakly, no agent holds its own
+    bound methods, a pending sweep holds its agent weakly and a
+    cancelled timer drops its callback."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        system, outcome = negotiate_once()
+        assert system.engine.pending  # the lease sweeps of the awards
+        cancelled = [e for e in system.engine._heap if e.cancelled]
+        assert cancelled  # one award timer per confirmed remote award
+        refs = [weakref.ref(system), weakref.ref(system.engine), weakref.ref(system.network)]
+        refs += [weakref.ref(agent) for agent in system.provider_agents.values()]
+        refs += [weakref.ref(agent) for agent in system.organizers.values()]
+        del system, cancelled
+        alive = [ref() for ref in refs if ref() is not None]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert outcome.success
+    assert alive == []

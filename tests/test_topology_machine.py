@@ -1,4 +1,5 @@
-"""Stateful fuzzing of :class:`Topology` against a fresh build.
+"""Stateful fuzzing of :class:`Topology` against a fresh build, and its
+direct-route certificate against the search.
 
 A hypothesis ``RuleBasedStateMachine`` drives one topology of at most
 16 nodes (``DiscRadio(range_m=100)``, a 300 m square) through moves,
@@ -16,6 +17,14 @@ exact range-edge distances and tied route costs come up often.
 * After a step that does not rebuild (a move, a liveness flip, a
   membership round trip), every node's ``neighbors`` tuple is what it
   was at the last rebuild: a flip takes effect at the caller's rebuild.
+
+The machine is no oracle for the certificate, since the fresh build
+runs it too: a property holds ``shortest_route`` to the bidirectional
+search on the same epoch's rows instead.
+
+Both fuzzers run their tier-1 budget under the default hypothesis
+profile and the loaded profile's under any other
+(``--hypothesis-profile=deep``, registered in ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from hypothesis import settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
@@ -41,6 +51,14 @@ coordinate = st.one_of(
 point = st.tuples(coordinate, coordinate)
 slot = st.integers(0, MAX_NODES - 1)
 slot_pairs = st.lists(st.tuples(slot, slot), min_size=1, max_size=12)
+
+
+def budget(tier1: int) -> int:
+    """Examples per run: ``tier1`` under the default profile, the loaded
+    profile's budget under any other."""
+    if settings.get_current_profile_name() == "default":
+        return tier1
+    return settings.default.max_examples
 
 
 def assert_same_arena(topo: Topology, fresh: Topology) -> None:
@@ -194,9 +212,76 @@ class TopologyMachine(RuleBasedStateMachine):
 
 
 TopologyMachine.TestCase.settings = settings(
-    derandomize=True, deadline=None, max_examples=60, stateful_step_count=30
+    derandomize=True, deadline=None, max_examples=budget(60), stateful_step_count=30
 )
 TestTopologyMachine = TopologyMachine.TestCase
+
+
+# -- the direct-route certificate against the search ------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=budget(100))
+@given(
+    points=st.lists(point, min_size=2, max_size=MAX_NODES),
+    blocked=st.lists(st.tuples(slot, slot), max_size=12),
+    crashed=st.lists(slot, max_size=4),
+    rebuilt=st.booleans(),
+    removed=st.lists(slot, max_size=3),
+)
+def test_every_route_is_the_searchs_and_every_certified_one_direct(
+    points, blocked, crashed, rebuilt, removed
+):
+    """For every ordered pair, ``shortest_route`` (which answers a
+    certified direct link without searching) equals the bidirectional
+    search over the same epoch's rows, and the search returns the direct
+    link wherever the certificate holds. Blocked links, crashes before
+    or after the last rebuild and removals without one (stale arena rows
+    of dead or unregistered nodes) change the rows both read."""
+    radio = DiscRadio(range_m=100.0)
+    nodes = [Node(f"n{i}", position=p) for i, p in enumerate(points)]
+    topo = Topology(nodes, radio)
+    n = len(nodes)
+    topo.block_links(
+        [(nodes[i % n].node_id, nodes[j % n].node_id) for i, j in blocked if i % n != j % n]
+    )
+    for k in crashed:
+        nodes[k % n].fail()
+    if rebuilt:
+        topo.rebuild()
+    for k in sorted({k % n for k in removed}):
+        topo.remove_node(nodes[k].node_id)
+    ids = topo.node_ids
+    for a in ids:
+        for b in ids:
+            if a == b:
+                continue
+            searched = topo._bidirectional_dijkstra(a, b)
+            assert topo.shortest_route(a, b) == searched, (a, b)
+            if topo._certified_direct(a, b):
+                assert searched == (a, b), (a, b)
+
+
+@pytest.mark.parametrize(
+    "far, certified, route",
+    [
+        # 80 m costs 1000 / (5000 * 0.52) = 0.385 < 0.2 + 0.2, the two
+        # cheapest other links (each within half range).
+        pytest.param(80.0, True, ("a", "c"), id="direct"),
+        # 90 m costs 0.556: the relay's two 45 m hops (0.4) win.
+        pytest.param(90.0, False, ("a", "m", "c"), id="relayed"),
+    ],
+)
+def test_the_certificate_decides_on_the_two_cheapest_other_links(far, certified, route):
+    nodes = [
+        Node("a", position=(0.0, 0.0)),
+        Node("m", position=(far / 2.0, 0.0)),
+        Node("c", position=(far, 0.0)),
+    ]
+    topo = Topology(nodes, DiscRadio(range_m=100.0))
+    assert topo.connected("a", "c")
+    assert topo._certified_direct("a", "c") is certified
+    assert topo.shortest_route("a", "c") == route
+    assert topo._bidirectional_dijkstra("a", "c") == route
 
 
 # -- shrunk counterexamples, kept as named regressions ----------------------
