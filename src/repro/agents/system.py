@@ -24,6 +24,7 @@ from repro.resources.node import Node
 from repro.resources.provider import QoSProvider
 from repro.services.service import Service
 from repro.sim.engine import Engine
+from repro.sim.events import weak_callback
 
 
 class AgentSystem:
@@ -157,14 +158,20 @@ class AgentSystem:
         self.topology.advance_mobility(self.mobility, self._node_list, dt)
 
     def start_mobility_process(self, tick: float = 1.0, until: float = float("inf")) -> None:
-        """Schedule periodic mobility advancement on the engine."""
+        """Schedule periodic mobility advancement on the engine: a step of
+        ``tick`` seconds every ``tick`` seconds, the next one scheduled
+        while ``now + tick <= until``. Each tick is a weak callback over
+        :meth:`_tick_mobility`, so a tick still pending when the system
+        is dropped does not keep it alive; one process per system."""
+        self._mobility_tick = tick
+        self._mobility_until = until
+        self.engine.schedule(tick, weak_callback(self._tick_mobility))
 
-        def _tick(now: float) -> None:
-            self.step_mobility(tick)
-            if now + tick <= until:
-                self.engine.schedule(tick, _tick)
-
-        self.engine.schedule(tick, _tick)
+    def _tick_mobility(self, now: float) -> None:
+        tick = self._mobility_tick
+        self.step_mobility(tick)
+        if now + tick <= self._mobility_until:
+            self.engine.schedule(tick, weak_callback(self._tick_mobility))
 
     def alive_count(self) -> int:
         return sum(1 for n in self.nodes.values() if n.alive)

@@ -3,7 +3,7 @@
 ``Topology`` (PR 5) keys every derived cache — neighbor tuples, BFS
 orders, bidirectional-Dijkstra routes — off a monotone epoch counter.
 The invariant: any method that mutates the position/adjacency arena
-(``positions``, ``_adj``, ``_bw``, ``_loss``, ``_dist``) must bump the
+(``positions``, ``_adj``, ``_bw``, ``_loss``) must bump the
 epoch before returning, directly (``self._bump_epoch()``) or by calling
 a same-class method that transitively does (``rebuild``,
 ``update_positions``). A mutation that skips the bump leaves stale

@@ -28,12 +28,20 @@ in one call (bitwise-equal to the sequential scalar draws).
 from __future__ import annotations
 
 import abc
-import math
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.geometry import Point, clamp_to_area, distance, lerp
+from repro.network.geometry import (
+    Point,
+    clamp_to_area,
+    distance,
+    exact_distances,
+    lerp,
+    position_array,
+)
 from repro.resources.node import Node
 
 
@@ -157,19 +165,15 @@ class RandomWaypoint(MobilityModel):
                 if s is not None and s[2] == 0.0
             ]
             if maybe:
-                pos = np.array([nodes[i].position for i in maybe], dtype=np.float64)
-                dest = np.array([states[i][0] for i in maybe], dtype=np.float64)
-                speed = np.array([states[i][1] for i in maybe], dtype=np.float64)
+                legs = [states[i] for i in maybe]
+                pos = position_array([nodes[i].position for i in maybe])
+                dest = position_array([leg[0] for leg in legs])
+                speed = np.fromiter(
+                    map(itemgetter(1), legs), dtype=np.float64, count=len(legs)
+                )
                 # Exact per-node gap (math.hypot) so the arrive-vs-travel
                 # branch decides identically to the scalar walk.
-                gap = np.fromiter(
-                    map(
-                        math.hypot,
-                        (pos[:, 0] - dest[:, 0]).tolist(),
-                        (pos[:, 1] - dest[:, 1]).tolist(),
-                    ),
-                    dtype=np.float64, count=len(maybe),
-                )
+                gap = exact_distances(pos[:, 0] - dest[:, 0], pos[:, 1] - dest[:, 1])
                 with np.errstate(divide="ignore"):
                     travel_time = np.where(speed > 0, gap / speed, np.inf)
                 moving = travel_time > dt
@@ -182,15 +186,13 @@ class RandomWaypoint(MobilityModel):
                     new_y = np.minimum(np.maximum(new_y, 0.0), self.height)
                     xs = new_x.tolist()
                     ys = new_y.tolist()
-                    for k, i in enumerate(maybe):
-                        if moving[k]:
-                            slow[i] = False
-                            nodes[i].move_to(xs[k], ys[k])
-                            # dest/speed/pausing are unchanged mid-leg.
-                            self._state[nodes[i].node_id] = states[i]
-        for i, node in enumerate(nodes):
-            if not slow[i]:
-                continue
+                    # A mid-leg mover keeps its state: dest, speed and
+                    # pause are unchanged until it arrives.
+                    for k in np.flatnonzero(moving).tolist():
+                        i = maybe[k]
+                        slow[i] = False
+                        nodes[i].move_to(xs[k], ys[k])
+        for i, node in compress(enumerate(nodes), slow):
             state = states[i]
             if state is None:
                 state = self._new_leg(node)

@@ -26,18 +26,20 @@ class RadioModel(abc.ABC):
 
     Radio models are *isotropic*: link existence and quality are pure
     functions of the sender–receiver distance. That contract is what
-    lets the topology arena evaluate a model over a whole pairwise
-    distance matrix at once — the ``*_matrix`` methods below take exact
-    distances (see :func:`repro.network.geometry.pairwise_distances`)
-    and must agree elementwise, bit for bit, with their scalar
+    lets the topology arena evaluate a model over many pairs at once —
+    the ``*_matrix`` methods below take an array of exact distances
+    (the candidate pairs of
+    :func:`repro.network.geometry.candidate_pairs`, as a vector) and
+    must agree elementwise, bit for bit, with their scalar
     counterparts. The base-class implementations guarantee that by
     looping the scalar methods over synthetic collinear positions;
     concrete models override them with numpy broadcasting.
     """
 
-    #: Distance beyond which the matrix results are constants (out of
-    #: range), so the distance matrix may be approximate past it.
-    #: ``None`` means every entry must be exact.
+    #: Distance beyond which the results are the out-of-range constants
+    #: (``in_range`` False, ``bandwidth`` 0.0, ``loss_probability``
+    #: 1.0). The arena measures no pair beyond it and stores those
+    #: constants there instead. ``None`` means every pair is measured.
     matrix_distance_cutoff: Optional[float] = None
 
     @abc.abstractmethod
@@ -54,7 +56,7 @@ class RadioModel(abc.ABC):
 
     # -- vectorized counterparts --------------------------------------------
     #
-    # ``dist`` holds exact pairwise distances (``math.hypot``); a pair at
+    # ``dist`` holds exact distances (``math.hypot``); a pair at
     # distance d and the positions (0, 0)-(d, 0) are indistinguishable to
     # an isotropic model, so the fallbacks below are bit-identical to the
     # scalar methods by construction.

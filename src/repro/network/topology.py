@@ -7,16 +7,20 @@ coalition members — the paper's "nodes in range") and *what does it cost to
 talk to them* (link bandwidth → communication-cost tie-break).
 
 The graph lives in a numpy **arena** over the alive nodes, in
-registration order: positions, the pairwise distance matrix
-(:func:`repro.network.geometry.pairwise_distances`, bit-exact where it
-matters) and the radio model's ``*_matrix`` methods evaluated over it.
+registration order: positions, and the in-range, bandwidth and loss
+matrices. They are measured from the pairs a radio range could link
+(:func:`repro.network.geometry.candidate_pairs`, exact ``math.hypot``
+distances): the radio model's ``*_matrix`` curves run over those pairs'
+distances and are scattered into matrices that hold the out-of-range
+constants everywhere else. No distance matrix is kept.
 :meth:`Topology.rebuild` derives the arena from a **geometry memo**, the
 alive nodes and matrices of its last recompute. When every alive node
 sits in the memo at a bit-equal position (a crash, a recovery, a
 partition or a heal: none of them moves a node), the arena is a slice of
 the memo; otherwise, after a move, a join or a leave, the memo is
-measured again. Every radio matrix is elementwise in the distance, so a
-slice equals a recompute bit for bit. The partition overlay is resolved
+measured again (a mobility tick's :meth:`Topology.update_positions`
+skips the check). Every radio curve is elementwise in the distance, so
+a slice equals a recompute bit for bit. The partition overlay is resolved
 to memo rows once per block, heal or re-measure and cleared from the
 adjacency on every rebuild.
 Adjacency and edge attributes (bandwidth / loss) are numpy arrays. Every
@@ -52,7 +56,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import NotConnectedError, UnknownNodeError
-from repro.network.geometry import pairwise_distances, position_array
+from repro.network.geometry import candidate_pairs, position_array
 from repro.network.mobility import MobilityModel
 from repro.network.radio import RadioModel
 from repro.resources.node import Node
@@ -68,15 +72,15 @@ BFS_CACHE_MAX = 1024
 
 class _Geometry(NamedTuple):
     """What :meth:`Topology.rebuild` measured at its last recompute: the
-    ids of the alive nodes (registration order), their positions, the
-    distance matrix and the radio's in-range (diagonal cleared),
-    bandwidth and loss matrices. The arrays are read-only; the memo
-    holds ids, never nodes."""
+    ids of the alive nodes (registration order), their positions and
+    the radio's in-range, bandwidth and loss matrices. A pair beyond the
+    radio's :attr:`~repro.network.radio.RadioModel.matrix_distance_cutoff`,
+    and the diagonal, hold the out-of-range constants (False, 0.0, 1.0).
+    The arrays are read-only; the memo holds ids, never nodes."""
 
     ids: Tuple[str, ...]
     index: Dict[str, int]
     positions: np.ndarray
-    dist: np.ndarray
     adj: np.ndarray
     bw: np.ndarray
     loss: np.ndarray
@@ -85,16 +89,28 @@ class _Geometry(NamedTuple):
     def measure(
         cls, ids: Tuple[str, ...], positions: np.ndarray, radio: RadioModel
     ) -> "_Geometry":
-        dist = pairwise_distances(positions, exact_within=radio.matrix_distance_cutoff)
-        adj = np.asarray(radio.in_range_matrix(dist), dtype=bool)
-        np.fill_diagonal(adj, False)
-        bw = np.asarray(radio.bandwidth_matrix(dist), dtype=np.float64)
-        loss = np.asarray(radio.loss_matrix(dist), dtype=np.float64)
+        """Run the radio's curves over the candidate pairs' exact
+        distances (every curve is elementwise, so a vector is a valid
+        argument) and scatter each value to both ends of its pair."""
+        n = len(ids)
+        i, j, d = candidate_pairs(positions, radio.matrix_distance_cutoff)
+        upper, lower = i * n + j, j * n + i
+        adj = np.zeros(n * n, dtype=bool)
+        bw = np.zeros(n * n, dtype=np.float64)
+        loss = np.ones(n * n, dtype=np.float64)
+        for matrix, values in (
+            (adj, radio.in_range_matrix(d)),
+            (bw, radio.bandwidth_matrix(d)),
+            (loss, radio.loss_matrix(d)),
+        ):
+            matrix[upper] = values
+            matrix[lower] = values
+        adj, bw, loss = (matrix.reshape(n, n) for matrix in (adj, bw, loss))
         positions = positions.copy()
-        for array in (positions, dist, adj, bw, loss):
+        for array in (positions, adj, bw, loss):
             array.flags.writeable = False
         index = {nid: i for i, nid in enumerate(ids)}
-        return cls(ids, index, positions, dist, adj, bw, loss)
+        return cls(ids, index, positions, adj, bw, loss)
 
     def rows_of(self, ids: Tuple[str, ...], positions: np.ndarray) -> Optional[np.ndarray]:
         """Memo rows of ``ids``, or ``None`` unless every one of them was
@@ -108,19 +124,16 @@ class _Geometry(NamedTuple):
             return None
         return at
 
-    def sliced(
-        self, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(dist, adj, bw, loss)`` over the memo rows ``rows``: each is
+    def sliced(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(adj, bw, loss)`` over the memo rows ``rows``: each is
         ``matrix[np.ix_(rows, rows)]``, taken as one flat gather per
         matrix (about 3x faster than ``np.ix_`` at 256 nodes)."""
         m = len(rows)
         at = np.add.outer(rows * len(self.ids), rows).ravel()
-        dist, adj, bw, loss = (
-            matrix.take(at).reshape(m, m)
-            for matrix in (self.dist, self.adj, self.bw, self.loss)
+        adj, bw, loss = (
+            matrix.take(at).reshape(m, m) for matrix in (self.adj, self.bw, self.loss)
         )
-        return dist, adj, bw, loss
+        return adj, bw, loss
 
 
 class _RouteRow(NamedTuple):
@@ -153,7 +166,6 @@ class Topology:
         self._adj = np.zeros((0, 0), dtype=bool)
         self._bw = np.zeros((0, 0), dtype=np.float64)
         self._loss = np.zeros((0, 0), dtype=np.float64)
-        self._dist: Optional[np.ndarray] = None
         # Which arena rows belong to a registered node: ``None`` while
         # all do, else a mask (remove_node() keeps a node's row until
         # the next rebuild, and no query may see it).
@@ -250,19 +262,20 @@ class Topology:
         """Recompute all edges from current positions and liveness.
 
         Packs the alive nodes into the arena, in registration order, and
-        derives adjacency and link-quality arrays from their pairwise
-        distances. The geometry memo (the alive nodes of the last
-        recompute) decides how:
+        derives adjacency and link-quality arrays from the distances of
+        the pairs in radio range. The geometry memo (the alive nodes of
+        the last recompute) decides how:
 
         * **hit** — every alive node is in the memo at a bit-equal
           position (checked here on every call, O(alive)): the arena is
           the memo's rows and columns of those nodes, O(alive²) copying;
         * **miss** — a node moved, or one that was not alive at the last
-          recompute is alive now, or membership changed since: the memo
-          is measured again over the alive nodes, O(n²) numpy work plus
+          recompute is alive now, or membership changed since (or
+          :meth:`update_positions` dropped the memo): the memo is
+          measured again over the alive nodes, O(n²) numpy work plus
           O(edges) exact distance calls.
 
-        Both give the same arrays bit for bit, since every radio matrix
+        Both give the same arrays bit for bit, since every radio curve
         is elementwise in the distance. Then every blocked pair between
         two alive nodes is cleared from the adjacency, which is never
         the memo's own array. The epoch advances and every cached
@@ -280,7 +293,6 @@ class Topology:
             self._adj = np.zeros((m, m), dtype=bool)
             self._bw = np.zeros((m, m), dtype=np.float64)
             self._loss = np.ones((m, m), dtype=np.float64)
-            self._dist = None
             return
         geo = self._geometry
         rows = None if geo is None else geo.rows_of(ids, self.positions)
@@ -290,10 +302,10 @@ class Topology:
         elif ids == geo.ids:
             rows = None  # every memo node is alive
         if rows is None:  # the arena is the whole memo
-            self._dist, self._bw, self._loss = geo.dist, geo.bw, geo.loss
+            self._bw, self._loss = geo.bw, geo.loss
             adj = geo.adj.copy()
         else:
-            self._dist, adj, self._bw, self._loss = geo.sliced(rows)
+            adj, self._bw, self._loss = geo.sliced(rows)
         if self._blocked:
             ii, jj = self._blocked_rows(geo, rows)
             adj[ii, jj] = False
@@ -311,8 +323,12 @@ class Topology:
     def update_positions(self, moved: Sequence[str]) -> None:
         """Refresh the arena after the ``moved`` nodes changed position:
         a full :meth:`rebuild`. Mobility moves nearly every node of an
-        arena per tick, so no partial update is cheaper; ``moved`` names
-        the movers for tracing and never changes the result."""
+        arena per tick, so no partial update is cheaper. A mover's new
+        position cannot hit the geometry memo, so a non-empty ``moved``
+        drops it first and the rebuild re-measures without checking;
+        ``moved`` never changes the result."""
+        if moved:
+            self._geometry = None
         self.rebuild()
 
     # -- blocked-link overlay (partition faults) ---------------------------

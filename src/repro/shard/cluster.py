@@ -15,8 +15,10 @@ session driver consume (``node`` / ``neighbors`` / ``khop_neighbors`` /
   as **gateway**, and the gateway-to-gateway backhaul costs
   ``hops × backhaul_hop_cost`` where ``hops`` is the Manhattan cell
   distance (see ``docs/sharding.md`` for the cost model);
-* **mobility ticks** re-home nodes that crossed a cell boundary, then
-  rebuild each shard that holds a mover or lost a migrant, once
+* **mobility ticks** re-home the movers by array
+  (:meth:`~repro.shard.partition.ShardGrid.shards_of`), migrate those
+  that crossed a cell boundary, then rebuild each shard that holds a
+  mover or lost a migrant, once
   (:meth:`~repro.network.topology.Topology.update_positions`); shards
   without movers keep their arenas and epochs;
 * **liveness churn** marks only the victim's home shard dirty, so the
@@ -32,7 +34,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.errors import NotConnectedError, UnknownNodeError
+from repro.network.geometry import position_array
 from repro.network.mobility import MobilityModel
 from repro.network.radio import RadioModel
 from repro.network.topology import Topology
@@ -259,25 +264,27 @@ class ShardedCluster:
     def advance_mobility(
         self, mobility: MobilityModel, nodes: Sequence[Node], dt: float
     ) -> None:
-        """One mobility tick: advance the model, re-home nodes that
-        crossed a cell boundary, then rebuild each touched shard once —
-        a mover's home shard and both ends of every migration — in shard
-        id order."""
-        before = {node.node_id: node.position for node in nodes}
+        """One mobility tick: advance the model, find the movers by
+        comparing positions before and after, home them all in one
+        :meth:`ShardGrid.shards_of` call, migrate (in node order) those
+        whose cell changed, then rebuild each touched shard once — a
+        mover's home shard and both ends of every migration — in shard
+        id order, naming its movers in node order."""
+        before = position_array([node.position for node in nodes])
         mobility.advance(nodes, dt)
-        movers_by_shard: Dict[int, List[str]] = {}
-        for node in nodes:
-            if node.position == before[node.node_id]:
-                continue
-            nid = node.node_id
-            old = self._home[nid]
-            new = self.grid.shard_of(*node.position)
-            if new != old:
-                self.shards[old].remove_node(nid)
-                self.shards[new].add_node(node)
-                self._home[nid] = new
-                movers_by_shard.setdefault(old, [])
-            movers_by_shard.setdefault(new, []).append(nid)
-        for shard, movers in sorted(movers_by_shard.items()):
+        after = position_array([node.position for node in nodes])
+        moved = np.flatnonzero((before != after).any(axis=1))
+        ids = [nodes[k].node_id for k in moved.tolist()]
+        new = self.grid.shards_of(after[moved])
+        old = np.fromiter(map(self._home.__getitem__, ids), dtype=np.intp, count=len(ids))
+        for k in np.flatnonzero(new != old).tolist():
+            nid, src, dst = ids[k], int(old[k]), int(new[k])
+            self.shards[src].remove_node(nid)
+            self.shards[dst].add_node(nodes[moved[k]])
+            self._home[nid] = dst
+        touched = np.zeros(self.n_shards, dtype=bool)
+        touched[old] = touched[new] = True
+        for shard in np.flatnonzero(touched).tolist():
+            movers = [ids[k] for k in np.flatnonzero(new == shard).tolist()]
             self.shards[shard].update_positions(movers)
             self._dirty.discard(shard)

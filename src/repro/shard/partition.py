@@ -27,11 +27,14 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 #: Target node count per shard for :meth:`ShardGrid.auto` — large enough
 #: that intra-shard neighborhoods look like a full historical cluster,
-#: small enough that a per-shard O(m²) rebuild stays at a few
-#: milliseconds (2–3 ms for 256 nodes on a 2-vCPU Xeon VM), which
-#: every mobility tick pays per touched shard.
+#: small enough that a per-shard O(m²) rebuild stays under a few
+#: milliseconds (about 0.9 ms to re-measure 256 nodes at E22's density
+#: on a 2-vCPU Xeon VM), which every mobility tick pays per touched
+#: shard.
 DEFAULT_SHARD_OCCUPANCY = 256
 
 
@@ -103,6 +106,16 @@ class ShardGrid:
     def shard_of(self, x: float, y: float) -> int:
         """Shard id (row-major cell index) of a position."""
         cx, cy = self.cell_of(x, y)
+        return cy * self.gx + cx
+
+    def shards_of(self, positions: np.ndarray) -> np.ndarray:
+        """:meth:`shard_of` of every row of an ``(n, 2)`` position array,
+        in one call. ``np.floor_divide`` is Python's float ``//`` (the
+        same fmod-based rounding), and the clamp is :meth:`cell_of`'s."""
+        cx = np.floor_divide(positions[:, 0], self.cell_width)
+        cy = np.floor_divide(positions[:, 1], self.cell_height)
+        cx = np.minimum(np.maximum(cx, 0.0), self.gx - 1).astype(np.intp)
+        cy = np.minimum(np.maximum(cy, 0.0), self.gy - 1).astype(np.intp)
         return cy * self.gx + cx
 
     def cell_index(self, shard: int) -> Tuple[int, int]:

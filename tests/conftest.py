@@ -14,9 +14,10 @@ from repro.services import workload
 from repro.sim.engine import Engine
 
 # ``pytest --hypothesis-profile=deep`` runs the fuzzers that read their
-# budget from the loaded profile (the topology machine and the route
-# certificate property) with 500 derandomized examples each, instead of
-# the tier-1 budget they set themselves.
+# budget from the loaded profile (the topology machine, the route
+# certificate property and the measured-links and array-homing
+# properties) with 500 derandomized examples each, instead of the tier-1
+# budget they set themselves.
 settings.register_profile("deep", derandomize=True, deadline=None, max_examples=500)
 
 

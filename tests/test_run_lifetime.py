@@ -11,9 +11,11 @@ instead of the program's.
 Each configuration here is a shortened perf workload that keeps the
 features which used to leave cycles behind: streaming sessions
 (contend), shards with waypoint mobility, crashes and drain (e22), a
-fault plan with a partition and a crash hazard (e23), and one agent
+fault plan with a partition and a crash hazard (e23), one agent
 negotiation, which leaves lease sweeps and cancelled award timers in
-the engine's queue (e18).
+the engine's queue (e18), and sequential agent negotiations under
+waypoint mobility, whose next mobility tick is still queued when the
+run ends (e5).
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ import weakref
 import pytest
 
 import repro.workloads.contention as contention
+from repro.core.negotiation import release_coalition
 from repro.experiments import ClusterConfig, build_agent_system
 from repro.faults import CrashHazard, FaultPlan, Partition
+from repro.network.mobility import RandomWaypoint
 from repro.resources.node import NodeClass
 from repro.services.workload import movie_playback_service
 from repro.sessions import SessionPolicy
 from repro.shard import run_sharded_contention
 from repro.shard.partition import ShardGrid
+from repro.sim.rng import RngRegistry
 from repro.workloads import ConstantRate, FixedIntervalProcess, PoissonProcess
 from repro.workloads.contention import ContentionConfig, run_contention
 
@@ -89,6 +94,8 @@ FAULTED = ContentionConfig(
 
 AGENTS = ClusterConfig(n_nodes=32, area=100.0)
 
+MOBILE = ClusterConfig(n_nodes=12, area=220.0)
+
 
 def negotiate_once(seed: int = 1):
     """E18's replication on 32 nodes: a fresh agent system, one
@@ -97,6 +104,29 @@ def negotiate_once(seed: int = 1):
     outcome = system.negotiate(movie_playback_service(requester="requester"))
     assert outcome is not None and outcome.success
     return system, outcome
+
+
+def negotiate_while_moving(seed: int = 1) -> int:
+    """E5's quick replication at 5 m/s: 12 nodes under random waypoint,
+    mobility ticking every second until 160 s, and four movie requests
+    30 s apart. Returns how many negotiations ended with an outcome."""
+    mobility = RandomWaypoint(
+        width=MOBILE.area, height=MOBILE.area, speed_min=0.0, speed_max=5.0,
+        pause=1.0, rng=RngRegistry(seed).stream("mobility"),
+    )
+    system = build_agent_system(MOBILE, seed, mobility=mobility)
+    system.start_mobility_process(tick=1.0, until=160.0)
+    outcomes = 0
+    for r in range(4):
+        outcome = system.negotiate(
+            movie_playback_service(requester="requester", name=f"movie-{r}")
+        )
+        if outcome is not None:
+            outcomes += 1
+            release_coalition(outcome.coalition, system.providers, system.engine.now)
+        system.engine.run(until=system.engine.now + 30.0)
+    assert system.engine.pending  # the next mobility tick
+    return outcomes
 
 
 RUNS = {
@@ -108,6 +138,7 @@ RUNS = {
     ),
     "e23": lambda: len(run_contention(1, FAULTED).sessions),
     "e18": lambda: len(negotiate_once()[1].coalition.awards),
+    "e5": negotiate_while_moving,
 }
 
 
@@ -116,8 +147,8 @@ def test_a_finished_run_leaves_no_cyclic_garbage(name):
     """Under ``DEBUG_SAVEALL`` the collector keeps whatever it finds
     unreachable, so after one replication that dropped everything it
     made, ``gc.collect()`` counts exactly the objects that only cycles
-    kept alive. Each run returns how many sessions (awards for e18) it
-    produced, so that none is vacuous."""
+    kept alive. Each run returns how many sessions (awards for e18,
+    outcomes for e5) it produced, so that none is vacuous."""
     assert RUNS[name]()  # warm imports and lazy module state
     gc.collect()
     was_enabled = gc.isenabled()

@@ -273,10 +273,6 @@ class TestGatewayRouting:
 
 def _assert_same_arena(topo, fresh):
     assert topo._arena_ids == fresh._arena_ids
-    if fresh._dist is None:
-        assert topo._dist is None
-    else:
-        assert np.array_equal(topo._dist, fresh._dist, equal_nan=True)
     assert np.array_equal(topo._adj, fresh._adj)
     assert np.array_equal(topo._bw, fresh._bw, equal_nan=True)
     assert np.array_equal(topo._loss, fresh._loss, equal_nan=True)
@@ -371,14 +367,12 @@ class TestUpdatePositions:
             x, y = topo.node(nid).position
             topo.node(nid).move_to(x + 40.0, y - 25.0)
         topo.update_positions(movers)
-        arrays = (topo._dist.copy(), topo._adj.copy(),
-                  topo._bw.copy(), topo._loss.copy())
+        arrays = (topo._adj.copy(), topo._bw.copy(), topo._loss.copy())
         route = topo.shortest_route("n0", "n31")
         topo.rebuild()
-        assert np.array_equal(arrays[0], topo._dist, equal_nan=True)
-        assert np.array_equal(arrays[1], topo._adj)
-        assert np.array_equal(arrays[2], topo._bw, equal_nan=True)
-        assert np.array_equal(arrays[3], topo._loss, equal_nan=True)
+        assert np.array_equal(arrays[0], topo._adj)
+        assert np.array_equal(arrays[1], topo._bw, equal_nan=True)
+        assert np.array_equal(arrays[2], topo._loss, equal_nan=True)
         assert route == topo.shortest_route("n0", "n31")
 
     def test_empty_move_set_still_bumps_epoch(self):

@@ -11,8 +11,7 @@ exact range-edge distances and tied route costs come up often.
 
 * After each step that rebuilds, the topology equals a fresh
   ``Topology`` over the same nodes with the same overlay: the arena
-  (ids, index, positions, distances, adjacency, bandwidth, loss) bit
-  for bit, and ``neighbors``, ``khop_neighbors(·, 2)``,
+  (ids, index, positions, adjacency, bandwidth, loss) bit for bit, and ``neighbors``, ``khop_neighbors(·, 2)``,
   ``shortest_route`` and ``multihop_cost`` for every ordered pair.
 * After a step that does not rebuild (a move, a liveness flip, a
   membership round trip), every node's ``neighbors`` tuple is what it
@@ -20,15 +19,24 @@ exact range-edge distances and tied route costs come up often.
 
 The machine is no oracle for the certificate, since the fresh build
 runs it too: a property holds ``shortest_route`` to the bidirectional
-search on the same epoch's rows instead.
+search on the same epoch's rows instead. Nor is it one for a mobility
+tick's two array paths, which a fresh build or shard takes too; two
+properties hold them to their scalar references:
 
-Both fuzzers run their tier-1 budget under the default hypothesis
+* the geometry memo's measurement against the scalar radio, pair by
+  pair (``DiscRadio`` and a radio without a distance cutoff);
+* ``ShardGrid.shards_of`` against ``ShardGrid.shard_of`` on cell
+  boundaries, far edges, their ``nextafter`` neighbours and points
+  outside the area.
+
+Every fuzzer here runs its tier-1 budget under the default hypothesis
 profile and the loaded profile's under any other
 (``--hypothesis-profile=deep``, registered in ``conftest.py``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -37,9 +45,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
-from repro.network.radio import DiscRadio
-from repro.network.topology import Topology
+from repro.network.geometry import distance, position_array
+from repro.network.radio import DiscRadio, RadioModel
+from repro.network.topology import Topology, _Geometry
 from repro.resources.node import Node
+from repro.shard.partition import ShardGrid
 
 AREA = 300.0
 MAX_NODES = 16
@@ -66,11 +76,6 @@ def assert_same_arena(topo: Topology, fresh: Topology) -> None:
     assert topo._arena_ids == fresh._arena_ids
     assert topo._index == fresh._index
     assert np.array_equal(topo.positions, fresh.positions)
-    if fresh._dist is None:
-        assert topo._dist is None
-    else:
-        assert topo._dist is not None
-        assert np.array_equal(topo._dist, fresh._dist)
     assert np.array_equal(topo._adj, fresh._adj)
     assert np.array_equal(topo._bw, fresh._bw)
     assert np.array_equal(topo._loss, fresh._loss)
@@ -282,6 +287,92 @@ def test_the_certificate_decides_on_the_two_cheapest_other_links(far, certified,
     assert topo._certified_direct("a", "c") is certified
     assert topo.shortest_route("a", "c") == route
     assert topo._bidirectional_dijkstra("a", "c") == route
+
+
+# -- a mobility tick's array paths against their scalar references ---------
+
+
+class _StepRadio(RadioModel):
+    """A radio without a distance cutoff (``matrix_distance_cutoff`` is
+    ``None``): every pair is measured, through the base-class fallbacks."""
+
+    def in_range(self, a, b):
+        return distance(a, b) <= 90.0
+
+    def bandwidth(self, a, b):
+        d = distance(a, b)
+        return 0.0 if d > 90.0 else 1000.0 - 7.0 * d
+
+    def loss_probability(self, a, b):
+        d = distance(a, b)
+        return 1.0 if d > 90.0 else d / 123.0
+
+
+RADIOS = (
+    DiscRadio(range_m=100.0, nominal_bandwidth=4321.0, min_rate_fraction=0.15,
+              base_loss=0.01, edge_loss=0.2),
+    _StepRadio(),
+)
+
+#: Points 100 m, 90 m and 50 m apart (the disc's edge, the step radio's
+#: edge and the disc's bandwidth knee), joined to every example.
+ANCHORS = [(0.0, 0.0), (100.0, 0.0), (90.0, 0.0), (30.0, 40.0)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=budget(100))
+@given(points=st.lists(point, max_size=2 * MAX_NODES), radio=st.sampled_from(RADIOS))
+def test_measured_links_match_the_scalar_radio(points, radio):
+    """For every ordered pair ``i != j``, the measured adjacency,
+    bandwidth and loss are the scalar radio's ``in_range``,
+    ``bandwidth`` and ``loss_probability`` bit for bit when the pair is
+    in range, and the out-of-range constants (False, 0.0, 1.0)
+    otherwise. The 10 m grid puts many more pairs on those edges."""
+    points = ANCHORS + points
+    ids = tuple(f"n{i}" for i in range(len(points)))
+    geo = _Geometry.measure(ids, position_array(points), radio)
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            if i == j:
+                continue
+            measured = (bool(geo.adj[i, j]), float(geo.bw[i, j]), float(geo.loss[i, j]))
+            if radio.in_range(a, b):
+                expected = (True, radio.bandwidth(a, b), radio.loss_probability(a, b))
+            else:
+                expected = (False, 0.0, 1.0)
+            assert measured == expected, (i, j)
+
+
+#: The deployment sides of E22's sweep (60 m per sqrt(node)).
+E22_AREAS = tuple(60.0 * math.sqrt(n) for n in (512, 1024, 2048, 4096))
+
+
+def _edges(cells: int, step: float, side: float) -> List[float]:
+    """Every cell boundary ``k * step``, both ends of the side, and the
+    ``nextafter`` neighbours of each on both sides."""
+    marks = [k * step for k in range(cells + 1)] + [0.0, side]
+    return sorted(
+        {v for m in marks for v in (math.nextafter(m, -math.inf), m, math.nextafter(m, math.inf))}
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=budget(100))
+@given(
+    area=st.sampled_from(E22_AREAS),
+    gx=st.integers(1, 7),
+    gy=st.integers(1, 7),
+    spots=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=64),
+)
+def test_array_homing_matches_shard_of(area, gx, gy, spots):
+    """``shards_of`` homes every point as ``shard_of`` does: every
+    pairing of boundary marks on the two axes, and random points, up to
+    half the side outside the area."""
+    grid = ShardGrid(area, area, gx, gy)
+    xs = _edges(gx, grid.cell_width, area)
+    ys = _edges(gy, grid.cell_height, area)
+    points = [(x, y) for x in xs for y in ys]
+    points += [(u * area, v * area) for u, v in spots]
+    homes = grid.shards_of(position_array(points)).tolist()
+    assert homes == [grid.shard_of(x, y) for x, y in points]
 
 
 # -- shrunk counterexamples, kept as named regressions ----------------------

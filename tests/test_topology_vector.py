@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.errors import NotConnectedError, UnknownNodeError
-from repro.network.geometry import clamp_to_area, distance, lerp, pairwise_distances
+from repro.network.geometry import candidate_pairs, clamp_to_area, distance, lerp
 from repro.network.mobility import GroupMobility, RandomWaypoint
 from repro.network.radio import DiscRadio, RadioModel
 from repro.network.topology import Topology
@@ -51,6 +51,11 @@ def _random_nodes(n, area, rng, prefix="n"):
         Node(f"{prefix}{i}", position=(rng.uniform(0, area), rng.uniform(0, area)))
         for i in range(n)
     ]
+
+
+def _exact_distances(pts):
+    """The ``n x n`` matrix of exact scalar distances between ``pts``."""
+    return np.array([[distance(a, b) for b in pts] for a in pts])
 
 
 def _fleet(n, area, seed):
@@ -70,8 +75,7 @@ def test_disc_radio_matrices_match_scalar_elementwise(seed):
     pts = [(rng.uniform(0, 250), rng.uniform(0, 250)) for _ in range(n)]
     radio = DiscRadio(range_m=100.0, nominal_bandwidth=4321.0,
                       min_rate_fraction=0.15, base_loss=0.01, edge_loss=0.2)
-    pos = np.asarray(pts)
-    dist = pairwise_distances(pos, exact_within=radio.matrix_distance_cutoff)
+    dist = _exact_distances(pts)
     in_r = radio.in_range_matrix(dist)
     bw = radio.bandwidth_matrix(dist)
     loss = radio.loss_matrix(dist)
@@ -108,7 +112,7 @@ def test_base_class_matrix_fallbacks_match_scalar():
     pts = [(rng.uniform(0, 200), rng.uniform(0, 200)) for _ in range(12)]
     radio = _StepRadio()
     assert radio.matrix_distance_cutoff is None  # exact everywhere
-    dist = pairwise_distances(np.asarray(pts), exact_within=None)
+    dist = _exact_distances(pts)
     in_r = radio.in_range_matrix(dist)
     bw = radio.bandwidth_matrix(dist)
     loss = radio.loss_matrix(dist)
@@ -119,17 +123,31 @@ def test_base_class_matrix_fallbacks_match_scalar():
             assert float(loss[i, j]) == radio.loss_probability(pts[i], pts[j])
 
 
-def test_pairwise_distances_exact_within_threshold():
+def test_candidate_pairs_exact_within_threshold():
+    """Every pair at exact distance <= 100 is a candidate exactly once,
+    as ``i < j``, carrying ``math.hypot``'s value; without a cutoff every
+    pair is, in row-major order."""
     rng = np.random.default_rng(17)
     pts = [(rng.uniform(0, 300), rng.uniform(0, 300)) for _ in range(60)]
-    dist = pairwise_distances(np.asarray(pts), exact_within=100.0)
-    full = pairwise_distances(np.asarray(pts), exact_within=None)
-    for i in range(60):
-        for j in range(60):
-            expected = distance(pts[i], pts[j])
-            assert full[i, j] == expected
-            if expected <= 100.0:
-                assert dist[i, j] == expected
+    pts += [(0.0, 0.0), (100.0, 0.0), (60.0, 80.0)]  # exactly 100 m apart
+    n = len(pts)
+    ii, jj, d = candidate_pairs(np.asarray(pts), 100.0)
+    found = list(zip(ii.tolist(), jj.tolist()))
+    assert len(found) == len(set(found))
+    assert all(i < j for i, j in found)
+    for (i, j), value in zip(found, d.tolist()):
+        assert value == distance(pts[i], pts[j])
+    within = {
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if distance(pts[i], pts[j]) <= 100.0
+    }
+    assert (n - 3, n - 2) in within and (n - 3, n - 1) in within
+    assert within <= set(found)
+    ii, jj, d = candidate_pairs(np.asarray(pts), None)
+    assert list(zip(ii.tolist(), jj.tolist())) == [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+    ]
+    assert d.tolist() == [distance(pts[i], pts[j]) for i, j in zip(ii.tolist(), jj.tolist())]
 
 
 # -- recorded answers: tests/data/topology_golden.json -----------------------
@@ -351,7 +369,7 @@ def _assert_like_fresh(topo, radio):
     fresh.block_links(sorted(topo.blocked_links))
     assert topo._arena_ids == fresh._arena_ids
     assert np.array_equal(topo.positions, fresh.positions)
-    for name in ("_dist", "_adj", "_bw", "_loss"):
+    for name in ("_adj", "_bw", "_loss"):
         assert np.array_equal(getattr(topo, name), getattr(fresh, name)), name
     for a in topo.node_ids:
         assert topo.neighbors(a) == fresh.neighbors(a)
