@@ -1,11 +1,11 @@
-"""Baseline allocators for the evaluation suite.
+"""Baseline allocators: the ladder every allocation paper is judged against.
 
-The paper names no quantitative comparators, so the experiments use the
-standard ladder every allocation paper is judged against:
+The paper names no quantitative comparators. The experiments compare the
+protocol with one of these; the tests hold it against all four:
 
 * :func:`single_node` — no cooperation: the requester serves everything
   itself (the paper's "by default, the responsibility associated with
-  data processing is on the mobile device");
+  data processing is on the mobile device"). E1, E7, E10 and E17 use it;
 * :func:`random_admissible` — cooperation without intelligence: each task
   goes to a uniformly random candidate whose offer is admissible and
   servable;
@@ -14,9 +14,11 @@ standard ladder every allocation paper is judged against:
 * :func:`exhaustive_optimal` — exact minimum-total-distance allocation by
   enumeration (small instances only), the quality upper bound.
 
-All return :class:`~repro.core.negotiation.NegotiationOutcome` and run as
-dry runs by default (``commit=False``) so they can be compared on the same
-initial state without mutating it.
+All return :class:`~repro.core.negotiation.NegotiationOutcome` and mutate
+no Resource Manager, so they can be compared on the same initial state.
+A node admits a task through :meth:`QoSProvider.can_serve
+<repro.resources.provider.QoSProvider.can_serve>`, on top of what the
+allocation has booked on it so far.
 """
 
 from __future__ import annotations

@@ -37,7 +37,11 @@ profile it is cached on. Steps and eq. 1 rewards come from the
 per-profile memos (``_step_cache`` / ``_reward_cache``, keyed by the
 assignment's ladder indices). Outcomes stay bit-identical to the
 per-node loop the walk replaced (``tests/test_formulation_golden.py``).
-A node's :func:`first_fit` is the negotiation hot path (the
+A state's summed demand is a :class:`~repro.resources.capacity.Capacity`
+sum, and the walk keeps its row. A node's :func:`first_fit` compares
+those rows with its headroom's limits: the rule of
+:meth:`~repro.resources.provider.QoSProvider.can_serve`, read once per
+node. It is the negotiation hot path (the
 ``core.formulate_node_proposals`` span of
 ``benchmarks/perf/run.py --trace 1``).
 """
@@ -52,7 +56,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import InfeasibleTaskError
 from repro.core.reward import local_reward
 from repro.qos.levels import QualityAssignment
-from repro.resources.kinds import ResourceKind
+from repro.resources.capacity import Capacity, Row
+from repro.resources.kinds import COLUMN, ResourceKind
 from repro.services.task import Task, TaskProfile
 
 SchedulabilityTest = Callable[[Mapping[str, QualityAssignment]], bool]
@@ -60,12 +65,6 @@ SchedulabilityTest = Callable[[Mapping[str, QualityAssignment]], bool]
 
 State = Tuple[QualityAssignment, ...]
 """One point of a walk: an assignment per task, in task-tuple order."""
-
-KINDS: Tuple[ResourceKind, ...] = tuple(ResourceKind)
-"""Column order of summed-demand rows and of :func:`first_fit`'s limits."""
-
-_COLUMN = {kind: column for column, kind in enumerate(KINDS)}
-_ENERGY = _COLUMN[ResourceKind.ENERGY]
 
 
 @dataclass
@@ -139,14 +138,16 @@ def formulate(
 
 
 def first_fit(
-    tasks: Sequence[Task], limits: Sequence[float], battery: float
+    tasks: Sequence[Task], limits: Row, battery: float
 ) -> Optional[State]:
     """The first state of the walk whose summed demand fits a node.
 
-    A state fits when its demand, summed over ``tasks`` in order, is at
-    most ``limits`` on every kind of :data:`KINDS` and its ENERGY is at
-    most ``battery``. Rows are compared, never rebuilt: each is priced
-    once per walk, the first time any node's scan reaches it.
+    A state fits when its summed demand is at most ``limits`` (a
+    headroom's :meth:`~repro.resources.capacity.Capacity.limits`) on
+    every kind and its ENERGY is at most ``battery``: the test of
+    :meth:`~repro.resources.provider.QoSProvider.can_serve`. Rows are
+    compared, never rebuilt: each is priced once per walk, the first
+    time any node's scan reaches it.
 
     Returns:
         The fitting state, or ``None`` when none does.
@@ -157,10 +158,11 @@ def first_fit(
     """
     walk = _walk_of(tasks)
     rows = walk.rows
+    energy = COLUMN[ResourceKind.ENERGY]
     i = 0
     while i < len(rows) or walk.price_next(tasks):
         row = rows[i]
-        if row[_ENERGY] <= battery and all(map(le, row, limits)):
+        if row[energy] <= battery and all(map(le, row, limits)):
             return walk.states[i]
         i += 1
     return None
@@ -171,11 +173,11 @@ class _Walk:
 
     ``states[i]`` is the tuple's state after the dependency repair
     (``repairs`` steps) and ``i`` degradation steps; ``exhausted`` is
-    set once the last state has no step left. ``rows`` holds the summed
-    demand over :data:`KINDS` of a prefix of the states. The walk keeps
-    no reference to its profiles (see the module docs): every method
-    that may extend it takes tasks over them as ``tasks``, and reads
-    only their profiles.
+    set once the last state has no step left. ``rows`` holds the
+    :class:`Capacity` row of the summed demand of a prefix of the
+    states. The walk keeps no reference to its profiles (see the module
+    docs): every method that may extend it takes tasks over them as
+    ``tasks``, and reads only their profiles.
     """
 
     __slots__ = ("states", "rows", "repairs", "exhausted")
@@ -195,7 +197,7 @@ class _Walk:
             top.append(repaired)
             self.repairs += steps
         self.states: List[State] = [tuple(top)]
-        self.rows: List[Tuple[float, ...]] = []
+        self.rows: List[Row] = []
         self.exhausted = False
 
     def reach(self, i: int, tasks: Sequence[Task]) -> bool:
@@ -232,18 +234,16 @@ class _Walk:
     def price_next(self, tasks: Sequence[Task]) -> bool:
         """Price the first state without a row; whether one existed.
 
-        A row adds each task's demand kind by kind in task order —
-        bit-identical to summing the tasks' :class:`Capacity` vectors,
-        whose ``+`` adds each kind left to right and omits zero terms.
+        The row is that of the :class:`Capacity` sum of the tasks'
+        demands at the state, in task order.
         """
         n = len(self.rows)
         if not self.reach(n, tasks):
             return False
-        totals = [0.0] * len(KINDS)
+        total = Capacity.zero()
         for task, assignment in zip(tasks, self.states[n]):
-            for kind, amount in task.profile.demand_at(assignment.values()).items():
-                totals[_COLUMN[kind]] += amount
-        self.rows.append(tuple(totals))
+            total = total + task.profile.demand_at(assignment.values())
+        self.rows.append(total.row)
         return True
 
 

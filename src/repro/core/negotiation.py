@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.admissibility import is_admissible
 from repro.core.coalition import Coalition, TaskAward
 from repro.core.evaluation import ProposalEvaluator
-from repro.core.formulation import KINDS, first_fit
+from repro.core.formulation import first_fit
 from repro.core.proposal import Proposal
 from repro.core.reputation import ReputationTracker
 from repro.core.selection import ScoredProposal, SelectionPolicy
@@ -45,8 +45,7 @@ from repro.errors import (
 )
 from repro.network.topology import Topology
 from repro.qos.levels import QualityAssignment
-from repro.resources.capacity import Capacity
-from repro.resources.kinds import ResourceKind
+from repro.resources.capacity import Capacity, Row
 from repro.resources.provider import QoSProvider
 from repro.services.service import Service
 from repro.services.task import Task
@@ -109,8 +108,8 @@ class _Ledger:
     """Scratch admission accounting for dry runs (``commit=False``).
 
     Tracks hypothetical demand per node on top of the real Resource
-    Manager state without mutating it, including the battery constraint
-    on the ENERGY component.
+    Manager state without mutating it: a node admits a demand when it
+    could serve that demand plus everything booked on it so far.
     """
 
     def __init__(self, providers: Mapping[str, QoSProvider]) -> None:
@@ -118,14 +117,8 @@ class _Ledger:
         self.extra: Dict[str, Capacity] = {}
 
     def can_admit(self, node_id: str, demand: Capacity) -> bool:
-        provider = self.providers[node_id]
-        if not provider.node.alive or not provider.node.willing:
-            return False
         booked = self.extra.get(node_id, Capacity.zero())
-        if not provider.headroom().covers(booked + demand):
-            return False
-        energy = (booked + demand).get(ResourceKind.ENERGY)
-        return energy <= provider.node.battery
+        return self.providers[node_id].can_serve(booked + demand)
 
     def admit(self, node_id: str, demand: Capacity) -> None:
         self.extra[node_id] = self.extra.get(node_id, Capacity.zero()) + demand
@@ -195,24 +188,20 @@ def remote_award_messages(coalition: Coalition, requester: str) -> int:
     )
 
 
-def admission_limits(
-    provider: QoSProvider,
-) -> Optional[Tuple[List[float], float]]:
+def admission_limits(provider: QoSProvider) -> Optional[Tuple[Row, float]]:
     """:meth:`QoSProvider.can_serve` read once, as :func:`first_fit`'s
     limits.
 
     ``can_serve(demand)`` holds when the node is alive and willing, the
-    demand's ENERGY is at most the battery, and ``headroom.get(k) +
-    1e-9 >= demand.get(k)`` for every kind (:meth:`Capacity.covers`).
-    Returns the per-kind ``headroom.get(k) + 1e-9`` over
-    :data:`~repro.core.formulation.KINDS` and the battery, or ``None``
-    for a node that serves nothing.
+    demand's ENERGY is at most the battery, and the headroom covers the
+    demand (:meth:`Capacity.covers`). Returns the headroom's
+    :meth:`Capacity.limits` and the battery, or ``None`` for a node that
+    serves nothing.
     """
     node = provider.node
     if not node.alive or not node.willing:
         return None
-    headroom = provider.headroom()
-    return [headroom.get(kind) + 1e-9 for kind in KINDS], node.battery
+    return provider.headroom().limits(), node.battery
 
 
 def formulate_node_proposals(

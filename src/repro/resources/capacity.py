@@ -1,17 +1,25 @@
-"""Capacity vectors: typed amounts of resources.
+"""Capacity vectors: typed amounts of resources, and the rule for a fit.
 
-A :class:`Capacity` maps :class:`~repro.resources.kinds.ResourceKind` to a
-non-negative float amount, with vector arithmetic (add, subtract,
-domination tests) used throughout admission control and demand mapping.
-Missing kinds are implicitly zero.
+A :class:`Capacity` is one fixed row of non-negative floats over
+:data:`~repro.resources.kinds.KINDS` (0.0 for a kind it was not given).
+Every operator works component by component; adding a 0.0 component is
+exact, and a zero or negative result is stored as ``+0.0``. A demand fits
+a headroom when ``demand <= headroom + SLACK`` on every kind: that is
+:meth:`Capacity.covers`, and :meth:`Capacity.limits` is its right side.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple
+from operator import add, le, sub
+from typing import Iterable, Mapping, Tuple
 
 from repro.errors import ResourceError
-from repro.resources.kinds import ResourceKind
+from repro.resources.kinds import COLUMN, KINDS, ResourceKind
+
+SLACK = 1e-9
+"""Float residue tolerated by a fit, by subtraction and by equality."""
+
+Row = Tuple[float, ...]
 
 
 class Capacity:
@@ -21,15 +29,16 @@ class Capacity:
 
         Capacity({ResourceKind.CPU: 100.0, ResourceKind.MEMORY: 256.0})
 
-    Arithmetic never produces negative components unless explicitly using
-    :meth:`minus_clamped`; plain subtraction raises when it would go
-    negative, catching accounting bugs early.
+    ``row`` holds the amounts over :data:`~repro.resources.kinds.KINDS`;
+    it is never rebound. Arithmetic never produces negative components
+    unless explicitly using :meth:`minus_clamped`; plain subtraction
+    raises when it would go negative, catching accounting bugs early.
     """
 
-    __slots__ = ("_amounts",)
+    __slots__ = ("row",)
 
     def __init__(self, amounts: Mapping[ResourceKind, float] | None = None) -> None:
-        clean: Dict[ResourceKind, float] = {}
+        row = [0.0] * len(KINDS)
         if amounts:
             for kind, amount in amounts.items():
                 if not isinstance(kind, ResourceKind):
@@ -37,21 +46,20 @@ class Capacity:
                 amount = float(amount)
                 if amount < 0:
                     raise ResourceError(f"negative capacity for {kind}: {amount}")
-                if amount > 0:
-                    clean[kind] = amount
-        self._amounts: Dict[ResourceKind, float] = clean
+                row[COLUMN[kind]] = amount
+        self.row: Row = _clamped(row)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Capacity":
         """The all-zero capacity vector."""
-        return cls()
+        return _of_row((0.0,) * len(KINDS))
 
     @classmethod
     def of(cls, **kinds: float) -> "Capacity":
         """Build from lowercase kind names: ``Capacity.of(cpu=10, memory=64)``."""
-        mapping: Dict[ResourceKind, float] = {}
+        mapping = {}
         for name, amount in kinds.items():
             try:
                 kind = ResourceKind(name)
@@ -64,62 +72,49 @@ class Capacity:
 
     def get(self, kind: ResourceKind) -> float:
         """Amount of ``kind`` (0.0 when absent)."""
-        return self._amounts.get(kind, 0.0)
+        return self.row[COLUMN[kind]]
 
     def kinds(self) -> Tuple[ResourceKind, ...]:
-        """Resource kinds with strictly positive amounts."""
-        return tuple(self._amounts)
-
-    def items(self) -> Iterator[Tuple[ResourceKind, float]]:
-        return iter(self._amounts.items())
+        """Resource kinds with strictly positive amounts, in ``KINDS`` order."""
+        return tuple(kind for kind, amount in zip(KINDS, self.row) if amount)
 
     @property
     def is_zero(self) -> bool:
-        return not self._amounts
-
-    def total(self) -> float:
-        """Sum over all components (used only for coarse load heuristics)."""
-        return sum(self._amounts.values())
+        return not any(self.row)
 
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "Capacity") -> "Capacity":
-        out = dict(self._amounts)
-        for kind, amount in other._amounts.items():
-            out[kind] = out.get(kind, 0.0) + amount
-        return Capacity(out)
+        return _of_row(tuple(map(add, self.row, other.row)))
 
     def __sub__(self, other: "Capacity") -> "Capacity":
-        out = dict(self._amounts)
-        for kind, amount in other._amounts.items():
-            remaining = out.get(kind, 0.0) - amount
-            if remaining < -1e-9:
+        remaining = tuple(map(sub, self.row, other.row))
+        for kind, amount in zip(KINDS, remaining):
+            if amount < -SLACK:
                 raise ResourceError(
-                    f"capacity underflow on {kind}: {out.get(kind, 0.0)} - {amount}"
+                    f"capacity underflow on {kind}: {self.get(kind)} - {other.get(kind)}"
                 )
-            out[kind] = max(remaining, 0.0)
-        return Capacity(out)
+        return _of_row(_clamped(remaining))
 
     def minus_clamped(self, other: "Capacity") -> "Capacity":
         """Subtraction that floors each component at zero."""
-        out = dict(self._amounts)
-        for kind, amount in other._amounts.items():
-            out[kind] = max(out.get(kind, 0.0) - amount, 0.0)
-        return Capacity(out)
+        return _of_row(_clamped(map(sub, self.row, other.row)))
 
     def scaled(self, factor: float) -> "Capacity":
         """Multiply every component by a non-negative factor."""
         if factor < 0:
             raise ResourceError(f"negative scale factor: {factor}")
-        return Capacity({k: v * factor for k, v in self._amounts.items()})
+        return _of_row(_clamped(amount * factor for amount in self.row))
 
     # -- comparisons ------------------------------------------------------------
 
-    def covers(self, demand: "Capacity", slack: float = 1e-9) -> bool:
+    def limits(self) -> Row:
+        """The largest demand that fits, kind by kind: ``row + SLACK``."""
+        return tuple(amount + SLACK for amount in self.row)
+
+    def covers(self, demand: "Capacity") -> bool:
         """True when every component of ``demand`` fits within ``self``."""
-        return all(
-            self.get(kind) + slack >= amount for kind, amount in demand._amounts.items()
-        )
+        return all(map(le, demand.row, self.limits()))
 
     def utilization_of(self, used: "Capacity") -> float:
         """Max component-wise used/capacity ratio (bottleneck utilization).
@@ -128,8 +123,9 @@ class Capacity:
         ``inf``; an all-zero usage yields 0.0.
         """
         worst = 0.0
-        for kind, amount in used._amounts.items():
-            cap = self.get(kind)
+        for cap, amount in zip(self.row, used.row):
+            if not amount:
+                continue
             if cap <= 0.0:
                 return float("inf")
             worst = max(worst, amount / cap)
@@ -138,13 +134,24 @@ class Capacity:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Capacity):
             return NotImplemented
-        kinds = set(self._amounts) | set(other._amounts)
-        # repro: allow[R3] all() over the union is order-free (pure conjunction)
-        return all(abs(self.get(k) - other.get(k)) <= 1e-9 for k in kinds)
+        return all(abs(a - b) <= SLACK for a, b in zip(self.row, other.row))
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((k.value, round(v, 9)) for k, v in self._amounts.items())))
+        return hash(tuple(round(amount, 9) for amount in self.row))
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{k.value}={v:g}" for k, v in sorted(self._amounts.items(), key=lambda kv: kv[0].value))
+        named = sorted(zip(KINDS, self.row), key=lambda pair: pair[0].value)
+        parts = ", ".join(f"{kind.value}={amount:g}" for kind, amount in named if amount)
         return f"Capacity({parts})"
+
+
+def _clamped(values: Iterable[float]) -> Row:
+    """``values`` as a row: a zero, negative or NaN component becomes +0.0."""
+    return tuple(value if value > 0.0 else 0.0 for value in values)
+
+
+def _of_row(row: Row) -> Capacity:
+    """A :class:`Capacity` over a row that is already clean."""
+    capacity = object.__new__(Capacity)
+    capacity.row = row
+    return capacity

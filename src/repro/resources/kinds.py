@@ -32,12 +32,9 @@ class ResourceKind(enum.Enum):
         return self.value
 
 
-#: Kinds whose consumption is a *rate* held for the task's duration
-#: (reserved, then released), as opposed to ENERGY which is destructively
-#: consumed.
-RATE_KINDS = (
-    ResourceKind.CPU,
-    ResourceKind.MEMORY,
-    ResourceKind.BUS_BANDWIDTH,
-    ResourceKind.NET_BANDWIDTH,
-)
+#: Column order of every resource row (a
+#: :class:`~repro.resources.capacity.Capacity` and its limits).
+KINDS = tuple(ResourceKind)
+
+#: Each kind's column in :data:`KINDS`.
+COLUMN = {kind: column for column, kind in enumerate(KINDS)}

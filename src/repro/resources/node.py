@@ -96,11 +96,15 @@ class Node:
         The node holds the method weakly: a topology watches its nodes,
         not the other way round, so a dropped topology is freed by
         reference counting while its nodes live on, and its watcher
-        falls silent.
+        falls silent. Silent watchers are dropped here, so a node that
+        outlives many topologies holds only the live ones, in the order
+        they were added.
         """
         ref = weakref.WeakMethod(watcher)
-        if ref not in self._liveness_watchers:
-            self._liveness_watchers.append(ref)
+        live = [known for known in self._liveness_watchers if known() is not None]
+        if ref not in live:
+            live.append(ref)
+        self._liveness_watchers = live
 
     def remove_liveness_watcher(self, watcher: Callable[["Node"], None]) -> None:
         try:

@@ -16,9 +16,18 @@ from repro.sim.engine import Engine
 # ``pytest --hypothesis-profile=deep`` runs the fuzzers that read their
 # budget from the loaded profile (the topology machine, the route
 # certificate property and the measured-links and array-homing
-# properties) with 500 derandomized examples each, instead of the tier-1
-# budget they set themselves.
+# properties in ``test_topology_machine.py``, and the fit-rule property
+# in ``test_fit_rule.py``) with 500 derandomized examples each, instead
+# of the tier-1 budget they set themselves.
 settings.register_profile("deep", derandomize=True, deadline=None, max_examples=500)
+
+
+def budget(tier1: int) -> int:
+    """Examples per run: ``tier1`` under the default profile, the loaded
+    profile's budget under any other."""
+    if settings.get_current_profile_name() == "default":
+        return tier1
+    return settings.default.max_examples
 
 
 @pytest.fixture

@@ -12,7 +12,9 @@ substrates must uphold, over randomized inputs:
   violates dependencies;
 * Resource Manager: reserved + available == capacity under arbitrary
   reserve/release interleavings;
-* Capacity algebra: addition/subtraction roundtrips, covers() ordering;
+* Capacity algebra: addition/subtraction roundtrips, covers() ordering,
+  exact component-wise sums and scales, ``+0.0`` for a zero difference,
+  and covers() as the per-kind ``d <= h + SLACK`` rule;
 * DES engine: events fire in non-decreasing time order;
 * topology: disc-model symmetry.
 """
@@ -33,8 +35,8 @@ from repro.network.topology import Topology
 from repro.qos import catalog
 from repro.qos.catalog import COLOR_DEPTH, FRAME_RATE, SAMPLE_BITS, SAMPLING_RATE
 from repro.qos.levels import DegradationLadder
-from repro.resources.capacity import Capacity
-from repro.resources.kinds import ResourceKind
+from repro.resources.capacity import SLACK, Capacity
+from repro.resources.kinds import KINDS, ResourceKind
 from repro.resources.manager import ResourceManager
 from repro.resources.node import Node
 from repro.services import workload
@@ -248,6 +250,41 @@ def test_capacity_scaling_linear(a, f):
     for kind in a.kinds():
         assert math.isclose(scaled.get(kind), a.get(kind) * f, rel_tol=1e-12,
                             abs_tol=1e-12)
+
+
+#: Vectors over any subset of the kinds: the others are absent.
+sparse_capacities = st.dictionaries(
+    st.sampled_from(KINDS), st.floats(min_value=0.0, max_value=1e6)
+).map(Capacity)
+
+
+@given(sparse_capacities, sparse_capacities, st.floats(min_value=0.0, max_value=10.0))
+def test_capacity_sums_and_scales_are_exact_per_kind(a, b, f):
+    for kind in KINDS:
+        assert (a + b).get(kind) == a.get(kind) + b.get(kind)
+        assert a.scaled(f).get(kind) == a.get(kind) * f
+
+
+@given(sparse_capacities, sparse_capacities)
+def test_a_zero_difference_is_positive_zero(a, b):
+    for zero in (a - a, a.minus_clamped(a + b), Capacity.zero().minus_clamped(b)):
+        assert all(math.copysign(1.0, zero.get(kind)) == 1.0 for kind in KINDS)
+        assert zero.is_zero
+        assert repr(zero) == "Capacity()"
+
+
+@given(sparse_capacities, sparse_capacities, st.lists(
+    st.sampled_from((-2 * SLACK, -SLACK, 0.0, SLACK, 2 * SLACK)),
+    min_size=len(KINDS), max_size=len(KINDS),
+))
+def test_covers_is_the_per_kind_slack_rule(headroom, other, nudges):
+    on_the_boundary = Capacity({
+        kind: max(headroom.get(kind) + nudge, 0.0)
+        for kind, nudge in zip(KINDS, nudges)
+    })
+    for demand in (other, on_the_boundary):
+        fits = all(demand.get(kind) <= headroom.get(kind) + 1e-9 for kind in KINDS)
+        assert headroom.covers(demand) == fits
 
 
 # -- DES engine ordering --------------------------------------------------------

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ResourceError
-from repro.resources.capacity import Capacity
-from repro.resources.kinds import ResourceKind
+from repro.resources.capacity import SLACK, Capacity
+from repro.resources.kinds import KINDS, ResourceKind
 
 
 def test_construction_and_get():
@@ -80,6 +82,11 @@ def test_covers():
     assert not cap.covers(Capacity.of(cpu=11))
     assert not cap.covers(Capacity.of(energy=1))
     assert cap.covers(Capacity.zero())
+    # The rule is d <= h + SLACK on every kind; limits() is its right side.
+    assert cap.limits() == tuple(amount + SLACK for amount in cap.row)
+    assert cap.covers(Capacity.of(cpu=10 + SLACK, energy=SLACK))
+    assert not cap.covers(Capacity.of(cpu=10 + 2 * SLACK))
+    assert not cap.covers(Capacity.of(memory=64, energy=2 * SLACK))
 
 
 def test_utilization_of():
@@ -100,4 +107,23 @@ def test_equality_tolerance_and_hash():
 def test_kinds_and_total():
     c = Capacity.of(cpu=1, memory=2)
     assert set(c.kinds()) == {ResourceKind.CPU, ResourceKind.MEMORY}
-    assert c.total() == 3.0
+
+
+def test_the_row_is_one_amount_per_kind_in_kinds_order():
+    c = Capacity.of(energy=5, bus_bandwidth=3, cpu=1)
+    assert KINDS == tuple(ResourceKind)
+    assert c.row == (1.0, 0.0, 3.0, 0.0, 5.0)
+    assert c.kinds() == (ResourceKind.CPU, ResourceKind.BUS_BANDWIDTH, ResourceKind.ENERGY)
+    assert repr(c) == "Capacity(bus_bandwidth=3, cpu=1, energy=5)"  # by name
+
+
+def test_zero_differences_are_stored_as_positive_zero():
+    one = Capacity.of(cpu=1.0, energy=2.0)
+    for c in (
+        one - one,
+        Capacity.of(cpu=1.0) - Capacity.of(cpu=1.0 + 1e-12),
+        one.minus_clamped(Capacity.of(cpu=3.0, energy=2.0, memory=1.0)),
+    ):
+        assert all(math.copysign(1.0, c.get(kind)) == 1.0 for kind in KINDS)
+        assert c.is_zero
+        assert repr(c) == "Capacity()"

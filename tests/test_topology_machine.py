@@ -50,6 +50,7 @@ from repro.network.radio import DiscRadio, RadioModel
 from repro.network.topology import Topology, _Geometry
 from repro.resources.node import Node
 from repro.shard.partition import ShardGrid
+from tests.conftest import budget
 
 AREA = 300.0
 MAX_NODES = 16
@@ -61,14 +62,6 @@ coordinate = st.one_of(
 point = st.tuples(coordinate, coordinate)
 slot = st.integers(0, MAX_NODES - 1)
 slot_pairs = st.lists(st.tuples(slot, slot), min_size=1, max_size=12)
-
-
-def budget(tier1: int) -> int:
-    """Examples per run: ``tier1`` under the default profile, the loaded
-    profile's budget under any other."""
-    if settings.get_current_profile_name() == "default":
-        return tier1
-    return settings.default.max_examples
 
 
 def assert_same_arena(topo: Topology, fresh: Topology) -> None:

@@ -360,6 +360,19 @@ def test_liveness_watcher_detached_on_remove():
     assert topo.epoch == epoch
 
 
+def test_a_fleet_that_outlives_its_topologies_holds_only_the_live_watcher():
+    nodes = [Node(f"n{i}", position=(10.0 * i, 0.0)) for i in range(32)]
+    radio = DiscRadio(range_m=25.0)
+    for _ in range(200):
+        topo = Topology(nodes, radio)
+        del topo  # freed by reference counting: its watchers fall silent
+    topo = Topology(nodes, radio)
+    assert all(len(node._liveness_watchers) == 1 for node in nodes)
+    epoch = topo.epoch
+    nodes[3].fail()
+    assert topo.epoch == epoch + 1
+
+
 # -- the geometry memo: hits equal a fresh build, and so do the misses -------
 
 
