@@ -27,19 +27,27 @@ Adjacency and edge attributes (bandwidth / loss) are numpy arrays. Every
 membership or connectivity change bumps an **epoch counter**, which keys
 the per-epoch caches. Each node's two **rows** are built from the arena
 on first ask, once per epoch: its neighbor tuple, and its routing row
-(the arena indices of the neighbors it reaches at positive bandwidth,
-their hop costs ``1000.0 / bw`` and the row's two cheapest costs). BFS
-orders (:meth:`khop_neighbors`) and weighted shortest routes
-(:meth:`shortest_route` / :meth:`multihop_cost`) are memoized per epoch
-on top, so repeated queries within an epoch are O(1) dictionary hits,
-and an epoch that asks about a few nodes builds only their rows.
+(compact arrays of the arena indices of the neighbors it reaches at
+positive bandwidth and their hop costs ``1000.0 / bw``, plus the row's
+two cheapest costs). The search's ``(index, cost)`` link list and the
+certificate's dense cost vector over the arena are built from a row on
+first use. BFS orders (:meth:`khop_neighbors`) and weighted shortest
+routes (:meth:`shortest_route` / :meth:`multihop_cost`) are memoized per
+epoch on top, so repeated queries within an epoch are O(1) dictionary
+hits, and an epoch that asks about a few nodes builds only their rows.
 
 Neighbor order is the alive-list insertion order, and shortest routes
 come from a bidirectional Dijkstra with fixed tie-breaking rules over
-the routing rows. A direct link is answered without a search when it is
-**certified**: it costs less than the cheapest other link at one end
-plus the cheapest other link at the other, so every other route costs
-more (see :meth:`_certified_direct`).
+the routing rows. A route of one or two hops is answered without a
+search when it is **certified** (see :meth:`_certified_route`): a
+direct link that costs less than the cheapest other link at one end
+plus the cheapest other link at the other, or else the cheaper of the
+direct link and the best relay when it costs less than any walk of
+three hops can (the cheapest link at each end plus the arena's cheapest
+possible hop). The certificate returns exactly what the search would,
+tie-breaks included. It answers every route of e18-negotiate-128 (no
+search runs on seeds 0–103 and 1001–1072), and 118 of 234 on
+e23-crash-256 seeds 1–4, where the rest have three hops or more.
 ``tests/data/topology_golden.json`` records the answers of the original
 graph-library implementation, and ``tests/test_topology_vector.py`` pins
 the arena to them bit for bit; ``tests/test_topology_machine.py`` holds
@@ -68,6 +76,12 @@ from repro.resources.node import Node
 #: memoization), only the hit rate degrades past these sizes.
 ROUTE_CACHE_MAX = 65536
 BFS_CACHE_MAX = 1024
+
+#: Relative margin by which the two-hop certificate shrinks its
+#: three-hop bound: far above the rounding of a sum of a few hop costs,
+#: which the search may group differently (see
+#: :meth:`Topology._certified_route`).
+_BOUND_MARGIN = 1e-12
 
 
 class _Geometry(NamedTuple):
@@ -136,15 +150,43 @@ class _Geometry(NamedTuple):
         return adj, bw, loss
 
 
-class _RouteRow(NamedTuple):
-    """One node's routing row for an epoch: the neighbors it reaches at
-    positive bandwidth, as ``(arena index, hop cost)`` pairs in neighbor
-    order, and the two cheapest hop costs (``inf`` where the row is
-    shorter). A zero-bandwidth link carries nothing, so it is no route."""
+class _RouteRow:
+    """One node's routing row for an epoch: the arena indices ``js`` of
+    the neighbors it reaches at positive bandwidth, in neighbor order,
+    their hop costs ``costs`` (both compact arrays) and the two cheapest
+    costs (``inf`` where the row is shorter). A zero-bandwidth link
+    carries nothing, so it is no route. The search's ``(index, cost)``
+    link list and the certificate's dense cost vector are built from the
+    arrays on first use."""
 
-    links: List[Tuple[int, float]]
-    cheapest: float
-    second: float
+    __slots__ = ("js", "costs", "cheapest", "second", "_size", "_links", "_dense")
+
+    def __init__(self, js: np.ndarray, costs: np.ndarray, size: int) -> None:
+        self.js, self.costs, self._size = js, costs, size
+        inf = float("inf")
+        if len(costs) >= 2:
+            low = np.partition(costs, 1)
+            self.cheapest, self.second = float(low[0]), float(low[1])
+        else:
+            self.cheapest, self.second = (float(costs[0]), inf) if len(costs) else (inf, inf)
+        self._links: Optional[List[Tuple[int, float]]] = None
+        self._dense: Optional[np.ndarray] = None
+
+    @property
+    def links(self) -> List[Tuple[int, float]]:
+        """``(arena index, hop cost)`` pairs in neighbor order."""
+        if self._links is None:
+            self._links = list(zip(self.js.tolist(), self.costs.tolist()))
+        return self._links
+
+    @property
+    def dense(self) -> np.ndarray:
+        """The hop cost to every arena index (``inf`` where the row has
+        no link)."""
+        if self._dense is None:
+            self._dense = np.full(self._size, np.inf)
+            self._dense[self.js] = self.costs
+        return self._dense
 
 
 class Topology:
@@ -184,6 +226,7 @@ class Topology:
         self._cache_epoch = -1
         self._nbrs: Dict[str, Tuple[str, ...]] = {}
         self._rows: List[Optional[_RouteRow]] = []  # by arena index
+        self._floor: Optional[float] = None  # see _hop_floor()
         self._bfs: Dict[str, List[Tuple[str, int]]] = {}
         self._routes: Dict[Tuple[str, str], Optional[Tuple[str, ...]]] = {}
         self._route_costs: Dict[Tuple[str, str], float] = {}
@@ -407,6 +450,7 @@ class Topology:
         self._cache_epoch = self._epoch
         self._nbrs = {}
         self._rows = [None] * len(self._arena_ids)
+        self._floor = None
         self._bfs = {}
         self._routes = {}
         self._route_costs = {}
@@ -425,7 +469,7 @@ class Topology:
                 if self._present is not None:
                     linked = linked & self._present
                 ids = self._arena_ids
-                nbrs = tuple([ids[j] for j in np.flatnonzero(linked).tolist()])
+                nbrs = tuple([ids[j] for j in linked.nonzero()[0].tolist()])
             self._nbrs[node_id] = nbrs
         return nbrs
 
@@ -440,17 +484,19 @@ class Topology:
             linked = self._adj[i] & (bw > 0)
             if self._present is not None:
                 linked &= self._present
-            js = np.flatnonzero(linked)
-            costs = 1000.0 / bw[js]
-            inf = float("inf")
-            if len(costs) >= 2:
-                low = np.partition(costs, 1)
-                cheapest, second = float(low[0]), float(low[1])
-            else:
-                cheapest, second = (float(costs[0]), inf) if len(costs) else (inf, inf)
-            row = _RouteRow(list(zip(js.tolist(), costs.tolist())), cheapest, second)
-            self._rows[i] = row
+            js = linked.nonzero()[0]
+            row = self._rows[i] = _RouteRow(js, 1000.0 / bw[js], len(bw))
         return row
+
+    def _hop_floor(self) -> float:
+        """A lower bound on every hop cost this epoch: ``1000.0`` over
+        the arena's largest bandwidth (``inf`` when no link carries
+        any), computed on first ask."""
+        floor = self._floor
+        if floor is None:
+            top = float(self._bw.max())
+            floor = self._floor = 1000.0 / top if top > 0 else float("inf")
+        return floor
 
     # -- direct links ------------------------------------------------------
 
@@ -561,9 +607,9 @@ class Topology:
         bandwidth). Returns the node sequence including both endpoints,
         or ``None`` when no path exists. ``a == b`` yields ``(a,)``.
         Memoized per ``(epoch, a, b)``: the first query answers a
-        certified direct link at once (:meth:`_certified_direct`) and
-        otherwise runs a bidirectional Dijkstra over the routing rows;
-        repeats are O(1).
+        certified route of one or two hops at once
+        (:meth:`_certified_route`) and otherwise runs a bidirectional
+        Dijkstra over the routing rows; repeats are O(1).
         """
         if a not in self._nodes:
             raise UnknownNodeError(a)
@@ -575,42 +621,74 @@ class Topology:
         key = (a, b)
         if key in self._routes:
             return self._routes[key]
-        if self._certified_direct(a, b):
-            route: Optional[Tuple[str, ...]] = key
-        else:
+        route = self._certified_route(a, b)
+        if route is None:
             route = self._bidirectional_dijkstra(a, b)
         if len(self._routes) >= ROUTE_CACHE_MAX:
             self._routes.pop(next(iter(self._routes)))
         self._routes[key] = route
         return route
 
-    def _certified_direct(self, a: str, b: str) -> bool:
-        """Whether the direct ``a``–``b`` link is provably the route the
-        search returns: it costs less than the cheapest other link at
-        ``a`` plus the cheapest other link at ``b``.
+    def _certified_route(self, a: str, b: str) -> Optional[Tuple[str, ...]]:
+        """The route the search returns from ``a`` to ``b`` when its best
+        path has at most two hops and a certificate proves it, else
+        ``None`` (search instead).
 
-        Any other route has at least two hops; its first hop leaves
-        ``a`` and its last enters ``b`` over other links (or it runs
-        over the direct link and costs at least as much). Hop costs are
-        symmetric, since every radio matrix is elementwise in the
-        symmetric distance, and IEEE addition of non-negative costs is
-        monotone, so every other route's computed cost is at least the
-        computed sum of those two minima, above the link's cost. The
-        search meets on the direct link first and moves its meet only on
-        a strict improvement, so it returns ``(a, b)``.
+        * **Direct.** The a–b link costs less than the cheapest other
+          link at ``a`` plus the cheapest other link at ``b``. Any other
+          route has at least two hops; its first hop leaves ``a`` and its
+          last enters ``b`` over other links (or it runs over the direct
+          link and costs at least as much). Hop costs are symmetric,
+          since every radio matrix is elementwise in the symmetric
+          distance, and IEEE addition of non-negative costs is monotone,
+          so every other route's computed cost is at least the computed
+          sum of those two minima, above the link's cost.
+        * **Two hops.** ``one`` is the direct cost (``inf`` without a
+          link at positive bandwidth); ``two`` is the cheapest relay sum
+          ``cost(b, k) + cost(a, k)`` over the arena, taken at its first
+          argmin ``k``. A walk of three or more hops costs at least
+          ``bound``: its first hop is one of ``a``'s links, its last one
+          of ``b``'s, and a middle hop costs at least
+          :meth:`_hop_floor`. The bound is shrunk by a relative margin
+          far above rounding, because the search groups its sums
+          differently. When ``min(one, two) < bound`` the answer is the
+          relay if ``two < one``, else the direct link.
+
+        Why the search agrees: after its first two pops it has settled
+        ``a`` and ``b``, seen every link of ``a`` and relaxed every link
+        of ``b``. Its meet is then ``b`` at ``one``, or the first common
+        neighbor in ``b``'s row order (arena order) at ``two``, whichever
+        is strictly lower; a tie keeps ``b``. Every later meet total is
+        either a walk of three or more hops, at least ``bound`` and so
+        above the meet, or a path of one or two hops already counted.
+        The meet, and the predecessors it is reconstructed from, move
+        only on a strict improvement, which needs a walk of three or
+        more hops at or below the meet total, so none comes.
         """
         self._ensure_epoch_caches()
         i, j = self._index.get(a), self._index.get(b)
-        if i is None or j is None or not self._adj[i, j]:
-            return False
-        bw = float(self._bw[i, j])
-        if not bw > 0:
-            return False
-        cost = 1000.0 / bw
+        if i is None or j is None:
+            return None
+        adj = self._adj
+        one = float("inf")
+        if adj[i, j]:
+            bw = float(self._bw[i, j])
+            if bw > 0:
+                one = 1000.0 / bw
+        elif not (adj[i] & adj[j]).any():
+            return None  # no link and no common neighbor: three hops or more
         at_a, at_b = self._route_row(i), self._route_row(j)
-        other_a = at_a.second if cost == at_a.cheapest else at_a.cheapest
-        other_b = at_b.second if cost == at_b.cheapest else at_b.cheapest
-        return cost < other_a + other_b
+        other_a = at_a.second if one == at_a.cheapest else at_a.cheapest
+        other_b = at_b.second if one == at_b.cheapest else at_b.cheapest
+        if one < other_a + other_b:
+            return (a, b)
+        via = at_b.dense + at_a.dense
+        k = int(via.argmin())
+        two = float(via[k])
+        bound = at_a.cheapest + self._hop_floor() + at_b.cheapest
+        if min(one, two) < bound * (1.0 - _BOUND_MARGIN):
+            return (a, self._arena_ids[k], b) if two < one else (a, b)
+        return None
 
     def _bidirectional_dijkstra(self, source: str, target: str) -> Optional[Tuple[str, ...]]:
         """Bidirectional Dijkstra over the routing rows, by arena index.

@@ -70,14 +70,18 @@ def draw_helpers(
     whose classes are drawn from ``mix`` (weights, normalized).
 
     The single home of the weighted class draw, so every fleet draws
-    its helper classes from the rng identically by construction.
+    its helper classes from the rng identically by construction. One
+    ``rng.choice`` of all the helpers' classes draws the same classes,
+    and leaves the generator in the same state, as one scalar
+    ``rng.choice`` per helper (``tests/test_workloads.py`` holds it to
+    that loop).
     """
     classes = list(mix)  # insertion order == declaration order
     weights = np.asarray([mix[c] for c in classes], dtype=float)
     weights = weights / weights.sum()
-    for i in range(n_nodes - len(nodes)):
-        cls = classes[int(rng.choice(len(classes), p=weights))]
-        nodes.append(Node(f"n{i}", node_class=cls))
+    drawn = rng.choice(len(classes), size=max(n_nodes - len(nodes), 0), p=weights)
+    for i, k in enumerate(drawn.tolist()):
+        nodes.append(Node(f"n{i}", node_class=classes[k]))
     return nodes
 
 

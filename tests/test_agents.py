@@ -7,8 +7,10 @@ import pytest
 from repro.agents.system import AgentSystem
 from repro.core.negotiation import negotiate, release_coalition
 from repro.errors import UnknownNodeError
+from repro.experiments import ClusterConfig, build_agent_system
 from repro.metrics.utility import outcome_utility
 from repro.network.mobility import StaticPlacement
+from repro.network.topology import Topology
 from repro.resources.capacity import Capacity
 from repro.resources.node import Node, NodeClass
 from repro.services import workload
@@ -167,3 +169,31 @@ def test_step_mobility_rebuilds_topology():
     system.step_mobility(0.0)
     assert system.topology.neighbors("lap0") == ()
     assert system.topology.average_degree() < before
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_an_e18_negotiation_routes_without_searching(seed, monkeypatch):
+    """E18's 128-node negotiation (the perf benchmark's
+    e18-negotiate-128 replication) routes every message over a route of
+    one or two hops that ``Topology._certified_route`` proves, so the
+    bidirectional search never runs. Counted, not timed: the count is
+    the same on any host."""
+    calls = {"route": 0, "search": 0}
+    route, search = Topology.shortest_route, Topology._bidirectional_dijkstra
+
+    def counted_route(self, a, b):
+        calls["route"] += 1
+        return route(self, a, b)
+
+    def counted_search(self, a, b):
+        calls["search"] += 1
+        return search(self, a, b)
+
+    monkeypatch.setattr(Topology, "shortest_route", counted_route)
+    monkeypatch.setattr(Topology, "_bidirectional_dijkstra", counted_search)
+    system = build_agent_system(ClusterConfig(n_nodes=128, area=100.0), seed,
+                                reliable_channel=True)
+    outcome = system.negotiate(workload.movie_playback_service(requester="requester"))
+    assert outcome is not None
+    assert calls["route"] > 0
+    assert calls["search"] == 0

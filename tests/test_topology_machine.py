@@ -1,5 +1,5 @@
 """Stateful fuzzing of :class:`Topology` against a fresh build, and its
-direct-route certificate against the search.
+route certificate against the search.
 
 A hypothesis ``RuleBasedStateMachine`` drives one topology of at most
 16 nodes (``DiscRadio(range_m=100)``, a 300 m square) through moves,
@@ -18,8 +18,9 @@ exact range-edge distances and tied route costs come up often.
   was at the last rebuild: a flip takes effect at the caller's rebuild.
 
 The machine is no oracle for the certificate, since the fresh build
-runs it too: a property holds ``shortest_route`` to the bidirectional
-search on the same epoch's rows instead. Nor is it one for a mobility
+runs it too: a property holds ``shortest_route`` and every certified
+route to the bidirectional search on the same epoch's rows instead, and
+hand-built cases pin its tie-breaks and its three-hop bound. Nor is it one for a mobility
 tick's two array paths, which a fresh build or shard takes too; two
 properties hold them to their scalar references:
 
@@ -215,27 +216,30 @@ TopologyMachine.TestCase.settings = settings(
 TestTopologyMachine = TopologyMachine.TestCase
 
 
-# -- the direct-route certificate against the search ------------------------
+# -- the route certificate against the search --------------------------------
 
 
 @settings(derandomize=True, deadline=None, max_examples=budget(100))
 @given(
     points=st.lists(point, min_size=2, max_size=MAX_NODES),
+    min_rate=st.sampled_from([0.0, 0.2, 1.0]),
     blocked=st.lists(st.tuples(slot, slot), max_size=12),
     crashed=st.lists(slot, max_size=4),
     rebuilt=st.booleans(),
     removed=st.lists(slot, max_size=3),
 )
-def test_every_route_is_the_searchs_and_every_certified_one_direct(
-    points, blocked, crashed, rebuilt, removed
+def test_every_route_and_every_certified_one_is_the_searchs(
+    points, min_rate, blocked, crashed, rebuilt, removed
 ):
     """For every ordered pair, ``shortest_route`` (which answers a
-    certified direct link without searching) equals the bidirectional
-    search over the same epoch's rows, and the search returns the direct
-    link wherever the certificate holds. Blocked links, crashes before
-    or after the last rebuild and removals without one (stale arena rows
-    of dead or unregistered nodes) change the rows both read."""
-    radio = DiscRadio(range_m=100.0)
+    certified route of one or two hops without searching) equals the
+    bidirectional search over the same epoch's rows, and so does the
+    certificate wherever it answers. The radio's edge rate is drawn
+    too: 1.0 makes every link cost the same, 0.0 leaves range-edge
+    links at zero bandwidth. Blocked links, crashes before or after the
+    last rebuild and removals without one (stale arena rows of dead or
+    unregistered nodes) change the rows both read."""
+    radio = DiscRadio(range_m=100.0, min_rate_fraction=min_rate)
     nodes = [Node(f"n{i}", position=p) for i, p in enumerate(points)]
     topo = Topology(nodes, radio)
     n = len(nodes)
@@ -255,8 +259,15 @@ def test_every_route_is_the_searchs_and_every_certified_one_direct(
                 continue
             searched = topo._bidirectional_dijkstra(a, b)
             assert topo.shortest_route(a, b) == searched, (a, b)
-            if topo._certified_direct(a, b):
-                assert searched == (a, b), (a, b)
+            certified = topo._certified_route(a, b)
+            if certified is not None:
+                assert certified == searched, (a, b)
+
+
+def _topology(*points: Tuple[str, Tuple[float, float]]) -> Topology:
+    """A topology of the named points under ``DiscRadio(range_m=100)``,
+    registered in the order given."""
+    return Topology([Node(nid, position=p) for nid, p in points], DiscRadio(range_m=100.0))
 
 
 @pytest.mark.parametrize(
@@ -264,22 +275,58 @@ def test_every_route_is_the_searchs_and_every_certified_one_direct(
     [
         # 80 m costs 1000 / (5000 * 0.52) = 0.385 < 0.2 + 0.2, the two
         # cheapest other links (each within half range).
-        pytest.param(80.0, True, ("a", "c"), id="direct"),
-        # 90 m costs 0.556: the relay's two 45 m hops (0.4) win.
-        pytest.param(90.0, False, ("a", "m", "c"), id="relayed"),
+        pytest.param(80.0, ("a", "c"), ("a", "c"), id="direct"),
+        # 90 m costs 0.556: the relay's two 45 m hops (0.4) win, and no
+        # walk of three hops can cost less than 0.2 + 0.2 + 0.2.
+        pytest.param(90.0, ("a", "m", "c"), ("a", "m", "c"), id="relayed"),
     ],
 )
 def test_the_certificate_decides_on_the_two_cheapest_other_links(far, certified, route):
-    nodes = [
-        Node("a", position=(0.0, 0.0)),
-        Node("m", position=(far / 2.0, 0.0)),
-        Node("c", position=(far, 0.0)),
-    ]
-    topo = Topology(nodes, DiscRadio(range_m=100.0))
+    topo = _topology(("a", (0.0, 0.0)), ("m", (far / 2.0, 0.0)), ("c", (far, 0.0)))
     assert topo.connected("a", "c")
-    assert topo._certified_direct("a", "c") is certified
+    assert topo._certified_route("a", "c") == certified
     assert topo.shortest_route("a", "c") == route
     assert topo._bidirectional_dijkstra("a", "c") == route
+
+
+#: Hand-built routes (each the search's answer), and what the
+#: certificate answers for them: ``None`` where a route of three hops
+#: is cheaper than the best relay, so it must decline.
+HAND_BUILT = [
+    # 81.25 m costs 1000 / (5000 * 0.5) = 0.4, exactly the relay's two
+    # 40.625 m hops: a tie keeps the direct link.
+    pytest.param(
+        [("a", (0.0, 0.0)), ("m", (40.625, 0.0)), ("c", (81.25, 0.0))],
+        ("a", "c"), ("a", "c"), id="a-tie-stays-direct",
+    ),
+    # Both relays cost 0.2 + 0.2: the first in arena order wins.
+    pytest.param(
+        [("a", (0.0, 0.0)), ("r2", (45.0, -10.0)), ("r1", (45.0, 10.0)), ("c", (90.0, 0.0))],
+        ("a", "r2", "c"), ("a", "r2", "c"), id="tied-relays-in-arena-order",
+    ),
+    # a and c are not linked; the relay m costs 0.556 + 0.556, three
+    # 60 m hops 3 * 0.238.
+    pytest.param(
+        [("a", (0.0, 0.0)), ("p", (60.0, 0.0)), ("m", (90.0, 0.0)), ("q", (120.0, 0.0)),
+         ("c", (180.0, 0.0))],
+        None, ("a", "p", "q", "c"), id="three-hops-beat-the-relay",
+    ),
+    # The 30 m middle hop p-q costs 0.2, less than either end's cheapest
+    # link (0.238): a, p, q, c costs 0.676, the relay a, m, c 0.694.
+    pytest.param(
+        [("a", (0.0, 0.0)), ("p", (60.0, 0.0)), ("m", (75.0, 15.0)), ("q", (90.0, 0.0)),
+         ("c", (150.0, 0.0))],
+        None, ("a", "p", "q", "c"), id="a-short-middle-link-beats-the-relay",
+    ),
+]
+
+
+@pytest.mark.parametrize("points, certified, route", HAND_BUILT)
+def test_hand_built_routes(points, certified, route):
+    topo = _topology(*points)
+    assert topo._bidirectional_dijkstra("a", "c") == route
+    assert topo._certified_route("a", "c") == certified
+    assert topo.shortest_route("a", "c") == route
 
 
 # -- a mobility tick's array paths against their scalar references ---------

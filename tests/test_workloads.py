@@ -15,7 +15,7 @@ from repro.experiments.store import ResultsStore
 from repro.experiments.plan import run_plan
 from repro.experiments.suites import SUITE_PLANS
 from repro.resources.kinds import ResourceKind
-from repro.resources.node import NODE_CLASS_PROFILES, NodeClass
+from repro.resources.node import NODE_CLASS_PROFILES, Node, NodeClass
 from repro.sim.rng import RngRegistry
 from repro.workloads import (
     BurstyProcess,
@@ -29,6 +29,7 @@ from repro.workloads import (
     register,
     run_contention,
 )
+from repro.workloads.fleet import FLEET_MIXES, draw_helpers
 from repro.workloads.registry import SCENARIOS
 from repro.workloads.services import (
     NEW_SERVICE_FAMILIES,
@@ -191,6 +192,30 @@ def test_fairness_bounds():
     result = run_contention(4, ContentionConfig(n_requesters=2, horizon=120.0))
     k = result.n_requesters
     assert 1.0 / k <= result.fairness() <= 1.0
+
+
+# -- fleets -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mix", sorted(FLEET_MIXES))
+@pytest.mark.parametrize("size", [-1, 0, 1, 127, 508])
+def test_the_class_draw_is_the_per_helper_loop(mix, size):
+    """``draw_helpers`` draws every helper's class in one ``rng.choice``:
+    the same classes, and the same generator state afterwards, as one
+    scalar draw per helper. A fleet already past ``n_nodes`` draws
+    nothing."""
+    weights_of = FLEET_MIXES[mix]
+    classes = list(weights_of)
+    weights = np.asarray([weights_of[c] for c in classes], dtype=float)
+    weights = weights / weights.sum()
+    helpers = max(size, 0)
+    for seed in (0, 1, 7, 2024):
+        rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        fleet = draw_helpers([Node("req0"), Node("req1")], 2 + size, weights_of, rng)
+        expected = [classes[int(loop.choice(len(classes), p=weights))] for _ in range(helpers)]
+        assert [n.node_class for n in fleet[2:]] == expected
+        assert [n.node_id for n in fleet[2:]] == [f"n{i}" for i in range(helpers)]
+        assert rng.bit_generator.state == loop.bit_generator.state
 
 
 # -- scenario registry ------------------------------------------------------
