@@ -104,10 +104,6 @@ class OrganizerAgent(Agent):
         node: The requester's device.
         network: Message service.
         topology: Current topology (for communication costs).
-        proposal_window: Seconds the organizer waits for proposals after
-            broadcasting the CFP.
-        award_timeout: Seconds to wait for CONFIRM/REFUSE before treating
-            an award as refused (covers lost messages).
         selection: Winner-selection policy (default: the paper's triple).
     """
 
@@ -117,21 +113,23 @@ class OrganizerAgent(Agent):
         REFUSE: "_handle_refuse",
     }
 
+    #: Seconds the organizer waits for proposals after broadcasting the CFP.
+    proposal_window = 0.5
+    #: Seconds to wait for CONFIRM/REFUSE before treating an award as
+    #: refused (covers lost messages), before the input-transfer budget.
+    award_timeout = 0.25
+
     def __init__(
         self,
         engine: Engine,
         node: Node,
         network: NetworkService,
         topology: Topology,
-        proposal_window: float = 0.5,
-        award_timeout: float = 0.25,
         selection: Optional[SelectionPolicy] = None,
         max_hops: int = 1,
     ) -> None:
         super().__init__(engine, node, network)
         self.topology = topology
-        self.proposal_window = proposal_window
-        self.award_timeout = award_timeout
         self.selection = selection if selection is not None else SelectionPolicy()
         self.max_hops = max(1, int(max_hops))
         self.provider = QoSProvider(node)
@@ -171,8 +169,8 @@ class OrganizerAgent(Agent):
             lambda now, sid=session_id: self._deadline(sid),
             priority=Priority.TIMER,
         )
-        self.engine.tracer.emit(
-            self.engine.now, "negotiation", "cfp",
+        self.engine.emit(
+            "negotiation", "cfp",
             session=session_id, service=service.name, copies=copies,
         )
         return session
@@ -208,8 +206,8 @@ class OrganizerAgent(Agent):
         session = self.sessions.get(session_id)
         if session is None or session.closed:
             return
-        self.engine.tracer.emit(
-            self.engine.now, "negotiation", "deadline",
+        self.engine.emit(
+            "negotiation", "deadline",
             session=session_id, proposals=session.proposals_received,
         )
         self._next_task(session)
@@ -315,8 +313,8 @@ class OrganizerAgent(Agent):
         if session is None or session.closed:
             return
         session.award_timer = None
-        self.engine.tracer.emit(
-            self.engine.now, "negotiation", "award_timeout",
+        self.engine.emit(
+            "negotiation", "award_timeout",
             session=session_id,
             node=session.ranked[session.rank_pos].proposal.node_id,
         )
@@ -366,8 +364,8 @@ class OrganizerAgent(Agent):
             proposals_received=session.proposals_received,
             message_count=session.protocol_messages,
         )
-        self.engine.tracer.emit(
-            self.engine.now, "negotiation", "complete",
+        self.engine.emit(
+            "negotiation", "complete",
             session=session.session_id, success=outcome.success,
             members=len(session.coalition.members),
         )

@@ -10,8 +10,6 @@ refusing.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.agents.base import Agent
 from repro.agents.messages import (
     AWARD,
@@ -42,24 +40,21 @@ class ProviderAgent(Agent):
         engine: Simulation engine.
         node: The node this agent serves.
         network: Message delivery service.
-        propose_delay: Simulated think-time before replying to a CFP
-            (models the Resource-Manager consultation latency).
     """
 
     HANDLERS = {CFP: "_handle_cfp", AWARD: "_handle_award"}
 
-    def __init__(
-        self,
-        engine: Engine,
-        node: Node,
-        network: NetworkService,
-        propose_delay: float = 0.005,
-        award_lease: Optional[float] = 120.0,
-    ) -> None:
+    #: Simulated think-time before replying to a CFP (models the
+    #: Resource-Manager consultation latency).
+    propose_delay = 0.005
+    #: Seconds an awarded grant stays reserved without being released: if
+    #: the CONFIRM is lost and the organizer moves on, the resources come
+    #: back at lease expiry.
+    award_lease = 120.0
+
+    def __init__(self, engine: Engine, node: Node, network: NetworkService) -> None:
         super().__init__(engine, node, network)
         self.provider = QoSProvider(node)
-        self.propose_delay = propose_delay
-        self.award_lease = award_lease
         self.leases_reclaimed = 0
         self.cfps_seen = 0
         self.cfps_relayed = 0
@@ -123,13 +118,10 @@ class ProviderAgent(Agent):
             demand = payload.proposal.demand
             if not self.provider.can_serve(demand):
                 raise CapacityExceededError("headroom changed since proposal")
-            # Leased grant: if our CONFIRM is lost and the organizer moves
-            # on, the resources come back automatically at lease expiry.
             reservation = self.node.manager.reserve(
                 holder, demand, now, ttl=self.award_lease
             )
-            if self.award_lease is not None:
-                self._schedule_lease_sweep(self.award_lease)
+            self._schedule_lease_sweep(self.award_lease)
         except CapacityExceededError as exc:
             self.awards_refused += 1
             self.network.send_routed(
@@ -171,8 +163,8 @@ class ProviderAgent(Agent):
         reclaimed = self.node.manager.release_expired(now)
         if reclaimed:
             self.leases_reclaimed += reclaimed
-            self.engine.tracer.emit(
-                now, "provider", "lease_reclaimed",
+            self.engine.emit(
+                "provider", "lease_reclaimed",
                 node=self.node_id, count=reclaimed,
             )
         nxt = self.node.manager.next_expiry()

@@ -39,8 +39,6 @@ class AgentSystem:
             radio, matching the paper's one-hop broadcast neighborhood).
         reliable_channel: Disable message loss (isolates algorithmic
             behaviour from the lossy channel).
-        proposal_window: Organizer CFP collection window (s).
-        award_timeout: Organizer award-reply timeout (s).
         selection: Winner-selection policy for organizers.
     """
 
@@ -51,8 +49,6 @@ class AgentSystem:
         radio: Optional[RadioModel] = None,
         mobility: Optional[MobilityModel] = None,
         reliable_channel: bool = False,
-        proposal_window: float = 0.5,
-        award_timeout: float = 0.25,
         selection: Optional[SelectionPolicy] = None,
         max_hops: int = 1,
     ) -> None:
@@ -78,8 +74,6 @@ class AgentSystem:
             reliable=reliable_channel,
         )
         self.network = NetworkService(self.engine, self.topology, self.channel)
-        self.proposal_window = proposal_window
-        self.award_timeout = award_timeout
         self.selection = selection
         self.max_hops = max_hops
 
@@ -96,26 +90,20 @@ class AgentSystem:
     def organizer(self, node_id: str) -> OrganizerAgent:
         """Get (or lazily create) the organizer role on ``node_id``.
 
-        The organizer replaces the plain provider agent's inbox (it
-        handles PROPOSE/CONFIRM/REFUSE *and* still answers CFPs of other
-        organizers through its embedded provider agent behaviour — in
-        this simplified wiring, a node acting as organizer keeps its
-        provider agent for foreign sessions by re-registering it after
-        its own sessions complete; in practice experiments use distinct
-        requester nodes).
+        The organizer takes over the node's inbox: it handles
+        PROPOSE/CONFIRM/REFUSE itself, and chains CFP and AWARD to the
+        node's provider agent, so the node still answers other
+        organizers' CFPs and AWARDs.
         """
         if node_id not in self.nodes:
             raise UnknownNodeError(node_id)
         if node_id not in self.organizers:
-            # Re-register inbox: organizer wraps provider behaviour.
             provider_agent = self.provider_agents[node_id]
             organizer = OrganizerAgent(
                 self.engine,
                 self.nodes[node_id],
                 self.network,
                 self.topology,
-                proposal_window=self.proposal_window,
-                award_timeout=self.award_timeout,
                 selection=self.selection,
                 max_hops=self.max_hops,
             )

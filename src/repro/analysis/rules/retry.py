@@ -6,9 +6,10 @@ attempt (``transmit``, ``negotiate``, ``send``, ``keepalive``,
 a peer is gone — in a discrete-event run that is a livelock, and in the
 protocol it is the anti-pattern the hardened award handshake
 (:meth:`repro.faults.injector.FaultInjector.award_handshake`) exists to
-replace: every retry loop must spend a *bounded* budget
-(:class:`repro.faults.plan.RetryPolicy`-style attempt counts and
-backoff), then give up and fall through.
+replace: every retry loop must spend a *bounded* budget (a fixed
+attempt count and backoff, like the handshake's
+:data:`repro.faults.plan.AWARD_ATTEMPTS` and
+:func:`repro.faults.plan.award_backoff`), then give up and fall through.
 
 The rule is syntactic, like its siblings: it flags a constant-true
 ``while`` loop whose body performs a retry-ish call and mentions no
@@ -105,7 +106,7 @@ class UnboundedRetryRule(Rule):
                     self,
                     node,
                     f"while-True loop retries {calls}() without a bounded "
-                    "budget; count attempts against a RetryPolicy-style "
-                    "bound (with backoff) and fall through when it is "
-                    "spent",
+                    "budget; count attempts against a fixed bound with "
+                    "backoff (like AWARD_ATTEMPTS and award_backoff) and "
+                    "fall through when it is spent",
                 )

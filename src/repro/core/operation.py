@@ -202,7 +202,7 @@ def run_operation_phase(
                 return
             state["hits"] += 1
             dropped.extend((node_id, tid) for tid in orphans)
-            engine.tracer.emit(now, "operation", "failure", node=node_id, orphans=len(orphans))
+            engine.emit("operation", "failure", node=node_id, orphans=len(orphans))
             if allow_reconfiguration:
                 _reconfigure(orphans, now)
             else:

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.agents.system import AgentSystem
 from repro.core import baselines
 from repro.core.evaluation import ProposalEvaluator, WeightScheme
 from repro.core.formulation import formulate
@@ -337,6 +338,43 @@ def e4_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
 # ==========================================================================
 
 
+#: What :func:`_mobile_requests` measures, in table column order.
+_MOBILE_KEYS = ("success", "utility", "candidates", "partners", "lost")
+
+
+def _mobile_requests(system: AgentSystem, n_requests: int, gap: float) -> Dict[str, float]:
+    """Negotiate ``n_requests`` sequential movie requests on a mobile
+    agent system, idling ``gap`` simulated seconds after each, and
+    measure them — the body shared by E5 and its E19 scale sweep, so the
+    two suites can never drift apart in what they measure.
+    """
+    outcomes = []
+    partners: set = set()
+    for r in range(n_requests):
+        service = workload.movie_playback_service(
+            requester="requester", name=f"movie-{r}"
+        )
+        outcome = system.negotiate(service)
+        if outcome is not None:
+            outcomes.append(outcome)
+            partners |= set(outcome.coalition.members)
+            release_coalition(outcome.coalition, system.providers,
+                              system.engine.now)
+        # Idle until the next request so mobility resamples range.
+        system.engine.run(until=system.engine.now + gap)
+    if not outcomes:
+        return {"success": 0.0, "utility": 0.0, "candidates": 0.0,
+                "partners": 0.0,
+                "lost": float(system.network.lost_count)}
+    return {
+        "success": float(np.mean([o.success for o in outcomes])),
+        "utility": float(np.mean([outcome_utility(o) for o in outcomes])),
+        "candidates": float(np.mean([len(o.candidates) for o in outcomes])),
+        "partners": float(len(partners)),
+        "lost": float(system.network.lost_count),
+    }
+
+
 def e5_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
     """Claim (§1): coalitions form opportunistically "as nodes move in
     range of each other".
@@ -376,36 +414,9 @@ def e5_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
             )
             system = build_agent_system(config, seed, mobility=mobility)
             system.start_mobility_process(tick=1.0, until=n_requests * 40.0)
-            outcomes = []
-            partners: set = set()
-            for r in range(n_requests):
-                service = workload.movie_playback_service(
-                    requester="requester", name=f"movie-{r}"
-                )
-                outcome = system.negotiate(service)
-                if outcome is not None:
-                    outcomes.append(outcome)
-                    partners |= set(outcome.coalition.members)
-                    release_coalition(outcome.coalition, system.providers,
-                                      system.engine.now)
-                # Idle until the next request so mobility resamples range.
-                system.engine.run(until=system.engine.now + 30.0)
-            if not outcomes:
-                return {"success": 0.0, "utility": 0.0, "candidates": 0.0,
-                        "partners": 0.0,
-                        "lost": float(system.network.lost_count)}
-            return {
-                "success": float(np.mean([o.success for o in outcomes])),
-                "utility": float(np.mean([outcome_utility(o) for o in outcomes])),
-                "candidates": float(np.mean([len(o.candidates) for o in outcomes])),
-                "partners": float(len(partners)),
-                "lost": float(system.network.lost_count),
-            }
+            return _mobile_requests(system, n_requests, gap=30.0)
 
-        points.append(SweepPoint(
-            label=speed, run=run,
-            keys=("success", "utility", "candidates", "partners", "lost"),
-        ))
+        points.append(SweepPoint(label=speed, run=run, keys=_MOBILE_KEYS))
     return SuitePlan("E5", table, points)
 
 
@@ -1130,34 +1141,10 @@ def e19_plan(sweep: SweepConfig = SweepConfig()) -> SuitePlan:
                 config, seed, mobility=mobility, max_hops=2
             )
             system.start_mobility_process(tick=1.0, until=n_requests * 25.0)
-            outcomes = []
-            partners: set = set()
-            for r in range(n_requests):
-                service = workload.movie_playback_service(
-                    requester="requester", name=f"movie-{r}"
-                )
-                outcome = system.negotiate(service)
-                if outcome is not None:
-                    outcomes.append(outcome)
-                    partners |= set(outcome.coalition.members)
-                    release_coalition(outcome.coalition, system.providers,
-                                      system.engine.now)
-                system.engine.run(until=system.engine.now + 20.0)
-            if not outcomes:
-                return {"success": 0.0, "utility": 0.0, "candidates": 0.0,
-                        "partners": 0.0,
-                        "lost": float(system.network.lost_count)}
-            return {
-                "success": float(np.mean([o.success for o in outcomes])),
-                "utility": float(np.mean([outcome_utility(o) for o in outcomes])),
-                "candidates": float(np.mean([len(o.candidates) for o in outcomes])),
-                "partners": float(len(partners)),
-                "lost": float(system.network.lost_count),
-            }
+            return _mobile_requests(system, n_requests, gap=20.0)
 
         points.append(SweepPoint(
-            label=f"{model_name}-{n_nodes}", run=run,
-            keys=("success", "utility", "candidates", "partners", "lost"),
+            label=f"{model_name}-{n_nodes}", run=run, keys=_MOBILE_KEYS,
         ))
     return SuitePlan("E19", table, points)
 

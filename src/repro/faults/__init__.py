@@ -3,8 +3,8 @@
 Three pieces:
 
 * :mod:`repro.faults.plan` — the declarative, frozen
-  :class:`~repro.faults.plan.FaultPlan` (link, node and agent faults
-  plus the hardened retry policy);
+  :class:`~repro.faults.plan.FaultPlan` (link, node and agent faults)
+  and the award handshake's fixed retry budget;
 * :mod:`repro.faults.injector` — the
   :class:`~repro.faults.injector.FaultInjector` that executes a plan at
   the existing seams (node liveness, topology overlays, negotiation);
@@ -21,18 +21,15 @@ from repro.faults.injector import FaultInjector, make_injector
 from repro.faults.plan import (
     EMPTY_PLAN,
     AgentFaults,
-    Brownout,
     CrashHazard,
     FaultPlan,
     GilbertElliott,
     Partition,
-    RetryPolicy,
 )
 from repro.faults.report import ResilienceReport
 
 __all__ = [
     "AgentFaults",
-    "Brownout",
     "CrashHazard",
     "EMPTY_PLAN",
     "FaultInjector",
@@ -40,6 +37,5 @@ __all__ = [
     "GilbertElliott",
     "Partition",
     "ResilienceReport",
-    "RetryPolicy",
     "make_injector",
 ]

@@ -4,7 +4,7 @@
 existing seams only:
 
 * **node liveness** — :meth:`FaultInjector.install` schedules crash /
-  recover / brownout events on the driver's engine, driving
+  recover events on the driver's engine, driving
   :meth:`~repro.resources.node.Node.fail` and friends exactly like the
   caller-scheduled churn the driver already handles;
 * **topology** — partitions block/unblock link overlays via
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.faults.plan import EMPTY_PLAN, FaultPlan
+from repro.faults.plan import AWARD_ATTEMPTS, EMPTY_PLAN, FaultPlan, award_backoff
 from repro.sim.rng import RngRegistry
 from repro.workloads.arrivals import InhomogeneousPoissonProcess
 
@@ -46,8 +46,8 @@ class FaultInjector:
         registry: The run's RNG registry; the injector draws only from
             its ``faults:*`` child streams.
         horizon: Hazard-stream window (crash events beyond it are not
-            generated; partitions/brownouts carry their own times).
-        protected: Node ids exempt from crash/brownout victimhood
+            generated; partitions carry their own times).
+        protected: Node ids exempt from crash victimhood
             (typically the requesters — a dead organizer is a different
             experiment).
     """
@@ -157,10 +157,11 @@ class FaultInjector:
         Returns ``(acked, retries, backoff_delay)``. A refusing winner
         (``AgentFaults.refuse_award``) never acks regardless of
         retries. Otherwise each attempt transmits the award and awaits
-        the ack over the burst-loss chains; a lost round waits the
-        retry policy's deterministic exponential backoff (simulated
-        time, returned for accounting) and retries, up to the bounded
-        budget — then the caller falls through down the ranking.
+        the ack over the burst-loss chains; a lost round waits
+        :func:`~repro.faults.plan.award_backoff` (simulated time,
+        returned for accounting) and retries, up to
+        :data:`~repro.faults.plan.AWARD_ATTEMPTS` transmissions — then
+        the caller falls through down the ranking.
         """
         agents = self.plan.agents
         if agents is not None and agents.refuse_award > 0.0:
@@ -168,17 +169,16 @@ class FaultInjector:
                 return False, 0, 0.0
         if self.plan.link is None:
             return True, 0, 0.0
-        policy = self.plan.retry
         retries = 0
         delay = 0.0
-        for attempt in range(policy.max_attempts):
+        for attempt in range(AWARD_ATTEMPTS):
             if self.link_survives(requester, winner) and self.link_survives(
                 winner, requester
             ):
                 return True, retries, delay
-            if attempt + 1 < policy.max_attempts:
+            if attempt + 1 < AWARD_ATTEMPTS:
                 retries += 1
-                delay += policy.backoff(attempt)
+                delay += award_backoff(attempt)
         return False, retries, delay
 
     # -- node faults -------------------------------------------------------
@@ -215,12 +215,12 @@ class FaultInjector:
     def install(self, driver: "SessionDriver") -> None:
         """Wire the plan into a session driver's run.
 
-        Schedules partitions (block at start, heal at end), hazard
-        crashes (with optional recovery) and brownouts on the driver's
-        engine, and registers this injector as the driver's negotiation
-        fault context. Partition support needs a topology with link
-        overlays (:class:`~repro.network.topology.Topology`); the
-        sharded facade does not carry one yet.
+        Schedules partitions (block at start, heal at end) and hazard
+        crashes (with optional recovery) on the driver's engine, and
+        registers this injector as the driver's negotiation fault
+        context. Partition support needs a topology with link overlays
+        (:class:`~repro.network.topology.Topology`); the sharded facade
+        does not carry one yet.
         """
         driver.faults = self
         engine = driver.engine
@@ -236,13 +236,11 @@ class FaultInjector:
 
             def _block(now: float, pairs=pairs) -> None:
                 topology.block_links(pairs)
-                engine.tracer.emit(
-                    now, "faults", "partition", links=len(pairs)
-                )
+                engine.emit("faults", "partition", links=len(pairs))
 
             def _heal(now: float, pairs=pairs) -> None:
                 topology.unblock_links(pairs)
-                engine.tracer.emit(now, "faults", "heal", links=len(pairs))
+                engine.emit("faults", "heal", links=len(pairs))
 
             engine.schedule_at(partition.start, _block)
             engine.schedule_at(partition.heal_at, _heal)
@@ -257,53 +255,23 @@ class FaultInjector:
                         return
                     node.fail()
                     topology.rebuild()
-                    engine.tracer.emit(now, "faults", "crash", node=victim)
+                    engine.emit("faults", "crash", node=victim)
                     if hazard.recover_after is not None:
                         engine.schedule(
                             hazard.recover_after,
-                            lambda t, victim=victim: _recover(t, victim),
+                            lambda now, victim=victim: _recover(victim),
                         )
 
-                def _recover(now: float, victim: str) -> None:
+                def _recover(victim: str) -> None:
                     node = topology.node(victim)
                     if node.alive:
                         return
                     node.recover()
                     if node.alive:  # battery-guarded: drained stays dead
                         topology.rebuild()
-                        engine.tracer.emit(
-                            now, "faults", "recover", node=victim
-                        )
+                        engine.emit("faults", "recover", node=victim)
 
                 engine.schedule_at(crash_at, _crash)
-
-        for brownout in self.plan.brownouts:
-            targets = brownout.targets or tuple(
-                sorted(
-                    node_id
-                    for node_id in topology.node_ids
-                    if node_id not in self.protected
-                )
-            )
-
-            def _brownout(now: float, brownout=brownout, targets=targets) -> None:
-                died = False
-                for node_id in targets:
-                    node = topology.node(node_id)
-                    if not node.alive or not np.isfinite(node.battery):
-                        continue
-                    node.consume_energy(
-                        node.battery * (1.0 - brownout.fraction)
-                    )
-                    died = died or not node.alive
-                if died:
-                    topology.rebuild()
-                engine.tracer.emit(
-                    now, "faults", "brownout",
-                    fraction=brownout.fraction, targets=len(targets),
-                )
-
-            engine.schedule_at(brownout.time, _brownout)
 
 
 def make_injector(

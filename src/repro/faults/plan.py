@@ -2,11 +2,12 @@
 
 A :class:`FaultPlan` is a frozen value describing every fault a run
 injects — link faults (Gilbert–Elliott burst loss, partitions), node
-faults (crash/recover hazard, battery brownout) and agent faults
-(dropped/stale PROPOSE, refuse-after-award) — plus the
-:class:`RetryPolicy` the hardened negotiation paths use to survive
-them. Like :class:`~repro.sessions.policy.SessionPolicy`, a plan never
-holds RNG state: every random draw the plan implies is made by the
+faults (crash/recover hazard) and agent faults (dropped/stale PROPOSE,
+refuse-after-award). The hardened award handshake that survives them
+spends a fixed budget: :data:`AWARD_ATTEMPTS` transmissions, with
+:func:`award_backoff` between them. Like
+:class:`~repro.sessions.policy.SessionPolicy`, a plan never holds RNG
+state: every random draw the plan implies is made by the
 :class:`~repro.faults.injector.FaultInjector` from named child streams
 of the run's :class:`~repro.sim.rng.RngRegistry`, so a faulted run
 stays a pure function of its seed and :data:`EMPTY_PLAN` is
@@ -149,27 +150,6 @@ class CrashHazard:
 
 
 @dataclass(frozen=True)
-class Brownout:
-    """A battery brownout: at ``time``, each target node's remaining
-    battery is cut to ``fraction`` of its current charge.
-
-    Deterministic — no RNG. Empty ``targets`` means every non-protected
-    node. Nodes whose battery hits zero die exactly as they would from
-    streaming drain (:meth:`repro.resources.node.Node.consume_energy`).
-    """
-
-    time: float
-    fraction: float
-    targets: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"brownout time must be >= 0, got {self.time}")
-        _check_probability("fraction", self.fraction)
-        object.__setattr__(self, "targets", tuple(self.targets))
-
-
-@dataclass(frozen=True)
 class AgentFaults:
     """Protocol-level misbehaviour during negotiation.
 
@@ -205,37 +185,16 @@ class AgentFaults:
         )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded deterministic exponential backoff for award handshakes.
+#: Transmissions per award in the hardened handshake.
+AWARD_ATTEMPTS = 3
 
-    ``max_attempts`` total transmissions per award; failed attempt
-    ``i`` (0-based) waits ``backoff(i)`` simulated seconds before the
-    next. The schedule is a pure function of the attempt index — no
-    jitter, no RNG — so retry accounting is replay-exact.
-    """
 
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    factor: float = 2.0
-    max_delay: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
-
-    def backoff(self, attempt: int) -> float:
-        """Delay after failed attempt ``attempt`` (0-based), capped at
-        ``max_delay``."""
-        if attempt < 0:
-            raise ValueError(f"attempt must be >= 0, got {attempt}")
-        return min(self.base_delay * self.factor ** attempt, self.max_delay)
+def award_backoff(attempt: int) -> float:
+    """Simulated seconds waited after failed award attempt ``attempt``
+    (0-based): exponential from 0.05 s, capped at 1 s. A pure function of
+    the attempt index — no jitter, no RNG — so retry accounting is
+    replay-exact."""
+    return min(0.05 * 2.0 ** attempt, 1.0)
 
 
 @dataclass(frozen=True)
@@ -245,20 +204,15 @@ class FaultPlan:
     An all-defaults plan is *empty*: it schedules nothing and consumes
     no RNG draws — running with it is bit-identical
     to running without the fault subsystem (``tests/test_faults.py``).
-    ``retry`` configures the hardened award handshake and is not a
-    fault, so it does not make a plan non-empty.
     """
 
     link: Optional[GilbertElliott] = None
     partitions: Tuple[Partition, ...] = ()
     crashes: Optional[CrashHazard] = None
-    brownouts: Tuple[Brownout, ...] = ()
     agents: Optional[AgentFaults] = None
-    retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "partitions", tuple(self.partitions))
-        object.__setattr__(self, "brownouts", tuple(self.brownouts))
 
     @property
     def empty(self) -> bool:
@@ -267,7 +221,6 @@ class FaultPlan:
             self.link is None
             and not self.partitions
             and self.crashes is None
-            and not self.brownouts
             and (self.agents is None or self.agents.empty)
         )
 

@@ -3,8 +3,10 @@
 :class:`NetworkService` binds the engine, topology and channel model into
 the send/broadcast API agents use. Deliveries are engine events at
 :class:`~repro.sim.events.Priority.DELIVERY`; each registered node gets an
-inbox callback. Every transmission is traced (category ``"net"``), which
-is how the experiments count protocol messages.
+inbox callback. The experiments count protocol messages with
+:attr:`NetworkService.sent_count` and :attr:`NetworkService.lost_count`;
+each transmission is also emitted to the engine's trace sink (category
+``"net"``) when one is attached.
 """
 
 from __future__ import annotations
@@ -138,10 +140,7 @@ class NetworkService:
         if route is None:
             self.sent_count += 1
             self.lost_count += 1
-            self.engine.tracer.emit(
-                self.engine.now, "net", "unroutable",
-                kind=kind, src=sender, dst=recipient,
-            )
+            self.engine.emit("net", "unroutable", kind=kind, src=sender, dst=recipient)
             return None
         if len(route) <= 2:
             return self.send(sender, recipient, kind, payload, size_kb)
@@ -151,8 +150,8 @@ class NetworkService:
             hop_latency = self.channel.transmit(u, v, size_kb)
             if hop_latency is None or not self.topology.node(v).alive:
                 self.lost_count += 1
-                self.engine.tracer.emit(
-                    self.engine.now, "net", "lost",
+                self.engine.emit(
+                    "net", "lost",
                     kind=kind, src=sender, dst=recipient, hop=f"{u}->{v}",
                 )
                 return None
@@ -161,8 +160,8 @@ class NetworkService:
             sender=sender, recipient=recipient, kind=kind,
             payload=payload, size_kb=size_kb,
         )
-        self.engine.tracer.emit(
-            self.engine.now, "net", "sent_routed",
+        self.engine.emit(
+            "net", "sent_routed",
             mid=message.mid, kind=kind, src=sender, dst=recipient,
             hops=len(route) - 1,
         )
@@ -211,14 +210,14 @@ class NetworkService:
         )
         if latency is None or dead_target:
             self.lost_count += 1
-            self.engine.tracer.emit(
-                self.engine.now, "net", "lost",
+            self.engine.emit(
+                "net", "lost",
                 mid=message.mid, kind=message.kind,
                 src=message.sender, dst=message.recipient,
             )
             return None
-        self.engine.tracer.emit(
-            self.engine.now, "net", "sent",
+        self.engine.emit(
+            "net", "sent",
             mid=message.mid, kind=message.kind,
             src=message.sender, dst=message.recipient, size_kb=message.size_kb,
         )
@@ -241,8 +240,8 @@ class NetworkService:
             self.lost_count += 1
             return
         self.delivered_count += 1
-        self.engine.tracer.emit(
-            now, "net", "delivered",
+        self.engine.emit(
+            "net", "delivered",
             mid=message.mid, kind=message.kind,
             src=message.sender, dst=message.recipient,
         )

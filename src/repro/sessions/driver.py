@@ -130,7 +130,7 @@ class SessionDriver:
                 return
             node.fail()
             self.topology.rebuild()
-            self.engine.tracer.emit(now, "session", "crash", node=node_id)
+            self.engine.emit("session", "crash", node=node_id)
 
         self.engine.schedule_at(time, _crash)
 
@@ -231,8 +231,8 @@ class SessionDriver:
                 release_award(self.providers, award, now, missing_ok=True)
                 session.live_tasks.discard(task_id)
                 session.suspended.pop(task_id, None)
-            self.engine.tracer.emit(
-                now, "session", "degraded",
+            self.engine.emit(
+                "session", "degraded",
                 session=session.service.name, orphans=len(orphans),
             )
             if session.state is SessionState.OPERATING:
@@ -281,15 +281,15 @@ class SessionDriver:
                 release_award(self.providers, award, now, missing_ok=True)
                 session.live_tasks.discard(task_id)
                 session.suspended.pop(task_id, None)
-            self.engine.tracer.emit(
-                now, "session", "partition-expired",
+            self.engine.emit(
+                "session", "partition-expired",
                 session=session.service.name, tasks=len(expired),
             )
         if session.suspended or expired:
             if session.state is SessionState.OPERATING:
                 session.transition(SessionState.DEGRADED, now)
-                self.engine.tracer.emit(
-                    now, "session", "degraded",
+                self.engine.emit(
+                    "session", "degraded",
                     session=session.service.name,
                     suspended=len(session.suspended),
                 )
@@ -304,9 +304,7 @@ class SessionDriver:
         ):
             session.transition(SessionState.OPERATING, now)
             session.set_utility(now, self._utility_of(session))
-            self.engine.tracer.emit(
-                now, "session", "recovered", session=session.service.name
-            )
+            self.engine.emit("session", "recovered", session=session.service.name)
 
     def _renegotiate(self, session: Session, now: float) -> None:
         """Re-run the Section 4.2 protocol in place for every task the
@@ -349,8 +347,8 @@ class SessionDriver:
             else:
                 session.transition(SessionState.OPERATING, now)
             session.set_utility(now, self._utility_of(session))
-            self.engine.tracer.emit(
-                now, "session", "renegotiated",
+            self.engine.emit(
+                "session", "renegotiated",
                 session=service.name, tasks=len(missing),
             )
             return
@@ -379,9 +377,7 @@ class SessionDriver:
         if session.state is SessionState.OPERATING:
             session.transition(SessionState.DEGRADED, now)
         session.transition(SessionState.DROPPED, now)
-        self.engine.tracer.emit(
-            now, "session", "dropped", session=session.service.name
-        )
+        self.engine.emit("session", "dropped", session=session.service.name)
 
     def _close(self, session: Session, now: float) -> None:
         """The planned streaming span ended: a clean close."""

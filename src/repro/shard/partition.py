@@ -61,24 +61,17 @@ class ShardGrid:
             raise ValueError("shard grid needs at least one cell per axis")
 
     @classmethod
-    def auto(
-        cls,
-        area: float,
-        radio_range: float,
-        n_nodes: int,
-        target_occupancy: int = DEFAULT_SHARD_OCCUPANCY,
-    ) -> "ShardGrid":
+    def auto(cls, area: float, radio_range: float, n_nodes: int) -> "ShardGrid":
         """The default square grid for a square deployment.
 
         The grid side is the *smaller* of two bounds: cells at least one
         radio range wide (``area // radio_range``) and roughly
-        ``target_occupancy`` nodes per shard (``ceil(sqrt(n/target))``).
-        Small dense scenarios — every historical suite — land on 1 × 1.
+        :data:`DEFAULT_SHARD_OCCUPANCY` nodes per shard
+        (``ceil(sqrt(n/occupancy))``). Small dense scenarios — every
+        historical suite — land on 1 × 1.
         """
-        if target_occupancy < 1:
-            raise ValueError("target_occupancy must be >= 1")
         by_radio = max(1, int(area // radio_range)) if radio_range > 0 else 1
-        by_count = max(1, math.ceil(math.sqrt(max(n_nodes, 1) / target_occupancy)))
+        by_count = max(1, math.ceil(math.sqrt(max(n_nodes, 1) / DEFAULT_SHARD_OCCUPANCY)))
         g = min(by_radio, by_count)
         return cls(width=area, height=area, gx=g, gy=g)
 

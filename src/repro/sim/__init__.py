@@ -2,7 +2,8 @@
 
 This subpackage is the substrate everything else runs on: a deterministic,
 seedable discrete-event engine of scheduled callbacks, named RNG streams,
-structured tracing, and the rewindable id sequences replications reset.
+an optional trace sink (off by default), and the rewindable id sequences
+replications reset.
 
 The kernel is deliberately small and dependency-free. Determinism is a hard
 requirement for a reproduction: two runs with the same seed must produce
@@ -25,7 +26,7 @@ Quick example::
 from repro.sim.engine import Engine
 from repro.sim.events import Event, EventHandle, Priority
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import TraceRecord, TraceSink
 
 __all__ = [
     "Engine",
@@ -34,5 +35,5 @@ __all__ = [
     "Priority",
     "RngRegistry",
     "TraceRecord",
-    "Tracer",
+    "TraceSink",
 ]

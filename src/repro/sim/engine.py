@@ -1,8 +1,9 @@
 """The discrete-event engine.
 
 :class:`Engine` owns the simulated clock, the pending-event heap, the RNG
-registry and the tracer. It is single-threaded and deterministic: given the
-same seed and the same schedule of calls, two runs produce identical traces.
+registry and the optional trace sink. It is single-threaded and
+deterministic: given the same seed and the same schedule of calls, two runs
+produce identical traces.
 
 Typical use::
 
@@ -19,7 +20,7 @@ from typing import Any, Callable, Iterable, Optional
 from repro.errors import SchedulingError
 from repro.sim.events import Event, EventHandle, Priority
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceRecord, TraceSink
 
 
 class Engine:
@@ -28,18 +29,19 @@ class Engine:
     Args:
         seed: Master seed for all named RNG streams (see
             :class:`repro.sim.rng.RngRegistry`).
-        trace: Optional tracer; a fresh quiet tracer is created if omitted.
+        trace: Optional sink for :meth:`emit`'s records; without one
+            (the default) no record is built.
 
     Attributes:
         now: Current simulated time. Starts at 0.0.
         rng: The engine's RNG registry.
-        tracer: Structured trace sink.
+        trace: The attached trace sink, or ``None``.
     """
 
-    def __init__(self, seed: int = 0, trace: Optional[Tracer] = None) -> None:
+    def __init__(self, seed: int = 0, trace: Optional[TraceSink] = None) -> None:
         self.now: float = 0.0
         self.rng = RngRegistry(seed)
-        self.tracer = trace if trace is not None else Tracer()
+        self.trace = trace
         self._heap: list[Event] = []
         self._seq: int = 0
         self._running: bool = False
@@ -122,14 +124,13 @@ class Engine:
             return True
         return False
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[float] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or stopped.
 
         Args:
             until: Inclusive time horizon. Events scheduled exactly at
                 ``until`` still fire; later events stay queued and ``now``
                 is advanced to ``until``.
-            max_events: Optional safety valve on the number of events fired.
 
         Returns:
             The number of events fired during this call.
@@ -141,8 +142,6 @@ class Engine:
         fired = 0
         try:
             while self._heap and not self._stopped:
-                if max_events is not None and fired >= max_events:
-                    break
                 head = self._heap[0]
                 if head.cancelled:
                     heapq.heappop(self._heap)
@@ -160,6 +159,14 @@ class Engine:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
+
+    # -- tracing ----------------------------------------------------------
+
+    def emit(self, category: str, event: str, **data: Any) -> None:
+        """Hand a :class:`TraceRecord` stamped with :attr:`now` to the
+        trace sink; without a sink, build nothing."""
+        if self.trace is not None:
+            self.trace(TraceRecord(self.now, category, event, data))
 
     # -- introspection ----------------------------------------------------
 

@@ -1,15 +1,16 @@
 """Structured event tracing.
 
-Components emit :class:`TraceRecord` entries through a shared
-:class:`Tracer`. Traces serve three purposes: debugging, test assertions
-(e.g. "exactly one AWARD message per task"), and feeding the metrics layer
-without coupling components to it.
+Components report events through :meth:`repro.sim.engine.Engine.emit`.
+The engine builds a :class:`TraceRecord` only when a :data:`TraceSink`
+is attached, and hands it to that sink; without one an event costs one
+attribute check. Nothing in the model reads a record back, so attaching
+a sink never changes a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -33,57 +34,5 @@ class TraceRecord:
         return f"[{self.time:12.6f}] {self.category}/{self.event} {kv}".rstrip()
 
 
-class Tracer:
-    """Collects :class:`TraceRecord` entries, optionally filtered.
-
-    Args:
-        enabled: When ``False`` all emissions are dropped (zero overhead
-            beyond one attribute check).
-        categories: When given, only these categories are recorded.
-        sink: Optional callable invoked with each record as it is emitted
-            (e.g. ``print`` for live debugging).
-    """
-
-    def __init__(
-        self,
-        enabled: bool = True,
-        categories: Optional[set[str]] = None,
-        sink: Optional[Callable[[TraceRecord], None]] = None,
-    ) -> None:
-        self.enabled = enabled
-        self.categories = categories
-        self.sink = sink
-        self.records: list[TraceRecord] = []
-
-    def emit(self, time: float, category: str, event: str, **data: Any) -> None:
-        """Record one trace entry (subject to filters)."""
-        if not self.enabled:
-            return
-        if self.categories is not None and category not in self.categories:
-            return
-        record = TraceRecord(time=time, category=category, event=event, data=data)
-        self.records.append(record)
-        if self.sink is not None:
-            self.sink(record)
-
-    def filter(
-        self, category: Optional[str] = None, event: Optional[str] = None
-    ) -> Iterator[TraceRecord]:
-        """Iterate records matching the given category and/or event name."""
-        for rec in self.records:
-            if category is not None and rec.category != category:
-                continue
-            if event is not None and rec.event != event:
-                continue
-            yield rec
-
-    def count(self, category: Optional[str] = None, event: Optional[str] = None) -> int:
-        """Number of records matching the filter."""
-        return sum(1 for _ in self.filter(category, event))
-
-    def clear(self) -> None:
-        """Drop all collected records."""
-        self.records.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)
+#: Receives each record as it is emitted (``list.append``, ``print``, ...).
+TraceSink = Callable[[TraceRecord], None]

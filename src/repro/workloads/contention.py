@@ -321,9 +321,9 @@ def run_on_cluster(
 
     # Fault injection: an absent/empty plan yields no injector, and the
     # run below is bit-identical to the pre-fault path; an injector
-    # wires partitions, crash hazards and brownouts onto the driver's
-    # engine from its own faults:* streams, so the fleet/arrival/
-    # failures draws are never perturbed.
+    # wires partitions and crash hazards onto the driver's engine from
+    # its own faults:* streams, so the fleet/arrival/failures draws are
+    # never perturbed.
     injector = make_injector(
         config.faults,
         registry,

@@ -25,16 +25,15 @@ import pytest
 from repro.faults import (
     EMPTY_PLAN,
     AgentFaults,
-    Brownout,
     CrashHazard,
     FaultInjector,
     FaultPlan,
     GilbertElliott,
     Partition,
     ResilienceReport,
-    RetryPolicy,
     make_injector,
 )
+from repro.faults.plan import award_backoff
 from repro.metrics.bootstrap import bootstrap_ci
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
@@ -75,33 +74,19 @@ def test_partition_validation_and_cross_pairs():
     assert part.cross_pairs() == (("a", "c"), ("b", "c"))
 
 
-def test_crash_hazard_and_brownout_validation():
+def test_crash_hazard_validation():
     with pytest.raises(ValueError, match="recover_after"):
         CrashHazard(shape=ConstantRate(0.1), recover_after=0.0)
-    with pytest.raises(ValueError, match="fraction"):
-        Brownout(time=1.0, fraction=1.5)
-    with pytest.raises(ValueError, match="time"):
-        Brownout(time=-1.0, fraction=0.5)
 
 
-def test_retry_policy_backoff_is_capped_exponential():
-    policy = RetryPolicy(max_attempts=5, base_delay=0.1, factor=2.0, max_delay=0.35)
-    assert policy.backoff(0) == pytest.approx(0.1)
-    assert policy.backoff(1) == pytest.approx(0.2)
-    assert policy.backoff(2) == pytest.approx(0.35)  # capped
-    assert policy.backoff(3) == pytest.approx(0.35)
-    with pytest.raises(ValueError):
-        policy.backoff(-1)
-    with pytest.raises(ValueError, match="max_attempts"):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError, match="factor"):
-        RetryPolicy(factor=0.5)
+def test_award_backoff_is_capped_exponential():
+    # Doubling from 0.05 s is exact in binary floating point; 1 s caps it.
+    assert [award_backoff(a) for a in range(6)] == [0.05, 0.1, 0.2, 0.4, 0.8, 1.0]
+    assert award_backoff(9) == 1.0
 
 
 def test_plan_emptiness_is_the_injection_test():
     assert EMPTY_PLAN.empty
-    # A retry policy alone is hardening config, not a fault.
-    assert FaultPlan(retry=RetryPolicy(max_attempts=7)).empty
     assert FaultPlan(agents=AgentFaults()).empty  # all-zero agents
     assert not FaultPlan(link=GilbertElliott()).empty
     assert not FaultPlan(agents=AgentFaults(drop_propose=0.1)).empty
@@ -359,15 +344,12 @@ def test_award_handshake_budgets_and_refusal():
     assert refuser.award_handshake("req", "n1") == (False, 0, 0.0)
 
     # A dead link exhausts the bounded budget with backoff accounting.
-    policy = RetryPolicy(max_attempts=3, base_delay=0.1, factor=2.0, max_delay=1.0)
     dead = GilbertElliott(p_gb=0.0, p_bg=1.0, loss_good=1.0)
-    injector = FaultInjector(
-        FaultPlan(link=dead, retry=policy), RngRegistry(0)
-    )
+    injector = FaultInjector(FaultPlan(link=dead), RngRegistry(0))
     acked, retries, delay = injector.award_handshake("req", "n1")
     assert not acked
-    assert retries == 2  # max_attempts - 1 waits
-    assert delay == pytest.approx(0.1 + 0.2)
+    assert retries == 2  # AWARD_ATTEMPTS - 1 waits
+    assert delay == pytest.approx(0.05 + 0.1)
 
     # A clean link acks on the first attempt.
     clean = FaultInjector(

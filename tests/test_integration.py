@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.agents.system import AgentSystem
@@ -143,13 +145,15 @@ def test_trace_records_full_protocol():
     system.nodes["me"].move_to(0, 0)
     system.nodes["n1"].move_to(10, 0)
     system.topology.rebuild()
+    records = []
+    system.engine.trace = records.append
     service = workload.surveillance_service(requester="me")
     outcome = system.negotiate(service)
     assert outcome is not None and outcome.success
-    tracer = system.engine.tracer
-    assert tracer.count("negotiation", "cfp") == 1
-    assert tracer.count("negotiation", "complete") == 1
-    assert tracer.count("net", "sent") > 0
+    events = Counter((r.category, r.event) for r in records)
+    assert events["negotiation", "cfp"] == 1
+    assert events["negotiation", "complete"] == 1
+    assert events["net", "sent"] > 0
 
 
 def test_battery_depletion_disables_node():

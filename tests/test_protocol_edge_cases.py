@@ -17,7 +17,7 @@ from repro.services import workload
 from repro.sim.rng import RngRegistry
 
 
-def _line_system(n_helpers=2, seed=5, max_hops=1, **kwargs):
+def _line_system(n_helpers=2, seed=5, max_hops=1, **organizer_timings):
     nodes = [Node("me", NodeClass.PDA)] + [
         Node(f"h{i}", NodeClass.LAPTOP) for i in range(n_helpers)
     ]
@@ -28,8 +28,12 @@ def _line_system(n_helpers=2, seed=5, max_hops=1, **kwargs):
     placement = StaticPlacement(
         300.0, 300.0, RngRegistry(seed).stream("p"), positions=positions
     )
-    return AgentSystem(nodes, seed=seed, mobility=placement,
-                       reliable_channel=True, max_hops=max_hops, **kwargs)
+    system = AgentSystem(nodes, seed=seed, mobility=placement,
+                         reliable_channel=True, max_hops=max_hops)
+    organizer = system.organizer("me")
+    for name, value in organizer_timings.items():
+        setattr(organizer, name, value)
+    return system
 
 
 def test_late_proposal_is_dropped():
@@ -151,6 +155,8 @@ def test_award_timeout_falls_through_to_next():
     h0_agent = system.provider_agents["h0"]
     h0_agent.on("AWARD", lambda msg, now: None)
 
+    records = []
+    system.engine.trace = records.append
     outcome_box = []
     organizer.request_service(service, on_complete=outcome_box.append)
     system.engine.run()
@@ -158,7 +164,7 @@ def test_award_timeout_falls_through_to_next():
     outcome = outcome_box[0]
     assert outcome.success
     assert "h0" not in outcome.coalition.members
-    assert system.engine.tracer.count("negotiation", "award_timeout") >= 1
+    assert any(r.event == "award_timeout" for r in records)
 
 
 def test_unhandled_message_kinds_counted():

@@ -59,8 +59,6 @@ class TestShardGrid:
             ShardGrid(width=0.0, height=100.0, gx=1, gy=1)
         with pytest.raises(ValueError):
             ShardGrid(width=100.0, height=100.0, gx=0, gy=1)
-        with pytest.raises(ValueError):
-            ShardGrid.auto(100.0, 100.0, 10, target_occupancy=0)
 
     def test_cell_arithmetic_round_trip(self):
         grid = ShardGrid(width=200.0, height=100.0, gx=4, gy=2)

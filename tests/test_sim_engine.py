@@ -125,17 +125,6 @@ def test_stop_from_callback():
     assert eng.pending == 1
 
 
-def test_max_events_guard():
-    eng = Engine()
-
-    def forever(now):
-        eng.schedule(1.0, forever)
-
-    eng.schedule(1.0, forever)
-    fired = eng.run(max_events=10)
-    assert fired == 10
-
-
 def test_step_returns_false_on_empty():
     eng = Engine()
     assert eng.step() is False

@@ -1,9 +1,25 @@
-"""Unit tests for RNG streams and tracing."""
+"""Unit tests for RNG streams and the trace sink, and checks that a sink
+never feeds back into a run."""
 
 from __future__ import annotations
 
+import functools
+
+import pytest
+
+import repro.sessions.driver as driver_module
+import repro.sim.engine as engine_module
+from repro.experiments.config import ClusterConfig
+from repro.experiments.scenario import build_agent_system
+from repro.faults import AgentFaults, CrashHazard, FaultPlan, GilbertElliott, Partition
+from repro.services import workload
+from repro.sessions import SessionPolicy
+from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.trace import Tracer
+from repro.sim.sequences import reset_all_sequences
+from repro.workloads.arrivals import PoissonProcess
+from repro.workloads.contention import ContentionConfig, run_contention
+from repro.workloads.rates import ConstantRate
 
 
 # -- RNG ------------------------------------------------------------------
@@ -50,50 +66,109 @@ def test_contains():
     assert "m" in reg
 
 
-# -- Tracer ----------------------------------------------------------------
+# -- trace sink --------------------------------------------------------------
 
 
-def test_tracer_records_and_filters():
-    tracer = Tracer()
-    tracer.emit(1.0, "net", "sent", mid=1)
-    tracer.emit(2.0, "net", "lost", mid=2)
-    tracer.emit(3.0, "negotiation", "cfp")
-    assert len(tracer) == 3
-    assert tracer.count("net") == 2
-    assert tracer.count("net", "lost") == 1
-    assert [r.time for r in tracer.filter("net")] == [1.0, 2.0]
+def test_sink_receives_records_in_event_order_at_the_engine_clock():
+    records = []
+    eng = Engine(trace=records.append)
+    eng.schedule(2.0, lambda now: eng.emit("net", "lost", mid=2))
+    eng.schedule(1.0, lambda now: eng.emit("net", "sent", mid=1))
+    eng.schedule(3.0, lambda now: eng.emit("negotiation", "cfp"))
+    eng.run()
+    assert [(r.time, r.category, r.event, r.data) for r in records] == [
+        (1.0, "net", "sent", {"mid": 1}),
+        (2.0, "net", "lost", {"mid": 2}),
+        (3.0, "negotiation", "cfp", {}),
+    ]
 
 
-def test_tracer_disabled_drops_everything():
-    tracer = Tracer(enabled=False)
-    tracer.emit(1.0, "net", "sent")
-    assert len(tracer) == 0
-
-
-def test_tracer_category_filter():
-    tracer = Tracer(categories={"net"})
-    tracer.emit(1.0, "net", "sent")
-    tracer.emit(1.0, "other", "x")
-    assert len(tracer) == 1
-
-
-def test_tracer_sink_invoked():
-    seen = []
-    tracer = Tracer(sink=seen.append)
-    tracer.emit(1.0, "a", "b")
-    assert len(seen) == 1
-    assert seen[0].category == "a"
-
-
-def test_tracer_clear():
-    tracer = Tracer()
-    tracer.emit(1.0, "a", "b")
-    tracer.clear()
-    assert len(tracer) == 0
+def test_an_engine_without_a_sink_builds_no_record(monkeypatch):
+    built = []
+    monkeypatch.setattr(engine_module, "TraceRecord", lambda *args: built.append(args))
+    eng = Engine()
+    assert eng.trace is None
+    eng.schedule(1.0, lambda now: eng.emit("net", "sent", mid=1))
+    eng.run()
+    assert built == []
+    # The count above is live: the same emit with a sink builds one record.
+    eng.trace = lambda record: None
+    eng.emit("net", "sent", mid=2)
+    assert built == [(1.0, "net", "sent", {"mid": 2})]
 
 
 def test_trace_record_str():
-    tracer = Tracer()
-    tracer.emit(1.5, "net", "sent", mid=7)
-    text = str(tracer.records[0])
+    records = []
+    eng = Engine(trace=records.append)
+    eng.schedule(1.5, lambda now: eng.emit("net", "sent", mid=7))
+    eng.run()
+    text = str(records[0])
     assert "net/sent" in text and "mid=7" in text
+
+
+# -- a sink never changes a run ---------------------------------------------
+
+
+def _negotiation(seed, trace):
+    reset_all_sequences()
+    system = build_agent_system(ClusterConfig(n_nodes=32, area=100.0), seed)
+    system.engine.trace = trace
+    outcome = system.negotiate(workload.movie_playback_service(requester="requester"))
+    awards = {
+        task_id: (a.node_id, a.proposal.values, a.distance, a.comm_cost)
+        for task_id, a in outcome.coalition.awards.items()
+    }
+    return (
+        awards, outcome.unallocated, outcome.candidates,
+        outcome.proposals_received, outcome.message_count,
+        system.engine.now, system.engine.events_fired,
+        system.network.sent_count, system.network.lost_count,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_sink_never_changes_a_negotiation(seed):
+    records = []
+    assert _negotiation(seed, records.append) == _negotiation(seed, None)
+    assert any(r.category == "net" for r in records)
+    assert any(r.event == "complete" for r in records)
+
+
+#: Burst loss, one partition, recovering crashes, agent faults and drain.
+_HELPERS = 22
+_FAULTED = ContentionConfig(
+    n_requesters=2,
+    arrival=PoissonProcess(rate=1.0 / 6.0),
+    horizon=90.0,
+    n_nodes=2 + _HELPERS,
+    sessions=SessionPolicy(keepalive=2.5, partition_grace=15.0, drain=30.0),
+    faults=FaultPlan(
+        link=GilbertElliott(p_gb=0.02, p_bg=0.1, loss_good=0.01, loss_bad=0.8),
+        partitions=(
+            Partition(
+                start=30.0,
+                duration=25.0,
+                group_a=("req0", "req1") + tuple(f"n{i}" for i in range(0, _HELPERS, 2)),
+                group_b=tuple(f"n{i}" for i in range(1, _HELPERS, 2)),
+            ),
+        ),
+        crashes=CrashHazard(shape=ConstantRate(1.0 / 15.0), recover_after=20.0),
+        agents=AgentFaults(drop_propose=0.05, stale_propose=0.05, refuse_award=0.05),
+    ),
+)
+
+
+def _contention(seed, monkeypatch, trace):
+    reset_all_sequences()
+    monkeypatch.setattr(driver_module, "Engine", functools.partial(Engine, trace=trace))
+    result = run_contention(seed, _FAULTED)
+    return result.sessions, result.resilience.metrics()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_sink_never_changes_a_faulted_contention_run(seed, monkeypatch):
+    records = []
+    traced = _contention(seed, monkeypatch, records.append)
+    assert traced == _contention(seed, monkeypatch, None)
+    assert traced[1]["award_retries"] > 0
+    assert {r.category for r in records} >= {"faults", "session"}
