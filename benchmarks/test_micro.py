@@ -7,8 +7,6 @@ synchronous negotiation, DES event throughput, and topology rebuilds.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.evaluation import ProposalEvaluator
 from repro.core.formulation import formulate
 from repro.core.negotiation import negotiate

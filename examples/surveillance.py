@@ -13,7 +13,6 @@ Run:
 from repro import (
     Capacity,
     Node,
-    NodeClass,
     ProposalEvaluator,
     Proposal,
     formulate,
@@ -23,7 +22,6 @@ from repro import (
 )
 from repro.metrics.utility import assignment_utility
 from repro.qos import catalog
-from repro.resources.kinds import ResourceKind
 
 
 def show_request() -> None:

@@ -115,23 +115,18 @@ class AgentSystem:
 
     # -- running -----------------------------------------------------------
 
-    def negotiate(
-        self, service: Service, run: bool = True
-    ) -> Optional[NegotiationOutcome]:
+    def negotiate(self, service: Service) -> Optional[NegotiationOutcome]:
         """Run one negotiation end-to-end on the simulated network.
+
+        Steps the engine until the organizer completes and returns its
+        outcome (``None`` if the engine ran dry first).
 
         Args:
             service: The service to allocate (requester must be a node).
-            run: When ``True`` (default) the engine runs to quiescence
-                and the outcome is returned; when ``False`` the session
-                is started and ``None`` returned (caller drives the
-                engine, e.g. to interleave mobility).
         """
         organizer = self.organizer(service.requester)
         result: List[NegotiationOutcome] = []
         organizer.request_service(service, on_complete=result.append)
-        if not run:
-            return None
         # Step (not run-to-exhaustion) so long-lived background activity
         # (mobility ticks) does not get fast-forwarded past the horizon.
         while not result and self.engine.step():
@@ -160,9 +155,6 @@ class AgentSystem:
         self.step_mobility(tick)
         if now + tick <= self._mobility_until:
             self.engine.schedule(tick, weak_callback(self._tick_mobility))
-
-    def alive_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.alive)
 
     def __repr__(self) -> str:
         return f"<AgentSystem nodes={len(self.nodes)} t={self.engine.now:.3f}>"

@@ -67,14 +67,6 @@ class UnknownReservationError(ResourceError):
     """A reservation handle does not correspond to a live reservation."""
 
 
-class UnknownResourceError(ResourceError):
-    """A resource kind is not managed by this node/manager."""
-
-    def __init__(self, kind: object) -> None:
-        super().__init__(f"resource kind not managed here: {kind!r}")
-        self.kind = kind
-
-
 class MappingError(ResourceError):
     """No QoS-level -> resource-demand mapping exists for a task/level."""
 

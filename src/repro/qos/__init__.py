@@ -34,12 +34,6 @@ from repro.qos.request import (
     ValueInterval,
 )
 from repro.qos.levels import DegradationLadder, QualityAssignment, build_ladder
-from repro.qos.serialization import (
-    request_from_dict,
-    request_to_dict,
-    spec_from_dict,
-    spec_to_dict,
-)
 from repro.qos import catalog
 
 __all__ = [
@@ -61,9 +55,5 @@ __all__ = [
     "DegradationLadder",
     "QualityAssignment",
     "build_ladder",
-    "spec_to_dict",
-    "spec_from_dict",
-    "request_to_dict",
-    "request_from_dict",
     "catalog",
 ]

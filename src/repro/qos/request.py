@@ -141,14 +141,6 @@ class DimensionPreference:
                 f"dimension preference {self.dimension!r} repeats an attribute"
             )
 
-    def attribute_preference(self, name: str) -> AttributePreference:
-        for pref in self.attributes:
-            if pref.attribute == name:
-                return pref
-        raise RequestError(
-            f"attribute {name!r} not in dimension preference {self.dimension!r}"
-        )
-
     def __iter__(self) -> Iterator[AttributePreference]:
         return iter(self.attributes)
 

@@ -173,18 +173,18 @@ def conference_service(requester: str, name: str = "conference") -> Service:
     return Service(name=name, tasks=(task,), requester=requester)
 
 
-def pipeline_service(
-    requester: str,
-    name: str = "pipeline",
-    stage_duration: float = 8.0,
-) -> Service:
+#: Seconds each :func:`pipeline_service` task runs.
+PIPELINE_STAGE_DURATION = 8.0
+
+
+def pipeline_service(requester: str, name: str = "pipeline") -> Service:
     """A three-stage media pipeline with precedence (extension, E14).
 
     ``fetch+demux → video decode → enhance/render``: the stages must run
     in order (each consumes the previous stage's output), exercising the
     precedence extension of :class:`~repro.services.service.Service`. An
     independent audio task runs alongside, so the critical path is the
-    three video stages.
+    three video stages, each :data:`PIPELINE_STAGE_DURATION` seconds.
     """
     spec = catalog.video_streaming_spec()
     request = catalog.high_quality_streaming_request(spec)
@@ -197,7 +197,7 @@ def pipeline_service(
         ),
         input_kb=50.0,
         output_kb=300.0,
-        duration=stage_duration,
+        duration=PIPELINE_STAGE_DURATION,
     )
     decode = Task(
         task_id=Task.fresh_id(f"{name}-decode"),
@@ -205,7 +205,7 @@ def pipeline_service(
         demand_model=video_decode_demand(),
         input_kb=300.0,
         output_kb=200.0,
-        duration=stage_duration,
+        duration=PIPELINE_STAGE_DURATION,
     )
     enhance = Task(
         task_id=Task.fresh_id(f"{name}-enhance"),
@@ -219,7 +219,7 @@ def pipeline_service(
         ),
         input_kb=200.0,
         output_kb=150.0,
-        duration=stage_duration,
+        duration=PIPELINE_STAGE_DURATION,
     )
     audio = Task(
         task_id=Task.fresh_id(f"{name}-audio"),
@@ -227,7 +227,7 @@ def pipeline_service(
         demand_model=audio_decode_demand(),
         input_kb=60.0,
         output_kb=30.0,
-        duration=stage_duration,
+        duration=PIPELINE_STAGE_DURATION,
     )
     return Service(
         name=name,

@@ -11,11 +11,10 @@ contention scenarios" — as a subsystem of its own:
   rendering) plus a name → builder registry spanning the paper's
   original three;
 * :mod:`repro.workloads.arrivals` — deterministic-given-seed session
-  arrival processes (fixed interval, homogeneous Poisson, inhomogeneous
-  Poisson over arbitrary rate functions by thinning — bursty, diurnal,
-  flash-crowd — and trace replay);
-* :mod:`repro.workloads.rates` — composable deterministic rate shapes
-  (diurnal cycle, flash crowd, piecewise/trace-derived histograms) with
+  arrival processes (fixed interval, homogeneous Poisson, and
+  inhomogeneous Poisson over a rate shape by thinning);
+* :mod:`repro.workloads.rates` — the deterministic rate shapes
+  (constant, square-wave bursts, diurnal cycle, flash crowd) with
   exact bounds and cumulative intensities;
 * :mod:`repro.workloads.fleet` — the named helper-class mixes, the one
   weighted class draw and the placement every fleet shares;
@@ -44,19 +43,15 @@ experiment layer.
 from repro.workloads import arrivals, contention, fleet, rates, registry, services
 from repro.workloads.arrivals import (
     ArrivalProcess,
-    BurstyProcess,
-    DiurnalProcess,
     FixedIntervalProcess,
-    FlashCrowdProcess,
     InhomogeneousPoissonProcess,
     PoissonProcess,
-    TraceReplayProcess,
 )
 from repro.workloads.rates import (
+    BurstRate,
     ConstantRate,
     DiurnalRate,
     FlashCrowdRate,
-    PiecewiseConstantRate,
     RateShape,
 )
 from repro.workloads.contention import (
@@ -89,17 +84,13 @@ __all__ = [
     "registry",
     "services",
     "ArrivalProcess",
-    "BurstyProcess",
-    "DiurnalProcess",
     "FixedIntervalProcess",
-    "FlashCrowdProcess",
     "InhomogeneousPoissonProcess",
     "PoissonProcess",
-    "TraceReplayProcess",
+    "BurstRate",
     "ConstantRate",
     "DiurnalRate",
     "FlashCrowdRate",
-    "PiecewiseConstantRate",
     "RateShape",
     "ContentionConfig",
     "ContentionResult",

@@ -1,4 +1,4 @@
-"""Composable rate shapes for inhomogeneous arrival processes.
+"""Rate shapes for inhomogeneous arrival processes.
 
 A :class:`RateShape` is a deterministic description of a time-varying
 arrival intensity ``λ(t)`` (sessions per second): callable at any
@@ -10,15 +10,14 @@ controls read).
 
 Shapes are plain values — no RNG state — so an
 :class:`~repro.workloads.arrivals.InhomogeneousPoissonProcess` built
-from one stays a pure function of its seed. They compose: ``a + b``
-superposes two shapes (the superposition of independent Poisson
-processes is Poisson at the summed rate) and ``1.5 * a`` scales one,
-both with exact bounds and cumulatives.
+from one stays a pure function of its seed.
 
-Four primitive shapes:
+Four shapes:
 
-* :class:`ConstantRate` — flat ``λ``; mainly a composition building
-  block (a homogeneous baseline under a spike).
+* :class:`ConstantRate` — flat ``λ`` (E23's crash hazard).
+* :class:`BurstRate` — a square wave: periodic bursts at
+  ``burst_rate`` over a ``base_rate`` baseline, the synchronized
+  demand spikes of ``burst-octet``.
 * :class:`DiurnalRate` — a raised-cosine day/night cycle between
   ``base_rate`` (trough) and ``peak_rate`` (crest), the canonical
   diurnal traffic model. ``period`` is usually compressed far below
@@ -27,18 +26,12 @@ Four primitive shapes:
   to ``peak_rate`` over ``rise`` seconds starting at ``onset``, then
   exponential decay with time constant ``decay`` (the empirical
   flash-crowd signature: sudden onset, slow dissipation).
-* :class:`PiecewiseConstantRate` — an explicit step function; build
-  one from recorded arrival timestamps with
-  :meth:`PiecewiseConstantRate.from_trace` to replay a trace's *shape*
-  (as opposed to replaying its exact timestamps with
-  :class:`~repro.workloads.arrivals.TraceReplayProcess`).
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
 
 
 class RateShape(abc.ABC):
@@ -68,18 +61,6 @@ class RateShape(abc.ABC):
             raise ValueError(f"horizon must be positive, got {horizon}")
         return self.cumulative(horizon) / horizon
 
-    def __add__(self, other: "RateShape") -> "RateShape":
-        if not isinstance(other, RateShape):
-            return NotImplemented
-        return SumRate(self, other)
-
-    def __mul__(self, factor: float) -> "RateShape":
-        if not isinstance(factor, (int, float)):
-            return NotImplemented
-        return ScaledRate(self, float(factor))
-
-    __rmul__ = __mul__
-
 
 class ConstantRate(RateShape):
     """A flat rate ``λ(t) = rate``."""
@@ -100,6 +81,60 @@ class ConstantRate(RateShape):
 
     def __repr__(self) -> str:
         return f"ConstantRate({self.rate:g})"
+
+
+class BurstRate(RateShape):
+    """A square wave: a quiet baseline with periodic bursts.
+
+    Each period of ``period`` seconds opens with a burst window of
+    ``burst_fraction * period`` seconds at ``burst_rate``; the rest of
+    the period runs at ``base_rate``. Models synchronized demand spikes
+    (everyone requests as the meeting starts), the regime where
+    contention between requesters is harshest.
+    """
+
+    def __init__(
+        self,
+        base_rate: float,
+        burst_rate: float,
+        period: float = 60.0,
+        burst_fraction: float = 0.25,
+    ) -> None:
+        if base_rate < 0 or burst_rate <= 0:
+            raise ValueError("rates must be positive (base_rate may be 0)")
+        if burst_rate < base_rate:
+            raise ValueError("burst_rate must be >= base_rate")
+        if period <= 0 or not (0.0 < burst_fraction <= 1.0):
+            raise ValueError("need period > 0 and burst_fraction in (0, 1]")
+        self.base_rate = float(base_rate)
+        self.burst_rate = float(burst_rate)
+        self.period = float(period)
+        self.burst_fraction = float(burst_fraction)
+
+    def __call__(self, t: float) -> float:
+        phase = (t % self.period) / self.period
+        return self.burst_rate if phase < self.burst_fraction else self.base_rate
+
+    def bound(self) -> float:
+        return self.burst_rate
+
+    def cumulative(self, t: float) -> float:
+        # Whole cycles, then the partial one: its burst window first.
+        cycles, rest = divmod(t, self.period)
+        burst = self.burst_fraction * self.period
+        per_cycle = self.burst_rate * burst + self.base_rate * (self.period - burst)
+        in_burst = min(rest, burst)
+        return (
+            cycles * per_cycle
+            + self.burst_rate * in_burst
+            + self.base_rate * (rest - in_burst)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"BurstRate(base={self.base_rate:g}, burst={self.burst_rate:g}, "
+            f"period={self.period:g}, fraction={self.burst_fraction:g})"
+        )
 
 
 class DiurnalRate(RateShape):
@@ -226,130 +261,3 @@ class FlashCrowdRate(RateShape):
             f"FlashCrowdRate(base={self.base_rate:g}, peak={self.peak_rate:g}, "
             f"onset={self.onset:g}, rise={self.rise:g}, decay={self.decay:g})"
         )
-
-
-class PiecewiseConstantRate(RateShape):
-    """A step function over ``[0, edges[-1])``; zero outside.
-
-    Args:
-        edges: Strictly increasing bin boundaries starting at ``0``
-            (``len(rates) + 1`` entries).
-        rates: Rate inside each ``[edges[i], edges[i+1])`` bin.
-    """
-
-    def __init__(self, edges: Sequence[float], rates: Sequence[float]) -> None:
-        edges = tuple(float(e) for e in edges)
-        rates = tuple(float(r) for r in rates)
-        if len(edges) != len(rates) + 1:
-            raise ValueError(
-                f"need len(rates)+1 edges, got {len(edges)} edges "
-                f"for {len(rates)} rates"
-            )
-        if not rates:
-            raise ValueError("need at least one bin")
-        if edges[0] != 0.0:
-            raise ValueError(f"edges must start at 0, got {edges[0]}")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError(f"edges must be strictly increasing, got {edges}")
-        if any(r < 0 for r in rates):
-            raise ValueError(f"rates must be >= 0, got {rates}")
-        self.edges = edges
-        self.rates = rates
-
-    @classmethod
-    def from_trace(
-        cls,
-        times: Sequence[float],
-        bin_width: float,
-        horizon: float,
-    ) -> "PiecewiseConstantRate":
-        """The empirical rate histogram of recorded arrival timestamps.
-
-        Bins ``[0, horizon)`` at ``bin_width`` (the last bin may be
-        shorter) and sets each bin's rate to ``count / width`` — the
-        maximum-likelihood piecewise-constant intensity of the trace.
-        Timestamps outside ``[0, horizon)`` are ignored.
-        """
-        if bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {bin_width}")
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        n_bins = max(1, math.ceil(horizon / bin_width))
-        edges = [min(i * bin_width, horizon) for i in range(n_bins + 1)]
-        edges[-1] = horizon
-        counts = [0] * n_bins
-        for t in times:
-            if 0.0 <= t < horizon:
-                counts[min(int(t / bin_width), n_bins - 1)] += 1
-        rates = [
-            counts[i] / (edges[i + 1] - edges[i]) for i in range(n_bins)
-        ]
-        return cls(edges, rates)
-
-    def __call__(self, t: float) -> float:
-        if t < 0.0 or t >= self.edges[-1]:
-            return 0.0
-        # Linear scan: shapes have few bins and are evaluated once per
-        # thinning candidate; bisect would be noise here.
-        for i, edge in enumerate(self.edges[1:]):
-            if t < edge:
-                return self.rates[i]
-        return 0.0  # pragma: no cover - unreachable, t < edges[-1]
-
-    def bound(self) -> float:
-        return max(self.rates)
-
-    def cumulative(self, t: float) -> float:
-        total = 0.0
-        for i, rate in enumerate(self.rates):
-            lo, hi = self.edges[i], self.edges[i + 1]
-            if t <= lo:
-                break
-            total += rate * (min(t, hi) - lo)
-        return total
-
-    def __repr__(self) -> str:
-        return f"PiecewiseConstantRate({len(self.rates)} bins, bound={self.bound():g})"
-
-
-class SumRate(RateShape):
-    """Superposition ``a(t) + b(t)`` (built by ``a + b``)."""
-
-    def __init__(self, a: RateShape, b: RateShape) -> None:
-        self.a = a
-        self.b = b
-
-    def __call__(self, t: float) -> float:
-        return self.a(t) + self.b(t)
-
-    def bound(self) -> float:
-        # Sum of bounds: a valid (if not always tight) ceiling.
-        return self.a.bound() + self.b.bound()
-
-    def cumulative(self, t: float) -> float:
-        return self.a.cumulative(t) + self.b.cumulative(t)
-
-    def __repr__(self) -> str:
-        return f"({self.a!r} + {self.b!r})"
-
-
-class ScaledRate(RateShape):
-    """``factor · λ(t)`` (built by ``factor * shape``)."""
-
-    def __init__(self, shape: RateShape, factor: float) -> None:
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
-        self.shape = shape
-        self.factor = float(factor)
-
-    def __call__(self, t: float) -> float:
-        return self.factor * self.shape(t)
-
-    def bound(self) -> float:
-        return self.factor * self.shape.bound()
-
-    def cumulative(self, t: float) -> float:
-        return self.factor * self.shape.cumulative(t)
-
-    def __repr__(self) -> str:
-        return f"{self.factor:g}*{self.shape!r}"

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.sessions.policy import SessionPolicy
-from repro.workloads.arrivals import BurstyProcess, DiurnalProcess, FlashCrowdProcess
+from repro.workloads.arrivals import InhomogeneousPoissonProcess
 from repro.workloads.contention import ContentionConfig, ContentionResult, run_contention
+from repro.workloads.rates import BurstRate, DiurnalRate, FlashCrowdRate
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,12 @@ register(ScenarioSpec(
         n_nodes=24,
         area=140.0,
         radio_range=120.0,
-        arrival=BurstyProcess(
+        arrival=InhomogeneousPoissonProcess(BurstRate(
             base_rate=1.0 / 120.0,
             burst_rate=1.0 / 12.0,
             period=80.0,
             burst_fraction=0.25,
-        ),
+        )),
     ),
 ))
 
@@ -165,16 +166,16 @@ register(ScenarioSpec(
     "diurnal-mix",
     "4 mixed requesters on a compressed diurnal arrival cycle, "
     "streaming under churn (E21 sweeps shape × requester count)",
-    _STREAMING_MIX4.replace(arrival=DiurnalProcess(
+    _STREAMING_MIX4.replace(arrival=InhomogeneousPoissonProcess(DiurnalRate(
         base_rate=1.0 / 240.0, peak_rate=1.0 / 30.0, period=240.0, phase=0.0
-    )),
+    ))),
 ))
 
 register(ScenarioSpec(
     "flash-crowd",
     "4 mixed requesters hit by a flash crowd (linear onset at "
     "t=80 s, exponential decay), streaming under churn",
-    _STREAMING_MIX4.replace(arrival=FlashCrowdProcess(
+    _STREAMING_MIX4.replace(arrival=InhomogeneousPoissonProcess(FlashCrowdRate(
         base_rate=1.0 / 240.0, peak_rate=1.0 / 8.0, onset=80.0, rise=10.0, decay=30.0
-    )),
+    ))),
 ))

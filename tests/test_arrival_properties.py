@@ -19,19 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.metrics.bootstrap import bootstrap_ci
 from repro.workloads.arrivals import (
-    BurstyProcess,
-    DiurnalProcess,
     FixedIntervalProcess,
-    FlashCrowdProcess,
     InhomogeneousPoissonProcess,
     PoissonProcess,
-    TraceReplayProcess,
 )
 from repro.workloads.rates import (
+    BurstRate,
     ConstantRate,
     DiurnalRate,
     FlashCrowdRate,
-    PiecewiseConstantRate,
 )
 
 COMMON = settings(derandomize=True, deadline=None, max_examples=50)
@@ -51,11 +47,10 @@ def assert_contract(times, horizon):
 @COMMON
 @given(
     interval=st.floats(0.5, 50.0),
-    offset=st.floats(0.0, 30.0),
     horizon=st.floats(1.0, 200.0),
 )
-def test_fixed_interval_contract(interval, offset, horizon):
-    times = FixedIntervalProcess(interval, offset).arrivals(
+def test_fixed_interval_contract(interval, horizon):
+    times = FixedIntervalProcess(interval).arrivals(
         np.random.default_rng(0), horizon
     )
     assert_contract(times, horizon)
@@ -82,7 +77,9 @@ def test_poisson_contract(rate, horizon, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_diurnal_contract(base, peak_extra, period, phase, horizon, seed):
-    proc = DiurnalProcess(base, base + peak_extra, period, phase)
+    proc = InhomogeneousPoissonProcess(
+        DiurnalRate(base, base + peak_extra, period, phase)
+    )
     times = proc.arrivals(np.random.default_rng(seed), horizon)
     assert_contract(times, horizon)
 
@@ -98,7 +95,9 @@ def test_diurnal_contract(base, peak_extra, period, phase, horizon, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_flash_crowd_contract(base, peak_extra, onset, rise, decay, horizon, seed):
-    proc = FlashCrowdProcess(base, base + peak_extra, onset, rise, decay)
+    proc = InhomogeneousPoissonProcess(
+        FlashCrowdRate(base, base + peak_extra, onset, rise, decay)
+    )
     times = proc.arrivals(np.random.default_rng(seed), horizon)
     assert_contract(times, horizon)
 
@@ -113,27 +112,11 @@ def test_flash_crowd_contract(base, peak_extra, onset, rise, decay, horizon, see
     seed=st.integers(0, 2**32 - 1),
 )
 def test_bursty_contract(base, burst_extra, period, fraction, horizon, seed):
-    proc = BurstyProcess(base, base + burst_extra, period, fraction)
+    proc = InhomogeneousPoissonProcess(
+        BurstRate(base, base + burst_extra, period, fraction)
+    )
     times = proc.arrivals(np.random.default_rng(seed), horizon)
     assert_contract(times, horizon)
-
-
-@COMMON
-@given(
-    raw=st.lists(st.floats(0.0, 500.0), max_size=30),
-    offset=st.floats(0.0, 20.0),
-    scale=st.floats(0.1, 3.0),
-    horizon=st.floats(1.0, 300.0),
-)
-def test_trace_replay_contract(raw, offset, scale, horizon):
-    proc = TraceReplayProcess(raw, offset=offset, time_scale=scale)
-    times = proc.arrivals(np.random.default_rng(0), horizon)
-    assert_contract(times, horizon)
-    # Replay is deterministic: the rng is never consumed.
-    rng = np.random.default_rng(7)
-    before = rng.bit_generator.state
-    proc.arrivals(rng, horizon)
-    assert rng.bit_generator.state == before
 
 
 # -- determinism: pure function of the stream, stable across instances -----
@@ -144,8 +127,8 @@ def test_trace_replay_contract(raw, offset, scale, horizon):
 def test_reinstantiation_is_bit_identical(seed):
     """Two independently constructed processes with equal parameters
     consume equal draws — arrivals depend only on the rng state."""
-    a = DiurnalProcess(0.02, 0.2, 120.0)
-    b = DiurnalProcess(0.02, 0.2, 120.0)
+    a = InhomogeneousPoissonProcess(DiurnalRate(0.02, 0.2, 120.0))
+    b = InhomogeneousPoissonProcess(DiurnalRate(0.02, 0.2, 120.0))
     assert a.arrivals(np.random.default_rng(seed), 300.0) == b.arrivals(
         np.random.default_rng(seed), 300.0
     )
@@ -157,6 +140,7 @@ EXACTNESS_SHAPES = [
     pytest.param(ConstantRate(0.08), id="constant"),
     pytest.param(DiurnalRate(0.02, 0.25, 90.0, phase=10.0), id="diurnal"),
     pytest.param(FlashCrowdRate(0.02, 0.4, 60.0, 8.0, 25.0), id="flash-crowd"),
+    pytest.param(BurstRate(0.02, 0.3, 70.0, 0.3), id="burst"),
 ]
 
 
@@ -177,14 +161,12 @@ def test_counts_match_cumulative_intensity(shape):
 
 def test_cumulative_matches_numeric_integral():
     """Closed-form Λ agrees with trapezoidal integration of λ, for every
-    shape family including compositions."""
+    shape family."""
     shapes = [
         ConstantRate(0.3),
+        BurstRate(0.1, 0.6, 40.0, 0.35),
         DiurnalRate(0.05, 0.5, 77.0, phase=13.0),
         FlashCrowdRate(0.04, 0.9, 40.0, 6.0, 20.0),
-        PiecewiseConstantRate((0.0, 30.0, 60.0, 90.0), (0.1, 0.0, 0.4)),
-        DiurnalRate(0.05, 0.5, 77.0) + ConstantRate(0.1),
-        FlashCrowdRate(0.04, 0.9, 40.0, 6.0, 20.0) * 2.5,
     ]
     grid = np.linspace(0.0, 150.0, 150_001)
     for shape in shapes:
@@ -196,38 +178,21 @@ def test_cumulative_matches_numeric_integral():
 
 
 def test_zero_rate_process_emits_nothing_and_consumes_nothing():
-    """An everywhere-zero shape (e.g. an empty trace histogram) is a
-    valid degenerate process: no arrivals, no draws."""
-    zero = PiecewiseConstantRate.from_trace((), bin_width=10.0, horizon=100.0)
-    proc = InhomogeneousPoissonProcess(zero)
+    """An everywhere-zero shape is a valid degenerate process: no
+    arrivals, no draws."""
+    proc = InhomogeneousPoissonProcess(ConstantRate(0.0))
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
     assert proc.arrivals(rng, 100.0) == ()
     assert rng.bit_generator.state == before
 
 
-def test_zero_rate_interval_gets_no_arrivals():
-    """No arrival ever lands inside an interval where λ = 0."""
-    shape = PiecewiseConstantRate((0.0, 40.0, 80.0, 120.0), (0.5, 0.0, 0.5))
-    proc = InhomogeneousPoissonProcess(shape)
-    for seed in range(50):
-        times = proc.arrivals(np.random.default_rng(seed), 120.0)
-        assert_contract(times, 120.0)
-        assert not any(40.0 <= t < 80.0 for t in times), times
-
-
 def test_no_arrival_at_exactly_horizon():
-    """The window is half-open: a trace timestamp or fixed-interval tick
-    landing exactly on the horizon is excluded."""
-    assert TraceReplayProcess([0.0, 5.0, 10.0]).arrivals(
-        np.random.default_rng(0), 10.0
-    ) == (0.0, 5.0)
+    """The window is half-open: a fixed-interval tick landing exactly
+    on the horizon is excluded."""
     assert FixedIntervalProcess(5.0).arrivals(
         np.random.default_rng(0), 10.0
     ) == (0.0, 5.0)
-    # Looped replay: the copy landing at 10.0 with loop_period 5 is out.
-    looped = TraceReplayProcess([0.0], loop_period=5.0)
-    assert looped.arrivals(np.random.default_rng(0), 10.0) == (0.0, 5.0)
 
 
 @COMMON
@@ -243,7 +208,9 @@ def test_inhomogeneous_never_touches_horizon(seed):
 
 def test_bursty_zero_base_rate_quiet_between_bursts():
     """base_rate = 0 is legal: arrivals only inside burst windows."""
-    proc = BurstyProcess(0.0, 0.8, period=50.0, burst_fraction=0.2)
+    proc = InhomogeneousPoissonProcess(
+        BurstRate(0.0, 0.8, period=50.0, burst_fraction=0.2)
+    )
     for seed in range(30):
         times = proc.arrivals(np.random.default_rng(seed), 200.0)
         assert_contract(times, 200.0)

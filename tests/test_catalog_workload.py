@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import QoSSpecError
 from repro.qos import catalog
 from repro.qos.catalog import (
     AUDIO_QUALITY,

@@ -11,8 +11,6 @@ from repro.core.reward import local_reward
 from repro.errors import InfeasibleTaskError
 from repro.qos import catalog
 from repro.qos.catalog import CODEC, COLOR_DEPTH, FRAME_RATE
-from repro.resources.capacity import Capacity
-from repro.resources.mapping import LinearDemandModel
 from repro.services import workload
 from repro.services.task import Task
 

@@ -11,12 +11,10 @@ from repro.core.negotiation import (
     negotiate,
     release_coalition,
 )
-from repro.core.selection import SelectionPolicy
 from repro.metrics.utility import outcome_utility
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
 from repro.resources.capacity import Capacity
-from repro.resources.kinds import ResourceKind
 from repro.resources.node import Node, NodeClass
 from repro.resources.provider import QoSProvider
 from repro.services import workload

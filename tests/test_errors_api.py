@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
 from repro import errors
+
+
+def _modules_with_all():
+    """Every ``repro`` module that declares ``__all__``, by name."""
+    names = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    return [name for name in names if hasattr(importlib.import_module(name), "__all__")]
 
 
 def test_all_errors_derive_from_repro_error():
@@ -50,24 +61,15 @@ def test_catching_base_class_catches_all():
         DiscreteDomain(ValueType.INTEGER, ())
 
 
-def test_public_api_exports_resolve():
-    for name in repro.__all__:
-        assert getattr(repro, name, None) is not None, f"missing export {name}"
+@pytest.mark.parametrize("module_name", _modules_with_all())
+def test_every_export_resolves(module_name):
+    """Each name a module lists in ``__all__`` is bound in it, so a
+    deleted class cannot linger as an export."""
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if getattr(module, name, None) is None]
+    assert not missing, f"{module_name}.__all__ names unbound {missing}"
 
 
 def test_version_string():
     assert repro.__version__.count(".") == 2
 
-
-def test_qos_namespace_exports():
-    from repro import qos
-
-    for name in qos.__all__:
-        assert getattr(qos, name, None) is not None, f"missing qos export {name}"
-
-
-def test_core_namespace_exports():
-    from repro import core
-
-    for name in core.__all__:
-        assert getattr(core, name, None) is not None, f"missing core export {name}"

@@ -3,10 +3,8 @@ battery-aware selection."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.coalition import Coalition, TaskAward
 from repro.core.negotiation import candidate_nodes, negotiate
 from repro.core.operation import run_operation_phase
 from repro.core.proposal import Proposal
@@ -99,8 +97,6 @@ def test_route_none_when_partitioned():
 
 def test_candidate_nodes_multihop():
     topo, _ = _chain()
-    from repro.services.service import Service
-
     service = workload.surveillance_service(requester="n0")
     object.__setattr__(service, "requester", "n0")
     assert set(candidate_nodes(service, topo, max_hops=1)) == {"n0", "n1"}

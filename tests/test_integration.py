@@ -14,7 +14,6 @@ from repro.experiments.config import ClusterConfig
 from repro.experiments.scenario import build_agent_system, build_cluster
 from repro.metrics.utility import outcome_utility
 from repro.network.mobility import RandomWaypoint
-from repro.resources.kinds import ResourceKind
 from repro.resources.node import Node, NodeClass
 from repro.services import workload
 from repro.sim.engine import Engine
@@ -117,8 +116,6 @@ def test_same_seed_reproduces_identical_outcome():
 
 def test_baseline_ladder_ordering():
     """optimal >= protocol >= random on utility; single <= coalition."""
-    import numpy as np
-
     topology, providers, nodes, registry = build_cluster(
         ClusterConfig(n_nodes=8), seed=17
     )

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.agents.system import AgentSystem
 from repro.core.negotiation import release_coalition
 from repro.network.mobility import GroupMobility, RandomWaypoint
 from repro.network.geometry import distance
-from repro.resources.kinds import ResourceKind
 from repro.resources.node import Node, NodeClass
 from repro.services import workload
 from repro.sim.events import Priority

@@ -1,9 +1,7 @@
-"""Extended property-based tests: serialization roundtrips, negotiation
-invariants, lease safety, and selection-policy coherence."""
+"""Extended property-based tests: negotiation invariants, lease safety,
+and selection-policy coherence."""
 
 from __future__ import annotations
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,54 +16,9 @@ from repro.core.selection import (
 )
 from repro.experiments.config import ClusterConfig
 from repro.experiments.scenario import build_cluster
-from repro.qos import catalog
-from repro.qos.serialization import (
-    request_from_dict,
-    request_to_dict,
-    spec_from_dict,
-    spec_to_dict,
-)
 from repro.resources.capacity import Capacity
 from repro.resources.manager import ResourceManager
-from repro.resources.kinds import ResourceKind
 from repro.services import workload
-
-
-# -- serialization roundtrips over random synthetic specs --------------------
-
-
-@given(
-    n_dims=st.integers(1, 4),
-    n_attrs=st.integers(1, 3),
-    levels=st.integers(1, 6),
-)
-@settings(max_examples=30, deadline=None)
-def test_synthetic_spec_roundtrip(n_dims, n_attrs, levels):
-    spec = catalog.synthetic_spec(n_dims, n_attrs, levels)
-    data = json.loads(json.dumps(spec_to_dict(spec)))
-    restored = spec_from_dict(data)
-    assert restored.dimension_names == spec.dimension_names
-    assert restored.attribute_names == spec.attribute_names
-    for name in spec.attribute_names:
-        assert restored.attribute(name).domain == spec.attribute(name).domain
-
-
-@given(
-    n_dims=st.integers(1, 3),
-    n_attrs=st.integers(1, 3),
-    levels=st.integers(2, 6),
-    acceptable=st.integers(1, 6),
-)
-@settings(max_examples=30, deadline=None)
-def test_synthetic_request_roundtrip(n_dims, n_attrs, levels, acceptable):
-    spec = catalog.synthetic_spec(n_dims, n_attrs, levels)
-    request = catalog.synthetic_request(spec, acceptable_levels=min(acceptable, levels))
-    data = json.loads(json.dumps(request_to_dict(request)))
-    restored = request_from_dict(data, spec)
-    assert restored.preferred_assignment() == request.preferred_assignment()
-    for attr in spec.attribute_names:
-        for value in spec.attribute(attr).domain.values:  # type: ignore[union-attr]
-            assert restored.accepts(attr, value) == request.accepts(attr, value)
 
 
 # -- negotiation invariants over random clusters ------------------------------

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.agents.messages import CFP, PROPOSE, ProposePayload
-from repro.agents.organizer import OrganizerAgent
 from repro.agents.system import AgentSystem
-from repro.core.negotiation import release_coalition
 from repro.core.proposal import Proposal
-from repro.errors import ReproError
 from repro.network.mobility import StaticPlacement
 from repro.resources.capacity import Capacity
 from repro.resources.node import Node, NodeClass

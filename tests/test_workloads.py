@@ -18,9 +18,11 @@ from repro.resources.kinds import ResourceKind
 from repro.resources.node import NODE_CLASS_PROFILES, Node, NodeClass
 from repro.sim.rng import RngRegistry
 from repro.workloads import (
-    BurstyProcess,
+    BurstRate,
+    ConstantRate,
     ContentionConfig,
     FixedIntervalProcess,
+    InhomogeneousPoissonProcess,
     PoissonProcess,
     ScenarioSpec,
     build_service,
@@ -81,9 +83,9 @@ def test_build_service_unknown_family():
 
 
 def test_fixed_interval_is_deterministic_and_ignores_rng():
-    process = FixedIntervalProcess(interval=50.0, offset=10.0)
+    process = FixedIntervalProcess(interval=50.0)
     rng = np.random.default_rng(0)
-    assert process.arrivals(rng, 240.0) == (10.0, 60.0, 110.0, 160.0, 210.0)
+    assert process.arrivals(rng, 240.0) == (0.0, 50.0, 100.0, 150.0, 200.0)
     # No draws consumed: the generator still matches a fresh one.
     assert np.random.default_rng(0).random() == rng.random()
 
@@ -99,8 +101,9 @@ def test_poisson_is_pure_function_of_stream():
 
 
 def test_bursty_is_deterministic_and_bounded():
-    process = BurstyProcess(base_rate=0.01, burst_rate=0.2, period=60.0,
-                            burst_fraction=0.25)
+    process = InhomogeneousPoissonProcess(BurstRate(
+        base_rate=0.01, burst_rate=0.2, period=60.0, burst_fraction=0.25
+    ))
     a = process.arrivals(RngRegistry(3).stream("arr"), 240.0)
     assert a == process.arrivals(RngRegistry(3).stream("arr"), 240.0)
     assert all(0.0 <= t < 240.0 for t in a)
@@ -112,7 +115,7 @@ def test_arrival_validation():
     with pytest.raises(ValueError):
         PoissonProcess(rate=-1.0)
     with pytest.raises(ValueError):
-        BurstyProcess(base_rate=0.5, burst_rate=0.1)  # burst below base
+        BurstRate(base_rate=0.5, burst_rate=0.1)  # burst below base
     with pytest.raises(ValueError):
         PoissonProcess(rate=1.0).arrivals(np.random.default_rng(0), 0.0)
 
@@ -160,7 +163,7 @@ def test_contention_releases_all_reservations(monkeypatch):
 def test_contention_metrics_keys_are_stable():
     quiet = run_contention(1, ContentionConfig(
         n_requesters=1,
-        arrival=FixedIntervalProcess(interval=1000.0, offset=500.0),
+        arrival=InhomogeneousPoissonProcess(ConstantRate(0.0)),
         horizon=120.0,
     ))
     busy = run_contention(1, ContentionConfig(n_requesters=2, horizon=120.0))
