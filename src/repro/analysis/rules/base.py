@@ -239,7 +239,7 @@ class RuleConfig:
         "repro.experiments.store",
     )
     guarded_attributes: Tuple[str, ...] = field(
-        default=("positions", "_adj", "_bw", "_loss")
+        default=("positions", "_adj", "_bw", "_loss", "_live")
     )
 
 

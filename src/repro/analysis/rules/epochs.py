@@ -3,12 +3,13 @@
 ``Topology`` (PR 5) keys every derived cache — neighbor tuples, BFS
 orders, bidirectional-Dijkstra routes — off a monotone epoch counter.
 The invariant: any method that mutates the position/adjacency arena
-(``positions``, ``_adj``, ``_bw``, ``_loss``) must bump the
-epoch before returning, directly (``self._bump_epoch()``) or by calling
-a same-class method that transitively does (``rebuild``,
-``update_positions``). A mutation that skips the bump leaves stale
-routes being served against a changed arena — the bug any in-place
-arena write (the partition overlay's, say) invites.
+(``positions``, ``_adj``, ``_bw``, ``_loss``) or the liveness mask over
+its rows (``_live``) must bump the epoch before returning, directly
+(``self._bump_epoch()``) or by calling a same-class method that
+transitively does (``rebuild``, ``update_positions``). A mutation that
+skips the bump leaves stale routes being served against a changed
+arena — the bug any in-place arena write (masking a removed node's
+row, say) invites.
 
 The check is a lightweight intra-module call graph: for every class
 that defines ``_bump_epoch``, compute the fixpoint of "calls a bumping

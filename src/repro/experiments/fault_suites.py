@@ -9,7 +9,7 @@ instead of dropping them, and recover in place when the fault clears?
 
 Each sweep point is one :class:`~repro.faults.plan.FaultPlan` regime on
 the same 512-node streaming-contention cluster (constant density, the
-E22 workload shape, unsharded so partitions can overlay the global
+E22 workload shape, unsharded so partitions can cut the global
 topology). The axes:
 
 * **loss burstiness** — a calm vs bursty Gilbert–Elliott chain on every

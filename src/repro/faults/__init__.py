@@ -7,7 +7,7 @@ Three pieces:
   and the award handshake's fixed retry budget;
 * :mod:`repro.faults.injector` — the
   :class:`~repro.faults.injector.FaultInjector` that executes a plan at
-  the existing seams (node liveness, topology overlays, negotiation);
+  the existing seams (node liveness, topology cuts, negotiation);
 * :mod:`repro.faults.report` — the
   :class:`~repro.faults.report.ResilienceReport` summarizing
   availability, recovery times, retries and the degraded-vs-dropped

@@ -7,8 +7,10 @@ existing seams only:
   recover events on the driver's engine, driving
   :meth:`~repro.resources.node.Node.fail` and friends exactly like the
   caller-scheduled churn the driver already handles;
-* **topology** — partitions block/unblock link overlays via
-  :meth:`~repro.network.topology.Topology.block_links`;
+* **topology** — a partition adds a cut between its two groups at its
+  start and removes it at its heal
+  (:meth:`~repro.network.topology.Topology.block_links` /
+  ``unblock_links``);
 * **negotiation** — the injector doubles as the ``faults`` argument of
   :func:`~repro.core.negotiation.negotiate`: dropped/stale PROPOSE
   filtering, and the award handshake with bounded deterministic
@@ -218,9 +220,9 @@ class FaultInjector:
         Schedules partitions (block at start, heal at end) and hazard
         crashes (with optional recovery) on the driver's engine, and
         registers this injector as the driver's negotiation fault
-        context. Partition support needs a topology with link overlays
+        context. Partition support needs a topology that can cut links
         (:class:`~repro.network.topology.Topology`); the sharded facade
-        does not carry one yet.
+        cannot yet.
         """
         driver.faults = self
         engine = driver.engine
@@ -232,15 +234,16 @@ class FaultInjector:
                 "are not partition-aware yet)"
             )
         for partition in self.plan.partitions:
-            pairs = partition.cross_pairs()
+            groups = (partition.group_a, partition.group_b)
+            links = len(partition.group_a) * len(partition.group_b)
 
-            def _block(now: float, pairs=pairs) -> None:
-                topology.block_links(pairs)
-                engine.emit("faults", "partition", links=len(pairs))
+            def _block(now: float, groups=groups, links=links) -> None:
+                topology.block_links(*groups)
+                engine.emit("faults", "partition", links=links)
 
-            def _heal(now: float, pairs=pairs) -> None:
-                topology.unblock_links(pairs)
-                engine.emit("faults", "heal", links=len(pairs))
+            def _heal(now: float, groups=groups, links=links) -> None:
+                topology.unblock_links(*groups)
+                engine.emit("faults", "heal", links=links)
 
             engine.schedule_at(partition.start, _block)
             engine.schedule_at(partition.heal_at, _heal)

@@ -115,12 +115,6 @@ class Partition:
     def heal_at(self) -> float:
         return self.start + self.duration
 
-    def cross_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        """Every blocked (a, b) pair, in deterministic order."""
-        return tuple(
-            (a, b) for a in self.group_a for b in self.group_b
-        )
-
 
 @dataclass(frozen=True)
 class CrashHazard:

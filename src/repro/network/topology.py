@@ -6,23 +6,27 @@ two questions: *who are the requester's neighbors right now* (candidate
 coalition members — the paper's "nodes in range") and *what does it cost to
 talk to them* (link bandwidth → communication-cost tie-break).
 
-The graph lives in a numpy **arena** over the alive nodes, in
-registration order: positions, and the in-range, bandwidth and loss
-matrices. They are measured from the pairs a radio range could link
+The graph lives in a numpy **arena**, which is the **geometry memo**:
+the nodes alive at its last measurement, in registration order, their
+positions, and the in-range, bandwidth and loss matrices. They are
+measured from the pairs a radio range could link
 (:func:`repro.network.geometry.candidate_pairs`, exact ``math.hypot``
 distances): the radio model's ``*_matrix`` curves run over those pairs'
 distances and are scattered into matrices that hold the out-of-range
 constants everywhere else. No distance matrix is kept.
-:meth:`Topology.rebuild` derives the arena from a **geometry memo**, the
-alive nodes and matrices of its last recompute. When every alive node
-sits in the memo at a bit-equal position (a crash, a recovery, a
-partition or a heal: none of them moves a node), the arena is a slice of
-the memo; otherwise, after a move, a join or a leave, the memo is
-measured again (a mobility tick's :meth:`Topology.update_positions`
-skips the check). Every radio curve is elementwise in the distance, so
-a slice equals a recompute bit for bit. The partition overlay is resolved
-to memo rows once per block, heal or re-measure and cleared from the
-adjacency on every rebuild.
+:meth:`Topology.rebuild` sets a **liveness mask** over the memo rows.
+When every alive node sits in the memo at a bit-equal position (a
+crash, a recovery, a partition or a heal: none of them moves a node),
+the memo stays and only the mask changes, so no matrix is copied;
+otherwise, after a move, a join or a leave, the memo is measured again
+over the alive nodes (a mobility tick's
+:meth:`Topology.update_positions` skips the check). Every radio curve
+is elementwise in the distance, so the live rows of a memo equal a
+fresh measurement bit for bit. A partition is a **cut** between two
+groups of ids, resolved to a side per memo row once per cut change or
+re-measure: building a row clears the columns on the far side of every
+active cut that holds the row, and the link queries test cuts only
+while one is active.
 Adjacency and edge attributes (bandwidth / loss) are numpy arrays. Every
 membership or connectivity change bumps an **epoch counter**, which keys
 the per-epoch caches. Each node's two **rows** are built from the arena
@@ -43,11 +47,14 @@ search when it is **certified** (see :meth:`_certified_route`): a
 direct link that costs less than the cheapest other link at one end
 plus the cheapest other link at the other, or else the cheaper of the
 direct link and the best relay when it costs less than any walk of
-three hops can (the cheapest link at each end plus the arena's cheapest
+three hops can (the cheapest link at each end plus the memo's cheapest
 possible hop). The certificate returns exactly what the search would,
 tie-breaks included. It answers every route of e18-negotiate-128 (no
-search runs on seeds 0–103 and 1001–1072), and 118 of 234 on
-e23-crash-256 seeds 1–4, where the rest have three hops or more.
+search runs on seeds 0–103 and 1001–1072). A route between the two
+sides of a cut whose groups hold every live row is answered ``None``
+without either (:meth:`Topology._severed`): e23-crash-256's partition
+is such a cut, and it severs every route the search used to explore a
+whole component for.
 ``tests/data/topology_golden.json`` records the answers of the original
 graph-library implementation, and ``tests/test_topology_vector.py`` pins
 the arena to them bit for bit; ``tests/test_topology_machine.py`` holds
@@ -57,7 +64,6 @@ route to the search's answer.
 
 from __future__ import annotations
 
-from collections import Counter
 from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -83,11 +89,30 @@ BFS_CACHE_MAX = 1024
 #: :meth:`Topology._certified_route`).
 _BOUND_MARGIN = 1e-12
 
+#: A cut between two groups of node ids: each group sorted without
+#: repeats, and the two groups in sorted order, so that equal cuts
+#: compare equal however they were named.
+Cut = Tuple[Tuple[str, ...], Tuple[str, ...]]
+
+
+def _cut(group_a: Sequence[str], group_b: Sequence[str]) -> Cut:
+    """The cut between ``group_a`` and ``group_b``.
+
+    Raises:
+        ValueError: If the groups overlap.
+    """
+    a, b = tuple(sorted(set(group_a))), tuple(sorted(set(group_b)))
+    overlap = set(a).intersection(b)
+    if overlap:
+        raise ValueError(f"cut groups overlap: {sorted(overlap)}")
+    return (a, b) if a <= b else (b, a)
+
 
 class _Geometry(NamedTuple):
-    """What :meth:`Topology.rebuild` measured at its last recompute: the
-    ids of the alive nodes (registration order), their positions and
-    the radio's in-range, bandwidth and loss matrices. A pair beyond the
+    """What :meth:`Topology.rebuild` measured at its last recompute, and
+    the topology's arena until the next one: the ids of the alive nodes
+    (registration order), their positions and the radio's in-range,
+    bandwidth and loss matrices. A pair beyond the
     radio's :attr:`~repro.network.radio.RadioModel.matrix_distance_cutoff`,
     and the diagonal, hold the out-of-range constants (False, 0.0, 1.0).
     The arrays are read-only; the memo holds ids, never nodes."""
@@ -137,17 +162,6 @@ class _Geometry(NamedTuple):
         if not np.array_equal(positions, self.positions[at]):
             return None
         return at
-
-    def sliced(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(adj, bw, loss)`` over the memo rows ``rows``: each is
-        ``matrix[np.ix_(rows, rows)]``, taken as one flat gather per
-        matrix (about 3x faster than ``np.ix_`` at 256 nodes)."""
-        m = len(rows)
-        at = np.add.outer(rows * len(self.ids), rows).ravel()
-        adj, bw, loss = (
-            matrix.take(at).reshape(m, m) for matrix in (self.adj, self.bw, self.loss)
-        )
-        return adj, bw, loss
 
 
 class _RouteRow:
@@ -201,32 +215,38 @@ class Topology:
         self.radio = radio
         self._nodes: Dict[str, Node] = {}
         self._epoch = 0
-        # -- arena state, valid after rebuild() ---------------------------
+        # -- arena state, valid after rebuild(): the memo's read-only
+        # arrays, its ids by row, and the rows of the ids live at the
+        # last rebuild (a dead node has no index) ---------------------
         self.positions = np.empty((0, 2), dtype=np.float64)
         self._arena_ids: Tuple[str, ...] = ()
         self._index: Dict[str, int] = {}
         self._adj = np.zeros((0, 0), dtype=bool)
         self._bw = np.zeros((0, 0), dtype=np.float64)
         self._loss = np.zeros((0, 0), dtype=np.float64)
-        # Which arena rows belong to a registered node: ``None`` while
-        # all do, else a mask (remove_node() keeps a node's row until
-        # the next rebuild, and no query may see it).
-        self._present: Optional[np.ndarray] = None
+        # Which arena rows no query may see past: ``None`` while every
+        # row is live, else a mask that is False for the rows of nodes
+        # dead at the last rebuild and of nodes removed since
+        # (remove_node() keeps a node's row until the next rebuild).
+        self._live: Optional[np.ndarray] = None
         # Geometry memo of the last recompute (see rebuild()); dropped
-        # by every membership change.
+        # by every membership change. Its hop floor (see _hop_floor())
+        # is computed on first ask.
         self._geometry: Optional[_Geometry] = None
-        # Blocked-link overlay (partition faults): normalized id pair ->
-        # number of partitions currently blocking it; every pair is
-        # suppressed from the adjacency on every (re)build. Empty for
-        # fault-free runs, where it costs nothing. ``_overlay`` holds it
-        # resolved to memo rows, ``None`` until the next rebuild needs it.
-        self._blocked: Counter = Counter()
-        self._overlay: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._floor: Optional[float] = None
+        # Active cuts (partition faults), duplicates allowed: a link is
+        # blocked while any of them separates its ends. ``_sides`` holds
+        # each resolved to the arena, as an int8 side per row (0 outside
+        # both groups, 1 the first, 2 the second) and the same as a
+        # list; ``None`` until the next rebuild resolves it. Empty for
+        # fault-free runs, where it costs nothing.
+        self._cuts: List[Cut] = []
+        self._sides: Optional[List[Tuple[np.ndarray, List[int]]]] = None
         # -- per-epoch caches, built lazily on first query ----------------
         self._cache_epoch = -1
         self._nbrs: Dict[str, Tuple[str, ...]] = {}
         self._rows: List[Optional[_RouteRow]] = []  # by arena index
-        self._floor: Optional[float] = None  # see _hop_floor()
+        self._covering: Optional[List[List[int]]] = None  # see _severed()
         self._bfs: Dict[str, List[Tuple[str, int]]] = {}
         self._routes: Dict[Tuple[str, str], Optional[Tuple[str, ...]]] = {}
         self._route_costs: Dict[Tuple[str, str], float] = {}
@@ -261,8 +281,8 @@ class Topology:
         self._nodes[node.node_id] = node
         node.add_liveness_watcher(self._on_liveness_change)
         row = self._index.get(node.node_id)
-        if row is not None and self._present is not None:
-            self._present[row] = True  # re-joined before a rebuild
+        if row is not None and self._live is not None:
+            self._live[row] = True  # re-joined before a rebuild
         self._geometry = None  # membership changed: drop the memo
         self._bump_epoch()
 
@@ -273,9 +293,9 @@ class Topology:
         node.remove_liveness_watcher(self._on_liveness_change)
         row = self._index.get(node_id)
         if row is not None:
-            if self._present is None:
-                self._present = np.ones(len(self._arena_ids), dtype=bool)
-            self._present[row] = False
+            if self._live is None:
+                self._live = np.ones(len(self._arena_ids), dtype=bool)
+            self._live[row] = False
         self._geometry = None  # membership changed: drop the memo
         self._bump_epoch()
 
@@ -304,56 +324,48 @@ class Topology:
     def rebuild(self) -> None:
         """Recompute all edges from current positions and liveness.
 
-        Packs the alive nodes into the arena, in registration order, and
-        derives adjacency and link-quality arrays from the distances of
-        the pairs in radio range. The geometry memo (the alive nodes of
-        the last recompute) decides how:
+        The arena is the geometry memo: the nodes alive at its last
+        measurement, in registration order, with their positions and
+        the adjacency and link-quality matrices of the pairs in radio
+        range. Every call checks the memo against the alive nodes,
+        O(alive):
 
         * **hit** — every alive node is in the memo at a bit-equal
-          position (checked here on every call, O(alive)): the arena is
-          the memo's rows and columns of those nodes, O(alive²) copying;
+          position: the memo stays, and a liveness mask over its rows
+          marks the alive ones (``None`` when all are). No matrix is
+          copied;
         * **miss** — a node moved, or one that was not alive at the last
-          recompute is alive now, or membership changed since (or
+          measurement is alive now, or membership changed since (or
           :meth:`update_positions` dropped the memo): the memo is
           measured again over the alive nodes, O(n²) numpy work plus
-          O(edges) exact distance calls.
+          O(edges) exact distance calls, and every row is live.
 
-        Both give the same arrays bit for bit, since every radio curve
-        is elementwise in the distance. Then every blocked pair between
-        two alive nodes is cleared from the adjacency, which is never
-        the memo's own array. The epoch advances and every cached
-        neighbor/route answer is dropped.
+        Both answer alike bit for bit, since every radio curve is
+        elementwise in the distance. The active cuts are resolved to
+        the arena after a cut change or a re-measure. The epoch advances
+        and every cached neighbor/route answer is dropped.
         """
         self._bump_epoch()
         alive = [n for n in self._nodes.values() if n.alive]
         ids = tuple(n.node_id for n in alive)
-        self._arena_ids = ids
-        self._index = {nid: i for i, nid in enumerate(ids)}
-        self._present = None
-        self.positions = position_array([n.position for n in alive])
-        m = len(alive)
-        if m < 2:
-            self._adj = np.zeros((m, m), dtype=bool)
-            self._bw = np.zeros((m, m), dtype=np.float64)
-            self._loss = np.ones((m, m), dtype=np.float64)
-            return
+        positions = position_array([n.position for n in alive])
         geo = self._geometry
-        rows = None if geo is None else geo.rows_of(ids, self.positions)
+        rows = None if geo is None else geo.rows_of(ids, positions)
         if geo is None or rows is None:
-            geo = self._geometry = _Geometry.measure(ids, self.positions, self.radio)
-            self._overlay = None
-        elif ids == geo.ids:
-            rows = None  # every memo node is alive
-        if rows is None:  # the arena is the whole memo
-            self._bw, self._loss = geo.bw, geo.loss
-            adj = geo.adj.copy()
+            geo = self._geometry = _Geometry.measure(ids, positions, self.radio)
+            self._floor = None
+            self._sides = None
+        self._arena_ids = geo.ids
+        self.positions, self._adj, self._bw, self._loss = geo.positions, geo.adj, geo.bw, geo.loss
+        if rows is None or len(rows) == len(geo.ids):
+            self._index, self._live = geo.index, None
         else:
-            adj, self._bw, self._loss = geo.sliced(rows)
-        if self._blocked:
-            ii, jj = self._blocked_rows(geo, rows)
-            adj[ii, jj] = False
-            adj[jj, ii] = False
-        self._adj = adj
+            self._index = dict(zip(ids, rows.tolist()))
+            live = np.zeros(len(geo.ids), dtype=bool)
+            live[rows] = True
+            self._live = live
+        if self._sides is None:
+            self._sides = [self._resolve(cut, geo.index) for cut in self._cuts]
 
     def advance_mobility(
         self, mobility: MobilityModel, nodes: Sequence[Node], dt: float
@@ -374,71 +386,56 @@ class Topology:
             self._geometry = None
         self.rebuild()
 
-    # -- blocked-link overlay (partition faults) ---------------------------
+    # -- cuts (partition faults) --------------------------------------------
 
     @property
-    def blocked_links(self) -> frozenset:
-        """The current overlay: normalized ``(a, b)`` pairs whose direct
-        link is suppressed regardless of radio reachability."""
-        return frozenset(self._blocked)
+    def cuts(self) -> Tuple[Cut, ...]:
+        """The active cuts in the order they were added, a repeated cut
+        once per addition."""
+        return tuple(self._cuts)
 
-    def _blocked_rows(
-        self, geo: _Geometry, rows: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Arena index arrays of the blocked pairs between two alive
-        nodes. ``rows`` maps the arena into the memo (``None``: the
-        arena is the whole memo).
+    @staticmethod
+    def _resolve(cut: Cut, index: Dict[str, int]) -> Tuple[np.ndarray, List[int]]:
+        """The side of every arena row in ``cut`` (0 in neither group,
+        1 in the first, 2 in the second), as an array and a list. An id
+        outside the arena blocks nothing."""
+        side = np.zeros(len(index), dtype=np.int8)
+        for label, group in enumerate(cut, start=1):
+            side[[index[nid] for nid in group if nid in index]] = label
+        return side, side.tolist()
 
-        The overlay is resolved to memo rows once per block, heal or
-        re-measure; pairs naming a node outside the memo or outside the
-        arena are ignored (blocking is about links, not membership).
-        """
-        if self._overlay is None:
-            index = geo.index
-            pairs = list(self._blocked)
-            ii = np.fromiter((index.get(a, -1) for a, _ in pairs), np.intp, len(pairs))
-            jj = np.fromiter((index.get(b, -1) for _, b in pairs), np.intp, len(pairs))
-            keep = (ii >= 0) & (jj >= 0)
-            self._overlay = (ii[keep], jj[keep])
-        ii, jj = self._overlay
-        if rows is None:
-            return ii, jj
-        arena = np.full(len(geo.ids), -1, dtype=np.intp)
-        arena[rows] = np.arange(len(rows))
-        ii, jj = arena[ii], arena[jj]
-        keep = (ii >= 0) & (jj >= 0)
-        return ii[keep], jj[keep]
+    def block_links(self, group_a: Sequence[str], group_b: Sequence[str]) -> None:
+        """Add a cut and rebuild: every direct link between a node of
+        ``group_a`` and a node of ``group_b`` is blocked, both ways,
+        regardless of radio reachability.
 
-    def block_links(self, pairs: Sequence[Tuple[str, str]]) -> None:
-        """Add bidirectional link blocks and rebuild.
-
-        The overlay survives later rebuilds (mobility, churn) until
+        The cut survives later rebuilds (mobility, churn) until
         :meth:`unblock_links` removes it — a partition does not heal
-        because somebody moved. Blocks are counted per pair, so a pair
-        that overlapping partitions share stays blocked until every one
-        of them has healed.
+        because somebody moved. Cuts are kept as a list, so a link that
+        overlapping or repeated partitions share stays blocked until
+        every one of them has healed.
+
+        Raises:
+            ValueError: If the groups overlap.
         """
-        self._blocked.update((a, b) if a <= b else (b, a) for a, b in pairs)
-        self._overlay = None
+        self._cuts.append(_cut(group_a, group_b))
+        self._sides = None
         self.rebuild()
 
-    def unblock_links(self, pairs: Sequence[Tuple[str, str]]) -> None:
-        """Remove one block per pair (healing a partition) and rebuild;
-        a pair whose last block goes comes back exactly as the radio
-        model dictates, so post-heal routes match a never-partitioned
-        topology bit for bit. Unblocking a pair that is not blocked does
-        nothing. O(pairs): each pair is decremented in place."""
-        blocked = self._blocked
-        for a, b in pairs:
-            pair = (a, b) if a <= b else (b, a)
-            count = blocked.get(pair)
-            if count is None:
-                continue
-            if count > 1:
-                blocked[pair] = count - 1
-            else:
-                blocked.pop(pair)
-        self._overlay = None
+    def unblock_links(self, group_a: Sequence[str], group_b: Sequence[str]) -> None:
+        """Remove one cut equal to the one between ``group_a`` and
+        ``group_b`` (healing a partition) and rebuild; a link no other
+        cut separates comes back exactly as the radio model dictates, so
+        post-heal routes match a never-partitioned topology bit for bit.
+        Healing a cut that is not active does nothing.
+
+        Raises:
+            ValueError: If the groups overlap.
+        """
+        cut = _cut(group_a, group_b)
+        if cut in self._cuts:
+            self._cuts.remove(cut)
+            self._sides = None
         self.rebuild()
 
     # -- lazy per-epoch rows -----------------------------------------------
@@ -450,24 +447,22 @@ class Topology:
         self._cache_epoch = self._epoch
         self._nbrs = {}
         self._rows = [None] * len(self._arena_ids)
-        self._floor = None
+        self._covering = None
         self._bfs = {}
         self._routes = {}
         self._route_costs = {}
 
     def _neighbor_row(self, node_id: str) -> Tuple[str, ...]:
         """The neighbor tuple of a registered node this epoch, built from
-        its arena row on first ask: the registered nodes its row links
-        to, in arena order. A node outside the arena has none."""
+        its arena row on first ask: the live rows its row links to, in
+        arena order. A node without an arena index has none."""
         nbrs = self._nbrs.get(node_id)
         if nbrs is None:
             i = self._index.get(node_id)
             if i is None:
                 nbrs = ()
             else:
-                linked = self._adj[i]
-                if self._present is not None:
-                    linked = linked & self._present
+                linked = self._open(i, self._adj[i])
                 ids = self._arena_ids
                 nbrs = tuple([ids[j] for j in linked.nonzero()[0].tolist()])
             self._nbrs[node_id] = nbrs
@@ -481,17 +476,33 @@ class Topology:
         row = self._rows[i]
         if row is None:
             bw = self._bw[i]
-            linked = self._adj[i] & (bw > 0)
-            if self._present is not None:
-                linked &= self._present
-            js = linked.nonzero()[0]
+            js = self._open(i, self._adj[i] & (bw > 0)).nonzero()[0]
             row = self._rows[i] = _RouteRow(js, 1000.0 / bw[js], len(bw))
         return row
 
+    def _open(self, i: int, linked: np.ndarray) -> np.ndarray:
+        """``linked``, a boolean row of arena index ``i``, without the
+        rows that are not live and the columns an active cut separates
+        from ``i``. Never written in place: it may be the memo's row."""
+        if self._live is not None:
+            linked = linked & self._live
+        for side, labels in self._sides or ():
+            here = labels[i]
+            if here:
+                linked = linked & (side != 3 - here)
+        return linked
+
+    def _uncut(self, i: int, j: int) -> bool:
+        """Whether no active cut separates arena indices ``i`` and ``j``
+        (sides 1 and 2 are the only pair that sums to 3). Asked only
+        while a cut is active."""
+        return all(labels[i] + labels[j] != 3 for _, labels in self._sides)
+
     def _hop_floor(self) -> float:
-        """A lower bound on every hop cost this epoch: ``1000.0`` over
-        the arena's largest bandwidth (``inf`` when no link carries
-        any), computed on first ask."""
+        """A lower bound on every hop cost while the memo stands:
+        ``1000.0`` over its largest bandwidth, dead rows and cut links
+        included (``inf`` when no link carries any), computed on first
+        ask."""
         floor = self._floor
         if floor is None:
             top = float(self._bw.max())
@@ -517,6 +528,8 @@ class Topology:
         j = self._index.get(b)
         if i is None or j is None:
             return False
+        if self._sides:
+            return bool(self._adj[i, j]) and self._uncut(i, j)
         return bool(self._adj[i, j])
 
     def link_bandwidth(self, a: str, b: str) -> float:
@@ -606,10 +619,11 @@ class Topology:
         Edge weight is the per-hop communication cost (inverse normalized
         bandwidth). Returns the node sequence including both endpoints,
         or ``None`` when no path exists. ``a == b`` yields ``(a,)``.
-        Memoized per ``(epoch, a, b)``: the first query answers a
-        certified route of one or two hops at once
-        (:meth:`_certified_route`) and otherwise runs a bidirectional
-        Dijkstra over the routing rows; repeats are O(1).
+        Memoized per ``(epoch, a, b)``: the first query answers ``None``
+        at once across a covering cut (:meth:`_severed`), a certified
+        route of one or two hops at once (:meth:`_certified_route`), and
+        otherwise runs a bidirectional Dijkstra over the routing rows;
+        repeats are O(1).
         """
         if a not in self._nodes:
             raise UnknownNodeError(a)
@@ -621,13 +635,37 @@ class Topology:
         key = (a, b)
         if key in self._routes:
             return self._routes[key]
-        route = self._certified_route(a, b)
-        if route is None:
-            route = self._bidirectional_dijkstra(a, b)
+        if self._sides and self._severed(a, b):
+            route = None
+        else:
+            route = self._certified_route(a, b)
+            if route is None:
+                route = self._bidirectional_dijkstra(a, b)
         if len(self._routes) >= ROUTE_CACHE_MAX:
             self._routes.pop(next(iter(self._routes)))
         self._routes[key] = route
         return route
+
+    def _severed(self, a: str, b: str) -> bool:
+        """Whether an active cut whose two groups hold every live row
+        puts ``a`` and ``b`` on opposite sides. Then no route joins
+        them: every path between them has a hop with an end in each
+        group, and the cut blocks that link. Whether a cut covers the
+        live rows is one mask reduction per cut per epoch; a cut that
+        leaves a live row outside both groups proves nothing."""
+        i, j = self._index.get(a), self._index.get(b)
+        if i is None or j is None:
+            return False
+        covering = self._covering
+        if covering is None:
+            covering = self._covering = []
+            for side, labels in self._sides:
+                outside = side == 0
+                if self._live is not None:
+                    outside &= self._live
+                if not outside.any():
+                    covering.append(labels)
+        return any(labels[i] + labels[j] == 3 for labels in covering)
 
     def _certified_route(self, a: str, b: str) -> Optional[Tuple[str, ...]]:
         """The route the search returns from ``a`` to ``b`` when its best
@@ -671,7 +709,7 @@ class Topology:
             return None
         adj = self._adj
         one = float("inf")
-        if adj[i, j]:
+        if adj[i, j] and (not self._sides or self._uncut(i, j)):
             bw = float(self._bw[i, j])
             if bw > 0:
                 one = 1000.0 / bw
@@ -696,8 +734,8 @@ class Topology:
         insertion counter, and the first node settled in both directions
         ends the search along the best meeting path — so the route is
         well defined even when several routes tie on cost (common: links
-        within half range all cost the same). A node outside the arena
-        has no route.
+        within half range all cost the same). A node without an arena
+        index has no route.
         """
         self._ensure_epoch_caches()
         src, dst = self._index.get(source), self._index.get(target)
@@ -823,11 +861,11 @@ class Topology:
         return components
 
     def average_degree(self) -> float:
-        """Mean neighbor count over all registered nodes (edges between
-        arena rows whose node has since been removed do not count)."""
+        """Mean neighbor count over all registered nodes: links between
+        live rows that no active cut blocks (a row whose node has since
+        been removed does not count)."""
         n = len(self._nodes)
         if n == 0:
             return 0.0
-        present = self._present
-        adj = self._adj if present is None else self._adj & present[:, None] & present[None, :]
-        return int(np.count_nonzero(adj)) / n
+        self._ensure_epoch_caches()
+        return sum(len(self._neighbor_row(nid)) for nid in self._nodes) / n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -15,10 +16,10 @@ from repro.sim.engine import Engine
 
 # ``pytest --hypothesis-profile=deep`` runs the fuzzers that read their
 # budget from the loaded profile (the topology machine, the route
-# certificate property and the measured-links and array-homing
-# properties in ``test_topology_machine.py``, and the fit-rule property
-# in ``test_fit_rule.py``) with 500 derandomized examples each, instead
-# of the tier-1 budget they set themselves.
+# certificate and covering-cut properties and the measured-links and
+# array-homing properties in ``test_topology_machine.py``, and the
+# fit-rule property in ``test_fit_rule.py``) with 500 derandomized
+# examples each, instead of the tier-1 budget they set themselves.
 settings.register_profile("deep", derandomize=True, deadline=None, max_examples=500)
 
 
@@ -28,6 +29,26 @@ def budget(tier1: int) -> int:
     if settings.get_current_profile_name() == "default":
         return tier1
     return settings.default.max_examples
+
+
+def assert_same_live_rows(topo: Topology, fresh: Topology) -> None:
+    """The arena rows of the nodes live at each topology's last rebuild
+    hold the same ids in the same order, and the same positions,
+    adjacency, bandwidth and loss among them, bit for bit; each
+    liveness mask marks exactly those rows. A fresh build's arena holds
+    no other row."""
+    arenas = []
+    for t in (topo, fresh):
+        rows = np.array(sorted(t._index.values()), dtype=np.intp)
+        live = np.ones(len(t._arena_ids), dtype=bool) if t._live is None else t._live
+        assert np.flatnonzero(live).tolist() == rows.tolist()
+        grid = np.ix_(rows, rows)
+        ids = [t._arena_ids[r] for r in rows.tolist()]
+        arenas.append((ids, t.positions[rows], t._adj[grid], t._bw[grid], t._loss[grid]))
+    (ids, *arrays), (fresh_ids, *fresh_arrays) = arenas
+    assert ids == fresh_ids
+    for name, mine, theirs in zip(("positions", "adj", "bw", "loss"), arrays, fresh_arrays):
+        assert np.array_equal(mine, theirs), name
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ class MiniTopology:
         self._epoch = 0
         self.positions = []
         self._adj = []
+        self._live = None
         self.rebuild()  # transitively bumping
 
     def _bump_epoch(self):
@@ -16,6 +17,7 @@ class MiniTopology:
     def rebuild(self):
         self.positions = []
         self._adj = []
+        self._live = None
         self._bump_epoch()
 
     def move(self, i, xy):
@@ -25,6 +27,10 @@ class MiniTopology:
     def refresh(self):
         self._adj = []
         self.rebuild()  # calls a bumping method
+
+    def kill(self, i):
+        self._live[i] = False
+        self._bump_epoch()
 
     def reconnect(self):
         np.fill_diagonal(self._adj, True)

@@ -8,6 +8,7 @@ class MiniTopology:
         self._epoch = 0
         self.positions = []
         self._adj = []
+        self._live = None
 
     def _bump_epoch(self):
         self._epoch += 1
@@ -15,6 +16,7 @@ class MiniTopology:
     def rebuild(self):
         self.positions = []
         self._adj = []
+        self._live = None
         self._bump_epoch()
 
     def sneak_move(self, i, xy):
@@ -33,3 +35,8 @@ class MiniTopology:
         # An in-place method writes its receiver, here through an alias.
         adj = self._adj
         adj.fill(True)
+
+    def sneak_kill(self, i):
+        # Masks a row out of the arena but never bumps: cached routes
+        # still pass through it.
+        self._live[i] = False

@@ -120,12 +120,13 @@ def test_r4_ignores_base_exception_relays():
 
 def test_r6_flags_direct_and_aliased_stores():
     findings = run_rule(EpochMutationRule(), "r6_violation")
-    assert len(findings) == 4
+    assert len(findings) == 5
     assert {f.context for f in findings} == {
         "MiniTopology.sneak_move",
         "MiniTopology.sneak_alias",
         "MiniTopology.sneak_fill_diagonal",
         "MiniTopology.sneak_fill",
+        "MiniTopology.sneak_kill",
     }
 
 

@@ -8,7 +8,8 @@ Four test families:
   the pure function it claims to be;
 * determinism — hazard schedules replay exactly, partitions heal
   bit-identically, the ``reliable``/zero-loss channel paths consume no
-  draws (the invariant that makes an empty plan a no-op);
+  draws (the invariant that makes an empty plan a no-op), and an e23
+  run measures its geometry once and never searches for a route;
 * behaviour — the injector's seams (filter_proposals, award_handshake,
   install) and the committed DEGRADED → OPERATING
   partition-heal scenario: a session survives a healed partition in
@@ -17,6 +18,7 @@ Four test families:
 
 from __future__ import annotations
 
+import math
 import types
 
 import numpy as np
@@ -36,13 +38,15 @@ from repro.faults import (
 from repro.faults.plan import award_backoff
 from repro.metrics.bootstrap import bootstrap_ci
 from repro.network.radio import DiscRadio
-from repro.network.topology import Topology
+from repro.network.topology import Topology, _Geometry
 from repro.resources.node import Node, NodeClass
 from repro.resources.provider import QoSProvider
 from repro.services import workload
 from repro.sessions import SessionDriver, SessionPolicy, SessionState
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from repro.sim.sequences import reset_all_sequences
+from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.contention import ContentionConfig, run_contention
 from repro.workloads.rates import ConstantRate
 
@@ -64,14 +68,19 @@ def test_gilbert_elliott_rejects_non_probabilities(kwargs):
         GilbertElliott(**kwargs)
 
 
-def test_partition_validation_and_cross_pairs():
+def test_partition_and_cut_validation():
     with pytest.raises(ValueError, match="non-empty"):
         Partition(start=0.0, duration=1.0, group_a=(), group_b=("b",))
     with pytest.raises(ValueError, match="overlap"):
         Partition(start=0.0, duration=1.0, group_a=("x",), group_b=("x", "y"))
     part = Partition(start=5.0, duration=10.0, group_a=("a", "b"), group_b=("c",))
     assert part.heal_at == 15.0
-    assert part.cross_pairs() == (("a", "c"), ("b", "c"))
+    topo = Topology(_grid_nodes(), DiscRadio(range_m=100.0))
+    with pytest.raises(ValueError, match="overlap"):
+        topo.block_links(("n0",), ("n0", "n1"))
+    with pytest.raises(ValueError, match="overlap"):
+        topo.unblock_links(("n0",), ("n0", "n1"))
+    assert topo.cuts == ()
 
 
 def test_crash_hazard_validation():
@@ -139,22 +148,19 @@ def _grid_nodes(n=24, cols=6, spacing=60.0):
 
 def test_partition_heal_restores_routes_bit_identically():
     """Block + unblock leaves every route exactly as a never-partitioned
-    twin computes it, and the overlay empties."""
+    twin computes it, and no cut stays active."""
     radio = DiscRadio(range_m=100.0)
     faulted = Topology(_grid_nodes(), radio)
     pristine = Topology(_grid_nodes(), radio)
     evens = tuple(f"n{i}" for i in range(0, 24, 2))
     odds = tuple(f"n{i}" for i in range(1, 24, 2))
-    pairs = Partition(
-        start=1.0, duration=1.0, group_a=evens, group_b=odds
-    ).cross_pairs()
 
-    faulted.block_links(pairs)
-    assert faulted.blocked_links  # overlay active
+    faulted.block_links(evens, odds)
+    assert faulted.cuts  # cut active
     assert faulted.shortest_route("n0", "n1") != pristine.shortest_route("n0", "n1")
-    faulted.unblock_links(pairs)
+    faulted.unblock_links(evens, odds)
 
-    assert not faulted.blocked_links
+    assert not faulted.cuts
     ids = [n.node_id for n in _grid_nodes()]
     for src in ids:
         assert faulted.neighbors(src) == pristine.neighbors(src)
@@ -165,8 +171,8 @@ def test_partition_heal_restores_routes_bit_identically():
 
 
 def test_overlapping_partitions_keep_shared_links_blocked():
-    """Two partitions of one plan that overlap in time and share a cross
-    pair: the first heal must not restore the link while the second
+    """Two partitions of one plan that overlap in time and cut the same
+    link: the first heal must not restore the link while the second
     partition is still in force."""
     nodes = [
         Node("a", NodeClass.LAPTOP, position=(0.0, 0.0)),
@@ -186,44 +192,129 @@ def test_overlapping_partitions_keep_shared_links_blocked():
     seen = {}
     for t in (1.0, 10.0, 20.0, 30.0, 50.0):
         engine.run(until=t)
-        seen[t] = (topology.connected("a", "b"), topology.blocked_links)
+        seen[t] = (topology.connected("a", "b"), topology.cuts)
+    cut = (("a",), ("b",))
     assert seen == {
-        1.0: (True, frozenset()),
-        10.0: (False, {("a", "b")}),
-        20.0: (False, {("a", "b")}),
-        30.0: (False, {("a", "b")}),  # first partition healed, second holds
-        50.0: (True, frozenset()),
+        1.0: (True, ()),
+        10.0: (False, (cut,)),
+        20.0: (False, (cut, cut)),
+        30.0: (False, (cut,)),  # first partition healed, second holds
+        50.0: (True, ()),
     }
 
 
-def test_unblocking_a_pair_that_is_not_blocked_does_nothing():
-    """A heal decrements each of its pairs once: a pair that was never
-    blocked, and a pair healed a second time, change nothing, and a
-    pair two blocks share stays blocked until both heal."""
+def test_healing_a_cut_that_is_not_active_does_nothing():
+    """A heal removes one equal cut: a cut that was never blocked, and a
+    cut healed a second time, change nothing; the groups name the same
+    cut in either order and with repeats; and a link that two cuts
+    share stays blocked until both heal."""
     topo = Topology(_grid_nodes(), DiscRadio(range_m=100.0))
-    topo.block_links([("n0", "n1"), ("n1", "n2"), ("n2", "n1")])
-    assert topo.blocked_links == {("n0", "n1"), ("n1", "n2")}
+    topo.block_links(["n0"], ["n1"])
+    topo.block_links(["n1"], ["n2"])
+    topo.block_links(["n2", "n2"], ["n1"])  # the same cut again
+    cuts = topo.cuts
+    assert cuts == ((("n0",), ("n1",)),) + ((("n1",), ("n2",)),) * 2
 
-    topo.unblock_links([("n6", "n0")])  # never blocked
-    assert topo.blocked_links == {("n0", "n1"), ("n1", "n2")}
-    topo.unblock_links([("n1", "n0")])  # either order names the pair
-    assert topo.blocked_links == {("n1", "n2")}
-    topo.unblock_links([("n0", "n1")])  # healed twice
-    assert topo.blocked_links == {("n1", "n2")}
+    topo.unblock_links(["n6"], ["n0"])  # never blocked
+    assert topo.cuts == cuts
+    topo.unblock_links(["n0"], ["n1", "n6"])  # a different cut
+    assert topo.cuts == cuts
+    topo.unblock_links(["n1"], ["n0"])  # either order names the cut
+    assert topo.cuts == cuts[1:]
+    topo.unblock_links(["n0"], ["n1"])  # healed twice
+    assert topo.cuts == cuts[1:]
     assert topo.connected("n0", "n1") and not topo.connected("n1", "n2")
 
-    topo.unblock_links([("n1", "n2")])  # one of its two blocks
+    topo.unblock_links(["n1"], ["n2"])  # one of its two blocks
     assert not topo.connected("n1", "n2")
-    topo.unblock_links([("n2", "n1"), ("n1", "n2")])  # the other, then none
-    assert not topo.blocked_links
+    topo.unblock_links(["n2"], ["n1"])  # the other
+    assert not topo.cuts
     assert topo.connected("n1", "n2")
 
 
 def test_blocking_bumps_the_topology_epoch():
     topo = Topology(_grid_nodes(), DiscRadio(range_m=100.0))
     before = topo.epoch
-    topo.block_links([("n0", "n1")])
+    topo.block_links(["n0"], ["n1"])
     assert topo.epoch > before  # cached routes must invalidate
+
+
+def _e23_config() -> ContentionConfig:
+    """E23's bursty-part25-crash regime on 256 nodes over 40 s, as the
+    perf benchmark's e23-crash-256 workload configures it: a partition
+    from 13.3 s to 38.3 s puts the requesters and the even helpers on
+    one side and the odd helpers on the other, and crashes arrive at
+    1/s, each felling a uniformly drawn helper for 25 s."""
+    n_nodes, n_requesters, horizon = 256, 4, 40.0
+    helpers = n_nodes - n_requesters
+    plan = FaultPlan(
+        link=GilbertElliott(p_gb=0.02, p_bg=0.1, loss_good=0.01, loss_bad=0.8),
+        partitions=(
+            Partition(
+                start=horizon / 3.0,
+                duration=25.0,
+                group_a=tuple(f"req{k}" for k in range(n_requesters))
+                + tuple(f"n{i}" for i in range(0, helpers, 2)),
+                group_b=tuple(f"n{i}" for i in range(1, helpers, 2)),
+            ),
+        ),
+        crashes=CrashHazard(shape=ConstantRate(1.0), recover_after=25.0),
+        agents=AgentFaults(drop_propose=0.02, stale_propose=0.02, refuse_award=0.01),
+    )
+    return ContentionConfig(
+        n_requesters=n_requesters,
+        families=("movie", "speech", "sensor-fusion", "navigation"),
+        arrival=PoissonProcess(rate=1.0 / 6.0),
+        horizon=horizon,
+        n_nodes=n_nodes,
+        area=60.0 * math.sqrt(n_nodes),
+        radio_range=100.0,
+        sessions=SessionPolicy(operate=True, keepalive=2.5, partition_grace=15.0),
+        faults=plan,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_an_e23_run_slices_nothing_and_never_searches(seed, monkeypatch):
+    """An e23 run measures its geometry once: every crash, recovery,
+    partition and heal after that keeps the memo and only masks its
+    rows. Its partition puts every node in a group, so a route across
+    it is ``None`` without a search, and the certificate answers every
+    other. Counted, not timed, from rewound id sequences as a benchmark
+    replication runs (otherwise the counts depend on what ran before):
+    the counts are the same on any host."""
+    calls = {"measure": 0, "rebuild": 0, "route": 0, "search": 0}
+    measure = _Geometry.measure.__func__
+    rebuild, route = Topology.rebuild, Topology.shortest_route
+    search = Topology._bidirectional_dijkstra
+
+    def counted_measure(cls, ids, positions, radio):
+        calls["measure"] += 1
+        return measure(cls, ids, positions, radio)
+
+    def counted_rebuild(self):
+        calls["rebuild"] += 1
+        return rebuild(self)
+
+    def counted_route(self, a, b):
+        calls["route"] += 1
+        return route(self, a, b)
+
+    def counted_search(self, a, b):
+        calls["search"] += 1
+        return search(self, a, b)
+
+    monkeypatch.setattr(_Geometry, "measure", classmethod(counted_measure))
+    monkeypatch.setattr(Topology, "rebuild", counted_rebuild)
+    monkeypatch.setattr(Topology, "shortest_route", counted_route)
+    monkeypatch.setattr(Topology, "_bidirectional_dijkstra", counted_search)
+    reset_all_sequences()
+    result = run_contention(seed, _e23_config())
+    assert result.sessions
+    assert calls["measure"] == 1
+    assert calls["rebuild"] > 50  # crashes, recoveries, the partition and its heal
+    assert calls["route"] > 0
+    assert calls["search"] == 0
 
 
 def test_crash_schedule_is_replay_exact():

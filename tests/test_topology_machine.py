@@ -3,26 +3,32 @@ route certificate against the search.
 
 A hypothesis ``RuleBasedStateMachine`` drives one topology of at most
 16 nodes (``DiscRadio(range_m=100)``, a 300 m square) through moves,
-crashes, recoveries, drain deaths, overlapping link blocks and heals,
-membership round trips (a removed node re-joins at the end of the
-registration order, as a shard migrant does), ``rebuild()`` and
-``update_positions()``. Half the coordinates sit on a 10 m grid, so
-exact range-edge distances and tied route costs come up often.
+crashes, recoveries, drain deaths, cuts and heals, membership round
+trips (a removed node re-joins at the end of the registration order, as
+a shard migrant does), ``rebuild()`` and ``update_positions()``. A cut
+splits the fleet at random, often leaving nodes in neither group;
+cuts overlap, repeat, and heal in any order, and healing a cut that
+was never blocked is a no-op. Half the coordinates sit on a 10 m grid,
+so exact range-edge distances and tied route costs come up often.
 
 * After each step that rebuilds, the topology equals a fresh
-  ``Topology`` over the same nodes with the same overlay: the arena
-  (ids, index, positions, adjacency, bandwidth, loss) bit for bit, and ``neighbors``, ``khop_neighbors(·, 2)``,
-  ``shortest_route`` and ``multihop_cost`` for every ordered pair.
+  ``Topology`` over the same nodes with the same cuts: the live arena
+  rows (ids, positions, adjacency, bandwidth, loss) bit for bit, and
+  ``neighbors``, ``khop_neighbors(·, 2)``, ``shortest_route`` and
+  ``multihop_cost`` for every ordered pair.
 * After a step that does not rebuild (a move, a liveness flip, a
   membership round trip), every node's ``neighbors`` tuple is what it
   was at the last rebuild: a flip takes effect at the caller's rebuild.
 
-The machine is no oracle for the certificate, since the fresh build
-runs it too: a property holds ``shortest_route`` and every certified
-route to the bidirectional search on the same epoch's rows instead, and
-hand-built cases pin its tie-breaks and its three-hop bound. Nor is it one for a mobility
-tick's two array paths, which a fresh build or shard takes too; two
-properties hold them to their scalar references:
+The machine is no oracle for the answers that skip the search, since
+the fresh build skips it too. Two properties hold them to the
+bidirectional search on the same epoch's rows instead: every route and
+every route the two-hop certificate answers, and every answer across a
+cut whose groups hold every live row (``None`` without a search).
+Hand-built cases pin the certificate's tie-breaks and three-hop bound,
+and the cover test's two edges. Nor is the machine an oracle for a
+mobility tick's two array paths, which a fresh build or shard takes
+too; two properties hold them to their scalar references:
 
 * the geometry memo's measurement against the scalar radio, pair by
   pair (``DiscRadio`` and a radio without a distance cutoff);
@@ -40,18 +46,17 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 from repro.network.geometry import distance, position_array
 from repro.network.radio import DiscRadio, RadioModel
-from repro.network.topology import Topology, _Geometry
+from repro.network.topology import Topology, _cut, _Geometry
 from repro.resources.node import Node
 from repro.shard.partition import ShardGrid
-from tests.conftest import budget
+from tests.conftest import assert_same_live_rows, budget
 
 AREA = 300.0
 MAX_NODES = 16
@@ -62,25 +67,27 @@ coordinate = st.one_of(
 )
 point = st.tuples(coordinate, coordinate)
 slot = st.integers(0, MAX_NODES - 1)
-slot_pairs = st.lists(st.tuples(slot, slot), min_size=1, max_size=12)
+#: A side per fleet slot: 1 and 2 are a cut's two groups, 0 neither.
+sides = st.lists(st.integers(0, 2), min_size=MAX_NODES, max_size=MAX_NODES)
 
 
-def assert_same_arena(topo: Topology, fresh: Topology) -> None:
-    """The arena arrays of ``topo`` equal those of ``fresh`` bit for bit."""
-    assert topo._arena_ids == fresh._arena_ids
-    assert topo._index == fresh._index
-    assert np.array_equal(topo.positions, fresh.positions)
-    assert np.array_equal(topo._adj, fresh._adj)
-    assert np.array_equal(topo._bw, fresh._bw)
-    assert np.array_equal(topo._loss, fresh._loss)
+def split(nodes: Sequence[Node], drawn: Sequence[int]) -> Tuple[List[str], List[str]]:
+    """The two groups of a cut that puts ``nodes[k]`` on side
+    ``drawn[k]``."""
+    groups: Tuple[List[str], List[str]] = ([], [])
+    for node, side in zip(nodes, drawn):
+        if side:
+            groups[side - 1].append(node.node_id)
+    return groups
 
 
 def assert_answers_like_fresh(topo: Topology, radio: DiscRadio) -> None:
     """``topo`` answers every query as a fresh build of its current
-    nodes and overlay does."""
+    nodes and cuts does."""
     fresh = Topology(list(topo.nodes), radio)
-    fresh.block_links(sorted(topo.blocked_links))
-    assert_same_arena(topo, fresh)
+    for cut in topo.cuts:
+        fresh.block_links(*cut)
+    assert_same_live_rows(topo, fresh)
     ids = topo.node_ids
     for a in ids:
         assert topo.neighbors(a) == fresh.neighbors(a), a
@@ -98,7 +105,7 @@ class TopologyMachine(RuleBasedStateMachine):
         self.radio = DiscRadio(range_m=100.0)
         self.nodes: List[Node] = []
         self.topo: Topology
-        self.batches: List[List[Tuple[str, str]]] = []
+        self.blocked: List[Tuple[List[str], List[str]]] = []
         self.snapshot: Dict[str, Tuple[str, ...]] = {}
 
     # -- helpers -----------------------------------------------------------
@@ -106,17 +113,10 @@ class TopologyMachine(RuleBasedStateMachine):
     def _node(self, k: int) -> Node:
         return self.nodes[k % len(self.nodes)]
 
-    def _pairs(self, slots: Sequence[Tuple[int, int]]) -> List[Tuple[str, str]]:
-        pairs = []
-        for i, j in slots:
-            a, b = self._node(i).node_id, self._node(j).node_id
-            if a != b:
-                pairs.append((a, b))
-        return pairs
-
     def _rebuilt(self, epoch_before: int) -> None:
         """Checks after a step that rebuilt the arena."""
         assert self.topo.epoch > epoch_before
+        assert sorted(self.topo.cuts) == sorted(_cut(*groups) for groups in self.blocked)
         assert_answers_like_fresh(self.topo, self.radio)
         self.snapshot = {a: self.topo.neighbors(a) for a in self.topo.node_ids}
 
@@ -140,37 +140,43 @@ class TopologyMachine(RuleBasedStateMachine):
         self.topo.update_positions([self._node(k).node_id for k in movers])
         self._rebuilt(epoch)
 
-    @rule(slots=slot_pairs)
-    def block(self, slots):
-        pairs = self._pairs(slots)
+    @rule(drawn=sides)
+    def block(self, drawn):
+        """Cut a random split of the fleet, as a partition fault does."""
+        groups = split(self.nodes, drawn)
         epoch = self.topo.epoch
-        self.topo.block_links(pairs)
-        self.batches.append(pairs)
+        self.topo.block_links(*groups)
+        self.blocked.append(groups)
         self._rebuilt(epoch)
 
-    @rule(sides=st.lists(st.booleans(), min_size=MAX_NODES, max_size=MAX_NODES))
-    def partition(self, sides):
-        """Block every pair across a split, as a partition fault does."""
-        left = [n.node_id for k, n in enumerate(self.nodes) if sides[k]]
-        right = [n.node_id for k, n in enumerate(self.nodes) if not sides[k]]
-        pairs = [(a, b) for a in left for b in right]
+    @precondition(lambda self: self.blocked)
+    @rule(k=st.integers(0, 63))
+    def block_again(self, k):
+        """Repeat an active cut, naming its groups the other way round:
+        it then takes two heals."""
+        group_a, group_b = self.blocked[k % len(self.blocked)]
         epoch = self.topo.epoch
-        self.topo.block_links(pairs)
-        self.batches.append(pairs)
+        self.topo.block_links(group_b, group_a)
+        self.blocked.append((group_a, group_b))
         self._rebuilt(epoch)
 
-    @precondition(lambda self: self.batches)
+    @precondition(lambda self: self.blocked)
     @rule(k=st.integers(0, 63))
     def heal(self, k):
-        pairs = self.batches.pop(k % len(self.batches))
+        groups = self.blocked.pop(k % len(self.blocked))
         epoch = self.topo.epoch
-        self.topo.unblock_links(pairs)
+        self.topo.unblock_links(*groups)
         self._rebuilt(epoch)
 
-    @rule(slots=slot_pairs)
-    def unblock(self, slots):
+    @rule(drawn=sides)
+    def unblock(self, drawn):
+        """Heal a cut that was never blocked: nothing changes."""
+        groups = split(self.nodes, drawn)
+        assume(_cut(*groups) not in self.topo.cuts)
+        cuts = self.topo.cuts
         epoch = self.topo.epoch
-        self.topo.unblock_links(self._pairs(slots))
+        self.topo.unblock_links(*groups)
+        assert self.topo.cuts == cuts
         self._rebuilt(epoch)
 
     # -- steps that do not rebuild -----------------------------------------
@@ -223,29 +229,28 @@ TestTopologyMachine = TopologyMachine.TestCase
 @given(
     points=st.lists(point, min_size=2, max_size=MAX_NODES),
     min_rate=st.sampled_from([0.0, 0.2, 1.0]),
-    blocked=st.lists(st.tuples(slot, slot), max_size=12),
+    cuts=st.lists(sides, max_size=2),
     crashed=st.lists(slot, max_size=4),
     rebuilt=st.booleans(),
     removed=st.lists(slot, max_size=3),
 )
 def test_every_route_and_every_certified_one_is_the_searchs(
-    points, min_rate, blocked, crashed, rebuilt, removed
+    points, min_rate, cuts, crashed, rebuilt, removed
 ):
     """For every ordered pair, ``shortest_route`` (which answers a
     certified route of one or two hops without searching) equals the
     bidirectional search over the same epoch's rows, and so does the
     certificate wherever it answers. The radio's edge rate is drawn
     too: 1.0 makes every link cost the same, 0.0 leaves range-edge
-    links at zero bandwidth. Blocked links, crashes before or after the
-    last rebuild and removals without one (stale arena rows of dead or
+    links at zero bandwidth. Cuts, crashes before or after the last
+    rebuild and removals without one (masked arena rows of dead or
     unregistered nodes) change the rows both read."""
     radio = DiscRadio(range_m=100.0, min_rate_fraction=min_rate)
     nodes = [Node(f"n{i}", position=p) for i, p in enumerate(points)]
     topo = Topology(nodes, radio)
     n = len(nodes)
-    topo.block_links(
-        [(nodes[i % n].node_id, nodes[j % n].node_id) for i, j in blocked if i % n != j % n]
-    )
+    for drawn in cuts:
+        topo.block_links(*split(nodes, drawn))
     for k in crashed:
         nodes[k % n].fail()
     if rebuilt:
@@ -262,6 +267,40 @@ def test_every_route_and_every_certified_one_is_the_searchs(
             certified = topo._certified_route(a, b)
             if certified is not None:
                 assert certified == searched, (a, b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=budget(100))
+@given(
+    points=st.lists(point, min_size=2, max_size=MAX_NODES),
+    cuts=st.lists(st.tuples(st.booleans(), sides), min_size=1, max_size=2),
+    before=st.lists(slot, max_size=4),
+    after=st.lists(slot, max_size=4),
+)
+def test_an_answer_across_a_covering_cut_is_the_searchs(points, cuts, before, after):
+    """For every ordered pair, ``shortest_route`` (which answers
+    ``None`` without searching across a cut whose groups hold every
+    live row) equals the bidirectional search over the same epoch's
+    rows. A cut drawn as covering puts every node alive at its rebuild
+    in a group and may leave out only the nodes crashed before it; any
+    other cut may leave out any node. Crashes after the last rebuild
+    leave their rows live until the next one."""
+    nodes = [Node(f"n{i}", position=p) for i, p in enumerate(points)]
+    topo = Topology(nodes, DiscRadio(range_m=100.0))
+    n = len(nodes)
+    for k in before:
+        nodes[k % n].fail()
+    for covering, drawn in cuts:
+        if covering:
+            drawn = [side or int(node.alive) for node, side in zip(nodes, drawn)]
+        topo.block_links(*split(nodes, drawn))
+    for k in after:
+        nodes[k % n].fail()
+    ids = topo.node_ids
+    for a in ids:
+        for b in ids:
+            if a != b:
+                searched = topo._bidirectional_dijkstra(a, b)
+                assert topo.shortest_route(a, b) == searched, (a, b)
 
 
 def _topology(*points: Tuple[str, Tuple[float, float]]) -> Topology:
@@ -327,6 +366,44 @@ def test_hand_built_routes(points, certified, route):
     assert topo._bidirectional_dijkstra("a", "c") == route
     assert topo._certified_route("a", "c") == certified
     assert topo.shortest_route("a", "c") == route
+
+
+#: Hand-built cuts, and the route ``shortest_route`` answers from a to
+#: b under them without a search.
+HAND_BUILT_CUTS = [
+    # The cut {a}/{b} leaves the relay r in neither group, so it proves
+    # nothing: the certificate finds r.
+    pytest.param(
+        [("a", (0.0, 0.0)), ("r", (60.0, 0.0)), ("b", (120.0, 0.0))],
+        (), (["a"], ["b"]), ("a", "r", "b"), id="a-relay-outside-both-groups-still-routes",
+    ),
+    # d, in range of a and b, is dead at the last rebuild: outside both
+    # groups, it leaves the cover of the live rows whole. Without the
+    # cover the certificate would decline, and the search would run.
+    pytest.param(
+        [("a", (0.0, 0.0)), ("r", (60.0, 0.0)), ("b", (120.0, 0.0)), ("d", (60.0, 10.0))],
+        ("d",), (["a", "r"], ["b"]), None, id="a-dead-node-outside-the-groups-keeps-the-cover",
+    ),
+]
+
+
+@pytest.mark.parametrize("points, dead, cut, route", HAND_BUILT_CUTS)
+def test_hand_built_cuts(points, dead, cut, route, monkeypatch):
+    topo = _topology(*points)
+    for nid in dead:
+        topo.node(nid).fail()
+    topo.block_links(*cut)
+    searches = []
+    search = Topology._bidirectional_dijkstra
+
+    def counted_search(self, a, b):
+        searches.append((a, b))
+        return search(self, a, b)
+
+    monkeypatch.setattr(Topology, "_bidirectional_dijkstra", counted_search)
+    assert topo.shortest_route("a", "b") == route
+    assert searches == []
+    assert topo._bidirectional_dijkstra("a", "b") == route
 
 
 # -- a mobility tick's array paths against their scalar references ---------
@@ -419,17 +496,17 @@ def test_array_homing_matches_shard_of(area, gx, gy, spots):
 
 
 def test_a_block_naming_a_node_outside_the_memo_clears_no_other_link():
-    """The machine's first counterexample: n0 is dead when the partition
-    isolating it arrives, so none of its blocked pairs resolves to a memo
-    row; a later crash slices the memo, and a pair left unresolved must
-    not wrap around to the last arena row and cut the n2–n3 link."""
+    """The machine's first counterexample: n0 is dead when the cut
+    isolating it arrives, so its group resolves to no memo row; a later
+    crash masks another row, and the id left unresolved must not wrap
+    around to the last arena row and cut the n2–n3 link."""
     radio = DiscRadio(range_m=100.0)
     nodes = [Node(f"n{i}", position=(0.0, 0.0)) for i in range(4)]
     topo = Topology(nodes, radio)
     topo.remove_node("n0")
     topo.add_node(nodes[0])
     nodes[0].fail()
-    topo.block_links([("n0", "n1"), ("n0", "n2"), ("n0", "n3")])
+    topo.block_links(["n0"], ["n1", "n2", "n3"])
     nodes[1].fail()
     topo.rebuild()
     assert topo.neighbors("n2") == ("n3",)

@@ -16,9 +16,10 @@ Four families of guarantees are pinned here:
   ``remove_node``, node death and ``rebuild()``, and the epoch counter
   observes liveness flips the moment they happen;
 * **the geometry memo** — rebuilds after a crash, recovery, partition
-  or heal slice the memo, and the three cases where it must miss (a
-  move before the rebuild, the recovery of a node it lacks, a
-  membership round trip) re-measure; each answers like a fresh build.
+  or heal keep the memo's own arrays as the arena and mask its rows,
+  and the three cases where it must miss (a move before the rebuild,
+  the recovery of a node it lacks, a membership round trip)
+  re-measure; each answers like a fresh build.
 
 The vectorized mobility fast paths are pinned seed-identical against
 reference replays of the original scalar walks, and the engine's O(1)
@@ -40,6 +41,7 @@ from repro.network.radio import DiscRadio, RadioModel
 from repro.network.topology import Topology
 from repro.resources.node import Node
 from repro.sim.engine import Engine
+from tests.conftest import assert_same_live_rows
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "topology_golden.json").read_text()
@@ -377,13 +379,12 @@ def test_a_fleet_that_outlives_its_topologies_holds_only_the_live_watcher():
 
 
 def _assert_like_fresh(topo, radio):
-    """Arena and answers equal a fresh build of the same nodes and overlay."""
+    """Live arena rows and answers equal a fresh build of the same nodes
+    and cuts."""
     fresh = Topology(list(topo.nodes), radio)
-    fresh.block_links(sorted(topo.blocked_links))
-    assert topo._arena_ids == fresh._arena_ids
-    assert np.array_equal(topo.positions, fresh.positions)
-    for name in ("_adj", "_bw", "_loss"):
-        assert np.array_equal(getattr(topo, name), getattr(fresh, name)), name
+    for cut in topo.cuts:
+        fresh.block_links(*cut)
+    assert_same_live_rows(topo, fresh)
     for a in topo.node_ids:
         assert topo.neighbors(a) == fresh.neighbors(a)
         for b in topo.node_ids:
@@ -398,21 +399,25 @@ def _memo_fleet():
 
 
 def test_memo_hits_through_crash_partition_recovery_and_heal():
-    """None of these moves a node, so every rebuild slices the memo of
-    the first one and still answers like a fresh build."""
+    """None of these moves a node, so every rebuild keeps the memo of
+    the first one: the arena's arrays are the memo's own, no copy, and
+    it still answers like a fresh build."""
     topo, nodes, radio = _memo_fleet()
     memo = topo._geometry
     assert memo is not None
 
     def check():
         assert topo._geometry is memo
+        for name, field in (("positions", "positions"), ("_adj", "adj"), ("_bw", "bw"),
+                            ("_loss", "loss")):
+            assert getattr(topo, name) is getattr(memo, field), name
         _assert_like_fresh(topo, radio)
 
-    cut = [(a.node_id, b.node_id) for a in nodes[:12] for b in nodes[12:]]
+    cut = ([n.node_id for n in nodes[:12]], [n.node_id for n in nodes[12:]])
     nodes[4].fail()
     topo.rebuild()
     check()
-    topo.block_links(cut)
+    topo.block_links(*cut)
     check()
     nodes[17].fail()
     topo.rebuild()
@@ -420,8 +425,9 @@ def test_memo_hits_through_crash_partition_recovery_and_heal():
     nodes[4].recover()
     topo.rebuild()
     check()
-    topo.unblock_links(cut)
+    topo.unblock_links(*cut)
     check()
+    assert topo.cuts == ()
 
 
 def test_memo_misses_when_a_node_moved_before_a_crash_rebuild():
@@ -431,6 +437,7 @@ def test_memo_misses_when_a_node_moved_before_a_crash_rebuild():
     nodes[9].fail()
     topo.rebuild()
     assert topo._geometry is not memo
+    assert "n9" not in topo._index
     assert topo.positions[topo._index["n5"]].tolist() == [12.0, 240.0]
     _assert_like_fresh(topo, radio)
 
@@ -445,18 +452,18 @@ def test_memo_misses_when_a_node_dead_at_the_last_recompute_recovers():
     nodes[3].recover()
     topo.rebuild()
     assert topo._geometry is not memo
-    assert "n3" in topo._arena_ids
+    assert topo._arena_ids[topo._index["n3"]] == "n3"
     _assert_like_fresh(topo, radio)
 
 
 def test_memo_misses_after_remove_node_then_add_node_of_the_same_id():
     topo, nodes, radio = _memo_fleet()
-    topo.block_links([("n6", "n7"), ("n2", "n6")])
+    topo.block_links(["n6"], ["n7", "n2"])
     topo.remove_node("n6")
     assert topo._geometry is None
     topo.add_node(nodes[6])
     topo.rebuild()
-    assert topo._arena_ids[-1] == "n6"
+    assert topo._index["n6"] == len(topo._arena_ids) - 1
     assert topo._geometry.ids == topo._arena_ids
     _assert_like_fresh(topo, radio)
 
